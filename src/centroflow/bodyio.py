@@ -23,7 +23,7 @@ from . import spectral
 from .support import SupportFn, make_support_fn
 
 __all__ = ["body_to_dict", "body_from_dict", "load_body", "save_body",
-           "sha256_of_file", "atomic_write_text"]
+           "sha256_of_file", "atomic_write_text", "write_lines"]
 
 
 def body_to_dict(h: SupportFn) -> dict:
@@ -71,6 +71,15 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_lines(target, lines) -> None:
+    """Write each line plus a newline to a path (str or bytes) or an open
+    text stream."""
+    if isinstance(target, (str, bytes)):
+        with open(target, "w", encoding="utf-8") as fh:
+            return write_lines(fh, lines)
+    target.writelines(line + "\n" for line in lines)
 
 
 def save_body(h: SupportFn, path) -> None:

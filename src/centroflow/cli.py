@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import shlex
 import sys
@@ -17,12 +18,12 @@ import time
 import numpy as np
 
 from . import __version__, bodyio, ops
-from .errors import CentroflowError, ConvexityLost
+from .errors import CentroflowError
 from .flow import FlowConfig, conservation_checks, flow_run, harnack_and_bounds_monitor, normalized_view
 from .lab import fuzz_campaign, stability_experiment
 from .normalize import banach_mazur_to_disk, pinching_to_bm_bound, sl2_normalize
-from .spectral import angles, deriv
-from .support import SupportFn
+from .spectral import angles
+from .support import SupportFn, boundary_points
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -30,6 +31,24 @@ EXIT_OPERATOR = 2
 EXIT_IO = 3
 
 GAP_FLOOR = -1e-9  # tolerated inequality slack before flagging a violation
+
+
+def _json_text(obj, **kwargs) -> str:
+    """Strict JSON (no NaN or Infinity): non-finite floats are written as null."""
+    def finite(x):
+        if isinstance(x, float) and not math.isfinite(x):
+            return None
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return x
+    return json.dumps(finite(obj), allow_nan=False, **kwargs) + "\n"
+
+
+def _operator_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_OPERATOR
 
 
 def _write_manifest(out_dir: str, argv: list[str], config: dict,
@@ -44,15 +63,12 @@ def _write_manifest(out_dir: str, argv: list[str], config: dict,
         "version": __version__,
     }
     bodyio.atomic_write_text(os.path.join(out_dir, "manifest.json"),
-                             json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                             _json_text(manifest, indent=2, sort_keys=True))
 
 
 def _svg_frame(body: SupportFn, path: str) -> None:
     """Boundary polyline with a unit-circle overlay on a fixed [-2,2]^2 view."""
-    th = angles(body.n)
-    hp = deriv(body.samples, 1)
-    x = body.samples * np.cos(th) - hp * np.sin(th)
-    y = body.samples * np.sin(th) + hp * np.cos(th)
+    x, y = boundary_points(body.samples, angles(body.n))
     pts = " ".join(f"{xi:.6f},{-yi:.6f}" for xi, yi in zip(x, y))
     first = f"{x[0]:.6f},{-y[0]:.6f}"
     svg = (
@@ -71,6 +87,8 @@ def _load_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("the config file must hold a JSON object")
     return cfg
 
 
@@ -82,32 +100,23 @@ def cmd_flow(args, argv) -> int:
         print(f"error: cannot read body: {exc}", file=sys.stderr)
         return EXIT_IO
     except (CentroflowError, ValueError) as exc:
-        print(f"error: invalid body at t=0: {exc}", file=sys.stderr)
-        return EXIT_OPERATOR
+        return _operator_error(f"invalid body at t=0: {exc}")
 
-    overrides = _load_config(args)
-    if args.n:
-        overrides["n"] = args.n
-    if args.stop_area is not None:
-        overrides["t_stop_area"] = args.stop_area
-    if args.t_stop is not None:
-        overrides["t_stop"] = args.t_stop
-    if args.cfl is not None:
-        overrides["cfl"] = args.cfl
-    if args.every is not None:
-        overrides["renormalize_every"] = args.every
-    cfg = FlowConfig(**overrides)
+    try:
+        overrides = _load_config(args)
+        flags = {"n": args.n, "t_stop_area": args.stop_area, "t_stop": args.t_stop,
+                 "cfl": args.cfl, "renormalize_every": args.every}
+        overrides.update({k: v for k, v in flags.items() if v is not None})
+        cfg = FlowConfig(**overrides)
+    except (TypeError, ValueError) as exc:
+        return _operator_error(f"invalid flow configuration: {exc}")
 
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     try:
         trace = flow_run(body, cfg)
-    except ConvexityLost as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OPERATOR
     except CentroflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OPERATOR
+        return _operator_error(exc)
 
     trace_path = os.path.join(args.out, "trace.csv")
     buf = io.StringIO()
@@ -124,7 +133,7 @@ def cmd_flow(args, argv) -> int:
         "harnack": harnack_and_bounds_monitor(trace).as_dict(),
     }
     bodyio.atomic_write_text(os.path.join(args.out, "report.json"),
-                             json.dumps(reports, indent=2, sort_keys=True) + "\n")
+                             _json_text(reports, indent=2, sort_keys=True))
     outputs.append("report.json")
 
     if args.frames:
@@ -143,7 +152,9 @@ def cmd_flow(args, argv) -> int:
     return EXIT_OK
 
 
-_OP_NAMES = ("polar", "centroid", "proj", "lambda", "steiner", "bm", "normalize")
+_BODY_OPS = {"polar": ops.polar_body, "centroid": ops.centroid_body,
+             "proj": ops.projection_body, "lambda": ops.curvature_image}
+_OP_NAMES = (*_BODY_OPS, "steiner", "bm", "normalize")
 
 
 def cmd_op(args, argv) -> int:
@@ -153,18 +164,11 @@ def cmd_op(args, argv) -> int:
         print(f"error: cannot read body: {exc}", file=sys.stderr)
         return EXIT_IO
     except (CentroflowError, ValueError) as exc:
-        print(f"error: invalid body: {exc}", file=sys.stderr)
-        return EXIT_OPERATOR
+        return _operator_error(f"invalid body: {exc}")
 
     try:
-        if args.name == "polar":
-            result = bodyio.body_to_dict(ops.polar_body(body))
-        elif args.name == "centroid":
-            result = bodyio.body_to_dict(ops.centroid_body(body))
-        elif args.name == "proj":
-            result = bodyio.body_to_dict(ops.projection_body(body))
-        elif args.name == "lambda":
-            result = bodyio.body_to_dict(ops.curvature_image(body))
+        if args.name in _BODY_OPS:
+            result = bodyio.body_to_dict(_BODY_OPS[args.name](body))
         elif args.name == "steiner":
             result = bodyio.body_to_dict(
                 ops.steiner_symmetrize(body, args.axis))
@@ -172,7 +176,7 @@ def cmd_op(args, argv) -> int:
             normalized, witness = sl2_normalize(body)
             result = bodyio.body_to_dict(normalized)
             print(f"witness: {witness.as_array().tolist()}", file=sys.stderr)
-        elif args.name == "bm":
+        else:  # "bm"; argparse restricts the choices
             cert = banach_mazur_to_disk(body)
             result = {
                 "distance": cert.distance,
@@ -181,13 +185,10 @@ def cmd_op(args, argv) -> int:
                 "outer_radius": cert.outer_radius,
                 "pinching_bound": pinching_to_bm_bound(body),
             }
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(args.name)
     except CentroflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OPERATOR
+        return _operator_error(exc)
 
-    text = json.dumps(result) + "\n"
+    text = _json_text(result)
     if args.out:
         bodyio.atomic_write_text(args.out, text)
     else:
@@ -202,15 +203,18 @@ def cmd_minkowski(args, argv) -> int:
     except OSError as exc:
         print(f"error: cannot read density: {exc}", file=sys.stderr)
         return EXIT_IO
-    density = np.asarray(data.get("f", data.get("h", [])), dtype=float)
+    except ValueError as exc:
+        return _operator_error(f"invalid density file: {exc}")
+    if not isinstance(data, dict):
+        return _operator_error("the density file must hold a JSON object")
     try:
+        density = np.asarray(data.get("f", data.get("h", [])), dtype=float)
         sol = ops.minkowski_solve(density)
     except (CentroflowError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OPERATOR
+        return _operator_error(exc)
     print(f"residual: {sol.residual:.6g}  removed first harmonics: "
           f"{sol.translation_modes_removed}", file=sys.stderr)
-    text = json.dumps(bodyio.body_to_dict(sol.h)) + "\n"
+    text = _json_text(bodyio.body_to_dict(sol.h))
     if args.out:
         bodyio.atomic_write_text(args.out, text)
     else:
@@ -220,8 +224,11 @@ def cmd_minkowski(args, argv) -> int:
 
 def cmd_fuzz(args, argv) -> int:
     started = time.time()
-    report = fuzz_campaign(args.seeds, args.seed, n=args.n)
-    payload = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+    try:
+        report = fuzz_campaign(args.seeds, args.seed, n=args.n)
+    except (CentroflowError, ValueError) as exc:
+        return _operator_error(exc)
+    payload = _json_text(report.as_dict(), indent=2, sort_keys=True)
     outputs = []
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -240,7 +247,10 @@ def cmd_fuzz(args, argv) -> int:
 
 def cmd_stability(args, argv) -> int:
     started = time.time()
-    result = stability_experiment(args.samples, args.seed, n=args.n)
+    try:
+        result = stability_experiment(args.samples, args.seed, n=args.n)
+    except (CentroflowError, ValueError) as exc:
+        return _operator_error(exc)
     outputs = []
     summary = {
         "gamma": result.gamma,
@@ -258,13 +268,13 @@ def cmd_stability(args, argv) -> int:
         bodyio.atomic_write_text(os.path.join(args.out, "scatter.csv"),
                                  buf.getvalue())
         bodyio.atomic_write_text(os.path.join(args.out, "summary.json"),
-                                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
+                                 _json_text(summary, indent=2, sort_keys=True))
         outputs += ["scatter.csv", "summary.json"]
         _write_manifest(args.out, argv,
                         {"samples": args.samples, "seed": args.seed, "n": args.n},
                         None, outputs, started)
     else:
-        sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json_text(summary, indent=2, sort_keys=True))
     if any(s.eps < GAP_FLOOR for s in result.samples):
         return EXIT_VIOLATION
     return EXIT_OK

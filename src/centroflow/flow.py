@@ -16,14 +16,16 @@ the evolution laws after the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import ops, spectral
-from .errors import AsymmetricData, ConvexityLost, StepUnderflow
+from .bodyio import write_lines
+from .errors import ConvexityLost, StepUnderflow
 from .normalize import SearchConfig, banach_mazur_to_disk, family_map, sl2_normalize
-from .support import GridFn, SupportFn, apply_linear_map, area, curvature_function, scaled
+from .support import (GridFn, SupportFn, apply_linear_map, area, curvature_function,
+                      curvature_samples, require_symmetric, scaled)
 
 __all__ = [
     "FlowConfig",
@@ -44,6 +46,10 @@ TRACE_CSV_COLUMNS = (
 )
 
 ROUND_RATIO = 1.5 ** 0.25  # radii-ratio threshold monitored per run
+
+# fewest rows the extinction fit and the row-to-row monitors use; shorter
+# traces report those monitors as None
+MIN_FIT_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,8 @@ class FlowConfig:
             raise ValueError("cfl must lie in (0, 0.5]")
         if self.t_stop_area <= 0.0:
             raise ValueError("t_stop_area must be positive")
+        if self.n is not None and (self.n < 16 or self.n % 2):
+            raise ValueError("n must be an even integer >= 16")
         if self.renormalize_every < 1 or self.max_steps < 1:
             raise ValueError("cadence and step cap must be positive")
         if self.t_stop is not None and self.t_stop <= 0.0:
@@ -121,18 +129,9 @@ class FlowTrace:
 
     def to_csv(self, target) -> None:
         """Write the trace in the stable 9-column format (17 significant digits)."""
-        close = False
-        if isinstance(target, (str, bytes)):
-            target = open(target, "w", encoding="utf-8")
-            close = True
-        try:
-            target.write(",".join(TRACE_CSV_COLUMNS) + "\n")
-            cols = [getattr(self, name) for name in TRACE_CSV_COLUMNS]
-            for i in range(self.rows):
-                target.write(",".join(f"{c[i]:.17g}" for c in cols) + "\n")
-        finally:
-            if close:
-                target.close()
+        cols = [getattr(self, name) for name in TRACE_CSV_COLUMNS]
+        write_lines(target, [",".join(TRACE_CSV_COLUMNS)] + [
+            ",".join(f"{c[i]:.17g}" for c in cols) for i in range(self.rows)])
 
 
 def flow_speed(h: SupportFn) -> GridFn:
@@ -146,7 +145,7 @@ class _StageBlowup(Exception):
 
 
 def _rhs(x: np.ndarray) -> np.ndarray:
-    s = x + spectral.deriv(x, 2)
+    s = curvature_samples(x)
     if np.min(s) <= 0.0 or np.min(x) <= 0.0:
         raise _StageBlowup
     return -1.0 / (x * x * s)
@@ -172,7 +171,7 @@ def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
     The area of a shrinking disk satisfies V^2 = c (T - t) exactly, and every
     run approaches that law; the fit uses the last decade of area decay (or
     the last half of the rows if the run is short)."""
-    if t.size < 3:
+    if t.size < MIN_FIT_ROWS:
         return float("nan")
     mask = v <= 10.0 * v[-1]
     if np.count_nonzero(mask) < max(6, t.size // 10):
@@ -210,19 +209,14 @@ class _RowRecorder:
         ca3 = ca2 / arr
 
         chain = ops.polar_chain(body)
-        factor = chain.polar_dense.size // n
         p = chain.polar_dense
-        sp = p + spectral.deriv(p, 2)
-        idx = np.array(self.probe_idx) * factor
+        idx = np.array(self.probe_idx) * (p.size // n)
         probe = p[idx]
-        probe_rate = p[idx] ** 4 * sp[idx]
+        probe_rate = p[idx] ** 4 * chain.polar_curvature[idx]
 
-        gamma = ops.centroid_samples_from_polar(p, v, n)
-        v_gamma = 0.5 * (2.0 * np.pi / n) * np.dot(
-            gamma, gamma + spectral.deriv(gamma, 2))
+        gamma = chain.centroid_samples(v, n)
+        v_gamma = 0.5 * (2.0 * np.pi / n) * np.dot(gamma, curvature_samples(gamma))
         bp = v_gamma / v
-        rhs_val = 32.0 * (chain.v_lambda_star - chain.v_star) / (
-            3.0 * v * v * chain.v_star)
 
         scale = np.sqrt(np.pi / v)
         body_scaled = scaled(body, scale)
@@ -255,7 +249,7 @@ class _RowRecorder:
             "d_bm": cert.distance,
             "harnack": float(np.sqrt(max(t, 0.0)) * np.min(ca2)),
             "min_ca3": float(np.min(ca3)),
-            "bp_rhs": rhs_val,
+            "bp_rhs": chain.ratio_derivative(v),
             "norm_disk_dist": norm_dist,
             "norm_s": ws,
             "norm_phi": wphi,
@@ -293,8 +287,7 @@ class _RowRecorder:
 def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     """Run the flow from ``h0`` until the area threshold, time cap, or step cap."""
     cfg = cfg or FlowConfig()
-    if not h0.symmetric:
-        raise AsymmetricData("flow_run expects an origin-symmetric body")
+    require_symmetric(h0, "flow_run")
     arr = np.array(h0.samples)
     if cfg.n is not None and cfg.n != arr.size:
         arr = spectral.resample(arr, cfg.n)
@@ -310,7 +303,7 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     stop_reason = None
 
     while True:
-        s = arr + spectral.deriv(arr, 2)
+        s = curvature_samples(arr)
         if np.min(s) <= 0.0 or np.min(arr) <= 0.0:
             raise ConvexityLost(t)
         v = quad_w * float(np.dot(arr, s))
@@ -411,13 +404,7 @@ class ConservationReport:
     rows_checked: int
 
     def as_dict(self) -> dict:
-        return {
-            "area_law_max_rel_dev": self.area_law_max_rel_dev,
-            "min_ca2_monotone": self.min_ca2_monotone,
-            "min_ca2_worst_drop": self.min_ca2_worst_drop,
-            "polar_law_max_rel_dev": self.polar_law_max_rel_dev,
-            "rows_checked": self.rows_checked,
-        }
+        return asdict(self)
 
 
 def conservation_checks(trace: FlowTrace) -> ConservationReport:
@@ -456,46 +443,34 @@ def conservation_checks(trace: FlowTrace) -> ConservationReport:
 
 @dataclass(frozen=True)
 class HarnackReport:
-    """Harnack monotonicity, curvature sandwich, and displacement bounds."""
+    """Harnack monotonicity, curvature sandwich, and displacement bounds.
+    Monitors that compare rows or need the extinction estimate are None on
+    traces with fewer than ``MIN_FIT_ROWS`` rows (or no finite estimate)."""
 
-    harnack_ok: bool                  # per-direction t^(1/2) G/h^2 non-decreasing
-    harnack_worst_drop: float
-    band_low: float                   # min over final half of (T-t) * min G/h^3
-    band_high: float                  # max over final half of (T-t) * max G/h^3
+    harnack_ok: bool | None           # per-direction t^(1/2) G/h^2 non-decreasing
+    harnack_worst_drop: float | None
+    band_low: float | None            # min over final half of (T-t) * min G/h^3
+    band_high: float | None           # max over final half of (T-t) * max G/h^3
     shrinking_ok: bool                # h(t) <= h(0) pointwise
     displacement_ok: bool             # h(0) <= h(t) (1 + 2 t max G/h^3)
-    sandwich_ok: bool                 # r-^4/4 <= T-t <= r+^4/4
+    sandwich_ok: bool | None          # r-^4/4 <= T-t <= r+^4/4
     first_round_time: float | None    # first row with r+/r- below 1.5^(1/4)
 
     def as_dict(self) -> dict:
-        return {
-            "harnack_ok": self.harnack_ok,
-            "harnack_worst_drop": self.harnack_worst_drop,
-            "band_low": self.band_low,
-            "band_high": self.band_high,
-            "shrinking_ok": self.shrinking_ok,
-            "displacement_ok": self.displacement_ok,
-            "sandwich_ok": self.sandwich_ok,
-            "first_round_time": self.first_round_time,
-        }
+        return asdict(self)
 
 
 def harnack_and_bounds_monitor(trace: FlowTrace) -> HarnackReport:
     """Check the pointwise Harnack quantity, the centro-affine curvature
     sandwich around the extinction time, and the displacement bounds."""
     t = trace.t
-    ca2 = trace.ca2_rows
-    weighted = np.sqrt(np.maximum(t, 0.0))[:, None] * ca2
-    diffs = weighted[1:] - weighted[:-1]
-    scale = np.abs(weighted[:-1]) + 1e-300
-    worst = float(np.min(diffs / scale))
-    harnack_ok = worst >= -1e-6
-
-    T = trace.estimated_T
-    half = trace.rows // 2
-    rem = T - t[half:]
-    band_low = float(np.min(rem * trace.min_ca3[half:]))
-    band_high = float(np.max(rem * trace.max_ca3[half:]))
+    long_enough = trace.rows >= MIN_FIT_ROWS
+    worst = harnack_ok = None
+    if long_enough:
+        # t^(1/2) G/h^2 vanishes at t = 0, so that row cannot anchor a ratio
+        weighted = np.sqrt(t[t > 0.0])[:, None] * trace.ca2_rows[t > 0.0]
+        worst = float(np.min((weighted[1:] - weighted[:-1]) / weighted[:-1]))
+        harnack_ok = worst >= -1e-6
 
     h0 = trace.h_rows[0]
     shrink_margin = float(np.max(trace.h_rows - h0[None, :]))
@@ -505,16 +480,22 @@ def harnack_and_bounds_monitor(trace: FlowTrace) -> HarnackReport:
     bound = trace.h_rows * (1.0 + 2.0 * t[:, None] * ca3_rows)
     displacement_ok = bool(np.all(h0[None, :] <= bound * (1.0 + 1e-6)))
 
-    rem_all = T - t
-    ratio = trace.r_plus / trace.r_minus
-    lo = trace.r_minus ** 4 / 4.0
-    hi = trace.r_plus ** 4 / 4.0
-    slack = 1e-3
-    sandwich_ok = bool(np.all(lo <= rem_all * (1.0 + slack) + 1e-12)
-                       and np.all(rem_all <= hi * (1.0 + slack) + 1e-12))
+    T = trace.estimated_T
+    band_low = band_high = sandwich_ok = None
+    if np.isfinite(T):
+        half = trace.rows // 2
+        rem = T - t[half:]
+        band_low = float(np.min(rem * trace.min_ca3[half:]))
+        band_high = float(np.max(rem * trace.max_ca3[half:]))
+        rem_all = T - t
+        lo = trace.r_minus ** 4 / 4.0
+        hi = trace.r_plus ** 4 / 4.0
+        slack = 1e-3
+        sandwich_ok = bool(np.all(lo <= rem_all * (1.0 + slack) + 1e-12)
+                           and np.all(rem_all <= hi * (1.0 + slack) + 1e-12))
 
-    below = np.nonzero(ratio < ROUND_RATIO)[0]
-    first_round = float(t[below[0]]) if below.size else None
+    below = np.nonzero(trace.r_plus / trace.r_minus < ROUND_RATIO)[0]
+    first_round = float(t[below[0]]) if long_enough and below.size else None
 
     return HarnackReport(
         harnack_ok=harnack_ok,

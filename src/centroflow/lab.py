@@ -4,14 +4,15 @@ Banach-Mazur distance from the disk."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import ops, spectral
-from .errors import AsymmetricData
+from .bodyio import write_lines
 from .normalize import SearchConfig, banach_mazur_to_disk, pinching_to_bm_bound
-from .support import SupportFn, area, check_same_grid, disk
+from .support import (SupportFn, area, check_same_grid, curvature_samples, disk,
+                      require_symmetric)
 
 __all__ = [
     "BP_CONSTANT",
@@ -64,23 +65,26 @@ class BodySpec:
             raise ValueError("highest mode must stay below n/4")
 
 
+def _floored_body(pert: np.ndarray) -> SupportFn:
+    """Symmetric body 1 + scale * pert, with the largest scale <= 1 that keeps
+    min S at ``MIN_CURVATURE``; curvature is affine in the scale, so the
+    scale is solved for instead of iterated."""
+    low = float(np.min(curvature_samples(pert)))
+    scale = 1.0
+    if 1.0 + low < MIN_CURVATURE:
+        scale = (1.0 - MIN_CURVATURE) / (-low)
+    return SupportFn(1.0 + scale * pert, symmetric=True)
+
+
 def random_body(spec: BodySpec) -> SupportFn:
     """Deterministic random body; identical output for identical specs."""
     rng = np.random.default_rng(spec.seed)
     th = spectral.angles(spec.n)
     pert = np.zeros(spec.n)
-    curv = np.zeros(spec.n)
     for k in range(2, 2 * spec.mode_count + 1, 2):
         ca, cb = spec.amplitude * spec.decay ** (-k) * rng.uniform(-1.0, 1.0, 2)
         pert += ca * np.cos(k * th) + cb * np.sin(k * th)
-        curv += (1.0 - k * k) * (ca * np.cos(k * th) + cb * np.sin(k * th))
-    # curvature is affine in the perturbation scale; solve for the scale
-    # that keeps min S at the floor instead of iterating
-    low = float(np.min(curv))
-    scale = 1.0
-    if 1.0 + low < MIN_CURVATURE:
-        scale = (1.0 - MIN_CURVATURE) / (-low)
-    return SupportFn(1.0 + scale * pert, symmetric=True)
+    return _floored_body(pert)
 
 
 def bp_deficit(h: SupportFn) -> float:
@@ -91,15 +95,13 @@ def bp_deficit(h: SupportFn) -> float:
 
 def santalo_product(h: SupportFn) -> float:
     """Volume product V(K) V(K*); at most pi^2, equality on ellipses."""
-    if not h.symmetric:
-        raise AsymmetricData("santalo_product requires a symmetric body")
+    require_symmetric(h, "santalo_product")
     return float(area(h) * ops.polar_area(h))
 
 
 def petty_projection_product(h: SupportFn) -> float:
     """V(K) V((Pi K)*); at most (pi/2)^2, equality on ellipses."""
-    if not h.symmetric:
-        raise AsymmetricData("petty_projection_product requires a symmetric body")
+    require_symmetric(h, "petty_projection_product")
     pi_k = ops.projection_body(h)
     return float(area(h) * ops.polar_area(pi_k))
 
@@ -112,8 +114,8 @@ def groemer_gap(h_k: SupportFn, h_l: SupportFn) -> float:
     non-negative for origin-symmetric bodies.
     """
     check_same_grid(h_k, h_l)
-    if not (h_k.symmetric and h_l.symmetric):
-        raise AsymmetricData("groemer_gap requires symmetric bodies")
+    require_symmetric(h_k, "groemer_gap")
+    require_symmetric(h_l, "groemer_gap")
     vk, vl = area(h_k), area(h_l)
     vkl = ops.mixed_volume(h_k, h_l)
     lhs = vkl * vkl / (vk * vl) - 1.0
@@ -127,10 +129,7 @@ def ratio_derivative_rhs(h: SupportFn) -> float:
     """Predicted time derivative of V(Gamma K_t)/V(K_t) at this body:
     32 (V(Lambda K*) - V(K*)) / (3 V(K)^2 V(K*)); non-positive, zero
     exactly on origin-centered ellipses."""
-    chain = ops.polar_chain(h)
-    v = area(h)
-    return float(32.0 * (chain.v_lambda_star - chain.v_star)
-                 / (3.0 * v * v * chain.v_star))
+    return ops.polar_chain(h).ratio_derivative(area(h))
 
 
 @dataclass(frozen=True)
@@ -148,17 +147,7 @@ class DeficitReport:
     pinching_bound: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "body_id": self.body_id,
-            "bp_deficit": self.bp_deficit,
-            "santalo_gap": self.santalo_gap,
-            "petty_gap": self.petty_gap,
-            "groemer_gap": self.groemer_gap,
-            "lambda_gap": self.lambda_gap,
-            "lutwak_residual_rel": self.lutwak_residual_rel,
-            "d_bm": self.d_bm,
-            "pinching_bound": self.pinching_bound,
-        }
+        return asdict(self)
 
 
 def deficit_report(h: SupportFn, body_id: str = "", with_bm: bool = False,
@@ -169,13 +158,8 @@ def deficit_report(h: SupportFn, body_id: str = "", with_bm: bool = False,
     """
     v = area(h)
     chain = ops.polar_chain(h)
-    gamma = SupportFn(
-        ops.centroid_samples_from_polar(chain.polar_dense, v, h.n),
-        symmetric=True)
-    s_lam = chain.lambda_dense + spectral.deriv(chain.lambda_dense, 2)
-    pi_dense = 0.5 * ops._abs_cos_transform(s_lam)
-    rhs = (2.0 / (3.0 * chain.v_star)) * spectral.resample(pi_dense, h.n)
-    lut = float(np.max(np.abs(gamma.samples - rhs)) / np.max(gamma.samples))
+    gamma = SupportFn(chain.centroid_samples(v, h.n), symmetric=True)
+    lut = chain.identity_residual(gamma.samples) / float(np.max(gamma.samples))
     lam = ops.curvature_image(h)
     d_bm = None
     pinch = None
@@ -199,8 +183,7 @@ def affine_support_bracket(h: SupportFn) -> tuple[float, float]:
     """(min, max) of h S^(1/3) after rescaling the body to area pi; the
     bracket straddles 1 for every convex body."""
     factor = np.sqrt(np.pi / area(h))
-    s = h.samples + spectral.deriv(h.samples, 2)
-    q = factor * h.samples * np.cbrt(factor * s)
+    q = factor * h.samples * np.cbrt(factor * curvature_samples(h.samples))
     return float(np.min(q)), float(np.max(q))
 
 
@@ -225,19 +208,9 @@ class StabilityResult:
     control_d_minus_1: float
 
     def to_csv(self, target) -> None:
-        close = False
-        if isinstance(target, (str, bytes)):
-            target = open(target, "w", encoding="utf-8")
-            close = True
-        try:
-            target.write("seed,eps,d_bm_minus_1,pinch_bound,gamma_witness\n")
-            for s in self.samples:
-                target.write(
-                    f"{s.seed},{s.eps:.17g},{s.d_bm_minus_1:.17g},"
-                    f"{s.pinch_bound:.17g},{s.gamma_witness:.17g}\n")
-        finally:
-            if close:
-                target.close()
+        write_lines(target, ["seed,eps,d_bm_minus_1,pinch_bound,gamma_witness"] + [
+            f"{s.seed},{s.eps:.17g},{s.d_bm_minus_1:.17g},"
+            f"{s.pinch_bound:.17g},{s.gamma_witness:.17g}" for s in self.samples])
 
 
 def _interpolate_to_disk(h: SupportFn, lam: float) -> SupportFn:
@@ -265,12 +238,7 @@ def _stability_base(seed: int, n: int) -> SupportFn:
     wob = random_body(BodySpec(seed=seed, n=n, mode_count=4,
                                decay=1.4, amplitude=0.8))
     pert = (1.0 - mix) * (wob.samples - 1.0) + mix * _square_perturbation(n)
-    curv = pert + spectral.deriv(pert, 2)
-    low = float(np.min(curv))
-    scale = 1.0
-    if 1.0 + low < MIN_CURVATURE:
-        scale = (1.0 - MIN_CURVATURE) / (-low)
-    return SupportFn(1.0 + scale * pert, symmetric=True)
+    return _floored_body(pert)
 
 
 def _deficit_targeted_body(base: SupportFn, target: float,
@@ -377,6 +345,8 @@ def fuzz_campaign(count: int, seed: int, n: int = 256) -> FuzzReport:
     the strengthened mixed-volume gap, the curvature-image area drop, the
     centroid/projection identity residual, and the affine-support bracket.
     """
+    if count < 1:
+        raise ValueError("need at least one body")
     report = FuzzReport(count=count, seed=seed)
     mins: dict[str, tuple[float, int]] = {}
     max_lutwak = (-np.inf, -1)

@@ -15,8 +15,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import spectral
-from .errors import AsymmetricData, OptimizationFailed
-from .support import LinearMap2, SupportFn, apply_linear_map, area, scaled
+from .errors import OptimizationFailed
+from .support import (LinearMap2, SupportFn, apply_linear_map, area, curvature_samples,
+                      require_symmetric, scaled)
 
 __all__ = [
     "SearchConfig",
@@ -40,7 +41,6 @@ class SearchConfig:
 
     grid: tuple[int, int] = (64, 64)
     angle_oversample: int = 4
-    refine: bool = True
     warm_start: tuple[float, float] | None = None  # (s, phi); skips the grid
     xatol: float = 1e-9
     fatol: float = 1e-13
@@ -56,11 +56,6 @@ class BMCertificate:
     witness: LinearMap2
     inner_radius: float
     outer_radius: float
-
-
-def _require_symmetric(h: SupportFn, op: str) -> None:
-    if not h.symmetric:
-        raise AsymmetricData(f"{op} requires an origin-symmetric body")
 
 
 def family_map(s: float, phi: float) -> LinearMap2:
@@ -156,8 +151,6 @@ def _search(mapped: _MappedSupport, kind: str, cfg: SearchConfig):
         phivals = np.linspace(0.0, np.pi, nphi, endpoint=False)
         s0, phi0, _ = mapped.grid_stage(svals, phivals, kind)
     f_start = objective(s0, phi0)
-    if not cfg.refine:
-        return s0, phi0, f_start
     x0 = np.array([np.log(s0), phi0])
     simplex = np.vstack([x0, x0 + [0.05, 0.0], x0 + [0.0, 0.05]])
     res = minimize(
@@ -189,7 +182,7 @@ def sl2_normalize(h: SupportFn, config: SearchConfig | None = None
     Returns the normalized body and the SL(2) witness map (the area rescale
     is applied after the map and is not part of the witness).
     """
-    _require_symmetric(h, "sl2_normalize")
+    require_symmetric(h, "sl2_normalize")
     cfg = config or SearchConfig()
     mapped = _MappedSupport(h, cfg.angle_oversample, cfg.modes)
     s, phi, _ = _search(mapped, "perimeter", cfg)
@@ -207,7 +200,7 @@ def banach_mazur_to_disk(h: SupportFn, config: SearchConfig | None = None
     circumradius/inradius ratio of the image, both radii read off the
     mapped support function.
     """
-    _require_symmetric(h, "banach_mazur_to_disk")
+    require_symmetric(h, "banach_mazur_to_disk")
     cfg = config or SearchConfig()
     mapped = _MappedSupport(h, cfg.angle_oversample, cfg.modes)
     s, phi, _ = _search(mapped, "ratio", cfg)
@@ -221,9 +214,8 @@ def pinching_to_bm_bound(h: SupportFn) -> float:
     """Banach-Mazur bound (max q / min q)^(3/2) from the pinching of the
     affine support function q = h * S^(1/3) (constant exactly on
     origin-centered ellipses)."""
-    _require_symmetric(h, "pinching_to_bm_bound")
-    s = h.samples + spectral.deriv(h.samples, 2)
-    q = h.samples * np.cbrt(s)
+    require_symmetric(h, "pinching_to_bm_bound")
+    q = h.samples * np.cbrt(curvature_samples(h.samples))
     _, qmax = spectral.refine_periodic_max(q)
     _, qmin = spectral.refine_periodic_min(q)
     if qmin <= 0.0:

@@ -3,6 +3,11 @@
 Polar, centroid, projection and curvature-image bodies, the mixed volume,
 the Fourier curvature-prescription solver, and Steiner symmetrization.
 
+The polar body K* has support 1/rho, with rho from Newton inversion of the
+boundary direction angle (``support.radial_samples``).  The centroid body,
+the curvature image of the polar and their areas are all read off one
+dense-grid polar, the ``PolarChain``.
+
 The centroid and projection bodies integrate |<u, v>| against a density on
 the circle.  That kernel has kinks, so a plain Riemann sum is only
 second-order accurate; instead the integral is carried out exactly on the
@@ -23,20 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import (
-    AsymmetricData,
-    ClosureViolated,
-    NonConvex,
-    NonConvexSolution,
-    NonPositive,
-)
+from .errors import ClosureViolated, NonConvex, NonConvexSolution, NonPositive
 from .support import (
     CurvatureFn,
     SupportFn,
     area,
+    boundary_points,
     check_same_grid,
     curvature_function,
-    make_support_fn,
+    curvature_samples,
+    radial_samples,
+    require_symmetric,
 )
 
 __all__ = [
@@ -49,13 +51,10 @@ __all__ = [
     "minkowski_solve",
     "curvature_image",
     "steiner_symmetrize",
+    "PolarChain",
+    "polar_chain",
     "lutwak_identity_check",
 ]
-
-
-def _require_symmetric(h: SupportFn, op: str) -> None:
-    if not h.symmetric:
-        raise AsymmetricData(f"{op} requires an origin-symmetric body")
 
 
 def polar_area(h: SupportFn) -> float:
@@ -63,37 +62,10 @@ def polar_area(h: SupportFn) -> float:
     return float(0.5 * (2.0 * np.pi / h.n) * np.sum(h.samples ** -2))
 
 
-def _polar_samples(samples: np.ndarray, n_out: int, oversample: int = 8) -> np.ndarray:
-    """Support samples of the polar body on an n_out uniform grid.
-
-    The polar body is the convex hull of the points u(t)/h(t); its support
-    function is the max over t of cos(t - phi)/h(t).  The max is located on
-    an oversampled grid, refined by a parabola through the three samples
-    around the argmax, and the refined objective is evaluated exactly
-    through the trigonometric interpolant of h.
-    """
-    n = samples.size
-    m = oversample * n
-    hh = spectral.resample(samples, m)
-    th = spectral.angles(m)
-    phi = spectral.angles(n_out)
-    fvals = np.cos(th[None, :] - phi[:, None]) / hh[None, :]
-    j = np.argmax(fvals, axis=1)
-    rows = np.arange(n_out)
-    f0 = fvals[rows, (j - 1) % m]
-    f1 = fvals[rows, j]
-    f2 = fvals[rows, (j + 1) % m]
-    denom = f0 - 2.0 * f1 + f2
-    delta = np.where(denom != 0.0, 0.5 * (f0 - f2) / np.where(denom == 0, 1, denom), 0.0)
-    t_hat = th[j] + delta * (2.0 * np.pi / m)
-    h_at = spectral.trig_eval(samples, t_hat)
-    return np.cos(t_hat - phi) / h_at
-
-
-def polar_body(h: SupportFn, oversample: int = 8) -> SupportFn:
-    """Polar (dual) body K* = {x : <x, y> <= 1 for all y in K}."""
-    out = _polar_samples(h.samples, h.n, oversample)
-    return SupportFn(out, symmetric=h.symmetric)
+def polar_body(h: SupportFn) -> SupportFn:
+    """Polar (dual) body K* = {x : <x, y> <= 1 for all y in K}, with support
+    1/rho_K."""
+    return SupportFn(1.0 / radial_samples(h.samples, h.n), symmetric=h.symmetric)
 
 
 # --- |cos| kernel as a Fourier multiplier -----------------------------------
@@ -121,20 +93,17 @@ def _abs_cos_transform(density: np.ndarray) -> np.ndarray:
 DENSE_FACTOR = 4
 
 
-def centroid_samples_from_polar(polar_dense: np.ndarray, v_body: float,
-                                n_out: int) -> np.ndarray:
-    """Centroid-body support on the n_out grid from dense polar samples."""
-    rho = 1.0 / polar_dense
-    dense = _abs_cos_transform(rho ** 3) / (3.0 * v_body)
-    return spectral.resample(dense, n_out)
+def _centroid_samples(rho_dense: np.ndarray, v_body: float, n: int) -> np.ndarray:
+    """Centroid-body support on the n grid from dense radial samples."""
+    dense = _abs_cos_transform(rho_dense ** 3) / (3.0 * v_body)
+    return spectral.resample(dense, n)
 
 
 def centroid_body(h: SupportFn) -> SupportFn:
     """Centroid body: support = (1/3V) * integral of |<u, v>| rho(v)^3 d v."""
-    _require_symmetric(h, "centroid_body")
-    polar_dense = _polar_samples(h.samples, DENSE_FACTOR * h.n)
-    out = centroid_samples_from_polar(polar_dense, area(h), h.n)
-    return SupportFn(out, symmetric=True)
+    require_symmetric(h, "centroid_body")
+    rho = radial_samples(h.samples, DENSE_FACTOR * h.n)
+    return SupportFn(_centroid_samples(rho, area(h), h.n), symmetric=True)
 
 
 def projection_body(h: SupportFn) -> SupportFn:
@@ -173,6 +142,16 @@ class MinkowskiSolution:
 CLOSURE_RTOL = 1e-6
 
 
+def _solve_curvature(f: np.ndarray) -> np.ndarray:
+    """Samples of the solution of h'' + h = f: h_k = f_k / (1 - k^2), with
+    the first harmonic (the translations) set to zero."""
+    k = np.arange(f.size // 2 + 1, dtype=float)
+    mult = np.zeros_like(k)
+    mult[0] = 1.0
+    mult[2:] = 1.0 / (1.0 - k[2:] ** 2)
+    return np.fft.irfft(np.fft.rfft(f) * mult, f.size)
+
+
 def minkowski_solve(f, symmetric: bool | None = None) -> MinkowskiSolution:
     """Solve h'' + h = f for the support function of a convex body.
 
@@ -191,20 +170,15 @@ def minkowski_solve(f, symmetric: bool | None = None) -> MinkowskiSolution:
         if np.min(density) <= 0.0:
             raise NonConvex("curvature density must be strictly positive")
     n = density.size
-    spec = np.fft.rfft(density)
     fmax = float(np.max(np.abs(density)))
-    a1 = 2.0 * spec[1].real / n
-    b1 = -2.0 * spec[1].imag / n
+    a, b = spectral.fourier_coeffs(density)
+    a1, b1 = a[1], b[1]
     if np.hypot(a1, b1) > CLOSURE_RTOL * fmax:
         raise ClosureViolated(
             f"first-harmonic amplitude {np.hypot(a1, b1):.3g} exceeds "
             f"{CLOSURE_RTOL:g} * max f"
         )
-    k = np.arange(n // 2 + 1, dtype=float)
-    mult = np.zeros_like(k)
-    mult[0] = 1.0
-    mult[2:] = 1.0 / (1.0 - k[2:] ** 2)
-    hvals = np.fft.irfft(spec * mult, n)
+    hvals = _solve_curvature(density)
     if symmetric is None:
         half = n // 2
         symmetric = bool(
@@ -215,9 +189,7 @@ def minkowski_solve(f, symmetric: bool | None = None) -> MinkowskiSolution:
         body = SupportFn(hvals, symmetric=symmetric)
     except (NonConvex, NonPositive) as exc:
         raise NonConvexSolution(str(exc)) from exc
-    resid = float(
-        np.max(np.abs(hvals + spectral.deriv(hvals, 2) - density))
-    )
+    resid = float(np.max(np.abs(curvature_samples(hvals) - density)))
     return MinkowskiSolution(h=body, residual=resid,
                              translation_modes_removed=(a1, b1))
 
@@ -225,7 +197,7 @@ def minkowski_solve(f, symmetric: bool | None = None) -> MinkowskiSolution:
 def curvature_image(h: SupportFn) -> SupportFn:
     """Curvature-image body: the body whose surface density is
     (V(K)/V(K*)) * h^-3."""
-    _require_symmetric(h, "curvature_image")
+    require_symmetric(h, "curvature_image")
     weight = area(h) / polar_area(h)
     sol = minkowski_solve(weight * h.samples ** -3, symmetric=True)
     return sol.h
@@ -233,16 +205,10 @@ def curvature_image(h: SupportFn) -> SupportFn:
 
 # --- Steiner symmetrization ---------------------------------------------------
 
-def _boundary_xy(samples: np.ndarray, th: np.ndarray):
-    """Boundary point and its abscissa derivative at given normal angles."""
-    hv = spectral.trig_eval(samples, th)
-    hp = spectral.trig_eval(spectral.deriv(samples, 1), th)
-    x = hv * np.cos(th) - hp * np.sin(th)
-    y = hv * np.sin(th) + hp * np.cos(th)
-    return x, y
+STEINER_OVERSAMPLE = 8  # chord-matching grid refinement factor
 
 
-def steiner_symmetrize(h: SupportFn, axis_angle: float, oversample: int = 8) -> SupportFn:
+def steiner_symmetrize(h: SupportFn, axis_angle: float) -> SupportFn:
     """Steiner symmetral about the line through the origin at ``axis_angle``.
 
     Chords perpendicular to the axis are re-centered on it.  The body is
@@ -253,40 +219,34 @@ def steiner_symmetrize(h: SupportFn, axis_angle: float, oversample: int = 8) -> 
     spectral truncation to n/4 modes before rotating back.
     """
     n = h.n
-    m = oversample * n
+    m = STEINER_OVERSAMPLE * n
     work = spectral.rotate(h.samples, -axis_angle)
 
     th_up = spectral.angles(m)[1 : m // 2]  # upper chain, normals pointing up
-    x_up, y_up = _boundary_xy(work, th_up)
+    x_up, y_up = boundary_points(work, th_up)
 
     # lower chain sampled densely; x is monotone increasing there
     th_dense = np.pi + spectral.angles(2 * m) * 0.5
     th_dense = th_dense[1:-1]
-    x_dense, _ = _boundary_xy(work, th_dense)
+    x_dense, _ = boundary_points(work, th_dense)
 
     # initial matching angles by inverse interpolation, then Newton
     idx = np.clip(np.searchsorted(x_dense, x_up), 1, x_dense.size - 1)
     frac = (x_up - x_dense[idx - 1]) / (x_dense[idx] - x_dense[idx - 1])
     th_lo = th_dense[idx - 1] + frac * (th_dense[idx] - th_dense[idx - 1])
 
-    hder = spectral.deriv(work, 1)
-    hdd = spectral.deriv(work, 2)
+    curv = curvature_samples(work)
     for _ in range(6):
-        hv = spectral.trig_eval(work, th_lo)
-        hp = spectral.trig_eval(hder, th_lo)
-        hpp = spectral.trig_eval(hdd, th_lo)
-        x_lo = hv * np.cos(th_lo) - hp * np.sin(th_lo)
-        dx = -(hv + hpp) * np.sin(th_lo)
+        x_lo, _ = boundary_points(work, th_lo)
+        dx = -spectral.trig_eval(curv, th_lo) * np.sin(th_lo)
         th_lo = np.clip(th_lo - (x_lo - x_up) / dx,
                         np.pi + 1e-12, 2.0 * np.pi - 1e-12)
-    hv = spectral.trig_eval(work, th_lo)
-    hp = spectral.trig_eval(hder, th_lo)
-    y_lo = hv * np.sin(th_lo) + hp * np.cos(th_lo)
+    _, y_lo = boundary_points(work, th_lo)
 
     half_width = 0.5 * (y_up - y_lo)
     # end vertices of the axis: chords degenerate to points there
-    x_right, _ = _boundary_xy(work, np.array([0.0]))
-    x_left, _ = _boundary_xy(work, np.array([np.pi]))
+    x_right, _ = boundary_points(work, np.array([0.0]))
+    x_left, _ = boundary_points(work, np.array([np.pi]))
     xs = np.concatenate([x_right, x_up, x_left])
     ws = np.concatenate([[0.0], half_width, [0.0]])
 
@@ -296,11 +256,9 @@ def steiner_symmetrize(h: SupportFn, axis_angle: float, oversample: int = 8) -> 
     rows = np.arange(n)
     interior = (j >= 1) & (j <= xs.size - 2)
     jc = np.clip(j, 1, xs.size - 2)
-    f0, f1, f2 = proj[rows, jc - 1], proj[rows, jc], proj[rows, jc + 1]
-    denom = f0 - 2.0 * f1 + f2
-    safe = np.where(denom == 0.0, 1.0, denom)
-    vertex = f1 - 0.125 * (f0 - f2) ** 2 / safe
-    new_h = np.where(interior & (denom != 0.0), vertex, proj[rows, j])
+    _, vertex = spectral.parabola_vertex(
+        proj[rows, jc - 1], proj[rows, jc], proj[rows, jc + 1])
+    new_h = np.where(interior, vertex, proj[rows, j])
 
     out = spectral.low_pass(new_h, n // 4)
     if h.symmetric:
@@ -320,46 +278,49 @@ class PolarChain:
     """
 
     polar_dense: np.ndarray
+    polar_curvature: np.ndarray  # S* = h_{K*} + h_{K*}'' on the dense grid
     v_star: float          # V(K*)
-    v_dstar: float         # V(K**), from the dense polar samples
     lambda_dense: np.ndarray  # support of Lambda K* on the dense grid
     v_lambda_star: float   # V(Lambda K*)
 
+    def centroid_samples(self, v_body: float, n: int) -> np.ndarray:
+        """Support of the centroid body on the n grid, given V(K)."""
+        return _centroid_samples(1.0 / self.polar_dense, v_body, n)
 
-def polar_chain(h: SupportFn, factor: int = DENSE_FACTOR,
-                polar_dense: np.ndarray | None = None) -> PolarChain:
+    def identity_residual(self, gamma: np.ndarray) -> float:
+        """Sup-norm residual of the identity relating the centroid body to the
+        projection of the curvature image of the polar body,
+
+            h_{Gamma K} = (2 / (3 V(K*))) * h_{Pi Lambda K*},
+
+        for centroid-body samples ``gamma``."""
+        pi_dense = 0.5 * _abs_cos_transform(curvature_samples(self.lambda_dense))
+        rhs = (2.0 / (3.0 * self.v_star)) * spectral.resample(pi_dense, gamma.size)
+        return float(np.max(np.abs(gamma - rhs)))
+
+    def ratio_derivative(self, v_body: float) -> float:
+        """Time derivative of V(Gamma K)/V(K) along the flow, given V(K):
+        32 (V(Lambda K*) - V(K*)) / (3 V(K)^2 V(K*))."""
+        return float(32.0 * (self.v_lambda_star - self.v_star)
+                     / (3.0 * v_body * v_body * self.v_star))
+
+
+def polar_chain(h: SupportFn) -> PolarChain:
     """Polar body, its curvature image, and their areas on a dense grid."""
-    _require_symmetric(h, "polar_chain")
-    m = factor * h.n
-    p = _polar_samples(h.samples, m) if polar_dense is None else polar_dense
-    m = p.size
-    w = 2.0 * np.pi / m
-    sp = p + spectral.deriv(p, 2)
+    require_symmetric(h, "polar_chain")
+    p = 1.0 / radial_samples(h.samples, DENSE_FACTOR * h.n)
+    w = 2.0 * np.pi / p.size
+    sp = curvature_samples(p)
     v_star = float(0.5 * w * np.dot(p, sp))
-    v_dstar = float(0.5 * w * np.sum(p ** -2))
-    f = (v_star / v_dstar) * p ** -3
-    spec = np.fft.rfft(f)
-    k = np.arange(m // 2 + 1, dtype=float)
-    mult = np.zeros_like(k)
-    mult[0] = 1.0
-    mult[2:] = 1.0 / (1.0 - k[2:] ** 2)
-    lam = np.fft.irfft(spec * mult, m)
-    s_lam = lam + spectral.deriv(lam, 2)
-    v_lam = float(0.5 * w * np.dot(lam, s_lam))
-    return PolarChain(polar_dense=p, v_star=v_star, v_dstar=v_dstar,
+    v_dstar = float(0.5 * w * np.sum(p ** -2))  # V(K**) on the same grid
+    lam = _solve_curvature((v_star / v_dstar) * p ** -3)
+    v_lam = float(0.5 * w * np.dot(lam, curvature_samples(lam)))
+    return PolarChain(polar_dense=p, polar_curvature=sp, v_star=v_star,
                       lambda_dense=lam, v_lambda_star=v_lam)
 
 
 def lutwak_identity_check(h: SupportFn) -> float:
-    """Sup-norm residual of the identity relating the centroid body to the
-    projection of the curvature image of the polar body:
-
-        h_{Gamma K} = (2 / (3 V(K*))) * h_{Pi Lambda K*}
-    """
-    _require_symmetric(h, "lutwak_identity_check")
-    gamma = centroid_body(h)
+    """Sup-norm residual of h_{Gamma K} = (2 / (3 V(K*))) * h_{Pi Lambda K*}
+    (see ``PolarChain.identity_residual``), from one dense polar."""
     chain = polar_chain(h)
-    s_lam = chain.lambda_dense + spectral.deriv(chain.lambda_dense, 2)
-    pi_dense = 0.5 * _abs_cos_transform(s_lam)
-    rhs = (2.0 / (3.0 * chain.v_star)) * spectral.resample(pi_dense, h.n)
-    return float(np.max(np.abs(gamma.samples - rhs)))
+    return chain.identity_residual(chain.centroid_samples(area(h), h.n))

@@ -23,6 +23,7 @@ __all__ = [
     "rotate",
     "project_even",
     "tail_fraction",
+    "parabola_vertex",
     "refine_periodic_max",
     "refine_periodic_min",
 ]
@@ -153,22 +154,21 @@ def tail_fraction(samples: np.ndarray, kmax: int | None = None) -> float:
     return float(power[kmax + 1 :].sum() / total)
 
 
-def _parabola_vertex(fm, f0, fp):
-    """Offset (in grid units, in [-1/2, 1/2]-ish) and value of the vertex of the
-    parabola through three consecutive samples."""
+def parabola_vertex(fm, f0, fp):
+    """Offset (in grid units, in [-1/2, 1/2] at a discrete extremum) and value
+    of the vertex of the parabola through three consecutive samples; works
+    elementwise on arrays.  Collinear samples around an extremum are equal, so
+    any nonzero divisor gives their vertex (0, f0)."""
     denom = fm - 2.0 * f0 + fp
-    if denom == 0.0:
-        return 0.0, f0
-    delta = 0.5 * (fm - fp) / denom
-    value = f0 - 0.125 * (fm - fp) ** 2 / denom
-    return delta, value
+    denom = denom + (denom == 0.0)
+    return 0.5 * (fm - fp) / denom, f0 - 0.125 * (fm - fp) ** 2 / denom
 
 
 def refine_periodic_max(values: np.ndarray) -> tuple[float, float]:
     """(position_in_grid_units, value) of the max, parabola-refined."""
     v = np.asarray(values, dtype=float)
     j = int(np.argmax(v))
-    delta, val = _parabola_vertex(v[j - 1], v[j], v[(j + 1) % v.size])
+    delta, val = parabola_vertex(v[j - 1], v[j], v[(j + 1) % v.size])
     return j + delta, val
 
 

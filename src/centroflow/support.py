@@ -23,10 +23,14 @@ __all__ = [
     "GridFn",
     "LinearMap2",
     "make_support_fn",
+    "require_symmetric",
+    "curvature_samples",
     "curvature_function",
     "area",
     "perimeter",
     "apply_linear_map",
+    "boundary_points",
+    "radial_samples",
     "radial_function",
     "scaled",
     "disk",
@@ -72,7 +76,7 @@ class SupportFn:
                     f"antipodal mismatch {mismatch:.3g} exceeds "
                     f"{SYMMETRY_TOL:g} * max h"
                 )
-        curv = x + spectral.deriv(x, 2)
+        curv = curvature_samples(x)
         if np.min(curv) <= -CONVEXITY_FLOOR * hmax:
             raise NonConvex(
                 f"min curvature {np.min(curv):.6g} at grid node "
@@ -213,21 +217,28 @@ def make_support_fn(samples, symmetric: bool = False) -> SupportFn:
     return SupportFn(np.asarray(samples, dtype=float), symmetric=symmetric)
 
 
+def require_symmetric(h: SupportFn, op: str) -> None:
+    """Raise AsymmetricData unless ``h`` is flagged origin-symmetric."""
+    if not h.symmetric:
+        raise AsymmetricData(f"{op} requires an origin-symmetric body")
+
+
+def curvature_samples(samples: np.ndarray) -> np.ndarray:
+    """h + h'' of grid samples, computed spectrally (no positivity check)."""
+    return samples + spectral.deriv(samples, 2)
+
+
 def curvature_function(h: SupportFn) -> CurvatureFn:
     """Curvature samples S = h'' + h, computed spectrally."""
-    s = h.samples + spectral.deriv(h.samples, 2)
+    s = curvature_samples(h.samples)
     if np.min(s) <= 0.0:
         raise NonConvex(f"min curvature {np.min(s):.6g} <= 0")
     return CurvatureFn(s)
 
 
-def _curvature_samples(samples: np.ndarray) -> np.ndarray:
-    return samples + spectral.deriv(samples, 2)
-
-
 def area(h: SupportFn) -> float:
     """Enclosed area, (1/2) * integral of h * (h'' + h) d theta."""
-    s = _curvature_samples(h.samples)
+    s = curvature_samples(h.samples)
     return float(0.5 * (2.0 * np.pi / h.n) * np.dot(h.samples, s))
 
 
@@ -243,15 +254,19 @@ def scaled(h: SupportFn, factor: float) -> SupportFn:
     return SupportFn(factor * h.samples, symmetric=h.symmetric)
 
 
-def apply_linear_map(h: SupportFn, phi: LinearMap2, oversample: int = 4) -> SupportFn:
+MAP_OVERSAMPLE = 4  # output-grid refinement factor of apply_linear_map
+
+
+def apply_linear_map(h: SupportFn, phi: LinearMap2) -> SupportFn:
     """Image body under an invertible linear map.
 
     Uses h_{Phi K}(u) = |Phi^T u| * h(angle(Phi^T u)), evaluated through the
-    trigonometric interpolant on an oversampled output grid and spectrally
-    truncated back to n samples to control aliasing from anisotropic maps.
+    trigonometric interpolant on a ``MAP_OVERSAMPLE`` times finer output grid
+    and spectrally truncated back to n samples to control aliasing from
+    anisotropic maps.
     """
     n = h.n
-    m = oversample * n
+    m = MAP_OVERSAMPLE * n
     th = spectral.angles(m)
     u = np.vstack([np.cos(th), np.sin(th)])
     w = phi.as_array().T @ u
@@ -264,11 +279,71 @@ def apply_linear_map(h: SupportFn, phi: LinearMap2, oversample: int = 4) -> Supp
     return SupportFn(out, symmetric=h.symmetric)
 
 
-def radial_function(h: SupportFn) -> GridFn:
-    """Radial function rho on the grid, the reciprocal polar support."""
-    from .ops import polar_body
+def boundary_points(samples: np.ndarray, th: np.ndarray):
+    """Coordinates (x, y) of the boundary points h u + h' u_perp with outer
+    normals at the angles ``th``, through the trigonometric interpolant."""
+    hv = spectral.trig_eval(samples, th)
+    hp = spectral.trig_eval(spectral.deriv(samples, 1), th)
+    return hv * np.cos(th) - hp * np.sin(th), hv * np.sin(th) + hp * np.cos(th)
 
-    return GridFn(1.0 / polar_body(h).samples)
+
+NEWTON_ITERS = 60  # cap; bracketed solves converge well before it, at worst by bisection
+NEWTON_TOL = 1e-14  # direction-angle residual, a few ulps of 2 pi
+
+
+def radial_samples(samples: np.ndarray, m: int) -> np.ndarray:
+    """Radial function rho_K at the m grid angles phi_j = 2 pi j / m.
+
+    The boundary point with outer normal u(t) is x(t) = h u(t) + h' u_perp(t);
+    its direction angle alpha(t) = t + atan2(h', h) increases with
+    d alpha/dt = h S / |x|^2, and rho(phi) = |x(t)| where alpha(t) = phi.
+    Each solve starts from the inverse of alpha on the m grid, inside the
+    grid interval that brackets the root, and runs Newton on the
+    trigonometric interpolant of h, bisecting whenever a step leaves the
+    bracket.  It stops once the residual is below roundoff (relative to
+    d alpha/dt where that exceeds 1) or at the iteration cap.
+    """
+    phi = spectral.angles(m)
+    hm = spectral.resample(samples, m)
+    # differentiate after resampling: off the body's nodes, the Nyquist-zeroed
+    # derivative would not match the Newton evaluation and break the bracket
+    offset = np.arctan2(spectral.deriv(hm, 1), hm)
+    t_grid = np.concatenate([phi - 2.0 * np.pi, phi, phi + 2.0 * np.pi])
+    # the running max keeps the bracket valid where the interpolant of an
+    # under-resolved body loses convexity between grid nodes
+    alpha = np.maximum.accumulate(t_grid + np.tile(offset, 3))
+    j = np.searchsorted(alpha, phi, side="right") - 1
+    lo, hi = t_grid[j], t_grid[j + 1]
+    t = lo + (phi - alpha[j]) / (alpha[j + 1] - alpha[j]) * (hi - lo)
+
+    a, b = spectral.fourier_coeffs(samples)
+    k = np.arange(a.size)
+    rho = np.empty(m)
+    live = np.arange(m)  # indices of the unconverged solves
+    for _ in range(NEWTON_ITERS):
+        arg = np.outer(t, k)
+        c, s = np.cos(arg), np.sin(arg)
+        hv = c @ a + s @ b
+        hp = c @ (k * b) - s @ (k * a)
+        r2 = hv * hv + hp * hp
+        rho[live] = np.sqrt(r2)
+        dalpha = hv * (hv - c @ (k * k * a) - s @ (k * k * b)) / r2
+        resid = t + np.arctan2(hp, hv) - phi
+        todo = np.abs(resid) > NEWTON_TOL * np.maximum(1.0, dalpha)
+        if not todo.any():
+            break
+        live, t, phi, lo, hi, resid, dalpha = (
+            x[todo] for x in (live, t, phi, lo, hi, resid, dalpha))
+        lo = np.where(resid < 0.0, t, lo)
+        hi = np.where(resid > 0.0, t, hi)
+        t = t - resid / dalpha
+        t = np.where((lo <= t) & (t <= hi), t, 0.5 * (lo + hi))
+    return rho
+
+
+def radial_function(h: SupportFn) -> GridFn:
+    """Radial function rho on the grid; the polar body's support is 1/rho."""
+    return GridFn(radial_samples(h.samples, h.n))
 
 
 def disk(radius: float = 1.0, n: int = 256) -> SupportFn:

@@ -140,6 +140,51 @@ class TestFlowCommand:
         assert rc == 2
         assert "t=0" in capsys.readouterr().err
 
+    def test_short_run_report_is_strict_json(self, workdir):
+        out = workdir / "short"
+        rc = main(["flow", "--body", str(workdir / "disk.json"), "--out", str(out),
+                   "--t-stop", "1e-6", "--every", "1"])
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=reject)
+        assert report["estimated_T"] is None
+        harnack = report["harnack"]
+        for key in ("harnack_worst_drop", "band_low", "band_high",
+                    "sandwich_ok", "first_round_time"):
+            assert harnack[key] is None, key
+        assert harnack["shrinking_ok"] is True
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+BAD_INPUTS = {
+    "config-unknown-key": lambda d: ["flow", "--config", _write(d / "c.json", '{"bogus": 1}')],
+    "config-malformed": lambda d: ["flow", "--config", _write(d / "c.json", '{"cfl": ')],
+    "flow-cfl": lambda d: ["flow", "--cfl", "0.9"],
+    "flow-every": lambda d: ["flow", "--every", "0"],
+    "flow-odd-n": lambda d: ["flow", "--n", "17"],
+    "fuzz-no-seeds": lambda d: ["fuzz", "--seeds", "0"],
+    "stability-few": lambda d: ["stability", "--samples", "3"],
+    "minkowski-malformed": lambda d: ["minkowski", "--f", _write(d / "f.json", "{nope")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_exit_2_without_traceback(case, workdir, capsys):
+    argv = BAD_INPUTS[case](workdir)
+    if argv[0] == "flow":
+        argv += ["--body", str(workdir / "disk.json"), "--out", str(workdir / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestCampaignCommands:
     def test_fuzz_deterministic_bytes(self, workdir):

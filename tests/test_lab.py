@@ -147,6 +147,13 @@ class TestReports:
             "groemer_gap", "lambda_gap", "lutwak_residual_rel",
             "d_bm", "pinching_bound"}
 
+    def test_identity_residual_matches_ops(self, wobble):
+        from centroflow import centroid_body, lutwak_identity_check
+        for body in (wobble, random_body(BodySpec(seed=5))):
+            want = lutwak_identity_check(body) / np.max(centroid_body(body).samples)
+            assert deficit_report(body).lutwak_residual_rel == pytest.approx(
+                want, rel=1e-12, abs=1e-300)
+
 
 class TestFuzz:
     def test_small_campaign_clean(self):

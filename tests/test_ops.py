@@ -44,6 +44,10 @@ class TestPolar:
         p = polar_body(ellipse(2.0, 1.0, 0.0, 256))
         want = np.sqrt(0.25 * np.cos(TH) ** 2 + np.sin(TH) ** 2)
         assert np.max(np.abs(p.samples - want)) < 1e-9
+        # off-axis and more eccentric; the radial inversion is exact to roundoff
+        off = polar_body(ellipse(2.0, 0.6, 0.4, 256))
+        want = ellipse(1 / 2.0, 1 / 0.6, 0.4, 256).samples
+        assert np.max(np.abs(off.samples - want)) <= 1e-13
 
     def test_polar_area_quadrature_consistency(self, wobble):
         # the polar's area must match (1/2) integral h^-2 from the primal

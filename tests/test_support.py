@@ -19,8 +19,8 @@ from centroflow import (
     radial_function,
     scaled,
 )
-from centroflow.spectral import angles, fourier_coeffs
-from centroflow.support import check_same_grid
+from centroflow.spectral import angles, fourier_coeffs, resample
+from centroflow.support import check_same_grid, radial_samples
 
 import oracles
 
@@ -182,6 +182,21 @@ class TestRadial:
         rho = radial_function(wobble)
         want = oracles.radial_by_boundary(wobble, angles(wobble.n))
         assert np.max(np.abs(rho.samples - want)) < 1e-8
+
+    def test_interpolant_nonconvex_between_nodes(self):
+        # this stability body is convex at its 128 nodes, but its interpolant
+        # has h + h'' < 0 between some of them; the bracketed inversion must
+        # still land on the boundary: 1/rho against the polar support
+        # max_t cos(t - phi) / h(t) on a 64x finer grid
+        from centroflow.lab import _stability_base
+        body = _stability_base(4, 128)
+        m = 4 * body.n
+        t = angles(64 * body.n)
+        h = resample(body.samples, t.size)
+        want = np.concatenate([
+            1.0 / np.max(np.cos(t[None, :] - phi[:, None]) / h, axis=1)
+            for phi in np.split(angles(m), 8)])
+        assert np.max(np.abs(radial_samples(body.samples, m) - want)) < 1e-5
 
 
 def test_scaled():
