@@ -23,8 +23,9 @@ import numpy as np
 from . import ops, spectral
 from .bodyio import write_lines
 from .errors import ConvexityLost, StepUnderflow
-from .normalize import SearchConfig, banach_mazur_to_disk, family_map, sl2_normalize
-from .support import (GridFn, SupportFn, apply_linear_map, area, curvature_function,
+from .normalize import (SearchConfig, banach_mazur_to_disk, family_map, family_params,
+                        normalized_image, sl2_normalize)
+from .support import (GridFn, SupportFn, area, curvature_function,
                       curvature_samples, require_symmetric, scaled)
 
 __all__ = [
@@ -151,18 +152,11 @@ def _rhs(x: np.ndarray) -> np.ndarray:
     return -1.0 / (x * x * s)
 
 
-# search settings for the first row (cold) and subsequent rows (warm)
-_COLD_SEARCH = SearchConfig(grid=(32, 32), angle_oversample=2, maxiter=200)
-
-
-def _warm_search(params: tuple[float, float]) -> SearchConfig:
-    return SearchConfig(angle_oversample=1, warm_start=params, maxiter=24,
-                        modes=32, xatol=1e-7, fatol=1e-11)
-
-
-def _normalized_body(body: SupportFn, s: float, phi: float) -> SupportFn:
-    image = apply_linear_map(body, family_map(s, phi))
-    return scaled(image, np.sqrt(np.pi / area(image)))
+def _search_config(params: tuple[float, float] | None) -> SearchConfig:
+    """A cold search for the first row, then warm starts at the last optimum."""
+    if params is None:
+        return SearchConfig(grid=(32, 32), maxiter=200)
+    return SearchConfig(warm_start=params, maxiter=24, xatol=1e-7, fatol=1e-11)
 
 
 def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
@@ -219,24 +213,16 @@ class _RowRecorder:
         bp = v_gamma / v
 
         scale = np.sqrt(np.pi / v)
-        body_scaled = scaled(body, scale)
-        sl2_cfg = _warm_search(self.sl2_params) if self.sl2_params else _COLD_SEARCH
-        nbody, witness = sl2_normalize(body_scaled, sl2_cfg)
-        # recover (s, phi) from the witness diag(s,1/s).R(phi)
-        ws = float(np.hypot(witness.a, witness.b))
-        wphi = float(np.arctan2(-witness.b, witness.a)) % np.pi
-        self.sl2_params = (ws, wphi)
+        nbody, witness = sl2_normalize(scaled(body, scale), _search_config(self.sl2_params))
+        self.sl2_params = family_params(witness)
         norm_dist = float(np.max(np.abs(nbody.samples - 1.0)))
         _, r_hi = spectral.refine_periodic_max(nbody.samples)
         _, r_lo = spectral.refine_periodic_min(nbody.samples)
         r_plus = r_hi / scale
         r_minus = r_lo / scale
 
-        dbm_cfg = _warm_search(self.dbm_params) if self.dbm_params else _COLD_SEARCH
-        cert = banach_mazur_to_disk(body, dbm_cfg)
-        cs = float(np.hypot(cert.witness.a, cert.witness.b))
-        cphi = float(np.arctan2(-cert.witness.b, cert.witness.a)) % np.pi
-        self.dbm_params = (cs, cphi)
+        cert = banach_mazur_to_disk(body, _search_config(self.dbm_params))
+        self.dbm_params = family_params(cert.witness)
 
         self.scalar_rows.append({
             "t": t,
@@ -251,8 +237,8 @@ class _RowRecorder:
             "min_ca3": float(np.min(ca3)),
             "bp_rhs": chain.ratio_derivative(v),
             "norm_disk_dist": norm_dist,
-            "norm_s": ws,
-            "norm_phi": wphi,
+            "norm_s": self.sl2_params[0],
+            "norm_phi": self.sl2_params[1],
             "r_plus": r_plus,
             "r_minus": r_minus,
         })
@@ -353,9 +339,8 @@ def normalized_view(trace: FlowTrace, index: int) -> SupportFn:
     """SL(2)-normalized, area-pi body at a recorded row."""
     if not (-trace.rows <= index < trace.rows):
         raise IndexError(f"trace has {trace.rows} rows")
-    body = trace.row_body(index)
-    body = scaled(body, np.sqrt(np.pi / trace.area[index]))
-    return _normalized_body(body, trace.norm_s[index], trace.norm_phi[index])
+    witness = family_map(trace.norm_s[index], trace.norm_phi[index])
+    return normalized_image(trace.row_body(index), witness)
 
 
 def _central_diff(t: np.ndarray, y: np.ndarray, stride: int = 1):

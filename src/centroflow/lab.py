@@ -281,7 +281,7 @@ def stability_experiment(count: int, seed: int,
     if count < 10:
         raise ValueError("need at least 10 samples")
     if bm_config is None:
-        bm_config = SearchConfig(grid=(48, 48), angle_oversample=2)
+        bm_config = SearchConfig(grid=(48, 48))
     targets = np.geomspace(eps_low, eps_high, count)
     samples = []
     for i, target in enumerate(targets):

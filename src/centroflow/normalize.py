@@ -16,8 +16,8 @@ from scipy.optimize import minimize
 
 from . import spectral
 from .errors import OptimizationFailed
-from .support import (LinearMap2, SupportFn, apply_linear_map, area, curvature_samples,
-                      require_symmetric, scaled)
+from .support import (LinearMap2, SupportFn, apply_linear_map, area, boundary_points,
+                      curvature_samples, require_symmetric, scaled)
 
 __all__ = [
     "SearchConfig",
@@ -32,20 +32,18 @@ S_MAX = 8.0  # John's bound makes larger stretches useless
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Resolution knobs for the two-parameter searches.
+    """Settings of the two-parameter searches.
 
-    ``modes`` caps the number of Fourier modes used while optimizing (the
-    reported objective value is still evaluated at full resolution);
-    ``warm_start`` skips the coarse grid entirely.
+    ``grid`` is the (stretch, rotation) size of the coarse grid stage;
+    ``warm_start`` skips it and starts the refinement at a known (s, phi);
+    ``xatol``, ``fatol`` and ``maxiter`` stop the Nelder-Mead refinement.
     """
 
     grid: tuple[int, int] = (64, 64)
-    angle_oversample: int = 4
     warm_start: tuple[float, float] | None = None  # (s, phi); skips the grid
     xatol: float = 1e-9
     fatol: float = 1e-13
     maxiter: int = 400
-    modes: int | None = None
 
 
 @dataclass(frozen=True)
@@ -63,113 +61,129 @@ def family_map(s: float, phi: float) -> LinearMap2:
     return LinearMap2.diagonal(s, 1.0 / s) @ LinearMap2.rotation(phi)
 
 
-class _MappedSupport:
-    """Evaluates h_{Phi K} on a fixed oversampled grid for Phi in the family."""
+def family_params(witness: LinearMap2) -> tuple[float, float]:
+    """(s, phi), phi in [0, pi), with family_map(s, phi) = +-witness; both
+    signs give a symmetric body the same image."""
+    s, phi = np.hypot(witness.a, witness.b), np.arctan2(-witness.b, witness.a)
+    return float(s), float(phi) % np.pi
 
-    def __init__(self, h: SupportFn, oversample: int, modes: int | None = None):
-        self.n = h.n
-        m = max(oversample, 1) * h.n
-        self.m = m
-        self.th = spectral.angles(m)
-        self.cos = np.cos(self.th)
-        self.sin = np.sin(self.th)
-        a, b = spectral.fourier_coeffs(h.samples)
-        if modes is not None and modes + 1 < a.size:
-            a = a[: modes + 1]
-            b = b[: modes + 1]
-        self.a0 = a[0]
-        self.a = a[1:]
-        self.b = b[1:]
-        self.k = np.arange(1, a.size)
 
-    def samples(self, s: float, phi: float) -> np.ndarray:
-        wx = s * self.cos
-        wy = self.sin / s
-        r = np.hypot(wx, wy)
-        psi = np.arctan2(wy, wx) - phi
-        arg = self.k[:, None] * psi[None, :]
-        vals = self.a0 + self.a @ np.cos(arg) + self.b @ np.sin(arg)
-        return r * vals
+def normalized_image(h: SupportFn, witness: LinearMap2) -> SupportFn:
+    """Image of ``h`` under ``witness``, rescaled to area pi."""
+    image = apply_linear_map(h, witness)
+    return scaled(image, np.sqrt(np.pi / area(image)))
 
-    def sample_grid(self, s: float, phivals: np.ndarray) -> np.ndarray:
-        """h_{Phi K} samples for one stretch and a batch of rotations.
 
-        Rotating the body is a rotation of its coefficients, so one pair of
-        basis matrices per stretch serves every phi.
-        """
-        wx = s * self.cos
-        wy = self.sin / s
-        r = np.hypot(wx, wy)
-        psi = np.arctan2(wy, wx)
-        arg = self.k[:, None] * psi[None, :]
-        cos_psi = np.cos(arg)
-        sin_psi = np.sin(arg)
-        kphi = self.k[:, None] * phivals[None, :]
-        ckp, skp = np.cos(kphi), np.sin(kphi)
-        a_rot = self.a[:, None] * ckp - self.b[:, None] * skp
-        b_rot = self.a[:, None] * skp + self.b[:, None] * ckp
-        return r[None, :] * (self.a0 + a_rot.T @ cos_psi + b_rot.T @ sin_psi)
+SEARCH_OVERSAMPLE = 8  # boundary samples per grid node of the body
 
-    def perimeter(self, s: float, phi: float) -> float:
-        return float((2.0 * np.pi / self.m) * np.sum(self.samples(s, phi)))
 
-    def radii(self, s: float, phi: float) -> tuple[float, float]:
-        vals = self.samples(s, phi)
-        _, hi = spectral.refine_periodic_max(vals)
-        _, lo = spectral.refine_periodic_min(vals)
-        return lo, hi
+def _form_coeffs(s: float, phi) -> np.ndarray:
+    """(a - 1, b cos 2phi, -b sin 2phi) per phi, a = (s^2 + s^-2)/2 and
+    b = (s^2 - s^-2)/2: for Phi = diag(s, 1/s) R(phi), |Phi p|^2 - |p|^2 is
+    their product with (|p|^2, p1^2 - p2^2, 2 p1 p2), and b -> -b gives
+    Phi^-T.  a - 1 is written to keep its digits near s = 1."""
+    b = 0.5 * (s * s - 1.0 / (s * s))
+    return np.array([np.full(np.shape(phi), 0.5 * (s - 1.0 / s) ** 2),
+                     b * np.cos(2.0 * phi), -b * np.sin(2.0 * phi)]).T
 
-    def ratio(self, s: float, phi: float) -> float:
+
+def _curve_rows(px, py, dx, dy, dt: float, sign: float = 1.0):
+    """Rows of |Phi p|^2 and of its t-derivative times dt, (3, M + 1) each,
+    for the samples p of a curve (first sample appended); sign -1 negates b."""
+    rows = np.array([[px * px + py * py, px * dx + py * dy],
+                     [px * px - py * py, px * dx - py * dy],
+                     [2.0 * px * py, px * dy + py * dx]])
+    rows *= np.array([1.0, sign, sign])[:, None, None] * [[1.0], [2.0 * dt]]
+    rows = np.concatenate([rows, rows[..., :1]], axis=-1)
+    return rows[:, 0], rows[:, 1]
+
+
+def _refined_max(coef: np.ndarray, rows: np.ndarray, slope_rows: np.ndarray) -> np.ndarray:
+    """Max over t of each block of M + 1 samples coef @ rows, (..., blocks):
+    the largest sample or, larger, the max of the cubic Hermite interpolant
+    of the samples and slopes coef @ slope_rows on a grid interval where the
+    slope turns from rising to falling."""
+    slope = coef @ slope_rows
+    rising = slope.reshape(slope.shape[:-1] + (-1, rows.shape[-1] // 2)) > 0.0
+    i = np.flatnonzero(rising[..., :-1] & ~rising[..., 1:])
+    p = i + i // (rising.shape[-1] - 1)  # flat index of the interval's start
+    d0, d1 = slope.ravel()[p], slope.ravel()[p + 1]
+    del slope  # the two products are the largest arrays of a grid stage
+    vals = coef @ rows
+    g0, g1 = vals.ravel()[p], vals.ravel()[p + 1]
+    x = d0 / (d0 - d1)
+    dg = g1 - g0
+    rise = x * (d0 + x * (3.0 * dg - 2.0 * d0 - d1 + x * (d0 + d1 - 2.0 * dg)))
+    vals.ravel()[p] = g0 + np.maximum(rise, 0.0)
+    return vals.reshape(rising.shape).max(axis=-1)
+
+
+class _BoundaryForms:
+    """Symmetric K sampled at SEARCH_OVERSAMPLE * n / 2 normal angles t in
+    [0, pi) as rows of quadratic forms.
+
+    For Phi in the family, the circumradius of Phi K is max |Phi x(t)| over
+    the boundary points x = h u + h' u_perp (x' = S u_perp, S = h + h''),
+    its inradius is 1/max |Phi^-T u/h| over the polar boundary points, and
+    its perimeter is the integral of S |Phi u_perp| dt.  These are
+    identities of the interpolant, convex between the nodes or not.
+    """
+
+    def __init__(self, h: SupportFn):
+        m = SEARCH_OVERSAMPLE * h.n
+        dt = 2.0 * np.pi / m
+        t = spectral.angles(m)[: m // 2]
+        c, s = np.cos(t), np.sin(t)
+        x, y = boundary_points(h.samples, t)
+        hv, hp = x * c + y * s, y * c - x * s
+        curv = curvature_samples(spectral.resample(h.samples, m))[: m // 2]
+        dpolar = (-(s * hv + c * hp) / hv ** 2, (c * hv - s * hp) / hv ** 2)  # (u/h)'
+        outer = _curve_rows(x, y, -curv * s, curv * c, dt)
+        polar = _curve_rows(c / hv, s / hv, *dpolar, dt, -1.0)
+        # blocks [outer | polar] of M + 1 columns: samples, then slopes
+        self.radius_rows = [np.hstack([o, q]) for o, q in zip(outer, polar)]
+        self.tangent = np.array([np.ones_like(t), -np.cos(2.0 * t), -np.sin(2.0 * t)])
+        self.weight = 2.0 * dt * curv
+
+    def perimeter(self, s: float, phi):
+        """Perimeter of Phi K less that of K, from |Phi u_perp|^2 - 1."""
+        excess = _form_coeffs(s, phi) @ self.tangent
+        return (excess / (1.0 + np.sqrt(1.0 + excess))) @ self.weight
+
+    def radii(self, s: float, phi):
+        """(inradius, circumradius) of Phi K."""
+        sq = _refined_max(_form_coeffs(s, phi) + [1.0, 0.0, 0.0], *self.radius_rows)
+        return 1.0 / np.sqrt(sq[..., 1]), np.sqrt(sq[..., 0])
+
+    def ratio(self, s: float, phi):
         lo, hi = self.radii(s, phi)
         return hi / lo
 
-    def grid_stage(self, svals, phivals, kind: str):
-        """(s, phi, value) of the best grid point for 'perimeter' or 'ratio'."""
-        f_best = np.inf
-        best = (1.0, 0.0)
-        for s in svals:
-            vals = self.sample_grid(s, phivals)
-            if kind == "perimeter":
-                obj = (2.0 * np.pi / self.m) * vals.sum(axis=1)
-            else:
-                obj = vals.max(axis=1) / vals.min(axis=1)
-            j = int(np.argmin(obj))
-            if obj[j] < f_best:
-                f_best = float(obj[j])
-                best = (float(s), float(phivals[j]))
-        return best[0], best[1], f_best
 
-
-def _search(mapped: _MappedSupport, kind: str, cfg: SearchConfig):
-    """Coarse grid then Nelder-Mead over (log s, phi)."""
-    objective = mapped.perimeter if kind == "perimeter" else mapped.ratio
+def _search(objective, cfg: SearchConfig) -> tuple[float, float]:
+    """(s, phi) minimizing objective(s, phi): coarse grid then Nelder-Mead
+    over (log s, phi)."""
     if cfg.warm_start is not None:
         s0, phi0 = cfg.warm_start
     else:
         ns, nphi = cfg.grid
         svals = np.geomspace(1.0, S_MAX, ns)
         phivals = np.linspace(0.0, np.pi, nphi, endpoint=False)
-        s0, phi0, _ = mapped.grid_stage(svals, phivals, kind)
-    f_start = objective(s0, phi0)
+        # one batch of rotations per stretch keeps the peak memory small
+        obj = np.array([objective(s, phivals) for s in svals])
+        i, j = np.unravel_index(np.argmin(obj), obj.shape)
+        s0, phi0 = float(svals[i]), float(phivals[j])
+    f_start = float(objective(s0, phi0))
     x0 = np.array([np.log(s0), phi0])
     simplex = np.vstack([x0, x0 + [0.05, 0.0], x0 + [0.0, 0.05]])
-    res = minimize(
-        lambda x: objective(float(np.exp(x[0])), float(x[1])),
-        x0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "xatol": cfg.xatol,
-            "fatol": cfg.fatol,
-            "maxiter": cfg.maxiter,
-            "maxfev": 4 * cfg.maxiter,
-        },
-    )
+    res = minimize(lambda x: float(objective(np.exp(x[0]), x[1])), x0, method="Nelder-Mead",
+                   options={"initial_simplex": simplex, "xatol": cfg.xatol, "fatol": cfg.fatol,
+                            "maxiter": cfg.maxiter, "maxfev": 4 * cfg.maxiter})
     if res.fun <= f_start + 1e-12 * max(1.0, abs(f_start)):
-        return float(np.exp(res.x[0])), float(res.x[1]), float(res.fun)
+        return float(np.exp(res.x[0])), float(res.x[1])
     if cfg.warm_start is not None:
         # warm refinement may start at the optimum already
-        return s0, phi0, f_start
+        return s0, phi0
     raise OptimizationFailed(
         f"refinement went uphill: {res.fun:.12g} > start {f_start:.12g}"
     )
@@ -183,13 +197,9 @@ def sl2_normalize(h: SupportFn, config: SearchConfig | None = None
     is applied after the map and is not part of the witness).
     """
     require_symmetric(h, "sl2_normalize")
-    cfg = config or SearchConfig()
-    mapped = _MappedSupport(h, cfg.angle_oversample, cfg.modes)
-    s, phi, _ = _search(mapped, "perimeter", cfg)
+    s, phi = _search(_BoundaryForms(h).perimeter, config or SearchConfig())
     witness = family_map(s, phi)
-    image = apply_linear_map(h, witness)
-    body = scaled(image, np.sqrt(np.pi / area(image)))
-    return body, witness
+    return normalized_image(h, witness), witness
 
 
 def banach_mazur_to_disk(h: SupportFn, config: SearchConfig | None = None
@@ -198,16 +208,14 @@ def banach_mazur_to_disk(h: SupportFn, config: SearchConfig | None = None
 
     For an origin-symmetric body this is the min over the family of the
     circumradius/inradius ratio of the image, both radii read off the
-    mapped support function.
+    sampled boundary and polar boundary of the body.
     """
     require_symmetric(h, "banach_mazur_to_disk")
-    cfg = config or SearchConfig()
-    mapped = _MappedSupport(h, cfg.angle_oversample, cfg.modes)
-    s, phi, _ = _search(mapped, "ratio", cfg)
-    full = _MappedSupport(h, cfg.angle_oversample) if cfg.modes else mapped
-    lo, hi = full.radii(s, phi)
-    return BMCertificate(distance=hi / lo, witness=family_map(s, phi),
-                         inner_radius=lo, outer_radius=hi)
+    forms = _BoundaryForms(h)
+    s, phi = _search(forms.ratio, config or SearchConfig())
+    lo, hi = forms.radii(s, phi)
+    return BMCertificate(distance=float(hi / lo), witness=family_map(s, phi),
+                         inner_radius=float(lo), outer_radius=float(hi))
 
 
 def pinching_to_bm_bound(h: SupportFn) -> float:

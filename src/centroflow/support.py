@@ -281,9 +281,10 @@ def apply_linear_map(h: SupportFn, phi: LinearMap2) -> SupportFn:
 
 def boundary_points(samples: np.ndarray, th: np.ndarray):
     """Coordinates (x, y) of the boundary points h u + h' u_perp with outer
-    normals at the angles ``th``, through the trigonometric interpolant."""
+    normals at the angles ``th``, through the trigonometric interpolant and
+    its own derivative."""
     hv = spectral.trig_eval(samples, th)
-    hp = spectral.trig_eval(spectral.deriv(samples, 1), th)
+    hp = spectral.trig_eval(samples, th, 1)
     return hv * np.cos(th) - hp * np.sin(th), hv * np.sin(th) + hp * np.cos(th)
 
 

@@ -9,14 +9,18 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import ellipe
 
-from centroflow import spectral
-
 
 def boundary_points(body, m):
-    """m points of the boundary X = h u + h' u_perp via trig interpolation."""
-    th = spectral.angles(m)
-    h = spectral.resample(body.samples, m)
-    hp = spectral.resample(spectral.deriv(body.samples, 1), m)
+    """m > n points of the boundary X = h u + h' u_perp of the trigonometric
+    interpolant of h, by zero-padded FFT; h' keeps the interpolant's Nyquist
+    term, which becomes an interior cosine mode on the finer grid."""
+    n = body.n
+    f = np.zeros(m // 2 + 1, dtype=complex)
+    f[: n // 2 + 1] = np.fft.rfft(body.samples) * (m / n)
+    f[n // 2] *= 0.5
+    h = np.fft.irfft(f, m)
+    hp = np.fft.irfft(1j * np.arange(m // 2 + 1) * f, m)
+    th = 2.0 * np.pi * np.arange(m) / m
     x = h * np.cos(th) - hp * np.sin(th)
     y = h * np.sin(th) + hp * np.cos(th)
     return x, y
@@ -82,14 +86,25 @@ def disk_flow_radius(t):
     return (1.0 - 4.0 * np.asarray(t)) ** 0.25
 
 
-def brute_force_bm_to_disk(body, n_s=160, n_phi=160, oversample=4):
-    """Dense-grid minimum of the radii ratio over diag(s,1/s).R(phi)."""
-    from centroflow.normalize import _MappedSupport
+def polygon_radii(body, maps, m=4096):
+    """(inradius, circumradius) of the images of the m-point boundary polygon
+    under each 2x2 matrix of the stack ``maps``: the least distance from the
+    origin to an edge line, and the largest vertex norm."""
+    x, y = boundary_points(body, m)
+    img = np.asarray(maps) @ np.vstack([x, y])
+    nxt = np.roll(img, -1, axis=-1)
+    cross = np.abs(img[..., 0, :] * nxt[..., 1, :] - img[..., 1, :] * nxt[..., 0, :])
+    edge = np.hypot(*np.moveaxis(nxt - img, -2, 0))
+    return (cross / edge).min(axis=-1), np.hypot(*np.moveaxis(img, -2, 0)).max(axis=-1)
 
-    mapped = _MappedSupport(body, oversample)
+
+def brute_force_bm_to_disk(body, n_s=160, n_phi=160):
+    """Dense-grid minimum of the polygon radii ratio over diag(s,1/s).R(phi)."""
+    phi = np.linspace(0.0, np.pi, n_phi, endpoint=False)
+    rot = np.moveaxis(np.array([[np.cos(phi), -np.sin(phi)],
+                                [np.sin(phi), np.cos(phi)]]), -1, 0)
     best = np.inf
     for s in np.geomspace(1.0, 4.0, n_s):
-        vals = mapped.sample_grid(s, np.linspace(0.0, np.pi, n_phi, endpoint=False))
-        ratios = vals.max(axis=1) / vals.min(axis=1)
-        best = min(best, float(ratios.min()))
+        inner, outer = polygon_radii(body, np.diag([s, 1.0 / s]) @ rot)
+        best = min(best, float(np.min(outer / inner)))
     return best

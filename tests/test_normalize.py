@@ -15,7 +15,7 @@ from centroflow import (
     sl2_normalize,
 )
 from centroflow.errors import AsymmetricData
-from centroflow.normalize import SearchConfig
+from centroflow.normalize import SearchConfig, _BoundaryForms, family_map
 
 from conftest import smoothed_square
 import oracles
@@ -93,5 +93,44 @@ class TestPinching:
             b = random_body(BodySpec(seed=seed, mode_count=3,
                                      decay=1.6, amplitude=0.5))
             cert = banach_mazur_to_disk(
-                b, SearchConfig(grid=(32, 32), angle_oversample=2))
+                b, SearchConfig(grid=(32, 32)))
             assert cert.distance <= pinching_to_bm_bound(b) + 1e-3
+
+
+class TestBoundaryForms:
+    PARAMS = [(1.0, 0.0), (1.5, 0.4), (0.7, 2.0), (3.0, 1.1), (2.0, 2.5)]
+
+    def test_ellipse_radii_and_perimeter(self):
+        # Phi E is the ellipse with the singular values of Phi A as semi-axes
+        for a, b, rot in [(1.7, 0.9, 0.3), (1.3, 1.0, 2.0)]:
+            forms = _BoundaryForms(ellipse(a, b, rot, 256))
+            axes = LinearMap2.rotation(rot).as_array() @ np.diag([a, b])
+            for s, phi in self.PARAMS:
+                sv = np.linalg.svd(family_map(s, phi).as_array() @ axes,
+                                   compute_uv=False)
+                lo, hi = forms.radii(s, phi)
+                assert abs(hi - sv[0]) <= 1e-10 and abs(lo - sv[1]) <= 1e-10
+                # the perimeter objective is relative to the body's own
+                assert forms.perimeter(s, phi) == pytest.approx(
+                    oracles.ellipse_perimeter(*sv) - oracles.ellipse_perimeter(a, b),
+                    abs=1e-10)
+
+    def test_batched_grid_stage_matches_scalar(self, wobble):
+        forms = _BoundaryForms(wobble)
+        phis = np.linspace(0.0, np.pi, 48, endpoint=False)
+        for s in (1.0, 1.3, 4.0):
+            for kind in (forms.ratio, forms.perimeter):
+                batch = kind(s, phis)
+                single = np.array([kind(s, float(phi)) for phi in phis])
+                assert np.max(np.abs(batch - single)) <= 1e-12
+
+    def test_certificate_matches_polygon_oracle(self):
+        # n=128 stability bodies, some with interpolants that are not convex
+        # between the nodes: the ratio at the witness against a dense polygon
+        from centroflow.lab import _stability_base
+        for seed in range(10):
+            body = _stability_base(seed, 128)
+            cert = banach_mazur_to_disk(body)
+            inner, outer = oracles.polygon_radii(
+                body, cert.witness.as_array(), m=1 << 14)
+            assert cert.distance == pytest.approx(outer / inner, rel=1e-5)

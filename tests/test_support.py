@@ -20,7 +20,7 @@ from centroflow import (
     scaled,
 )
 from centroflow.spectral import angles, fourier_coeffs, resample
-from centroflow.support import check_same_grid, radial_samples
+from centroflow.support import boundary_points, check_same_grid, radial_samples
 
 import oracles
 
@@ -197,6 +197,26 @@ class TestRadial:
             1.0 / np.max(np.cos(t[None, :] - phi[:, None]) / h, axis=1)
             for phi in np.split(angles(m), 8)])
         assert np.max(np.abs(radial_samples(body.samples, m) - want)) < 1e-5
+
+
+def test_boundary_points_off_grid_match_coefficients():
+    # an n=128 stability body with a sizeable Nyquist coefficient a_N: at the
+    # grid midpoints, where sin(N t) = +-1, x(t) = h u + h' u_perp must use
+    # the derivative of h's own interpolant, a_N cos(N t) included
+    from centroflow.lab import _stability_base
+    body = _stability_base(4, 128)
+    n = body.n
+    t = angles(n) + np.pi / n
+    f = np.fft.rfft(body.samples) / n
+    k = np.arange(n // 2 + 1)
+    w = np.where((k == 0) | (k == n // 2), 1.0, 2.0)
+    e = np.exp(1j * np.outer(t, k))
+    h = (e * f * w).real.sum(axis=1)
+    hp = (1j * k * e * f * w).real.sum(axis=1)
+    x, y = boundary_points(body.samples, t)
+    assert n // 2 * abs(f[-1]) > 1e-3  # the Nyquist term is not negligible
+    assert np.max(np.abs(x - (h * np.cos(t) - hp * np.sin(t)))) < 1e-12
+    assert np.max(np.abs(y - (h * np.sin(t) + hp * np.cos(t)))) < 1e-12
 
 
 def test_scaled():
