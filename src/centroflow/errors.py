@@ -31,7 +31,7 @@ class NonConvexSolution(CentroflowError):
 
 
 class OptimizationFailed(CentroflowError):
-    """A deterministic search failed to improve on its coarse-grid start."""
+    """A deterministic search failed to improve on its cold start."""
 
 
 class ConvexityLost(CentroflowError):

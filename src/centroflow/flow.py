@@ -9,9 +9,9 @@ would otherwise trigger spurious convexity loss), and for symmetric data the
 odd modes are projected out.
 
 A trace row is recorded every ``renormalize_every`` accepted steps; each row
-carries the monitored functionals, the SL(2)-normalized view of the body
-(warm-started from the previous row), and the quantities needed to verify
-the evolution laws after the run.
+carries the monitored functionals, the SL(2)-normalized view of the body,
+its Banach-Mazur distance (searched from the previous row's optimum) and the
+quantities needed to verify the evolution laws after the run.
 """
 
 from __future__ import annotations
@@ -152,13 +152,6 @@ def _rhs(x: np.ndarray) -> np.ndarray:
     return -1.0 / (x * x * s)
 
 
-def _search_config(params: tuple[float, float] | None) -> SearchConfig:
-    """A cold search for the first row, then warm starts at the last optimum."""
-    if params is None:
-        return SearchConfig(grid=(32, 32), maxiter=200)
-    return SearchConfig(warm_start=params, maxiter=24, xatol=1e-7, fatol=1e-11)
-
-
 def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
     """Extinction time from a weighted linear fit of V^2 against t.
 
@@ -183,12 +176,11 @@ def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
 
 
 class _RowRecorder:
-    """Accumulates trace rows; owns the warm-start state of the searches."""
+    """Accumulates trace rows; owns the warm start of the Banach-Mazur search."""
 
     def __init__(self, n: int):
         self.n = n
         self.probe_idx = (0, n // 3, (2 * n) // 3)
-        self.sl2_params: tuple[float, float] | None = None
         self.dbm_params: tuple[float, float] | None = None
         self.scalar_rows: list[dict] = []
         self.h_rows: list[np.ndarray] = []
@@ -213,15 +205,15 @@ class _RowRecorder:
         bp = v_gamma / v
 
         scale = np.sqrt(np.pi / v)
-        nbody, witness = sl2_normalize(scaled(body, scale), _search_config(self.sl2_params))
-        self.sl2_params = family_params(witness)
+        nbody, witness = sl2_normalize(scaled(body, scale))
+        norm_s, norm_phi = family_params(witness)
         norm_dist = float(np.max(np.abs(nbody.samples - 1.0)))
         _, r_hi = spectral.refine_periodic_max(nbody.samples)
         _, r_lo = spectral.refine_periodic_min(nbody.samples)
         r_plus = r_hi / scale
         r_minus = r_lo / scale
 
-        cert = banach_mazur_to_disk(body, _search_config(self.dbm_params))
+        cert = banach_mazur_to_disk(body, SearchConfig(warm_start=self.dbm_params))
         self.dbm_params = family_params(cert.witness)
 
         self.scalar_rows.append({
@@ -237,8 +229,8 @@ class _RowRecorder:
             "min_ca3": float(np.min(ca3)),
             "bp_rhs": chain.ratio_derivative(v),
             "norm_disk_dist": norm_dist,
-            "norm_s": self.sl2_params[0],
-            "norm_phi": self.sl2_params[1],
+            "norm_s": norm_s,
+            "norm_phi": norm_phi,
             "r_plus": r_plus,
             "r_minus": r_minus,
         })

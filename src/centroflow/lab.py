@@ -10,7 +10,7 @@ import numpy as np
 
 from . import ops, spectral
 from .bodyio import write_lines
-from .normalize import SearchConfig, banach_mazur_to_disk, pinching_to_bm_bound
+from .normalize import banach_mazur_to_disk, pinching_to_bm_bound
 from .support import (SupportFn, area, check_same_grid, curvature_samples, disk,
                       require_symmetric)
 
@@ -150,8 +150,7 @@ class DeficitReport:
         return asdict(self)
 
 
-def deficit_report(h: SupportFn, body_id: str = "", with_bm: bool = False,
-                   bm_config: SearchConfig | None = None) -> DeficitReport:
+def deficit_report(h: SupportFn, body_id: str = "", with_bm: bool = False) -> DeficitReport:
     """Evaluate every audited inequality on one body.
 
     The centroid body and the identity residual share one polar computation.
@@ -164,7 +163,7 @@ def deficit_report(h: SupportFn, body_id: str = "", with_bm: bool = False,
     d_bm = None
     pinch = None
     if with_bm:
-        d_bm = banach_mazur_to_disk(h, bm_config).distance
+        d_bm = banach_mazur_to_disk(h).distance
         pinch = pinching_to_bm_bound(h)
     return DeficitReport(
         body_id=body_id,
@@ -267,8 +266,7 @@ def _deficit_targeted_body(base: SupportFn, target: float,
 
 def stability_experiment(count: int, seed: int,
                          eps_low: float = 1e-6, eps_high: float = 1e-1,
-                         n: int = 256,
-                         bm_config: SearchConfig | None = None) -> StabilityResult:
+                         n: int = 256) -> StabilityResult:
     """Scatter of (deficit, Banach-Mazur distance - 1) across target deficits.
 
     Bodies are drawn from the seeded generator (blended with a mollified
@@ -280,8 +278,6 @@ def stability_experiment(count: int, seed: int,
     """
     if count < 10:
         raise ValueError("need at least 10 samples")
-    if bm_config is None:
-        bm_config = SearchConfig(grid=(48, 48))
     targets = np.geomspace(eps_low, eps_high, count)
     samples = []
     for i, target in enumerate(targets):
@@ -296,7 +292,7 @@ def stability_experiment(count: int, seed: int,
             if eps >= target * 0.99:
                 break
         body, eps = best
-        cert = banach_mazur_to_disk(body, bm_config)
+        cert = banach_mazur_to_disk(body)
         d1 = cert.distance - 1.0
         pinch = pinching_to_bm_bound(body)
         samples.append(StabilitySample(
@@ -312,7 +308,7 @@ def stability_experiment(count: int, seed: int,
         slope = float("nan")
     control = disk(1.0, n)
     control_eps = bp_deficit(control)
-    control_d = banach_mazur_to_disk(control, bm_config).distance - 1.0
+    control_d = banach_mazur_to_disk(control).distance - 1.0
     return StabilityResult(samples=samples, gamma=gamma, fit_exponent=slope,
                            fit_count=len(small), control_eps=control_eps,
                            control_d_minus_1=control_d)

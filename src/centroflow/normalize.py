@@ -3,8 +3,11 @@
 Left rotations change neither the perimeter nor the radii ratio of the image
 body, and scalings are factored out of both objectives, so this family is
 exhaustive for the perimeter-minimizing normalization and for the
-Banach-Mazur distance to the disk.  Both searches run a deterministic coarse
-grid followed by Nelder-Mead refinement with a fixed initial simplex.
+Banach-Mazur distance to the disk.  Over M = Phi^T Phi (det 1) both
+objectives are geodesically convex, so a local minimum is the global one.
+The perimeter minimum comes from a majorize-minimize fixed-point iteration
+in M started at the identity; the Banach-Mazur search is Nelder-Mead with a
+fixed initial simplex, started at the perimeter minimum or at a warm start.
 """
 
 from __future__ import annotations
@@ -27,23 +30,18 @@ __all__ = [
     "pinching_to_bm_bound",
 ]
 
-S_MAX = 8.0  # John's bound makes larger stretches useless
-
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings of the two-parameter searches.
+    """Start of the Banach-Mazur search.
 
-    ``grid`` is the (stretch, rotation) size of the coarse grid stage;
-    ``warm_start`` skips it and starts the refinement at a known (s, phi);
-    ``xatol``, ``fatol`` and ``maxiter`` stop the Nelder-Mead refinement.
+    Without ``warm_start`` (cold) the Nelder-Mead refinement starts at the
+    perimeter minimum and stops at tight tolerances; with it (warm) a short
+    refinement starts at the given (s, phi), such as the previous optimum
+    along a flow.
     """
 
-    grid: tuple[int, int] = (64, 64)
-    warm_start: tuple[float, float] | None = None  # (s, phi); skips the grid
-    xatol: float = 1e-9
-    fatol: float = 1e-13
-    maxiter: int = 400
+    warm_start: tuple[float, float] | None = None  # (s, phi)
 
 
 @dataclass(frozen=True)
@@ -77,14 +75,13 @@ def normalized_image(h: SupportFn, witness: LinearMap2) -> SupportFn:
 SEARCH_OVERSAMPLE = 8  # boundary samples per grid node of the body
 
 
-def _form_coeffs(s: float, phi) -> np.ndarray:
-    """(a - 1, b cos 2phi, -b sin 2phi) per phi, a = (s^2 + s^-2)/2 and
+def _form_coeffs(s: float, phi: float) -> np.ndarray:
+    """(a - 1, b cos 2phi, -b sin 2phi), a = (s^2 + s^-2)/2 and
     b = (s^2 - s^-2)/2: for Phi = diag(s, 1/s) R(phi), |Phi p|^2 - |p|^2 is
     their product with (|p|^2, p1^2 - p2^2, 2 p1 p2), and b -> -b gives
     Phi^-T.  a - 1 is written to keep its digits near s = 1."""
     b = 0.5 * (s * s - 1.0 / (s * s))
-    return np.array([np.full(np.shape(phi), 0.5 * (s - 1.0 / s) ** 2),
-                     b * np.cos(2.0 * phi), -b * np.sin(2.0 * phi)]).T
+    return np.array([0.5 * (s - 1.0 / s) ** 2, b * np.cos(2.0 * phi), -b * np.sin(2.0 * phi)])
 
 
 def _curve_rows(px, py, dx, dy, dt: float, sign: float = 1.0):
@@ -99,23 +96,20 @@ def _curve_rows(px, py, dx, dy, dt: float, sign: float = 1.0):
 
 
 def _refined_max(coef: np.ndarray, rows: np.ndarray, slope_rows: np.ndarray) -> np.ndarray:
-    """Max over t of each block of M + 1 samples coef @ rows, (..., blocks):
+    """Max over t of each of the two blocks of M + 1 samples coef @ rows:
     the largest sample or, larger, the max of the cubic Hermite interpolant
     of the samples and slopes coef @ slope_rows on a grid interval where the
     slope turns from rising to falling."""
-    slope = coef @ slope_rows
-    rising = slope.reshape(slope.shape[:-1] + (-1, rows.shape[-1] // 2)) > 0.0
-    i = np.flatnonzero(rising[..., :-1] & ~rising[..., 1:])
-    p = i + i // (rising.shape[-1] - 1)  # flat index of the interval's start
-    d0, d1 = slope.ravel()[p], slope.ravel()[p + 1]
-    del slope  # the two products are the largest arrays of a grid stage
-    vals = coef @ rows
-    g0, g1 = vals.ravel()[p], vals.ravel()[p + 1]
+    slope = (coef @ slope_rows).reshape(2, -1)
+    vals = (coef @ rows).reshape(2, -1)
+    k, j = np.nonzero((slope[:, :-1] > 0.0) & ~(slope[:, 1:] > 0.0))
+    d0, d1 = slope[k, j], slope[k, j + 1]
+    g0, g1 = vals[k, j], vals[k, j + 1]
     x = d0 / (d0 - d1)
     dg = g1 - g0
     rise = x * (d0 + x * (3.0 * dg - 2.0 * d0 - d1 + x * (d0 + d1 - 2.0 * dg)))
-    vals.ravel()[p] = g0 + np.maximum(rise, 0.0)
-    return vals.reshape(rising.shape).max(axis=-1)
+    vals[k, j] = g0 + np.maximum(rise, 0.0)
+    return vals.max(axis=1)
 
 
 class _BoundaryForms:
@@ -124,9 +118,8 @@ class _BoundaryForms:
 
     For Phi in the family, the circumradius of Phi K is max |Phi x(t)| over
     the boundary points x = h u + h' u_perp (x' = S u_perp, S = h + h''),
-    its inradius is 1/max |Phi^-T u/h| over the polar boundary points, and
-    its perimeter is the integral of S |Phi u_perp| dt.  These are
-    identities of the interpolant, convex between the nodes or not.
+    and its inradius is 1/max |Phi^-T u/h| over the polar boundary points.
+    These are identities of the interpolant, convex between the nodes or not.
     """
 
     def __init__(self, h: SupportFn):
@@ -142,46 +135,60 @@ class _BoundaryForms:
         polar = _curve_rows(c / hv, s / hv, *dpolar, dt, -1.0)
         # blocks [outer | polar] of M + 1 columns: samples, then slopes
         self.radius_rows = [np.hstack([o, q]) for o, q in zip(outer, polar)]
-        self.tangent = np.array([np.ones_like(t), -np.cos(2.0 * t), -np.sin(2.0 * t)])
-        self.weight = 2.0 * dt * curv
 
-    def perimeter(self, s: float, phi):
-        """Perimeter of Phi K less that of K, from |Phi u_perp|^2 - 1."""
-        excess = _form_coeffs(s, phi) @ self.tangent
-        return (excess / (1.0 + np.sqrt(1.0 + excess))) @ self.weight
-
-    def radii(self, s: float, phi):
+    def radii(self, s: float, phi: float) -> tuple[float, float]:
         """(inradius, circumradius) of Phi K."""
         sq = _refined_max(_form_coeffs(s, phi) + [1.0, 0.0, 0.0], *self.radius_rows)
-        return 1.0 / np.sqrt(sq[..., 1]), np.sqrt(sq[..., 0])
+        return 1.0 / np.sqrt(sq[1]), np.sqrt(sq[0])
 
-    def ratio(self, s: float, phi):
+    def ratio(self, s: float, phi: float) -> float:
         lo, hi = self.radii(s, phi)
         return hi / lo
 
 
-def _search(objective, cfg: SearchConfig) -> tuple[float, float]:
-    """(s, phi) minimizing objective(s, phi): coarse grid then Nelder-Mead
-    over (log s, phi)."""
-    if cfg.warm_start is not None:
-        s0, phi0 = cfg.warm_start
-    else:
-        ns, nphi = cfg.grid
-        svals = np.geomspace(1.0, S_MAX, ns)
-        phivals = np.linspace(0.0, np.pi, nphi, endpoint=False)
-        # one batch of rotations per stretch keeps the peak memory small
-        obj = np.array([objective(s, phivals) for s in svals])
-        i, j = np.unravel_index(np.argmin(obj), obj.shape)
-        s0, phi0 = float(svals[i]), float(phivals[j])
+def _perimeter_minimum(h: SupportFn) -> tuple[float, float]:
+    """(s, phi), s >= 1 and phi in [0, pi), minimizing the perimeter of Phi K.
+
+    With M = Phi^T Phi (det 1) the perimeter is the integral of
+    S sqrt(u_perp' M u_perp) dt, sampled as for _BoundaryForms.  As sqrt is
+    concave it lies below tr(M A)/2 + const at M0, A = sum S u_perp u_perp' dt
+    / sqrt(u_perp' M0 u_perp), and det M = 1 minimizes tr(M A) at
+    sqrt(det A) A^-1; repeating that step from M = I never raises the
+    perimeter and converges to its one minimum.
+    """
+    m = SEARCH_OVERSAMPLE * h.n
+    t = spectral.angles(m)[: m // 2]
+    weight = curvature_samples(spectral.resample(h.samples, m))[: m // 2]
+    c, s = np.cos(t), np.sin(t)
+    rows = np.array([s * s, -2.0 * s * c, c * c])  # (u1^2, 2 u1 u2, u2^2) of u_perp
+    mat = np.array([1.0, 0.0, 1.0])  # (M00, M01, M11)
+    for _ in range(200):  # it settles in 25-45 steps
+        a00, a01, a11 = rows @ (weight / np.sqrt(mat @ rows))
+        a01 *= 0.5
+        prev, mat = mat, np.array([a11, -a01, a00]) / np.sqrt(a00 * a11 - a01 * a01)
+        if np.max(np.abs(mat - prev)) <= 1e-15 * np.max(mat):
+            break
+    # M = R(phi)^T diag(s^2, s^-2) R(phi), so M00 - M11 = 2 sinh(2 ln s) cos 2phi
+    # and 2 M01 = -2 sinh(2 ln s) sin 2phi
+    d, e = mat[0] - mat[2], 2.0 * mat[1]
+    s = np.exp(0.5 * np.arcsinh(0.5 * np.hypot(d, e)))
+    return float(s), float(0.5 * np.arctan2(-e, d) % np.pi)
+
+
+def _search(objective, start: tuple[float, float], warm: bool) -> tuple[float, float]:
+    """(s, phi) minimizing objective(s, phi) by Nelder-Mead over (log s, phi)
+    from a fixed simplex at ``start``; a warm search stops sooner."""
+    maxiter, xatol, fatol = (24, 1e-7, 1e-11) if warm else (400, 1e-9, 1e-13)
+    s0, phi0 = start
     f_start = float(objective(s0, phi0))
     x0 = np.array([np.log(s0), phi0])
     simplex = np.vstack([x0, x0 + [0.05, 0.0], x0 + [0.0, 0.05]])
     res = minimize(lambda x: float(objective(np.exp(x[0]), x[1])), x0, method="Nelder-Mead",
-                   options={"initial_simplex": simplex, "xatol": cfg.xatol, "fatol": cfg.fatol,
-                            "maxiter": cfg.maxiter, "maxfev": 4 * cfg.maxiter})
+                   options={"initial_simplex": simplex, "xatol": xatol, "fatol": fatol,
+                            "maxiter": maxiter, "maxfev": 4 * maxiter})
     if res.fun <= f_start + 1e-12 * max(1.0, abs(f_start)):
         return float(np.exp(res.x[0])), float(res.x[1])
-    if cfg.warm_start is not None:
+    if warm:
         # warm refinement may start at the optimum already
         return s0, phi0
     raise OptimizationFailed(
@@ -189,16 +196,14 @@ def _search(objective, cfg: SearchConfig) -> tuple[float, float]:
     )
 
 
-def sl2_normalize(h: SupportFn, config: SearchConfig | None = None
-                  ) -> tuple[SupportFn, LinearMap2]:
+def sl2_normalize(h: SupportFn) -> tuple[SupportFn, LinearMap2]:
     """Perimeter-minimizing SL(2) image, rescaled to area pi.
 
     Returns the normalized body and the SL(2) witness map (the area rescale
     is applied after the map and is not part of the witness).
     """
     require_symmetric(h, "sl2_normalize")
-    s, phi = _search(_BoundaryForms(h).perimeter, config or SearchConfig())
-    witness = family_map(s, phi)
+    witness = family_map(*_perimeter_minimum(h))
     return normalized_image(h, witness), witness
 
 
@@ -212,7 +217,9 @@ def banach_mazur_to_disk(h: SupportFn, config: SearchConfig | None = None
     """
     require_symmetric(h, "banach_mazur_to_disk")
     forms = _BoundaryForms(h)
-    s, phi = _search(forms.ratio, config or SearchConfig())
+    warm_start = (config or SearchConfig()).warm_start
+    start = _perimeter_minimum(h) if warm_start is None else warm_start
+    s, phi = _search(forms.ratio, start, warm=warm_start is not None)
     lo, hi = forms.radii(s, phi)
     return BMCertificate(distance=float(hi / lo), witness=family_map(s, phi),
                          inner_radius=float(lo), outer_radius=float(hi))

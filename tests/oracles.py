@@ -98,13 +98,31 @@ def polygon_radii(body, maps, m=4096):
     return (cross / edge).min(axis=-1), np.hypot(*np.moveaxis(img, -2, 0)).max(axis=-1)
 
 
-def brute_force_bm_to_disk(body, n_s=160, n_phi=160):
-    """Dense-grid minimum of the polygon radii ratio over diag(s,1/s).R(phi)."""
+def polygon_perimeter(body, maps, m=4096):
+    """Perimeters of the images of the m-point boundary polygon under each
+    2x2 matrix A of the stack ``maps``: the sum over the edges e of
+    |A e| = sqrt(e' A'A e)."""
+    x, y = boundary_points(body, m)
+    dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
+    maps = np.asarray(maps)
+    gram = np.swapaxes(maps, -1, -2) @ maps
+    coef = np.stack([gram[..., 0, 0], 2.0 * gram[..., 0, 1], gram[..., 1, 1]], axis=-1)
+    return np.sqrt(coef @ np.array([dx * dx, dx * dy, dy * dy])).sum(axis=-1)
+
+
+def family_grid(n_s=160, n_phi=160):
+    """diag(s,1/s).R(phi) on a dense grid, s in [1, 4] and phi in [0, pi):
+    one (n_phi, 2, 2) stack per s."""
     phi = np.linspace(0.0, np.pi, n_phi, endpoint=False)
     rot = np.moveaxis(np.array([[np.cos(phi), -np.sin(phi)],
                                 [np.sin(phi), np.cos(phi)]]), -1, 0)
+    return [np.diag([s, 1.0 / s]) @ rot for s in np.geomspace(1.0, 4.0, n_s)]
+
+
+def brute_force_bm_to_disk(body, n_s=160, n_phi=160):
+    """Dense-grid minimum of the polygon radii ratio over diag(s,1/s).R(phi)."""
     best = np.inf
-    for s in np.geomspace(1.0, 4.0, n_s):
-        inner, outer = polygon_radii(body, np.diag([s, 1.0 / s]) @ rot)
+    for maps in family_grid(n_s, n_phi):
+        inner, outer = polygon_radii(body, maps)
         best = min(best, float(np.min(outer / inner)))
     return best

@@ -60,6 +60,15 @@ class TestOpCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["distance"] == pytest.approx(1.0, abs=1e-4)
 
+    def test_normalize_of_ellipse_is_disk(self, workdir, capsys):
+        rc = main(["op", "normalize", "--body", str(workdir / "ellipse.json")])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert np.max(np.abs(np.array(json.loads(out)["h"]) - 1.0)) <= 1e-12
+        line, = [ln for ln in err.splitlines() if ln.startswith("witness: ")]
+        witness = np.array(json.loads(line.removeprefix("witness: ")))
+        assert np.linalg.det(witness) == pytest.approx(1.0, abs=1e-12)
+
     def test_lambda_of_ellipse_is_fixed_point(self, workdir, capsys):
         rc = main(["op", "lambda", "--body", str(workdir / "ellipse.json")])
         assert rc == 0

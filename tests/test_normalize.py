@@ -15,7 +15,8 @@ from centroflow import (
     sl2_normalize,
 )
 from centroflow.errors import AsymmetricData
-from centroflow.normalize import SearchConfig, _BoundaryForms, family_map
+from centroflow.lab import _deficit_targeted_body, _stability_base
+from centroflow.normalize import _BoundaryForms, _search, family_map
 
 from conftest import smoothed_square
 import oracles
@@ -30,7 +31,7 @@ class TestSl2Normalize:
     def test_ellipse_returns_disk(self):
         e = apply_linear_map(disk(1.0, 256), LinearMap2.diagonal(2.0, 0.5))
         body, witness = sl2_normalize(e)
-        assert np.max(np.abs(body.samples - 1.0)) < 1e-5
+        assert np.max(np.abs(body.samples - 1.0)) < 1e-12
         assert witness.is_sl2(1e-9)
 
     def test_isoperimetric_ratio_improves(self, wobble):
@@ -92,15 +93,14 @@ class TestPinching:
         for seed in range(20):
             b = random_body(BodySpec(seed=seed, mode_count=3,
                                      decay=1.6, amplitude=0.5))
-            cert = banach_mazur_to_disk(
-                b, SearchConfig(grid=(32, 32)))
+            cert = banach_mazur_to_disk(b)
             assert cert.distance <= pinching_to_bm_bound(b) + 1e-3
 
 
 class TestBoundaryForms:
     PARAMS = [(1.0, 0.0), (1.5, 0.4), (0.7, 2.0), (3.0, 1.1), (2.0, 2.5)]
 
-    def test_ellipse_radii_and_perimeter(self):
+    def test_ellipse_radii(self):
         # Phi E is the ellipse with the singular values of Phi A as semi-axes
         for a, b, rot in [(1.7, 0.9, 0.3), (1.3, 1.0, 2.0)]:
             forms = _BoundaryForms(ellipse(a, b, rot, 256))
@@ -110,27 +110,54 @@ class TestBoundaryForms:
                                    compute_uv=False)
                 lo, hi = forms.radii(s, phi)
                 assert abs(hi - sv[0]) <= 1e-10 and abs(lo - sv[1]) <= 1e-10
-                # the perimeter objective is relative to the body's own
-                assert forms.perimeter(s, phi) == pytest.approx(
-                    oracles.ellipse_perimeter(*sv) - oracles.ellipse_perimeter(a, b),
-                    abs=1e-10)
-
-    def test_batched_grid_stage_matches_scalar(self, wobble):
-        forms = _BoundaryForms(wobble)
-        phis = np.linspace(0.0, np.pi, 48, endpoint=False)
-        for s in (1.0, 1.3, 4.0):
-            for kind in (forms.ratio, forms.perimeter):
-                batch = kind(s, phis)
-                single = np.array([kind(s, float(phi)) for phi in phis])
-                assert np.max(np.abs(batch - single)) <= 1e-12
 
     def test_certificate_matches_polygon_oracle(self):
         # n=128 stability bodies, some with interpolants that are not convex
         # between the nodes: the ratio at the witness against a dense polygon
-        from centroflow.lab import _stability_base
         for seed in range(10):
             body = _stability_base(seed, 128)
             cert = banach_mazur_to_disk(body)
             inner, outer = oracles.polygon_radii(
                 body, cert.witness.as_array(), m=1 << 14)
             assert cert.distance == pytest.approx(outer / inner, rel=1e-5)
+
+
+class TestGlobalMinima:
+    # the perimeter and the log radii ratio are geodesically convex over
+    # M = Phi^T Phi, so each search must find the global minimum
+    STARTS = [(1.0, 0.0), (2.0, 0.3), (1.3, 1.5), (3.0, 2.8)]
+
+    def test_ellipse_perimeter(self):
+        # the polygon oracle against the closed form, and the witness at the
+        # least perimeter of an ellipse, that of the disk of equal area
+        maps = np.array([family_map(s, phi).as_array() for s, phi in TestBoundaryForms.PARAMS])
+        for a, b, rot in [(1.7, 0.9, 0.3), (1.3, 1.0, 2.0)]:
+            e = ellipse(a, b, rot, 256)
+            axes = LinearMap2.rotation(rot).as_array() @ np.diag([a, b])
+            want = [oracles.ellipse_perimeter(*np.linalg.svd(m @ axes, compute_uv=False))
+                    for m in maps]
+            assert oracles.polygon_perimeter(e, maps, m=1 << 16) == pytest.approx(want, rel=1e-8)
+            _, witness = sl2_normalize(e)
+            sv = np.linalg.svd(witness.as_array() @ axes, compute_uv=False)
+            assert oracles.ellipse_perimeter(*sv) == pytest.approx(
+                2.0 * np.pi * np.sqrt(a * b), rel=1e-12)
+
+    def test_perimeter_minimum_beats_dense_grid(self, wobble):
+        bodies = [_stability_base(seed, 128) for seed in range(4)]
+        bodies.append(apply_linear_map(wobble, family_map(np.sqrt(8.0), 0.7)))  # 8:1
+        for body in bodies:
+            _, witness = sl2_normalize(body)
+            best = min(float(np.min(oracles.polygon_perimeter(body, maps)))
+                       for maps in oracles.family_grid())
+            assert oracles.polygon_perimeter(body, witness.as_array()) <= best + 1e-9
+
+    def test_banach_mazur_does_not_depend_on_start(self):
+        for seed in range(3):
+            base = _stability_base(seed, 128)
+            for target in (1e-4, 1e-2):
+                body, _ = _deficit_targeted_body(base, target)
+                distance = banach_mazur_to_disk(body).distance
+                forms = _BoundaryForms(body)
+                for start in self.STARTS:
+                    s, phi = _search(forms.ratio, start, warm=False)
+                    assert forms.ratio(s, phi) == pytest.approx(distance, abs=1e-9)
