@@ -45,10 +45,10 @@ from .ops import (
 )
 from .normalize import (
     BMCertificate,
-    SearchConfig,
     banach_mazur_to_disk,
     pinching_to_bm_bound,
     sl2_normalize,
+    sl2_positions,
 )
 from .flow import (
     ConservationReport,

@@ -9,9 +9,10 @@ would otherwise trigger spurious convexity loss), and for symmetric data the
 odd modes are projected out.
 
 A trace row is recorded every ``renormalize_every`` accepted steps; each row
-carries the monitored functionals, the SL(2)-normalized view of the body,
-its Banach-Mazur distance (searched from the previous row's optimum) and the
-quantities needed to verify the evolution laws after the run.
+carries the monitored functionals, the SL(2) position of least perimeter with
+the radii there, the Banach-Mazur distance (a short search from that
+position, so each row depends on its own body only) and the quantities needed
+to verify the evolution laws after the run.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ import numpy as np
 from . import ops, spectral
 from .bodyio import write_lines
 from .errors import ConvexityLost, StepUnderflow
-from .normalize import (SearchConfig, banach_mazur_to_disk, family_map, family_params,
-                        normalized_image, sl2_normalize)
-from .support import (GridFn, SupportFn, area, curvature_function,
-                      curvature_samples, require_symmetric, scaled)
+from .normalize import family_map, normalized_image, sl2_positions
+from .support import (GridFn, SupportFn, curvature_function, curvature_samples,
+                      require_symmetric)
 
 __all__ = [
     "FlowConfig",
@@ -176,12 +176,11 @@ def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
 
 
 class _RowRecorder:
-    """Accumulates trace rows; owns the warm start of the Banach-Mazur search."""
+    """Accumulates trace rows."""
 
     def __init__(self, n: int):
         self.n = n
         self.probe_idx = (0, n // 3, (2 * n) // 3)
-        self.dbm_params: tuple[float, float] | None = None
         self.scalar_rows: list[dict] = []
         self.h_rows: list[np.ndarray] = []
         self.ca2_rows: list[np.ndarray] = []
@@ -204,17 +203,9 @@ class _RowRecorder:
         v_gamma = 0.5 * (2.0 * np.pi / n) * np.dot(gamma, curvature_samples(gamma))
         bp = v_gamma / v
 
+        (norm_s, norm_phi), (r_minus, r_plus), cert = sl2_positions(body)
         scale = np.sqrt(np.pi / v)
-        nbody, witness = sl2_normalize(scaled(body, scale))
-        norm_s, norm_phi = family_params(witness)
-        norm_dist = float(np.max(np.abs(nbody.samples - 1.0)))
-        _, r_hi = spectral.refine_periodic_max(nbody.samples)
-        _, r_lo = spectral.refine_periodic_min(nbody.samples)
-        r_plus = r_hi / scale
-        r_minus = r_lo / scale
-
-        cert = banach_mazur_to_disk(body, SearchConfig(warm_start=self.dbm_params))
-        self.dbm_params = family_params(cert.witness)
+        norm_dist = float(max(r_plus * scale - 1.0, 1.0 - r_minus * scale))
 
         self.scalar_rows.append({
             "t": t,

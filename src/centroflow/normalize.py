@@ -5,9 +5,10 @@ body, and scalings are factored out of both objectives, so this family is
 exhaustive for the perimeter-minimizing normalization and for the
 Banach-Mazur distance to the disk.  Over M = Phi^T Phi (det 1) both
 objectives are geodesically convex, so a local minimum is the global one.
-The perimeter minimum comes from a majorize-minimize fixed-point iteration
-in M started at the identity; the Banach-Mazur search is Nelder-Mead with a
-fixed initial simplex, started at the perimeter minimum or at a warm start.
+Every quantity is read off one boundary sampling of the body
+(``_BoundaryForms``).  The perimeter minimum comes from a majorize-minimize
+fixed-point iteration in M started at the identity; the Banach-Mazur search
+is Nelder-Mead with a fixed initial simplex started at that minimum.
 """
 
 from __future__ import annotations
@@ -23,25 +24,12 @@ from .support import (LinearMap2, SupportFn, apply_linear_map, area, boundary_po
                       curvature_samples, require_symmetric, scaled)
 
 __all__ = [
-    "SearchConfig",
     "BMCertificate",
     "sl2_normalize",
+    "sl2_positions",
     "banach_mazur_to_disk",
     "pinching_to_bm_bound",
 ]
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Start of the Banach-Mazur search.
-
-    Without ``warm_start`` (cold) the Nelder-Mead refinement starts at the
-    perimeter minimum and stops at tight tolerances; with it (warm) a short
-    refinement starts at the given (s, phi), such as the previous optimum
-    along a flow.
-    """
-
-    warm_start: tuple[float, float] | None = None  # (s, phi)
 
 
 @dataclass(frozen=True)
@@ -57,13 +45,6 @@ class BMCertificate:
 def family_map(s: float, phi: float) -> LinearMap2:
     """diag(s, 1/s) . R(phi), an SL(2) element."""
     return LinearMap2.diagonal(s, 1.0 / s) @ LinearMap2.rotation(phi)
-
-
-def family_params(witness: LinearMap2) -> tuple[float, float]:
-    """(s, phi), phi in [0, pi), with family_map(s, phi) = +-witness; both
-    signs give a symmetric body the same image."""
-    s, phi = np.hypot(witness.a, witness.b), np.arctan2(-witness.b, witness.a)
-    return float(s), float(phi) % np.pi
 
 
 def normalized_image(h: SupportFn, witness: LinearMap2) -> SupportFn:
@@ -118,8 +99,9 @@ class _BoundaryForms:
 
     For Phi in the family, the circumradius of Phi K is max |Phi x(t)| over
     the boundary points x = h u + h' u_perp (x' = S u_perp, S = h + h''),
-    and its inradius is 1/max |Phi^-T u/h| over the polar boundary points.
-    These are identities of the interpolant, convex between the nodes or not.
+    its inradius is 1/max |Phi^-T u/h| over the polar boundary points, and
+    its perimeter is the integral of S |Phi u_perp| dt.  These are
+    identities of the interpolant, convex between the nodes or not.
     """
 
     def __init__(self, h: SupportFn):
@@ -129,9 +111,11 @@ class _BoundaryForms:
         c, s = np.cos(t), np.sin(t)
         x, y = boundary_points(h.samples, t)
         hv, hp = x * c + y * s, y * c - x * s
-        curv = curvature_samples(spectral.resample(h.samples, m))[: m // 2]
+        self.curv = curvature_samples(spectral.resample(h.samples, m))[: m // 2]
+        # (u1^2, 2 u1 u2, u2^2) of u_perp, weighted by S in the perimeter
+        self.tangent_rows = np.array([s * s, -2.0 * s * c, c * c])
         dpolar = (-(s * hv + c * hp) / hv ** 2, (c * hv - s * hp) / hv ** 2)  # (u/h)'
-        outer = _curve_rows(x, y, -curv * s, curv * c, dt)
+        outer = _curve_rows(x, y, -self.curv * s, self.curv * c, dt)
         polar = _curve_rows(c / hv, s / hv, *dpolar, dt, -1.0)
         # blocks [outer | polar] of M + 1 columns: samples, then slopes
         self.radius_rows = [np.hstack([o, q]) for o, q in zip(outer, polar)]
@@ -146,24 +130,20 @@ class _BoundaryForms:
         return hi / lo
 
 
-def _perimeter_minimum(h: SupportFn) -> tuple[float, float]:
+def _perimeter_minimum(forms: _BoundaryForms) -> tuple[float, float]:
     """(s, phi), s >= 1 and phi in [0, pi), minimizing the perimeter of Phi K.
 
     With M = Phi^T Phi (det 1) the perimeter is the integral of
-    S sqrt(u_perp' M u_perp) dt, sampled as for _BoundaryForms.  As sqrt is
-    concave it lies below tr(M A)/2 + const at M0, A = sum S u_perp u_perp' dt
+    S sqrt(u_perp' M u_perp) dt.  As sqrt is concave it lies below
+    tr(M A)/2 + const at M0, A = sum S u_perp u_perp' dt
     / sqrt(u_perp' M0 u_perp), and det M = 1 minimizes tr(M A) at
     sqrt(det A) A^-1; repeating that step from M = I never raises the
     perimeter and converges to its one minimum.
     """
-    m = SEARCH_OVERSAMPLE * h.n
-    t = spectral.angles(m)[: m // 2]
-    weight = curvature_samples(spectral.resample(h.samples, m))[: m // 2]
-    c, s = np.cos(t), np.sin(t)
-    rows = np.array([s * s, -2.0 * s * c, c * c])  # (u1^2, 2 u1 u2, u2^2) of u_perp
+    rows = forms.tangent_rows
     mat = np.array([1.0, 0.0, 1.0])  # (M00, M01, M11)
     for _ in range(200):  # it settles in 25-45 steps
-        a00, a01, a11 = rows @ (weight / np.sqrt(mat @ rows))
+        a00, a01, a11 = rows @ (forms.curv / np.sqrt(mat @ rows))
         a01 *= 0.5
         prev, mat = mat, np.array([a11, -a01, a00]) / np.sqrt(a00 * a11 - a01 * a01)
         if np.max(np.abs(mat - prev)) <= 1e-15 * np.max(mat):
@@ -175,25 +155,28 @@ def _perimeter_minimum(h: SupportFn) -> tuple[float, float]:
     return float(s), float(0.5 * np.arctan2(-e, d) % np.pi)
 
 
-def _search(objective, start: tuple[float, float], warm: bool) -> tuple[float, float]:
-    """(s, phi) minimizing objective(s, phi) by Nelder-Mead over (log s, phi)
-    from a fixed simplex at ``start``; a warm search stops sooner."""
-    maxiter, xatol, fatol = (24, 1e-7, 1e-11) if warm else (400, 1e-9, 1e-13)
-    s0, phi0 = start
-    f_start = float(objective(s0, phi0))
-    x0 = np.array([np.log(s0), phi0])
+def _bm_search(forms: _BoundaryForms, start: tuple[float, float], short: bool
+               ) -> BMCertificate:
+    """Certificate at the (s, phi) minimizing the radii ratio, by Nelder-Mead
+    over (log s, phi) from a fixed simplex at ``start``; a short search stops
+    sooner and falls back to ``start`` if it ends above it."""
+    maxiter, xatol, fatol = (24, 1e-7, 1e-11) if short else (400, 1e-9, 1e-13)
+    s, phi = start
+    f_start = float(forms.ratio(s, phi))
+    x0 = np.array([np.log(s), phi])
     simplex = np.vstack([x0, x0 + [0.05, 0.0], x0 + [0.0, 0.05]])
-    res = minimize(lambda x: float(objective(np.exp(x[0]), x[1])), x0, method="Nelder-Mead",
+    res = minimize(lambda x: float(forms.ratio(np.exp(x[0]), x[1])), x0, method="Nelder-Mead",
                    options={"initial_simplex": simplex, "xatol": xatol, "fatol": fatol,
                             "maxiter": maxiter, "maxfev": 4 * maxiter})
     if res.fun <= f_start + 1e-12 * max(1.0, abs(f_start)):
-        return float(np.exp(res.x[0])), float(res.x[1])
-    if warm:
-        # warm refinement may start at the optimum already
-        return s0, phi0
-    raise OptimizationFailed(
-        f"refinement went uphill: {res.fun:.12g} > start {f_start:.12g}"
-    )
+        s, phi = float(np.exp(res.x[0])), float(res.x[1])
+    elif not short:
+        raise OptimizationFailed(
+            f"refinement went uphill: {res.fun:.12g} > start {f_start:.12g}"
+        )
+    lo, hi = forms.radii(s, phi)
+    return BMCertificate(distance=float(hi / lo), witness=family_map(s, phi),
+                         inner_radius=float(lo), outer_radius=float(hi))
 
 
 def sl2_normalize(h: SupportFn) -> tuple[SupportFn, LinearMap2]:
@@ -203,12 +186,11 @@ def sl2_normalize(h: SupportFn) -> tuple[SupportFn, LinearMap2]:
     is applied after the map and is not part of the witness).
     """
     require_symmetric(h, "sl2_normalize")
-    witness = family_map(*_perimeter_minimum(h))
+    witness = family_map(*_perimeter_minimum(_BoundaryForms(h)))
     return normalized_image(h, witness), witness
 
 
-def banach_mazur_to_disk(h: SupportFn, config: SearchConfig | None = None
-                         ) -> BMCertificate:
+def banach_mazur_to_disk(h: SupportFn) -> BMCertificate:
     """Banach-Mazur distance to the unit disk.
 
     For an origin-symmetric body this is the min over the family of the
@@ -217,12 +199,21 @@ def banach_mazur_to_disk(h: SupportFn, config: SearchConfig | None = None
     """
     require_symmetric(h, "banach_mazur_to_disk")
     forms = _BoundaryForms(h)
-    warm_start = (config or SearchConfig()).warm_start
-    start = _perimeter_minimum(h) if warm_start is None else warm_start
-    s, phi = _search(forms.ratio, start, warm=warm_start is not None)
-    lo, hi = forms.radii(s, phi)
-    return BMCertificate(distance=float(hi / lo), witness=family_map(s, phi),
-                         inner_radius=float(lo), outer_radius=float(hi))
+    return _bm_search(forms, _perimeter_minimum(forms), short=False)
+
+
+def sl2_positions(h: SupportFn) -> tuple[tuple[float, float], tuple[float, float],
+                                         BMCertificate]:
+    """The SL(2) quantities a flow trace row monitors, from one sampling.
+
+    Returns the perimeter-minimal (s, phi), the (inradius, circumradius) of
+    Phi K there, and the certificate of a short Banach-Mazur search started
+    there, which reads within about 1e-4 above the full search's distance.
+    """
+    require_symmetric(h, "sl2_positions")
+    forms = _BoundaryForms(h)
+    start = _perimeter_minimum(forms)
+    return start, forms.radii(*start), _bm_search(forms, start, short=True)
 
 
 def pinching_to_bm_bound(h: SupportFn) -> float:

@@ -35,7 +35,6 @@ from .support import (
     area,
     boundary_points,
     check_same_grid,
-    curvature_function,
     curvature_samples,
     radial_samples,
     require_symmetric,
@@ -112,7 +111,7 @@ def projection_body(h: SupportFn) -> SupportFn:
     For symmetric bodies this equals the body rotated a quarter turn and
     doubled, which the multiplier reproduces exactly.
     """
-    s = curvature_function(h).samples
+    s = curvature_samples(h.samples)
     out = 0.5 * _abs_cos_transform(s)
     return SupportFn(out, symmetric=True)
 
@@ -120,7 +119,7 @@ def projection_body(h: SupportFn) -> SupportFn:
 def mixed_volume(h_k: SupportFn, h_l: SupportFn) -> float:
     """V(K, L) = (1/2) * integral of h_L dS_K; symmetric in its arguments."""
     check_same_grid(h_k, h_l)
-    s_k = curvature_function(h_k).samples
+    s_k = curvature_samples(h_k.samples)
     return float(0.5 * (2.0 * np.pi / h_k.n) * np.dot(h_l.samples, s_k))
 
 

@@ -89,10 +89,6 @@ class SupportFn:
     def n(self) -> int:
         return self.samples.size
 
-    @property
-    def theta(self) -> np.ndarray:
-        return spectral.angles(self.n)
-
 
 @dataclass(frozen=True)
 class CurvatureFn:
@@ -185,10 +181,6 @@ class LinearMap2:
     def from_array(cls, m) -> "LinearMap2":
         m = np.asarray(m, dtype=float)
         return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-    @classmethod
-    def identity(cls) -> "LinearMap2":
-        return cls(1.0, 0.0, 0.0, 1.0)
 
     @classmethod
     def rotation(cls, phi: float) -> "LinearMap2":

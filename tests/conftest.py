@@ -43,6 +43,13 @@ def mild_bodies():
     return out
 
 
+def near_floor_body(n=64):
+    """1 + (1/3 + 1e-12) cos 2 theta: min S = -3.0e-12, inside SupportFn's
+    roundoff floor of -1e-10 max h, so it loads as a valid body."""
+    th = angles(n)
+    return make_support_fn(1.0 + (1.0 / 3.0 + 1e-12) * np.cos(2.0 * th), symmetric=True)
+
+
 def smoothed_square(n=256, sigma=0.04, pad=0.02):
     """Square support mollified to a bandlimited strictly convex body."""
     th = angles(n)

@@ -9,6 +9,8 @@ from centroflow.bodyio import body_from_dict, body_to_dict
 from centroflow.cli import main
 from centroflow.spectral import angles
 
+from conftest import near_floor_body
+
 
 @pytest.fixture()
 def workdir(tmp_path):
@@ -68,6 +70,14 @@ class TestOpCommand:
         line, = [ln for ln in err.splitlines() if ln.startswith("witness: ")]
         witness = np.array(json.loads(line.removeprefix("witness: ")))
         assert np.linalg.det(witness) == pytest.approx(1.0, abs=1e-12)
+
+    def test_proj_of_body_at_convexity_floor(self, tmp_path, capsys):
+        body = near_floor_body()
+        save_body(body, tmp_path / "floor.json")
+        rc = main(["op", "proj", "--body", str(tmp_path / "floor.json")])
+        assert rc == 0
+        want = 2.0 * np.roll(body.samples, -body.n // 4)
+        assert np.max(np.abs(np.array(json.loads(capsys.readouterr().out)["h"]) - want)) < 1e-12
 
     def test_lambda_of_ellipse_is_fixed_point(self, workdir, capsys):
         rc = main(["op", "lambda", "--body", str(workdir / "ellipse.json")])

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from centroflow import (
+    BodySpec,
     ConvexityLost,
     FlowConfig,
     LinearMap2,
     apply_linear_map,
     area,
+    banach_mazur_to_disk,
     conservation_checks,
     disk,
     ellipse,
@@ -17,8 +19,11 @@ from centroflow import (
     harnack_and_bounds_monitor,
     make_support_fn,
     normalized_view,
+    random_body,
+    sl2_positions,
 )
 from centroflow.flow import TRACE_CSV_COLUMNS, gated_central_difference
+from centroflow.normalize import family_map
 from centroflow.spectral import angles
 
 import oracles
@@ -36,6 +41,12 @@ def wobble_trace():
     h0 = make_support_fn(1 + 0.2 * np.cos(2 * th), symmetric=True)
     cfg = FlowConfig(cfl=0.1, t_stop=0.12, renormalize_every=25)
     return flow_run(h0, cfg)
+
+
+@pytest.fixture(scope="module")
+def seeded_trace():
+    body = random_body(BodySpec(seed=1, n=64, mode_count=3, decay=1.6, amplitude=0.5))
+    return flow_run(body, FlowConfig(cfl=0.1, t_stop_area=0.3, renormalize_every=25))
 
 
 class TestSpeed:
@@ -97,6 +108,32 @@ class TestEquivarianceOracle:
         for i in range(tr.rows):
             body = normalized_view(tr, i)
             assert np.max(np.abs(body.samples - 1.0)) < 1e-5
+
+
+class TestSl2Row:
+    def test_radii_match_polygon_oracle(self, seeded_trace):
+        tr = seeded_trace
+        for i in range(tr.rows):
+            witness = family_map(tr.norm_s[i], tr.norm_phi[i]).as_array()
+            inner, outer = oracles.polygon_radii(tr.row_body(i), witness, m=1 << 14)
+            assert tr.r_minus[i] == pytest.approx(inner, rel=1e-6)
+            assert tr.r_plus[i] == pytest.approx(outer, rel=1e-6)
+
+    def test_norm_disk_dist_reads_the_radii(self, seeded_trace):
+        tr = seeded_trace
+        scale = np.sqrt(np.pi / tr.area)
+        want = np.maximum(tr.r_plus * scale - 1.0, 1.0 - tr.r_minus * scale)
+        assert np.array_equal(tr.norm_disk_dist, want)
+
+    def test_banach_mazur_depends_on_the_row_only(self, seeded_trace):
+        # a short search from the row's own perimeter minimum, within 1e-4
+        # above the full search
+        tr = seeded_trace
+        for i in range(tr.rows):
+            body = tr.row_body(i)
+            assert sl2_positions(body)[2].distance == tr.d_bm[i]
+            excess = tr.d_bm[i] - banach_mazur_to_disk(body).distance
+            assert -1e-12 <= excess <= 1e-4
 
 
 class TestConservation:

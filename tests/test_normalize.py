@@ -16,7 +16,7 @@ from centroflow import (
 )
 from centroflow.errors import AsymmetricData
 from centroflow.lab import _deficit_targeted_body, _stability_base
-from centroflow.normalize import _BoundaryForms, _search, family_map
+from centroflow.normalize import _BoundaryForms, _bm_search, family_map
 
 from conftest import smoothed_square
 import oracles
@@ -159,5 +159,5 @@ class TestGlobalMinima:
                 distance = banach_mazur_to_disk(body).distance
                 forms = _BoundaryForms(body)
                 for start in self.STARTS:
-                    s, phi = _search(forms.ratio, start, warm=False)
-                    assert forms.ratio(s, phi) == pytest.approx(distance, abs=1e-9)
+                    cert = _bm_search(forms, start, short=False)
+                    assert cert.distance == pytest.approx(distance, abs=1e-9)

@@ -28,8 +28,10 @@ from centroflow import (
     steiner_symmetrize,
 )
 from centroflow.errors import GridMismatch
+from centroflow.lab import deficit_report, groemer_gap, petty_projection_product
 from centroflow.spectral import angles, rotate
 
+from conftest import near_floor_body
 import oracles
 
 TH = angles(256)
@@ -258,3 +260,15 @@ class TestLutwakIdentity:
     def test_wobble(self, wobble):
         g = centroid_body(wobble)
         assert lutwak_identity_check(wobble) <= 1e-5 * np.max(g.samples)
+
+
+class TestConvexityFloor:
+    def test_operators_take_every_validated_body(self):
+        # no operator may re-validate more strictly than SupportFn does
+        body = near_floor_body()
+        quarter = np.roll(body.samples, -body.n // 4)  # h(theta + pi/2)
+        assert np.max(np.abs(projection_body(body).samples - 2.0 * quarter)) < 1e-12
+        assert mixed_volume(body, body) == pytest.approx(area(body), rel=1e-12)
+        assert np.isfinite(groemer_gap(body, disk(1.0, body.n)))
+        assert np.isfinite(petty_projection_product(body))
+        assert np.isfinite(deficit_report(body, with_bm=True).petty_gap)

@@ -5,8 +5,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "centroflow"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "centroflow"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# where a definition counts as used: the package, its tests and the benchmark
+CALLERS = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+                  *(ROOT / "bench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -22,7 +26,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Name):
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
@@ -35,8 +39,54 @@ def test_detects_unused_import():
     source = "from x import a, b\nimport c.d\n__all__ = ['b']\n"
     assert unused_imports(source) == ["a (line 1)", "c (line 2)"]
     assert unused_imports(source + "a(c.d)\n") == []
+    # a dataclass field of the same name is not a use
+    assert unused_imports("from x import a\nclass C:\n    a: int\n") == ["a (line 1)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def public_definitions(source: str) -> list[tuple[str, str]]:
+    """(qualified name, name) of the public top-level functions and classes
+    and of the public methods of every top-level class."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return out
+
+
+def named(source: str) -> set[str]:
+    """Every name a source refers to as a Name, an Attribute or an import."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= {part for alias in node.names for part in alias.name.split(".")}
+    return out
+
+
+@pytest.fixture(scope="module")
+def callers_named() -> set[str]:
+    return set().union(*(named(p.read_text(encoding="utf-8")) for p in CALLERS))
+
+
+def test_detects_unnamed_definition():
+    source = "def f(): pass\nclass C:\n    def m(self): pass\n    def _p(self): pass\n"
+    assert public_definitions(source) == [("f", "f"), ("C", "C"), ("C.m", "m")]
+    assert named("from x import f\nC().m\n") == {"f", "C", "m"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_definition_is_named(path, callers_named):
+    unnamed = [qual for qual, name in public_definitions(path.read_text(encoding="utf-8"))
+               if name not in callers_named]
+    assert unnamed == []
