@@ -28,7 +28,6 @@ from .support import (
     ellipse,
     make_support_fn,
     perimeter,
-    radial_function,
     scaled,
 )
 from .ops import (

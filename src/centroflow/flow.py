@@ -194,12 +194,11 @@ class _RowRecorder:
         ca3 = ca2 / arr
 
         chain = ops.polar_chain(body)
-        p = chain.polar_dense
-        idx = np.array(self.probe_idx) * (p.size // n)
-        probe = p[idx]
-        probe_rate = p[idx] ** 4 * chain.polar_curvature[idx]
+        idx = list(self.probe_idx)
+        probe = chain.polar[idx]
+        probe_rate = probe ** 4 * chain.polar_curvature[idx]
 
-        gamma = chain.centroid_samples(v, n)
+        gamma = chain.centroid_samples(v)
         v_gamma = 0.5 * (2.0 * np.pi / n) * np.dot(gamma, curvature_samples(gamma))
         bp = v_gamma / v
 

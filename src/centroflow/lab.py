@@ -157,7 +157,7 @@ def deficit_report(h: SupportFn, body_id: str = "", with_bm: bool = False) -> De
     """
     v = area(h)
     chain = ops.polar_chain(h)
-    gamma = SupportFn(chain.centroid_samples(v, h.n), symmetric=True)
+    gamma = SupportFn(chain.centroid_samples(v), symmetric=True)
     lut = chain.identity_residual(gamma.samples) / float(np.max(gamma.samples))
     lam = ops.curvature_image(h)
     d_bm = None
@@ -333,6 +333,12 @@ class FuzzReport:
         return {"count": self.count, "seed": self.seed, "checks": self.checks}
 
 
+def _fuzz_spec(seed: int, i: int, n: int) -> BodySpec:
+    """Recipe of the i-th body of the fuzz campaign started at ``seed``."""
+    return BodySpec(seed=seed + i, n=n, mode_count=2 + (i % 4),
+                    decay=1.3 + 0.2 * (i % 5), amplitude=0.1 + 0.08 * (i % 11))
+
+
 def fuzz_campaign(count: int, seed: int, n: int = 256) -> FuzzReport:
     """Evaluate the inequality suite on ``count`` seeded bodies.
 
@@ -354,9 +360,7 @@ def fuzz_campaign(count: int, seed: int, n: int = 256) -> FuzzReport:
             mins[name] = (value, body_seed)
 
     for i in range(count):
-        spec = BodySpec(seed=seed + i, n=n,
-                        mode_count=2 + (i % 4), decay=1.3 + 0.2 * (i % 5),
-                        amplitude=0.1 + 0.08 * (i % 11))
+        spec = _fuzz_spec(seed, i, n)
         body = random_body(spec)
         v = area(body)
         rep = deficit_report(body, body_id=str(spec.seed))

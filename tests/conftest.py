@@ -43,6 +43,13 @@ def mild_bodies():
     return out
 
 
+@pytest.fixture(scope="session")
+def fuzz_bodies():
+    """The 20 bodies of the n=256 fuzz campaign with seed 1."""
+    from centroflow.lab import _fuzz_spec
+    return [random_body(_fuzz_spec(1, i, 256)) for i in range(20)]
+
+
 def near_floor_body(n=64):
     """1 + (1/3 + 1e-12) cos 2 theta: min S = -3.0e-12, inside SupportFn's
     roundoff floor of -1e-10 max h, so it loads as a valid body."""

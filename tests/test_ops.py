@@ -29,6 +29,7 @@ from centroflow import (
 )
 from centroflow.errors import GridMismatch
 from centroflow.lab import deficit_report, groemer_gap, petty_projection_product
+from centroflow.ops import polar_chain
 from centroflow.spectral import angles, rotate
 
 from conftest import near_floor_body
@@ -46,7 +47,7 @@ class TestPolar:
         p = polar_body(ellipse(2.0, 1.0, 0.0, 256))
         want = np.sqrt(0.25 * np.cos(TH) ** 2 + np.sin(TH) ** 2)
         assert np.max(np.abs(p.samples - want)) < 1e-9
-        # off-axis and more eccentric; the radial inversion is exact to roundoff
+        # off-axis and more eccentric; the change of variables is exact to roundoff
         off = polar_body(ellipse(2.0, 0.6, 0.4, 256))
         want = ellipse(1 / 2.0, 1 / 0.6, 0.4, 256).samples
         assert np.max(np.abs(off.samples - want)) <= 1e-13
@@ -260,6 +261,26 @@ class TestLutwakIdentity:
     def test_wobble(self, wobble):
         g = centroid_body(wobble)
         assert lutwak_identity_check(wobble) <= 1e-5 * np.max(g.samples)
+
+    def test_through_public_operators(self, mild_bodies, fuzz_bodies):
+        # lutwak_identity_check reads both sides off one set of rho^3 modes,
+        # so it is near roundoff by construction; here the right-hand side
+        # runs through the polar, the curvature image and the projection
+        for b in mild_bodies + fuzz_bodies:
+            g = centroid_body(b).samples
+            pi_lam = projection_body(curvature_image(polar_body(b))).samples
+            want = (2.0 / (3.0 * polar_area(b))) * pi_lam
+            assert np.max(np.abs(g - want)) <= 1e-5 * np.max(want)
+
+
+class TestPolarChain:
+    def test_lambda_area_below_polar_area(self, fuzz_bodies):
+        # V(Lambda K*) <= V(K*) is the sign of the flow's ratio derivative;
+        # the two areas come from different quadratures, so check it
+        from centroflow.lab import _stability_base
+        for b in [_stability_base(seed, 128) for seed in range(10)] + fuzz_bodies:
+            chain = polar_chain(b)
+            assert chain.v_lambda_star <= chain.v_star
 
 
 class TestConvexityFloor:

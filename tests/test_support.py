@@ -16,11 +16,11 @@ from centroflow import (
     ellipse,
     make_support_fn,
     perimeter,
-    radial_function,
     scaled,
 )
 from centroflow.spectral import angles, fourier_coeffs, resample
-from centroflow.support import boundary_points, check_same_grid, radial_samples
+from centroflow.support import (RADIAL_OVERSAMPLE, boundary_points, check_same_grid,
+                                radial_powers)
 
 import oracles
 
@@ -169,34 +169,32 @@ class TestLinearMap:
 
 
 class TestRadial:
-    def test_disk(self):
-        rho = radial_function(disk(1.7, 128))
-        assert np.max(np.abs(rho.samples - 1.7)) < 1e-9
-
-    def test_ellipse_axes(self):
-        rho = radial_function(ellipse(2.0, 1.0, 0.0, 256))
-        assert rho.samples[0] == pytest.approx(2.0, abs=1e-8)
-        assert rho.samples[64] == pytest.approx(1.0, abs=1e-8)
-
     def test_matches_boundary_parametrization_oracle(self, wobble):
-        rho = radial_function(wobble)
+        rho = radial_powers(wobble.samples, [1])[0]
         want = oracles.radial_by_boundary(wobble, angles(wobble.n))
-        assert np.max(np.abs(rho.samples - want)) < 1e-8
+        assert np.max(np.abs(rho - want)) < 1e-8
+
+    def test_powers_are_one_pass(self, wobble):
+        rho3, inv = radial_powers(wobble.samples, [3, -1])
+        rho = radial_powers(wobble.samples, [1])[0]
+        assert np.max(np.abs(rho3 - rho ** 3)) < 1e-10
+        assert np.max(np.abs(inv * rho - 1.0)) < 1e-10
 
     def test_interpolant_nonconvex_between_nodes(self):
         # this stability body is convex at its 128 nodes, but its interpolant
-        # has h + h'' < 0 between some of them; the bracketed inversion must
-        # still land on the boundary: 1/rho against the polar support
-        # max_t cos(t - phi) / h(t) on a 64x finer grid
+        # has h + h'' < 0 between some of them; the change of variables must
+        # still land on the boundary: rho against 1 / (the polar support
+        # max_t cos(t - phi) / h(t) on a 64x finer grid), taken on the
+        # RADIAL_OVERSAMPLE grid and band-limited to the body's n grid
         from centroflow.lab import _stability_base
         body = _stability_base(4, 128)
-        m = 4 * body.n
         t = angles(64 * body.n)
         h = resample(body.samples, t.size)
         want = np.concatenate([
             1.0 / np.max(np.cos(t[None, :] - phi[:, None]) / h, axis=1)
-            for phi in np.split(angles(m), 8)])
-        assert np.max(np.abs(radial_samples(body.samples, m) - want)) < 1e-5
+            for phi in np.split(angles(RADIAL_OVERSAMPLE * body.n), 32)])
+        got = radial_powers(body.samples, [1])[0]
+        assert np.max(np.abs(got - resample(want, body.n))) < 1e-5
 
 
 def test_boundary_points_off_grid_match_coefficients():
