@@ -3,10 +3,14 @@
 The stepper is explicit RK4 with a curvature-aware step size
 dt = cfl * min( dtheta^2 * min(h^2 S^2), min(h^3 S) ); the first term is the
 parabolic stability bound of the linearized operator, the second keeps a
-single step from collapsing the support.  After each step, spectral modes
-above 2n/3 are zeroed (the nonlinearity feeds energy into the tail, which
-would otherwise trigger spurious convexity loss), and for symmetric data the
-odd modes are projected out.
+single step from collapsing the support.  Its state is the rfft coefficients
+of h: a stage takes h and S = h + h'' to the grid by one inverse FFT of the
+stacked [h_k, (1 - k^2) h_k], checks that both are positive, and returns
+the speed's coefficients by one forward FFT; the first stage reuses the
+(h, S) of the step's start.  The update is masked to the even modes up to
+n/3: the modes above that are dealiased away (the nonlinearity feeds energy
+into the tail, which would otherwise trigger spurious convexity loss) and
+the odd modes are projected out (the data are origin-symmetric).
 
 A trace row is recorded every ``renormalize_every`` accepted steps; each row
 carries the monitored functionals, the SL(2) position of least perimeter with
@@ -141,15 +145,20 @@ def flow_speed(h: SupportFn) -> GridFn:
     return GridFn(-1.0 / (h.samples ** 2 * s))
 
 
-class _StageBlowup(Exception):
-    pass
+def _grid_values(spec: np.ndarray, multipliers: np.ndarray, t: float) -> np.ndarray:
+    """Grid samples of h and S = h + h'' (rows of one array) from the rfft
+    coefficients ``spec`` of h, by one inverse FFT of the stacked
+    ``multipliers * spec``; raises ConvexityLost(t) unless all are positive."""
+    hs = np.fft.irfft(multipliers * spec, 2 * (spec.size - 1))
+    if hs.min() <= 0.0:
+        raise ConvexityLost(t)
+    return hs
 
 
-def _rhs(x: np.ndarray) -> np.ndarray:
-    s = curvature_samples(x)
-    if np.min(s) <= 0.0 or np.min(x) <= 0.0:
-        raise _StageBlowup
-    return -1.0 / (x * x * s)
+def _speed_coeffs(hs: np.ndarray) -> np.ndarray:
+    """rfft coefficients of the speed -1/(h^2 S) from the rows (h, S)."""
+    h, s = hs
+    return np.fft.rfft(-1.0 / (h * h * s))
 
 
 def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
@@ -263,17 +272,20 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     n = arr.size
     dth = 2.0 * np.pi / n
     quad_w = 0.5 * dth
-    kmax = n // 3
+    k = np.arange(n // 2 + 1)
+    multipliers = np.stack([np.ones(k.size), spectral.curvature_multiplier(n)])  # h, h + h''
+    # even modes up to n/3: dealiasing, and origin symmetry kept exactly
+    keep = ((k <= n // 3) & (k % 2 == 0)).astype(float)
 
     recorder = _RowRecorder(n)
+    spec = np.fft.rfft(arr)
     t = 0.0
     steps = 0
     stop_reason = None
 
     while True:
-        s = curvature_samples(arr)
-        if np.min(s) <= 0.0 or np.min(arr) <= 0.0:
-            raise ConvexityLost(t)
+        hs = _grid_values(spec, multipliers, t)
+        arr, s = hs
         v = quad_w * float(np.dot(arr, s))
 
         if v <= cfg.t_stop_area:
@@ -289,27 +301,20 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
             break
 
         dt = cfg.cfl * min(
-            dth * dth * float(np.min((arr * s) ** 2)),
-            float(np.min(arr ** 3 * s)),
+            dth * dth * float(((arr * s) ** 2).min()),
+            float((arr ** 3 * s).min()),
         )
         if dt < 1e-16 * max(t, 1e-3):
             raise StepUnderflow(f"dt={dt:.3g} at t={t:.9g}")
         if cfg.t_stop is not None:
             dt = min(dt, cfg.t_stop - t)
 
-        try:
-            k1 = _rhs(arr)
-            k2 = _rhs(arr + 0.5 * dt * k1)
-            k3 = _rhs(arr + 0.5 * dt * k2)
-            k4 = _rhs(arr + dt * k3)
-        except _StageBlowup:
-            raise ConvexityLost(t) from None
-        arr = arr + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        spec = np.fft.rfft(arr)
-        spec[kmax + 1:] = 0.0
-        spec[1::2] = 0.0  # origin symmetry is preserved exactly
-        arr = np.fft.irfft(spec, n)
+        # RK4 on the coefficients; stage 1 is the loop-top (h, S)
+        k1 = _speed_coeffs(hs)
+        k2 = _speed_coeffs(_grid_values(spec + 0.5 * dt * k1, multipliers, t))
+        k3 = _speed_coeffs(_grid_values(spec + 0.5 * dt * k2, multipliers, t))
+        k4 = _speed_coeffs(_grid_values(spec + dt * k3, multipliers, t))
+        spec = keep * (spec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
         t += dt
         steps += 1

@@ -8,15 +8,17 @@ objectives are geodesically convex, so a local minimum is the global one.
 Every quantity is read off one boundary sampling of the body
 (``_BoundaryForms``).  The perimeter minimum comes from a majorize-minimize
 fixed-point iteration in M started at the identity; the Banach-Mazur search
-is Nelder-Mead with a fixed initial simplex started at that minimum.
+is Nelder-Mead (``minimize``, an in-package copy of scipy's method) with a
+fixed initial simplex started at that minimum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import spectral
 from .errors import OptimizationFailed
@@ -155,26 +157,111 @@ def _perimeter_minimum(forms: _BoundaryForms) -> tuple[float, float]:
     return float(s), float(0.5 * np.arctan2(-e, d) % np.pi)
 
 
-def _bm_search(forms: _BoundaryForms, start: tuple[float, float], short: bool
-               ) -> BMCertificate:
+class _Minimum(NamedTuple):
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def _by_value(vertex: list) -> tuple[bool, float]:
+    """Sort key ranking vertices by value, NaN last (numpy's order)."""
+    return vertex[0] != vertex[0], vertex[0]
+
+
+def minimize(fun, simplex, xatol: float, fatol: float, maxiter: int, maxfev: int
+             ) -> _Minimum:
+    """Nelder-Mead minimum of ``fun`` from the vertices ``simplex``.
+
+    This is scipy.optimize.minimize(method="Nelder-Mead") with
+    ``initial_simplex`` and these options, operation for operation:
+    reflection 1, expansion 2, contraction 1/2 and shrink 1/2; the vertices
+    sorted stably by value after each iteration; a stop once every vertex
+    lies within ``xatol`` of the best in each coordinate and within ``fatol``
+    of it in value, after ``maxiter`` iterations, or at the evaluation that
+    would exceed ``maxfev``, which abandons the iteration it falls in.  So x,
+    fun and nfev agree with scipy's to the bit.
+    """
+    nfev = 0
+
+    def evaluate(x: list[float]) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(x)
+
+    sim = [[math.inf, [float(c) for c in vertex]] for vertex in simplex]
+    dim = len(sim) - 1
+    try:
+        for vertex in sim:
+            vertex[0] = evaluate(vertex[1])
+    except _BudgetSpent:
+        pass
+    sim.sort(key=_by_value)
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        (f_best, best), (f_next, _), (f_worst, worst) = sim[0], sim[-2], sim[-1]
+        if (all(abs(c - b) <= xatol for _, x in sim[1:] for c, b in zip(x, best))
+                and all(abs(f_best - f) <= fatol for f, _ in sim[1:])):
+            break
+        try:
+            xbar = [sum(c[1:], c[0]) / dim for c in zip(*(x for _, x in sim[:-1]))]
+            xr = [2.0 * b - w for b, w in zip(xbar, worst)]
+            fr = evaluate(xr)
+            if fr < f_best:
+                xe = [3.0 * b - 2.0 * w for b, w in zip(xbar, worst)]
+                fe = evaluate(xe)
+                sim[-1] = [fe, xe] if fe < fr else [fr, xr]
+            elif fr < f_next:
+                sim[-1] = [fr, xr]
+            else:
+                if fr < f_worst:  # contract outside
+                    xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+                    fc = evaluate(xc)
+                    shrink = not fc <= fr
+                else:  # contract inside
+                    xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+                    fc = evaluate(xc)
+                    shrink = not fc < f_worst
+                if not shrink:
+                    sim[-1] = [fc, xc]
+                else:
+                    for vertex in sim[1:]:
+                        vertex[1] = [b + 0.5 * (c - b) for c, b in zip(vertex[1], best)]
+                        vertex[0] = evaluate(vertex[1])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sim.sort(key=_by_value)
+    # scipy reports min(values), which is NaN if any value is
+    fun_min = sim[0][0] if sim[-1][0] == sim[-1][0] else math.nan
+    return _Minimum(x=np.array(sim[0][1]), fun=fun_min, nfev=nfev)
+
+
+def _bm_search(forms: _BoundaryForms, start: tuple[float, float],
+               start_radii: tuple[float, float], short: bool) -> BMCertificate:
     """Certificate at the (s, phi) minimizing the radii ratio, by Nelder-Mead
-    over (log s, phi) from a fixed simplex at ``start``; a short search stops
-    sooner and falls back to ``start`` if it ends above it."""
+    over (log s, phi) from a fixed simplex at ``start``, where Phi K has the
+    (inradius, circumradius) ``start_radii``; a short search stops sooner and
+    falls back to ``start`` if it ends above it."""
     maxiter, xatol, fatol = (24, 1e-7, 1e-11) if short else (400, 1e-9, 1e-13)
-    s, phi = start
-    f_start = float(forms.ratio(s, phi))
+    (s, phi), (lo, hi) = start, start_radii
+    f_start = float(hi / lo)
     x0 = np.array([np.log(s), phi])
     simplex = np.vstack([x0, x0 + [0.05, 0.0], x0 + [0.0, 0.05]])
-    res = minimize(lambda x: float(forms.ratio(np.exp(x[0]), x[1])), x0, method="Nelder-Mead",
-                   options={"initial_simplex": simplex, "xatol": xatol, "fatol": fatol,
-                            "maxiter": maxiter, "maxfev": 4 * maxiter})
+    res = minimize(lambda x: float(forms.ratio(np.exp(x[0]), x[1])), simplex,
+                   xatol=xatol, fatol=fatol, maxiter=maxiter, maxfev=4 * maxiter)
     if res.fun <= f_start + 1e-12 * max(1.0, abs(f_start)):
         s, phi = float(np.exp(res.x[0])), float(res.x[1])
+        lo, hi = forms.radii(s, phi)
     elif not short:
         raise OptimizationFailed(
             f"refinement went uphill: {res.fun:.12g} > start {f_start:.12g}"
         )
-    lo, hi = forms.radii(s, phi)
     return BMCertificate(distance=float(hi / lo), witness=family_map(s, phi),
                          inner_radius=float(lo), outer_radius=float(hi))
 
@@ -199,7 +286,8 @@ def banach_mazur_to_disk(h: SupportFn) -> BMCertificate:
     """
     require_symmetric(h, "banach_mazur_to_disk")
     forms = _BoundaryForms(h)
-    return _bm_search(forms, _perimeter_minimum(forms), short=False)
+    start = _perimeter_minimum(forms)
+    return _bm_search(forms, start, forms.radii(*start), short=False)
 
 
 def sl2_positions(h: SupportFn) -> tuple[tuple[float, float], tuple[float, float],
@@ -213,7 +301,8 @@ def sl2_positions(h: SupportFn) -> tuple[tuple[float, float], tuple[float, float
     require_symmetric(h, "sl2_positions")
     forms = _BoundaryForms(h)
     start = _perimeter_minimum(forms)
-    return start, forms.radii(*start), _bm_search(forms, start, short=True)
+    radii = forms.radii(*start)
+    return start, radii, _bm_search(forms, start, radii, short=True)
 
 
 def pinching_to_bm_bound(h: SupportFn) -> float:

@@ -134,11 +134,9 @@ CLOSURE_RTOL = 1e-6
 def _solve_curvature(f: np.ndarray) -> np.ndarray:
     """Samples of the solution of h'' + h = f: h_k = f_k / (1 - k^2), with
     the first harmonic (the translations) set to zero."""
-    k = np.arange(f.size // 2 + 1, dtype=float)
-    mult = np.zeros_like(k)
-    mult[0] = 1.0
-    mult[2:] = 1.0 / (1.0 - k[2:] ** 2)
-    return np.fft.irfft(np.fft.rfft(f) * mult, f.size)
+    mult = spectral.curvature_multiplier(f.size)
+    mult[1] = np.inf  # its reciprocal zeroes the first harmonic
+    return np.fft.irfft(np.fft.rfft(f) * (1.0 / mult), f.size)
 
 
 def minkowski_solve(f, symmetric: bool | None = None) -> MinkowskiSolution:

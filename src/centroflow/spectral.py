@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "angles",
     "deriv",
+    "curvature_multiplier",
     "fourier_coeffs",
     "from_coeffs",
     "trig_eval",
@@ -44,6 +45,12 @@ def deriv(samples: np.ndarray, order: int = 1) -> np.ndarray:
     if order % 2:
         f[-1] = 0.0  # Nyquist mode of odd derivatives is ambiguous
     return np.fft.irfft(f, n)
+
+
+def curvature_multiplier(n: int) -> np.ndarray:
+    """The rfft multipliers 1 - k^2, k = 0..n//2, of h -> h + h'' on an n-point
+    grid (Nyquist mode included, as in ``deriv`` of order 2)."""
+    return 1.0 - np.arange(n // 2 + 1, dtype=float) ** 2
 
 
 def fourier_coeffs(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

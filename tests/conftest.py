@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from centroflow import BodySpec, disk, ellipse, make_support_fn, random_body
+from centroflow import (BodySpec, FlowConfig, disk, ellipse, flow_run, make_support_fn,
+                        random_body)
 from centroflow.spectral import angles
 
 settings.register_profile("repro", derandomize=True)
@@ -41,6 +42,13 @@ def mild_bodies():
     out += [random_body(BodySpec(seed=s, mode_count=3, decay=2.0, amplitude=0.3))
             for s in (11, 12, 13)]
     return out
+
+
+@pytest.fixture(scope="session")
+def seeded_trace():
+    """A seeded random body (seed 1, n=64) flowed to area 0.3."""
+    body = random_body(BodySpec(seed=1, n=64, mode_count=3, decay=1.6, amplitude=0.5))
+    return flow_run(body, FlowConfig(cfl=0.1, t_stop_area=0.3, renormalize_every=25))
 
 
 @pytest.fixture(scope="session")

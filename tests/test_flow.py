@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from centroflow import (
-    BodySpec,
     ConvexityLost,
     FlowConfig,
     LinearMap2,
@@ -19,12 +18,11 @@ from centroflow import (
     harnack_and_bounds_monitor,
     make_support_fn,
     normalized_view,
-    random_body,
     sl2_positions,
 )
-from centroflow.flow import TRACE_CSV_COLUMNS, gated_central_difference
+from centroflow.flow import TRACE_CSV_COLUMNS, _grid_values, gated_central_difference
 from centroflow.normalize import family_map
-from centroflow.spectral import angles
+from centroflow.spectral import angles, curvature_multiplier
 
 import oracles
 
@@ -41,12 +39,6 @@ def wobble_trace():
     h0 = make_support_fn(1 + 0.2 * np.cos(2 * th), symmetric=True)
     cfg = FlowConfig(cfl=0.1, t_stop=0.12, renormalize_every=25)
     return flow_run(h0, cfg)
-
-
-@pytest.fixture(scope="module")
-def seeded_trace():
-    body = random_body(BodySpec(seed=1, n=64, mode_count=3, decay=1.6, amplitude=0.5))
-    return flow_run(body, FlowConfig(cfl=0.1, t_stop_area=0.3, renormalize_every=25))
 
 
 class TestSpeed:
@@ -192,6 +184,26 @@ class TestStepperIntegrity:
             errs.append(abs(tr.h_rows[-1][0] - oracles.disk_flow_radius(0.2)))
         order = np.log2(errs[0] / errs[1])
         assert order > 3.8
+
+    def test_rows_match_grid_space_reference(self, seeded_trace):
+        # the stages run on rfft coefficients; the reference runs them on
+        # grid samples, so the two differ by rounding only
+        tr = seeded_trace
+        body = tr.row_body(0)
+        t, rows = oracles.grid_rk4_rows(body.samples, tr.config.cfl,
+                                        tr.config.renormalize_every, tr.steps)
+        assert rows.shape == tr.h_rows.shape
+        assert np.max(np.abs(tr.h_rows - rows)) <= 1e-12 * np.max(rows)
+        assert tr.t == pytest.approx(t, rel=1e-10)
+
+    def test_stage_convexity_check(self):
+        # the stage values come from coefficients: a non-convex stage body
+        # stops the run at the time of the step it falls in
+        spec = np.fft.rfft(1.0 + 0.4 * np.cos(2.0 * angles(64)))
+        multipliers = np.stack([np.ones(spec.size), curvature_multiplier(64)])
+        with pytest.raises(ConvexityLost) as err:
+            _grid_values(spec, multipliers, 0.25)
+        assert err.value.t == 0.25
 
     def test_spatial_resolution_already_converged(self):
         errs = {}

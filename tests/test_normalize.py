@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from centroflow import (
     BodySpec,
@@ -16,7 +17,8 @@ from centroflow import (
 )
 from centroflow.errors import AsymmetricData
 from centroflow.lab import _deficit_targeted_body, _stability_base
-from centroflow.normalize import _BoundaryForms, _bm_search, family_map
+from centroflow.normalize import (_BoundaryForms, _bm_search, _perimeter_minimum,
+                                  family_map, minimize)
 
 from conftest import smoothed_square
 import oracles
@@ -159,5 +161,66 @@ class TestGlobalMinima:
                 distance = banach_mazur_to_disk(body).distance
                 forms = _BoundaryForms(body)
                 for start in self.STARTS:
-                    cert = _bm_search(forms, start, short=False)
+                    cert = _bm_search(forms, start, forms.radii(*start), short=False)
                     assert cert.distance == pytest.approx(distance, abs=1e-9)
+
+
+class TestNelderMead:
+    # (maxiter, xatol, fatol) of the short and the cold search
+    SETTINGS = [(24, 1e-7, 1e-11), (400, 1e-9, 1e-13)]
+
+    @staticmethod
+    def problem(body):
+        """The radii-ratio objective over (log s, phi) and the search's
+        initial simplex at the perimeter minimum."""
+        forms = _BoundaryForms(body)
+        s, phi = _perimeter_minimum(forms)
+        x0 = np.array([np.log(s), phi])
+        simplex = np.vstack([x0, x0 + [0.05, 0.0], x0 + [0.0, 0.05]])
+        return (lambda x: float(forms.ratio(np.exp(x[0]), x[1]))), simplex
+
+    @staticmethod
+    def assert_same_as_scipy(fun, simplex, maxiter, xatol, fatol, maxfev):
+        ref = scipy.optimize.minimize(
+            fun, simplex[0], method="Nelder-Mead",
+            options={"initial_simplex": simplex, "xatol": xatol, "fatol": fatol,
+                     "maxiter": maxiter, "maxfev": maxfev})
+        res = minimize(fun, simplex, xatol=xatol, fatol=fatol, maxiter=maxiter,
+                       maxfev=maxfev)
+        np.testing.assert_array_equal(res.x, ref.x)  # NaN equals NaN here
+        np.testing.assert_array_equal(res.fun, ref.fun)
+        assert res.nfev == ref.nfev
+        return ref
+
+    def test_matches_scipy(self, seeded_trace):
+        bodies = [_stability_base(seed, 128) for seed in range(10)]
+        bodies += [seeded_trace.row_body(i) for i in range(0, seeded_trace.rows, 10)]
+        for body in bodies:
+            fun, simplex = self.problem(body)
+            for maxiter, xatol, fatol in self.SETTINGS:
+                self.assert_same_as_scipy(fun, simplex, maxiter, xatol, fatol, 4 * maxiter)
+
+    def test_ties_and_nan_match_scipy(self):
+        # a staircase ties vertex values, so the order of equal vertices
+        # shows; NaN beyond x = 1 sorts last, and a simplex that keeps a NaN
+        # vertex (maxfev 3: no iteration) reports fun NaN
+        def stairs(x):
+            return float(np.floor(4.0 * np.hypot(x[0] - 0.3, x[1] + 0.2)))
+
+        def nan_beyond(x):
+            return float("nan") if x[0] > 1.0 else (x[0] - 2.0) ** 2 + x[1] ** 2
+
+        for fun in (stairs, nan_beyond):
+            for corner in ([0.0, 0.0], [0.8, 0.0], [2.0, -1.0], [-1.5, 0.7]):
+                simplex = np.array(corner) + [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
+                for maxiter, xatol, fatol in self.SETTINGS:
+                    for maxfev in (3, 4 * maxiter):
+                        self.assert_same_as_scipy(fun, simplex, maxiter, xatol, fatol,
+                                                  maxfev)
+
+    def test_stop_on_maxfev_matches_scipy(self):
+        fun, simplex = self.problem(_stability_base(0, 128))
+        for maxfev in (2, 17, 18, 19):  # inside the first simplex, then mid-iteration
+            ref = self.assert_same_as_scipy(fun, simplex, 400, 1e-9, 1e-13, maxfev)
+            assert ref.status == 1  # scipy's "maximum number of evaluations"
+

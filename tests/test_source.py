@@ -1,6 +1,9 @@
 """Source checks on the package modules, using only the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +105,13 @@ def test_detects_unnamed_definition():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_public_definition_is_named(path, callers_named):
     assert unnamed(path.read_text(encoding="utf-8"), *callers_named) == []
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the package and its CLI run on numpy
+    probe = ("import sys, centroflow, centroflow.cli; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
