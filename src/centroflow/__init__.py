@@ -17,16 +17,12 @@ from .errors import (
     StepUnderflow,
 )
 from .support import (
-    CurvatureFn,
-    GridFn,
     LinearMap2,
     SupportFn,
     apply_linear_map,
     area,
-    curvature_function,
     disk,
     ellipse,
-    make_support_fn,
     perimeter,
     scaled,
 )
@@ -56,7 +52,6 @@ from .flow import (
     HarnackReport,
     conservation_checks,
     flow_run,
-    flow_speed,
     harnack_and_bounds_monitor,
     normalized_view,
 )

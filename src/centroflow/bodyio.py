@@ -15,14 +15,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
 
 from . import spectral
-from .support import SupportFn, make_support_fn
+from .support import SupportFn
 
-__all__ = ["body_to_dict", "body_from_dict", "load_body", "save_body",
+__all__ = ["body_to_dict", "body_from_dict", "load_body", "save_body", "number_list",
            "sha256_of_file", "atomic_write_text", "write_lines"]
 
 
@@ -34,16 +35,33 @@ def body_to_dict(h: SupportFn) -> dict:
     }
 
 
+def number_list(value, what: str) -> np.ndarray:
+    """A JSON list of finite numbers as a float array, else ValueError."""
+    if not isinstance(value, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max for v in value):
+        raise ValueError(f"{what} must be a list of finite numbers")
+    return np.array(value, dtype=float)
+
+
 def body_from_dict(data: dict) -> SupportFn:
+    """Validated body from parsed body JSON; any other JSON value raises
+    ValueError or a CentroflowError."""
+    if not isinstance(data, dict):
+        raise ValueError("body JSON must be an object")
+    n = data.get("n")
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int)):
+        raise ValueError("n must be an integer")
     if "h" in data:
-        samples = np.asarray(data["h"], dtype=float)
-        if "n" in data and int(data["n"]) != samples.size:
+        samples = number_list(data["h"], "h")
+        if n is not None and n != samples.size:
             raise ValueError("n does not match the number of samples")
     elif "fourier" in data:
-        n = int(data["n"])
         coeffs = data["fourier"]
-        a_in = np.asarray(coeffs.get("a", []), dtype=float)
-        b_in = np.asarray(coeffs.get("b", []), dtype=float)
+        if n is None or n < 16 or n % 2 or not isinstance(coeffs, dict):
+            raise ValueError("the Fourier form needs an even n >= 16 and a 'fourier' object")
+        a_in = number_list(coeffs.get("a", []), "fourier a")
+        b_in = number_list(coeffs.get("b", []), "fourier b")
         a = np.zeros(n // 2 + 1)
         b = np.zeros(n // 2 + 1)
         a[: a_in.size] = a_in
@@ -51,7 +69,7 @@ def body_from_dict(data: dict) -> SupportFn:
         samples = spectral.from_coeffs(a, b, n)
     else:
         raise ValueError("body JSON needs an 'h' or 'fourier' field")
-    return make_support_fn(samples, symmetric=bool(data.get("symmetric", False)))
+    return SupportFn(samples, symmetric=bool(data.get("symmetric", False)))
 
 
 def load_body(path) -> SupportFn:
@@ -74,11 +92,7 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_lines(target, lines) -> None:
-    """Write each line plus a newline to a path (str or bytes) or an open
-    text stream."""
-    if isinstance(target, (str, bytes)):
-        with open(target, "w", encoding="utf-8") as fh:
-            return write_lines(fh, lines)
+    """Write each line plus a newline to an open text stream."""
     target.writelines(line + "\n" for line in lines)
 
 

@@ -14,8 +14,7 @@ import os
 import shlex
 import sys
 import time
-
-import numpy as np
+from dataclasses import fields
 
 from . import __version__, bodyio, ops
 from .errors import CentroflowError
@@ -46,9 +45,12 @@ def _json_text(obj, **kwargs) -> str:
     return json.dumps(finite(obj), allow_nan=False, **kwargs) + "\n"
 
 
-def _operator_error(message) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_OPERATOR
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when it is unset."""
+    if out:
+        bodyio.atomic_write_text(out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _write_manifest(out_dir: str, argv: list[str], config: dict,
@@ -84,46 +86,36 @@ def _svg_frame(body: SupportFn, path: str) -> None:
 
 def _load_config(args) -> dict:
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("the config file must hold a JSON object")
+        unknown = set(cfg) - {f.name for f in fields(FlowConfig)}
+        if unknown:
+            raise ValueError(f"unknown FlowConfig fields {sorted(unknown)}")
     return cfg
 
 
 def cmd_flow(args, argv) -> int:
     started = time.time()
-    try:
-        body = bodyio.load_body(args.body)
-    except OSError as exc:
-        print(f"error: cannot read body: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (CentroflowError, ValueError) as exc:
-        return _operator_error(f"invalid body at t=0: {exc}")
+    args.error_context = "invalid body at t=0"
+    body = bodyio.load_body(args.body)
 
-    try:
-        overrides = _load_config(args)
-        flags = {"n": args.n, "t_stop_area": args.stop_area, "t_stop": args.t_stop,
-                 "cfl": args.cfl, "renormalize_every": args.every}
-        overrides.update({k: v for k, v in flags.items() if v is not None})
-        cfg = FlowConfig(**overrides)
-    except (TypeError, ValueError) as exc:
-        return _operator_error(f"invalid flow configuration: {exc}")
+    args.error_context = "invalid flow configuration"
+    overrides = _load_config(args)
+    flags = {"n": args.n, "t_stop_area": args.stop_area, "t_stop": args.t_stop,
+             "cfl": args.cfl, "renormalize_every": args.every}
+    overrides.update({k: v for k, v in flags.items() if v is not None})
+    cfg = FlowConfig(**overrides)
+    args.error_context = None
 
     os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    try:
-        trace = flow_run(body, cfg)
-    except CentroflowError as exc:
-        return _operator_error(exc)
+    trace = flow_run(body, cfg)
 
-    trace_path = os.path.join(args.out, "trace.csv")
     buf = io.StringIO()
     trace.to_csv(buf)
-    bodyio.atomic_write_text(trace_path, buf.getvalue())
-    outputs.append("trace.csv")
-
+    bodyio.atomic_write_text(os.path.join(args.out, "trace.csv"), buf.getvalue())
     reports = {
         "estimated_T": trace.estimated_T,
         "steps": trace.steps,
@@ -134,19 +126,16 @@ def cmd_flow(args, argv) -> int:
     }
     bodyio.atomic_write_text(os.path.join(args.out, "report.json"),
                              _json_text(reports, indent=2, sort_keys=True))
-    outputs.append("report.json")
+    outputs = ["trace.csv", "report.json"]
 
     if args.frames:
         os.makedirs(args.frames, exist_ok=True)
+        inside_out = os.path.abspath(args.frames).startswith(os.path.abspath(args.out))
         for i in range(trace.rows):
-            name = f"frame_{i:06d}.svg"
-            _svg_frame(normalized_view(trace, i),
-                       os.path.join(args.frames, name))
-        if os.path.abspath(args.frames).startswith(os.path.abspath(args.out)):
-            outputs.extend(
-                os.path.relpath(os.path.join(args.frames, f"frame_{i:06d}.svg"),
-                                args.out)
-                for i in range(trace.rows))
+            path = os.path.join(args.frames, f"frame_{i:06d}.svg")
+            _svg_frame(normalized_view(trace, i), path)
+            if inside_out:
+                outputs.append(os.path.relpath(path, args.out))
 
     _write_manifest(args.out, argv, {**overrides}, args.body, outputs, started)
     return EXIT_OK
@@ -158,85 +147,57 @@ _OP_NAMES = (*_BODY_OPS, "steiner", "bm", "normalize")
 
 
 def cmd_op(args, argv) -> int:
-    try:
-        body = bodyio.load_body(args.body)
-    except OSError as exc:
-        print(f"error: cannot read body: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (CentroflowError, ValueError) as exc:
-        return _operator_error(f"invalid body: {exc}")
+    args.error_context = "invalid body"
+    body = bodyio.load_body(args.body)
+    args.error_context = None
 
-    try:
-        if args.name in _BODY_OPS:
-            result = bodyio.body_to_dict(_BODY_OPS[args.name](body))
-        elif args.name == "steiner":
-            result = bodyio.body_to_dict(
-                ops.steiner_symmetrize(body, args.axis))
-        elif args.name == "normalize":
-            normalized, witness = sl2_normalize(body)
-            result = bodyio.body_to_dict(normalized)
-            print(f"witness: {witness.as_array().tolist()}", file=sys.stderr)
-        else:  # "bm"; argparse restricts the choices
-            cert = banach_mazur_to_disk(body)
-            result = {
-                "distance": cert.distance,
-                "witness": cert.witness.as_array().tolist(),
-                "inner_radius": cert.inner_radius,
-                "outer_radius": cert.outer_radius,
-                "pinching_bound": pinching_to_bm_bound(body),
-            }
-    except CentroflowError as exc:
-        return _operator_error(exc)
-
-    text = _json_text(result)
-    if args.out:
-        bodyio.atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    if args.name in _BODY_OPS:
+        result = bodyio.body_to_dict(_BODY_OPS[args.name](body))
+    elif args.name == "steiner":
+        result = bodyio.body_to_dict(ops.steiner_symmetrize(body, args.axis))
+    elif args.name == "normalize":
+        normalized, witness = sl2_normalize(body)
+        result = bodyio.body_to_dict(normalized)
+        print(f"witness: {witness.as_array().tolist()}", file=sys.stderr)
+    else:  # "bm"; argparse restricts the choices
+        cert = banach_mazur_to_disk(body)
+        result = {
+            "distance": cert.distance,
+            "witness": cert.witness.as_array().tolist(),
+            "inner_radius": cert.inner_radius,
+            "outer_radius": cert.outer_radius,
+            "pinching_bound": pinching_to_bm_bound(body),
+        }
+    _emit(_json_text(result), args.out)
     return EXIT_OK
 
 
 def cmd_minkowski(args, argv) -> int:
-    try:
-        with open(args.f, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read density: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        return _operator_error(f"invalid density file: {exc}")
+    args.error_context = "invalid density file"
+    with open(args.f, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
-        return _operator_error("the density file must hold a JSON object")
-    try:
-        density = np.asarray(data.get("f", data.get("h", [])), dtype=float)
-        sol = ops.minkowski_solve(density)
-    except (CentroflowError, ValueError) as exc:
-        return _operator_error(exc)
+        raise ValueError("the density file must hold a JSON object")
+    density = bodyio.number_list(data.get("f", data.get("h", [])), "the density")
+    args.error_context = None
+
+    sol = ops.minkowski_solve(density)
     print(f"residual: {sol.residual:.6g}  removed first harmonics: "
           f"{sol.translation_modes_removed}", file=sys.stderr)
-    text = _json_text(bodyio.body_to_dict(sol.h))
-    if args.out:
-        bodyio.atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(_json_text(bodyio.body_to_dict(sol.h)), args.out)
     return EXIT_OK
 
 
 def cmd_fuzz(args, argv) -> int:
     started = time.time()
-    try:
-        report = fuzz_campaign(args.seeds, args.seed, n=args.n)
-    except (CentroflowError, ValueError) as exc:
-        return _operator_error(exc)
+    report = fuzz_campaign(args.seeds, args.seed, n=args.n)
     payload = _json_text(report.as_dict(), indent=2, sort_keys=True)
-    outputs = []
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         bodyio.atomic_write_text(os.path.join(args.out, "fuzz.json"), payload)
-        outputs.append("fuzz.json")
         _write_manifest(args.out, argv,
                         {"seeds": args.seeds, "seed": args.seed, "n": args.n},
-                        None, outputs, started)
+                        None, ["fuzz.json"], started)
     else:
         sys.stdout.write(payload)
     if report.worst() < GAP_FLOOR:
@@ -247,11 +208,7 @@ def cmd_fuzz(args, argv) -> int:
 
 def cmd_stability(args, argv) -> int:
     started = time.time()
-    try:
-        result = stability_experiment(args.samples, args.seed, n=args.n)
-    except (CentroflowError, ValueError) as exc:
-        return _operator_error(exc)
-    outputs = []
+    result = stability_experiment(args.samples, args.seed, n=args.n)
     summary = {
         "gamma": result.gamma,
         "fit_exponent": result.fit_exponent,
@@ -269,10 +226,9 @@ def cmd_stability(args, argv) -> int:
                                  buf.getvalue())
         bodyio.atomic_write_text(os.path.join(args.out, "summary.json"),
                                  _json_text(summary, indent=2, sort_keys=True))
-        outputs += ["scatter.csv", "summary.json"]
         _write_manifest(args.out, argv,
                         {"samples": args.samples, "seed": args.seed, "n": args.n},
-                        None, outputs, started)
+                        None, ["scatter.csv", "summary.json"], started)
     else:
         sys.stdout.write(_json_text(summary, indent=2, sort_keys=True))
     if any(s.eps < GAP_FLOOR for s in result.samples):
@@ -327,8 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one error boundary.  An I/O error exits 3, bad
+    input or an operator failure 2, each with one ``error:`` line, prefixed
+    by the ``args.error_context`` a command sets while it reads its inputs."""
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
+    args.error_context = None
     handlers = {
         "flow": cmd_flow,
         "op": cmd_op,
@@ -341,6 +301,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (CentroflowError, ValueError) as exc:
+        prefix = f"{args.error_context}: " if args.error_context else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return EXIT_OPERATOR
 
 
 if __name__ == "__main__":

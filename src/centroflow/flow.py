@@ -21,7 +21,8 @@ to verify the evolution laws after the run.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -29,13 +30,11 @@ from . import ops, spectral
 from .bodyio import write_lines
 from .errors import ConvexityLost, StepUnderflow
 from .normalize import family_map, normalized_image, sl2_positions
-from .support import (GridFn, SupportFn, curvature_function, curvature_samples,
-                      require_symmetric)
+from .support import SupportFn, area_quadrature, curvature_samples, require_symmetric
 
 __all__ = [
     "FlowConfig",
     "FlowTrace",
-    "flow_speed",
     "flow_run",
     "normalized_view",
     "conservation_checks",
@@ -77,15 +76,22 @@ class FlowConfig:
     t_stop: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):  # the fields may come from a JSON config
+            value = getattr(self, f.name)
+            if value is None and f.type.endswith("None"):
+                continue
+            kind = numbers.Integral if f.type.startswith("int") else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be of type {f.type}")
         if not (0.0 < self.cfl <= 0.5):
             raise ValueError("cfl must lie in (0, 0.5]")
-        if self.t_stop_area <= 0.0:
+        if not self.t_stop_area > 0.0:
             raise ValueError("t_stop_area must be positive")
         if self.n is not None and (self.n < 16 or self.n % 2):
             raise ValueError("n must be an even integer >= 16")
         if self.renormalize_every < 1 or self.max_steps < 1:
             raise ValueError("cadence and step cap must be positive")
-        if self.t_stop is not None and self.t_stop <= 0.0:
+        if self.t_stop is not None and not self.t_stop > 0.0:
             raise ValueError("t_stop must be positive")
 
 
@@ -119,7 +125,6 @@ class FlowTrace:
     ca2_rows: np.ndarray
     polar_probe: np.ndarray
     polar_probe_rate: np.ndarray
-    probe_indices: tuple
     estimated_T: float
     stop_reason: str
     steps: int
@@ -137,12 +142,6 @@ class FlowTrace:
         cols = [getattr(self, name) for name in TRACE_CSV_COLUMNS]
         write_lines(target, [",".join(TRACE_CSV_COLUMNS)] + [
             ",".join(f"{c[i]:.17g}" for c in cols) for i in range(self.rows)])
-
-
-def flow_speed(h: SupportFn) -> GridFn:
-    """Pointwise speed -1/(h^2 S)."""
-    s = curvature_function(h).samples
-    return GridFn(-1.0 / (h.samples ** 2 * s))
 
 
 def _grid_values(spec: np.ndarray, multipliers: np.ndarray, t: float) -> np.ndarray:
@@ -188,8 +187,7 @@ class _RowRecorder:
     """Accumulates trace rows."""
 
     def __init__(self, n: int):
-        self.n = n
-        self.probe_idx = (0, n // 3, (2 * n) // 3)
+        self.probe_idx = [0, n // 3, (2 * n) // 3]
         self.scalar_rows: list[dict] = []
         self.h_rows: list[np.ndarray] = []
         self.ca2_rows: list[np.ndarray] = []
@@ -197,19 +195,16 @@ class _RowRecorder:
         self.probe_rate_rows: list[np.ndarray] = []
 
     def record(self, t: float, arr: np.ndarray, s: np.ndarray, v: float) -> None:
-        n = self.n
         body = SupportFn(arr, symmetric=True)
         ca2 = 1.0 / (s * arr ** 2)
         ca3 = ca2 / arr
 
         chain = ops.polar_chain(body)
-        idx = list(self.probe_idx)
-        probe = chain.polar[idx]
-        probe_rate = probe ** 4 * chain.polar_curvature[idx]
+        probe = chain.polar[self.probe_idx]
+        probe_rate = probe ** 4 * chain.polar_curvature[self.probe_idx]
 
         gamma = chain.centroid_samples(v)
-        v_gamma = 0.5 * (2.0 * np.pi / n) * np.dot(gamma, curvature_samples(gamma))
-        bp = v_gamma / v
+        bp = area_quadrature(gamma, curvature_samples(gamma)) / v
 
         (norm_s, norm_phi), (r_minus, r_plus), cert = sl2_positions(body)
         scale = np.sqrt(np.pi / v)
@@ -246,19 +241,17 @@ class _RowRecorder:
                 raise ValueError("trace times are not strictly increasing")
             if not np.all(np.diff(cols["area"]) < 0):
                 raise ValueError("trace areas are not strictly decreasing")
-        trace = FlowTrace(
+        return FlowTrace(
             **cols,
             h_rows=np.array(self.h_rows),
             ca2_rows=np.array(self.ca2_rows),
             polar_probe=np.array(self.probe_rows),
             polar_probe_rate=np.array(self.probe_rate_rows),
-            probe_indices=self.probe_idx,
             estimated_T=_estimate_extinction(cols["t"], cols["area"]),
             stop_reason=stop_reason,
             steps=steps,
             config=cfg,
         )
-        return trace
 
 
 def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
@@ -271,7 +264,6 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
         SupportFn(arr, symmetric=True)  # validate the regridded data
     n = arr.size
     dth = 2.0 * np.pi / n
-    quad_w = 0.5 * dth
     k = np.arange(n // 2 + 1)
     multipliers = np.stack([np.ones(k.size), spectral.curvature_multiplier(n)])  # h, h + h''
     # even modes up to n/3: dealiasing, and origin symmetry kept exactly
@@ -286,7 +278,7 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     while True:
         hs = _grid_values(spec, multipliers, t)
         arr, s = hs
-        v = quad_w * float(np.dot(arr, s))
+        v = area_quadrature(arr, s)
 
         if v <= cfg.t_stop_area:
             stop_reason = "area_threshold"

@@ -32,9 +32,9 @@ import numpy as np
 from . import spectral
 from .errors import ClosureViolated, NonConvex, NonConvexSolution, NonPositive
 from .support import (
-    CurvatureFn,
     SupportFn,
     area,
+    area_quadrature,
     boundary_points,
     check_same_grid,
     curvature_samples,
@@ -60,7 +60,11 @@ __all__ = [
 
 def polar_area(h: SupportFn) -> float:
     """Area of the polar body, (1/2) * integral of h^-2 d theta."""
-    return float(0.5 * (2.0 * np.pi / h.n) * np.sum(h.samples ** -2))
+    return _polar_area(h.samples)
+
+
+def _polar_area(samples: np.ndarray) -> float:
+    return float(0.5 * (2.0 * np.pi / samples.size) * np.sum(samples ** -2))
 
 
 def polar_body(h: SupportFn) -> SupportFn:
@@ -109,8 +113,7 @@ def projection_body(h: SupportFn) -> SupportFn:
 def mixed_volume(h_k: SupportFn, h_l: SupportFn) -> float:
     """V(K, L) = (1/2) * integral of h_L dS_K; symmetric in its arguments."""
     check_same_grid(h_k, h_l)
-    s_k = curvature_samples(h_k.samples)
-    return float(0.5 * (2.0 * np.pi / h_k.n) * np.dot(h_l.samples, s_k))
+    return area_quadrature(h_l.samples, curvature_samples(h_k.samples))
 
 
 @dataclass(frozen=True)
@@ -145,17 +148,12 @@ def minkowski_solve(f, symmetric: bool | None = None) -> MinkowskiSolution:
     Diagonal in Fourier space: h_k = f_k / (1 - k^2) for k != 1.  The
     first harmonic of f must vanish (closure of the boundary curve); the
     first harmonic of h is set to zero, fixing the body up to translation.
-
-    Accepts a CurvatureFn or a raw sample array.
     """
-    if isinstance(f, CurvatureFn):
-        density = f.density()
-    else:
-        density = np.asarray(f, dtype=float)
-        if density.ndim != 1 or not np.all(np.isfinite(density)):
-            raise ValueError("curvature density must be a finite 1-D sequence")
-        if np.min(density) <= 0.0:
-            raise NonConvex("curvature density must be strictly positive")
+    density = np.asarray(f, dtype=float)
+    if density.ndim != 1 or density.size < 16 or density.size % 2 or not np.all(np.isfinite(density)):
+        raise ValueError("curvature density must be finite, 1-D and of even size >= 16")
+    if np.min(density) <= 0.0:
+        raise NonConvex("curvature density must be strictly positive")
     n = density.size
     fmax = float(np.max(np.abs(density)))
     a, b = spectral.fourier_coeffs(density)
@@ -256,8 +254,8 @@ def steiner_symmetrize(h: SupportFn, axis_angle: float) -> SupportFn:
 
 @dataclass(frozen=True)
 class PolarChain:
-    """The polar body, the curvature image of the polar and their areas, on
-    the body's n grid from one pass of ``radial_powers``.
+    """The polar body, its area and the area of its curvature image, on the
+    body's n grid from one pass of ``radial_powers``.
 
     V(K*) is ``polar_area`` of the body and V(K**) is V(K).  The two areas
     of ``v_lambda_star - v_star`` come from different quadratures (the modes
@@ -272,7 +270,6 @@ class PolarChain:
     polar_curvature: np.ndarray  # S* = h_{K*} + h_{K*}''
     rho_cubed: np.ndarray        # rho^3, density of the centroid body
     v_star: float                # V(K*)
-    lambda_support: np.ndarray   # support of Lambda K*
     v_lambda_star: float         # V(Lambda K*)
 
     def centroid_samples(self, v_body: float) -> np.ndarray:
@@ -285,8 +282,12 @@ class PolarChain:
 
             h_{Gamma K} = (2 / (3 V(K*))) * h_{Pi Lambda K*},
 
-        for centroid-body samples ``gamma``."""
-        pi_lam = 0.5 * _abs_cos_transform(curvature_samples(self.lambda_support))
+        for centroid-body samples ``gamma`` (from rho^3).  The right-hand side
+        comes from the ``polar`` row alone: Lambda K* has surface density
+        (V(K*) / V(K**)) h_{K*}^-3 with V(K**) = (1/2) integral of h_{K*}^-2,
+        and Pi of a body is half the |cos| transform of its surface density."""
+        v_bipolar = _polar_area(self.polar)
+        pi_lam = 0.5 * (self.v_star / v_bipolar) * _abs_cos_transform(self.polar ** -3)
         return float(np.max(np.abs(gamma - (2.0 / (3.0 * self.v_star)) * pi_lam)))
 
     def ratio_derivative(self, v_body: float) -> float:
@@ -297,15 +298,14 @@ class PolarChain:
 
 
 def polar_chain(h: SupportFn) -> PolarChain:
-    """Polar body, its curvature image, and their areas."""
+    """Polar body, its area, and the area of its curvature image."""
     require_symmetric(h, "polar_chain")
     rho3, p = radial_powers(h.samples, [3, -1])
     v_star = polar_area(h)
     # Lambda K* has surface density (V(K*) / V(K**)) h_{K*}^-3, and V(K**) = V(K)
     lam = _solve_curvature((v_star / area(h)) * rho3)
-    v_lam = float(0.5 * (2.0 * np.pi / h.n) * np.dot(lam, curvature_samples(lam)))
-    return PolarChain(polar=p, polar_curvature=curvature_samples(p), rho_cubed=rho3,
-                      v_star=v_star, lambda_support=lam, v_lambda_star=v_lam)
+    return PolarChain(polar=p, polar_curvature=curvature_samples(p), rho_cubed=rho3, v_star=v_star,
+                      v_lambda_star=area_quadrature(lam, curvature_samples(lam)))
 
 
 def lutwak_identity_check(h: SupportFn) -> float:

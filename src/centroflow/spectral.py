@@ -87,19 +87,19 @@ def from_coeffs(a: np.ndarray, b: np.ndarray, n: int | None = None) -> np.ndarra
     return np.fft.irfft(f, n)
 
 
-def trig_eval(samples: np.ndarray, theta, order: int = 0) -> np.ndarray | float:
+def trig_eval(samples: np.ndarray, theta: np.ndarray, order: int = 0) -> np.ndarray:
     """Evaluate the trigonometric interpolant, or its derivative of the given
     order (Nyquist mode included, unlike ``deriv``), at arbitrary angles:
     Horner's rule in z = exp(i theta) for the real part of
     sum_k (i k)^order (a_k - i b_k) z^k."""
     a, b = fourier_coeffs(samples)
     coef = (1j * np.arange(a.size)) ** order * (a - 1j * b)
-    z = np.exp(1j * np.atleast_1d(np.asarray(theta, dtype=float)))
+    z = np.exp(1j * np.asarray(theta, dtype=float))
     out = np.full(z.shape, coef[-1])
     for c in coef[-2::-1]:
         out *= z
         out += c
-    return out.real if np.ndim(theta) else float(out.real[0])
+    return out.real
 
 
 def resample(samples: np.ndarray, m: int) -> np.ndarray:

@@ -23,13 +23,10 @@ from .errors import AsymmetricData, GridMismatch, NonConvex, NonPositive
 
 __all__ = [
     "SupportFn",
-    "CurvatureFn",
-    "GridFn",
     "LinearMap2",
-    "make_support_fn",
     "require_symmetric",
     "curvature_samples",
-    "curvature_function",
+    "area_quadrature",
     "area",
     "perimeter",
     "apply_linear_map",
@@ -94,65 +91,6 @@ class SupportFn:
 
 
 @dataclass(frozen=True)
-class CurvatureFn:
-    """Samples of a curvature function S = h'' + h, with a scalar weight.
-
-    The represented surface-density is ``weight * samples``.  Positivity is
-    enforced; the closure condition (vanishing first harmonics) holds
-    automatically for curvature functions of bodies and is exposed through
-    :meth:`closure_residual` so candidate densities can be screened.
-    """
-
-    samples: np.ndarray
-    weight: float = 1.0
-
-    def __post_init__(self):
-        x = np.array(self.samples, dtype=float)
-        if x.ndim != 1 or x.size < 16 or x.size % 2:
-            raise ValueError("curvature samples must be 1-D with even size >= 16")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("curvature samples must be finite")
-        if np.min(x) <= 0.0 or self.weight <= 0.0:
-            raise NonConvex("curvature density must be strictly positive")
-        x.setflags(write=False)
-        object.__setattr__(self, "samples", x)
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
-    def density(self) -> np.ndarray:
-        return self.weight * self.samples
-
-    def closure_residual(self) -> float:
-        """max of |integral of density * cos| and |integral of density * sin|."""
-        d = self.density()
-        th = spectral.angles(self.n)
-        w = 2.0 * np.pi / self.n
-        return float(
-            max(abs(w * np.sum(d * np.cos(th))), abs(w * np.sum(d * np.sin(th))))
-        )
-
-
-@dataclass(frozen=True)
-class GridFn:
-    """Generic periodic scalar field on the angular grid."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        x = np.array(self.samples, dtype=float)
-        if x.ndim != 1 or not np.all(np.isfinite(x)):
-            raise ValueError("grid samples must be a finite 1-D sequence")
-        x.setflags(write=False)
-        object.__setattr__(self, "samples", x)
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
 class LinearMap2:
     """Invertible 2x2 matrix [[a, b], [c, d]] acting on bodies."""
 
@@ -168,14 +106,6 @@ class LinearMap2:
     @property
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
-
-    def is_sl2(self, tol: float = 1e-10) -> bool:
-        return abs(self.det - 1.0) <= tol
-
-    def require_sl2(self, tol: float = 1e-10) -> "LinearMap2":
-        if not self.is_sl2(tol):
-            raise ValueError(f"det={self.det:.12g} is not 1 within {tol:g}")
-        return self
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
@@ -207,11 +137,6 @@ class LinearMap2:
         return self.inverse().transpose()
 
 
-def make_support_fn(samples, symmetric: bool = False) -> SupportFn:
-    """Validated constructor; accepts any 1-D float sequence."""
-    return SupportFn(np.asarray(samples, dtype=float), symmetric=symmetric)
-
-
 def require_symmetric(h: SupportFn, op: str) -> None:
     """Raise AsymmetricData unless ``h`` is flagged origin-symmetric."""
     if not h.symmetric:
@@ -223,18 +148,16 @@ def curvature_samples(samples: np.ndarray) -> np.ndarray:
     return samples + spectral.deriv(samples, 2)
 
 
-def curvature_function(h: SupportFn) -> CurvatureFn:
-    """Curvature samples S = h'' + h, computed spectrally."""
-    s = curvature_samples(h.samples)
-    if np.min(s) <= 0.0:
-        raise NonConvex(f"min curvature {np.min(s):.6g} <= 0")
-    return CurvatureFn(s)
+def area_quadrature(h: np.ndarray, s: np.ndarray) -> float:
+    """(1/2) * integral of h * s d theta on the uniform grid: the area when s
+    is the curvature h + h'' of the same samples, the mixed volume V(K, L)
+    when h is the support of L and s the curvature of K."""
+    return float(0.5 * (2.0 * np.pi / h.size) * np.dot(h, s))
 
 
 def area(h: SupportFn) -> float:
     """Enclosed area, (1/2) * integral of h * (h'' + h) d theta."""
-    s = curvature_samples(h.samples)
-    return float(0.5 * (2.0 * np.pi / h.n) * np.dot(h.samples, s))
+    return area_quadrature(h.samples, curvature_samples(h.samples))
 
 
 def perimeter(h: SupportFn) -> float:

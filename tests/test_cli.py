@@ -3,8 +3,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from centroflow import disk, ellipse, load_body, make_support_fn, save_body
+from centroflow import CentroflowError, SupportFn, disk, ellipse, load_body, save_body
 from centroflow.bodyio import body_from_dict, body_to_dict
 from centroflow.cli import main
 from centroflow.spectral import angles
@@ -20,6 +22,25 @@ def workdir(tmp_path):
     bad = {"n": 256, "h": list(1 + 0.5 * np.cos(2 * th)), "symmetric": True}
     (tmp_path / "bad.json").write_text(json.dumps(bad))
     return tmp_path
+
+
+# Arbitrary JSON values, and objects that use the body keys with arbitrary
+# values.  A grid size allocates n samples, so the integers are kept either
+# small enough to allocate or too large for any array (2^64 and up, also
+# beyond the float range).
+_JSON_KEYS = st.sampled_from(["h", "n", "fourier", "a", "b", "symmetric"]) | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 16, 2 ** 16)
+    | st.integers(2 ** 64, 2 ** 1100) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=20) | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=40)
+_BODY_JSON = _JSON | st.fixed_dictionaries({}, optional={
+    "h": _JSON | st.lists(st.floats(0.9, 1.1), min_size=16, max_size=16),
+    "n": _JSON | st.integers(8, 128).map(lambda k: 2 * k),
+    "fourier": _JSON | st.fixed_dictionaries({}, optional={
+        "a": _JSON | st.lists(st.floats(-0.05, 1.0), max_size=12),
+        "b": _JSON | st.lists(st.floats(-0.05, 0.05), max_size=12)}),
+    "symmetric": _JSON})
 
 
 class TestBodyJson:
@@ -47,6 +68,19 @@ class TestBodyJson:
     def test_mismatched_n_rejected(self):
         with pytest.raises(ValueError):
             body_from_dict({"n": 32, "h": [1.0] * 64})
+
+    @settings(max_examples=400)
+    @given(data=_BODY_JSON)
+    @example(data="hello")
+    @example(data={"n": 64, "fourier": 5})
+    @example(data={"n": None, "fourier": {"a": [1.0]}})
+    @example(data={"n": 64, "fourier": {"a": [1.0, 10 ** 400]}})
+    @example(data={"n": 10 ** 400, "fourier": {"a": [1.0]}})
+    def test_any_json_is_a_body_or_a_clean_error(self, data):
+        try:
+            assert isinstance(body_from_dict(data), SupportFn)
+        except (ValueError, CentroflowError):
+            pass
 
 
 class TestOpCommand:
@@ -192,6 +226,18 @@ BAD_INPUTS = {
     "fuzz-no-seeds": lambda d: ["fuzz", "--seeds", "0"],
     "stability-few": lambda d: ["stability", "--samples", "3"],
     "minkowski-malformed": lambda d: ["minkowski", "--f", _write(d / "f.json", "{nope")],
+    "body-string": lambda d: ["op", "polar", "--body", _write(d / "b.json", '"hello"')],
+    "body-number": lambda d: ["op", "polar", "--body", _write(d / "b.json", "5")],
+    "body-fourier-number": lambda d: ["op", "polar", "--body",
+                                      _write(d / "b.json", '{"n": 64, "fourier": 5}')],
+    "body-null-n": lambda d: ["op", "polar", "--body",
+                              _write(d / "b.json", '{"n": null, "fourier": {"a": [1.0]}}')],
+    "minkowski-object-density": lambda d: ["minkowski", "--f",
+                                           _write(d / "f.json", '{"f": {"a": 1}}')],
+    "minkowski-one-sample": lambda d: ["minkowski", "--f", _write(d / "f.json", '{"f": [1.0]}')],
+    "config-float-n": lambda d: ["flow", "--config", _write(d / "c.json", '{"n": 32.0}')],
+    "config-float-every": lambda d: ["flow", "--config",
+                                     _write(d / "c.json", '{"renormalize_every": 2.5}')],
 }
 
 

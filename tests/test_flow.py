@@ -7,6 +7,7 @@ from centroflow import (
     ConvexityLost,
     FlowConfig,
     LinearMap2,
+    SupportFn,
     apply_linear_map,
     area,
     banach_mazur_to_disk,
@@ -14,9 +15,7 @@ from centroflow import (
     disk,
     ellipse,
     flow_run,
-    flow_speed,
     harnack_and_bounds_monitor,
-    make_support_fn,
     normalized_view,
     sl2_positions,
 )
@@ -36,25 +35,9 @@ def disk_trace():
 @pytest.fixture(scope="module")
 def wobble_trace():
     th = angles(128)
-    h0 = make_support_fn(1 + 0.2 * np.cos(2 * th), symmetric=True)
+    h0 = SupportFn(1 + 0.2 * np.cos(2 * th), symmetric=True)
     cfg = FlowConfig(cfl=0.1, t_stop=0.12, renormalize_every=25)
     return flow_run(h0, cfg)
-
-
-class TestSpeed:
-    def test_unit_disk(self):
-        speed = flow_speed(disk(1.0, 64))
-        assert np.max(np.abs(speed.samples + 1.0)) < 1e-13
-
-    def test_disk_radius_r(self):
-        speed = flow_speed(disk(2.0, 64))
-        assert np.max(np.abs(speed.samples + 1.0 / 8.0)) < 1e-13
-
-    def test_wobble_value(self):
-        th = angles(256)
-        b = make_support_fn(1 + 0.2 * np.cos(2 * th), symmetric=True)
-        speed = flow_speed(b)
-        assert speed.samples[0] == pytest.approx(-1.0 / (1.2 ** 2 * 0.4), rel=1e-9)
 
 
 class TestDiskRun:
@@ -219,7 +202,7 @@ class TestStepperIntegrity:
 
     def test_rejects_asymmetric(self):
         th = angles(64)
-        b = make_support_fn(1 + 0.05 * np.cos(3 * th))
+        b = SupportFn(1 + 0.05 * np.cos(3 * th))
         from centroflow.errors import AsymmetricData
         with pytest.raises(AsymmetricData):
             flow_run(b, FlowConfig(t_stop=0.01))
@@ -231,6 +214,14 @@ class TestStepperIntegrity:
             FlowConfig(cfl=0.7)
         with pytest.raises(ValueError):
             FlowConfig(t_stop_area=-1.0)
+        # a JSON config can hold any value: no float grid size or cadence,
+        # no string for a number
+        with pytest.raises(ValueError):
+            FlowConfig(n=64.0)
+        with pytest.raises(ValueError):
+            FlowConfig(renormalize_every=2.5)
+        with pytest.raises(ValueError):
+            FlowConfig(cfl="0.1")
 
     def test_regrid_through_config(self):
         cfg = FlowConfig(n=64, t_stop=0.02, renormalize_every=100)

@@ -12,7 +12,6 @@ from centroflow import (
     ellipse,
     fuzz_campaign,
     groemer_gap,
-    make_support_fn,
     petty_projection_product,
     random_body,
     ratio_derivative_rhs,

@@ -34,7 +34,7 @@ class TestSl2Normalize:
         e = apply_linear_map(disk(1.0, 256), LinearMap2.diagonal(2.0, 0.5))
         body, witness = sl2_normalize(e)
         assert np.max(np.abs(body.samples - 1.0)) < 1e-12
-        assert witness.is_sl2(1e-9)
+        assert abs(witness.det - 1.0) <= 1e-9
 
     def test_isoperimetric_ratio_improves(self, wobble):
         body, _ = sl2_normalize(wobble)
@@ -43,9 +43,9 @@ class TestSl2Normalize:
         assert area(body) == pytest.approx(np.pi, rel=1e-12)
 
     def test_requires_symmetric(self):
-        from centroflow import make_support_fn
+        from centroflow import SupportFn
         from centroflow.spectral import angles
-        b = make_support_fn(1 + 0.05 * np.cos(3 * angles(256)))
+        b = SupportFn(1 + 0.05 * np.cos(3 * angles(256)))
         with pytest.raises(AsymmetricData):
             sl2_normalize(b)
 
@@ -61,7 +61,7 @@ class TestBanachMazur:
         cert = banach_mazur_to_disk(wobble)
         assert cert.distance == pytest.approx(
             cert.outer_radius / cert.inner_radius, rel=1e-8)
-        assert cert.witness.is_sl2(1e-9)
+        assert abs(cert.witness.det - 1.0) <= 1e-9
 
     def test_smoothed_square_near_john_bound(self):
         sq = smoothed_square()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,12 @@ from centroflow import (
     NonConvex,
     apply_linear_map,
     area,
+    SupportFn,
     centroid_body,
-    curvature_function,
     curvature_image,
     disk,
     ellipse,
     lutwak_identity_check,
-    make_support_fn,
     minkowski_solve,
     mixed_volume,
     perimeter,
@@ -31,6 +32,7 @@ from centroflow.errors import GridMismatch
 from centroflow.lab import deficit_report, groemer_gap, petty_projection_product
 from centroflow.ops import polar_chain
 from centroflow.spectral import angles, rotate
+from centroflow.support import curvature_samples
 
 from conftest import near_floor_body
 import oracles
@@ -94,7 +96,7 @@ class TestCentroid:
         assert np.max(np.abs(got - want) / want) < 1e-5
 
     def test_requires_symmetric(self):
-        b = make_support_fn(1 + 0.05 * np.cos(3 * TH))
+        b = SupportFn(1 + 0.05 * np.cos(3 * TH))
         with pytest.raises(AsymmetricData):
             centroid_body(b)
 
@@ -177,8 +179,7 @@ class TestMinkowskiSolve:
         assert sol.translation_modes_removed == pytest.approx((0.0, 0.0), abs=1e-13)
 
     def test_curvature_fn_input(self, wobble):
-        f = curvature_function(wobble)
-        sol = minkowski_solve(f)
+        sol = minkowski_solve(curvature_samples(wobble.samples))
         # translation gauge: the solve reproduces the body (no k=1 content)
         assert np.max(np.abs(sol.h.samples - wobble.samples)) < 1e-12
 
@@ -244,7 +245,7 @@ class TestSteiner:
             assert after <= before + 1e-6
 
     def test_asymmetric_body_supported(self):
-        b = make_support_fn(1 + 0.05 * np.cos(3 * TH))
+        b = SupportFn(1 + 0.05 * np.cos(3 * TH))
         s = steiner_symmetrize(b, 0.0)
         assert area(s) == pytest.approx(area(b), rel=1e-6)
 
@@ -262,10 +263,17 @@ class TestLutwakIdentity:
         g = centroid_body(wobble)
         assert lutwak_identity_check(wobble) <= 1e-5 * np.max(g.samples)
 
+    def test_perturbed_polar_row_is_detected(self, wobble):
+        # the right-hand side is built from the polar row alone
+        chain = polar_chain(wobble)
+        gamma = chain.centroid_samples(area(wobble))
+        bent = dataclasses.replace(chain, polar=chain.polar + 1e-4)
+        assert chain.identity_residual(gamma) <= 1e-5 * np.max(gamma)
+        assert bent.identity_residual(gamma) > 1e-5 * np.max(gamma)
+
     def test_through_public_operators(self, mild_bodies, fuzz_bodies):
-        # lutwak_identity_check reads both sides off one set of rho^3 modes,
-        # so it is near roundoff by construction; here the right-hand side
-        # runs through the polar, the curvature image and the projection
+        # here the right-hand side runs through the polar, the curvature
+        # image and the projection
         for b in mild_bodies + fuzz_bodies:
             g = centroid_body(b).samples
             pi_lam = projection_body(curvature_image(polar_body(b))).samples
