@@ -13,7 +13,6 @@ from .errors import (
     NonConvex,
     NonConvexSolution,
     NonPositive,
-    OptimizationFailed,
     StepUnderflow,
 )
 from .support import (
@@ -67,7 +66,6 @@ from .lab import (
     groemer_gap,
     petty_projection_product,
     random_body,
-    ratio_derivative_rhs,
     santalo_product,
     stability_experiment,
 )

@@ -21,7 +21,7 @@ import tempfile
 import numpy as np
 
 from . import spectral
-from .support import SupportFn
+from .support import SupportFn, check_grid_size
 
 __all__ = ["body_to_dict", "body_from_dict", "load_body", "save_body", "number_list",
            "sha256_of_file", "atomic_write_text", "write_lines"]
@@ -50,16 +50,19 @@ def body_from_dict(data: dict) -> SupportFn:
     if not isinstance(data, dict):
         raise ValueError("body JSON must be an object")
     n = data.get("n")
-    if n is not None and (isinstance(n, bool) or not isinstance(n, int)):
-        raise ValueError("n must be an integer")
+    if n is not None:
+        check_grid_size(n)
+    symmetric = data.get("symmetric", False)
+    if not isinstance(symmetric, bool):
+        raise ValueError("symmetric must be true or false")
     if "h" in data:
         samples = number_list(data["h"], "h")
         if n is not None and n != samples.size:
             raise ValueError("n does not match the number of samples")
     elif "fourier" in data:
         coeffs = data["fourier"]
-        if n is None or n < 16 or n % 2 or not isinstance(coeffs, dict):
-            raise ValueError("the Fourier form needs an even n >= 16 and a 'fourier' object")
+        if n is None or not isinstance(coeffs, dict):
+            raise ValueError("the Fourier form needs an n and a 'fourier' object")
         a_in = number_list(coeffs.get("a", []), "fourier a")
         b_in = number_list(coeffs.get("b", []), "fourier b")
         a = np.zeros(n // 2 + 1)
@@ -69,7 +72,7 @@ def body_from_dict(data: dict) -> SupportFn:
         samples = spectral.from_coeffs(a, b, n)
     else:
         raise ValueError("body JSON needs an 'h' or 'fourier' field")
-    return SupportFn(samples, symmetric=bool(data.get("symmetric", False)))
+    return SupportFn(samples, symmetric=symmetric)
 
 
 def load_body(path) -> SupportFn:

@@ -30,10 +30,6 @@ class NonConvexSolution(CentroflowError):
     """Curvature-prescription solve produced a non-convex support function."""
 
 
-class OptimizationFailed(CentroflowError):
-    """A deterministic search failed to improve on its cold start."""
-
-
 class ConvexityLost(CentroflowError):
     """Time stepping lost strict convexity.  Signals a step-size failure,
     not a property of the evolution itself."""

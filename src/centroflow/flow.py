@@ -30,7 +30,8 @@ from . import ops, spectral
 from .bodyio import write_lines
 from .errors import ConvexityLost, StepUnderflow
 from .normalize import family_map, normalized_image, sl2_positions
-from .support import SupportFn, area_quadrature, curvature_samples, require_symmetric
+from .support import (SupportFn, area_quadrature, check_grid_size, curvature_samples,
+                      require_symmetric)
 
 __all__ = [
     "FlowConfig",
@@ -54,6 +55,7 @@ ROUND_RATIO = 1.5 ** 0.25  # radii-ratio threshold monitored per run
 # fewest rows the extinction fit and the row-to-row monitors use; shorter
 # traces report those monitors as None
 MIN_FIT_ROWS = 3
+STRIDE_AGREEMENT = 0.05  # stride-1/stride-2 relative agreement that keeps a row
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ class FlowConfig:
             raise ValueError("cfl must lie in (0, 0.5]")
         if not self.t_stop_area > 0.0:
             raise ValueError("t_stop_area must be positive")
-        if self.n is not None and (self.n < 16 or self.n % 2):
-            raise ValueError("n must be an even integer >= 16")
+        if self.n is not None:
+            check_grid_size(self.n)
         if self.renormalize_every < 1 or self.max_steps < 1:
             raise ValueError("cadence and step cap must be positive")
         if self.t_stop is not None and not self.t_stop > 0.0:
@@ -173,8 +175,6 @@ def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
         mask = np.zeros_like(mask)
         mask[t.size // 2:] = True
     tt, vv = t[mask], v[mask]
-    if tt.size < 2:
-        tt, vv = t, v
     wgt = 1.0 / vv ** 2
     coef = np.polyfit(tt, vv ** 2, 1, w=wgt)
     slope, intercept = coef[0], coef[1]
@@ -332,12 +332,12 @@ def _central_diff(t: np.ndarray, y: np.ndarray, stride: int = 1):
     return i, d
 
 
-def gated_central_difference(t: np.ndarray, y: np.ndarray, agree: float = 0.05):
+def gated_central_difference(t: np.ndarray, y: np.ndarray):
     """Richardson-extrapolated central differences with a self-consistency mask.
 
     Rows are kept where the stride-1 and stride-2 estimates agree to
-    ``agree`` relative: there the row spacing resolves dy/dt and the
-    difference quotient is trustworthy.  On kept rows the returned value is
+    ``STRIDE_AGREEMENT`` relative: there the row spacing resolves dy/dt and
+    the difference quotient is trustworthy.  On kept rows the returned value is
     the extrapolation (4 d1 - d2) / 3, which cancels the leading
     second-order truncation term.
     """
@@ -353,7 +353,7 @@ def gated_central_difference(t: np.ndarray, y: np.ndarray, agree: float = 0.05):
     mask = np.zeros(t.size, dtype=bool)
     denom = np.maximum(np.abs(fine), np.abs(coarse))
     ok = both & (denom > 0)
-    mask[ok] = np.abs(fine[ok] - coarse[ok]) <= agree * denom[ok]
+    mask[ok] = np.abs(fine[ok] - coarse[ok]) <= STRIDE_AGREEMENT * denom[ok]
     return deriv, mask
 
 

@@ -11,8 +11,8 @@ import numpy as np
 from . import ops, spectral
 from .bodyio import write_lines
 from .normalize import banach_mazur_to_disk, pinching_to_bm_bound
-from .support import (SupportFn, area, check_same_grid, curvature_samples, disk,
-                      require_symmetric)
+from .support import (SupportFn, area, check_grid_size, check_same_grid, curvature_samples,
+                      disk, require_symmetric)
 
 __all__ = [
     "BP_CONSTANT",
@@ -23,7 +23,6 @@ __all__ = [
     "santalo_product",
     "petty_projection_product",
     "groemer_gap",
-    "ratio_derivative_rhs",
     "deficit_report",
     "affine_support_bracket",
     "StabilitySample",
@@ -37,6 +36,8 @@ __all__ = [
 BP_CONSTANT = (4.0 / (3.0 * np.pi)) ** 2
 
 MIN_CURVATURE = 0.05  # generated bodies keep S at least this large
+DEFICIT_RTOL = 0.01  # relative distance of a targeted deficit from its target
+EPS_LOW, EPS_HIGH = 1e-6, 1e-1  # range of the stability experiment's target deficits
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,7 @@ class BodySpec:
     n: int = 256
 
     def __post_init__(self):
+        check_grid_size(self.n)
         if self.mode_count < 1:
             raise ValueError("mode_count must be at least 1")
         if self.decay <= 1.0:
@@ -125,32 +127,22 @@ def groemer_gap(h_k: SupportFn, h_l: SupportFn) -> float:
     return float(lhs - rhs)
 
 
-def ratio_derivative_rhs(h: SupportFn) -> float:
-    """Predicted time derivative of V(Gamma K_t)/V(K_t) at this body:
-    32 (V(Lambda K*) - V(K*)) / (3 V(K)^2 V(K*)); non-positive, zero
-    exactly on origin-centered ellipses."""
-    return ops.polar_chain(h).ratio_derivative(area(h))
-
-
 @dataclass(frozen=True)
 class DeficitReport:
     """Per-body inequality audit; all gaps are >= 0 up to roundoff."""
 
-    body_id: str
     bp_deficit: float
     santalo_gap: float
     petty_gap: float
     groemer_gap: float
     lambda_gap: float
     lutwak_residual_rel: float
-    d_bm: float | None = None
-    pinching_bound: float | None = None
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def deficit_report(h: SupportFn, body_id: str = "", with_bm: bool = False) -> DeficitReport:
+def deficit_report(h: SupportFn) -> DeficitReport:
     """Evaluate every audited inequality on one body.
 
     The centroid body and the identity residual share one polar computation.
@@ -160,21 +152,13 @@ def deficit_report(h: SupportFn, body_id: str = "", with_bm: bool = False) -> De
     gamma = SupportFn(chain.centroid_samples(v), symmetric=True)
     lut = chain.identity_residual(gamma.samples) / float(np.max(gamma.samples))
     lam = ops.curvature_image(h)
-    d_bm = None
-    pinch = None
-    if with_bm:
-        d_bm = banach_mazur_to_disk(h).distance
-        pinch = pinching_to_bm_bound(h)
     return DeficitReport(
-        body_id=body_id,
         bp_deficit=float(area(gamma) / v / BP_CONSTANT - 1.0),
         santalo_gap=float(np.pi ** 2 - santalo_product(h)),
         petty_gap=float((np.pi / 2.0) ** 2 - petty_projection_product(h)),
         groemer_gap=groemer_gap(h, disk(1.0, h.n)),
         lambda_gap=float((v - area(lam)) / v),
         lutwak_residual_rel=lut,
-        d_bm=d_bm,
-        pinching_bound=pinch,
     )
 
 
@@ -240,8 +224,7 @@ def _stability_base(seed: int, n: int) -> SupportFn:
     return _floored_body(pert)
 
 
-def _deficit_targeted_body(base: SupportFn, target: float,
-                           rtol: float = 0.01) -> tuple[SupportFn, float]:
+def _deficit_targeted_body(base: SupportFn, target: float) -> tuple[SupportFn, float]:
     """Bisect the disk-interpolation weight until the deficit hits target.
 
     When the base body cannot reach the target, the base itself is returned
@@ -255,7 +238,7 @@ def _deficit_targeted_body(base: SupportFn, target: float,
         mid = 0.5 * (lo + hi)
         body = _interpolate_to_disk(base, mid)
         f = bp_deficit(body)
-        if abs(f - target) <= rtol * target:
+        if abs(f - target) <= DEFICIT_RTOL * target:
             break
         if f < target:
             lo = mid
@@ -264,9 +247,7 @@ def _deficit_targeted_body(base: SupportFn, target: float,
     return body, f
 
 
-def stability_experiment(count: int, seed: int,
-                         eps_low: float = 1e-6, eps_high: float = 1e-1,
-                         n: int = 256) -> StabilityResult:
+def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult:
     """Scatter of (deficit, Banach-Mazur distance - 1) across target deficits.
 
     Bodies are drawn from the seeded generator (blended with a mollified
@@ -276,9 +257,10 @@ def stability_experiment(count: int, seed: int,
     Reports the least admissible witness gamma for the quarter-power bound
     and the log-log slope fitted on the samples with deficit <= 1e-2.
     """
+    check_grid_size(n)
     if count < 10:
         raise ValueError("need at least 10 samples")
-    targets = np.geomspace(eps_low, eps_high, count)
+    targets = np.geomspace(EPS_LOW, EPS_HIGH, count)
     samples = []
     for i, target in enumerate(targets):
         best: tuple[SupportFn, float] | None = None
@@ -347,6 +329,7 @@ def fuzz_campaign(count: int, seed: int, n: int = 256) -> FuzzReport:
     the strengthened mixed-volume gap, the curvature-image area drop, the
     centroid/projection identity residual, and the affine-support bracket.
     """
+    check_grid_size(n)
     if count < 1:
         raise ValueError("need at least one body")
     report = FuzzReport(count=count, seed=seed)
@@ -363,7 +346,7 @@ def fuzz_campaign(count: int, seed: int, n: int = 256) -> FuzzReport:
         spec = _fuzz_spec(seed, i, n)
         body = random_body(spec)
         v = area(body)
-        rep = deficit_report(body, body_id=str(spec.seed))
+        rep = deficit_report(body)
         see("bp_deficit", rep.bp_deficit, spec.seed)
         see("santalo_gap", rep.santalo_gap / np.pi ** 2, spec.seed)
         see("petty_gap", rep.petty_gap / (np.pi / 2.0) ** 2, spec.seed)

@@ -9,19 +9,19 @@ Every quantity is read off one boundary sampling of the body
 (``_BoundaryForms``).  The perimeter minimum comes from a majorize-minimize
 fixed-point iteration in M started at the identity; the Banach-Mazur search
 is Nelder-Mead (``minimize``, an in-package copy of scipy's method) with a
-fixed initial simplex started at that minimum.
+fixed initial simplex started at that minimum.  Nelder-Mead never trades its
+best vertex for a worse one, so the search ends no higher than its start and
+needs neither a fallback nor an evaluation cap.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import spectral
-from .errors import OptimizationFailed
 from .support import (LinearMap2, SupportFn, apply_linear_map, area, boundary_points,
                       curvature_samples, require_symmetric, scaled)
 
@@ -159,12 +159,7 @@ def _perimeter_minimum(forms: _BoundaryForms) -> tuple[float, float]:
 
 class _Minimum(NamedTuple):
     x: np.ndarray
-    fun: float
     nfev: int
-
-
-class _BudgetSpent(Exception):
-    pass
 
 
 def _by_value(vertex: list) -> tuple[bool, float]:
@@ -172,8 +167,7 @@ def _by_value(vertex: list) -> tuple[bool, float]:
     return vertex[0] != vertex[0], vertex[0]
 
 
-def minimize(fun, simplex, xatol: float, fatol: float, maxiter: int, maxfev: int
-             ) -> _Minimum:
+def minimize(fun, simplex, xatol: float, fatol: float, maxiter: int) -> _Minimum:
     """Nelder-Mead minimum of ``fun`` from the vertices ``simplex``.
 
     This is scipy.optimize.minimize(method="Nelder-Mead") with
@@ -181,87 +175,68 @@ def minimize(fun, simplex, xatol: float, fatol: float, maxiter: int, maxfev: int
     reflection 1, expansion 2, contraction 1/2 and shrink 1/2; the vertices
     sorted stably by value after each iteration; a stop once every vertex
     lies within ``xatol`` of the best in each coordinate and within ``fatol``
-    of it in value, after ``maxiter`` iterations, or at the evaluation that
-    would exceed ``maxfev``, which abandons the iteration it falls in.  So x,
-    fun and nfev agree with scipy's to the bit.
+    of it in value, or after ``maxiter`` iterations.  So x and nfev agree
+    with scipy's to the bit.  In two dimensions the simplex costs 3
+    evaluations and an iteration at most 4 (a reflection, a contraction and
+    a 2-vertex shrink), so a search ends after at most 3 + 4 (maxiter - 1) of
+    them.  The best vertex is only ever replaced by a better one, so the
+    result is no worse than the best initial vertex.
     """
     nfev = 0
 
     def evaluate(x: list[float]) -> float:
         nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
         nfev += 1
         return fun(x)
 
-    sim = [[math.inf, [float(c) for c in vertex]] for vertex in simplex]
+    sim = [[evaluate(x), x] for x in ([float(c) for c in vertex] for vertex in simplex)]
     dim = len(sim) - 1
-    try:
-        for vertex in sim:
-            vertex[0] = evaluate(vertex[1])
-    except _BudgetSpent:
-        pass
     sim.sort(key=_by_value)
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
+    for _ in range(maxiter - 1):
         (f_best, best), (f_next, _), (f_worst, worst) = sim[0], sim[-2], sim[-1]
         if (all(abs(c - b) <= xatol for _, x in sim[1:] for c, b in zip(x, best))
                 and all(abs(f_best - f) <= fatol for f, _ in sim[1:])):
             break
-        try:
-            xbar = [sum(c[1:], c[0]) / dim for c in zip(*(x for _, x in sim[:-1]))]
-            xr = [2.0 * b - w for b, w in zip(xbar, worst)]
-            fr = evaluate(xr)
-            if fr < f_best:
-                xe = [3.0 * b - 2.0 * w for b, w in zip(xbar, worst)]
-                fe = evaluate(xe)
-                sim[-1] = [fe, xe] if fe < fr else [fr, xr]
-            elif fr < f_next:
-                sim[-1] = [fr, xr]
+        xbar = [sum(c[1:], c[0]) / dim for c in zip(*(x for _, x in sim[:-1]))]
+        xr = [2.0 * b - w for b, w in zip(xbar, worst)]
+        fr = evaluate(xr)
+        if fr < f_best:
+            xe = [3.0 * b - 2.0 * w for b, w in zip(xbar, worst)]
+            fe = evaluate(xe)
+            sim[-1] = [fe, xe] if fe < fr else [fr, xr]
+        elif fr < f_next:
+            sim[-1] = [fr, xr]
+        else:
+            if fr < f_worst:  # contract outside
+                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+                fc = evaluate(xc)
+                shrink = not fc <= fr
+            else:  # contract inside
+                xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+                fc = evaluate(xc)
+                shrink = not fc < f_worst
+            if not shrink:
+                sim[-1] = [fc, xc]
             else:
-                if fr < f_worst:  # contract outside
-                    xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
-                    fc = evaluate(xc)
-                    shrink = not fc <= fr
-                else:  # contract inside
-                    xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
-                    fc = evaluate(xc)
-                    shrink = not fc < f_worst
-                if not shrink:
-                    sim[-1] = [fc, xc]
-                else:
-                    for vertex in sim[1:]:
-                        vertex[1] = [b + 0.5 * (c - b) for c, b in zip(vertex[1], best)]
-                        vertex[0] = evaluate(vertex[1])
-            iterations += 1
-        except _BudgetSpent:
-            pass
+                for vertex in sim[1:]:
+                    vertex[1] = [b + 0.5 * (c - b) for c, b in zip(vertex[1], best)]
+                    vertex[0] = evaluate(vertex[1])
         sim.sort(key=_by_value)
-    # scipy reports min(values), which is NaN if any value is
-    fun_min = sim[0][0] if sim[-1][0] == sim[-1][0] else math.nan
-    return _Minimum(x=np.array(sim[0][1]), fun=fun_min, nfev=nfev)
+    return _Minimum(x=np.array(sim[0][1]), nfev=nfev)
 
 
-def _bm_search(forms: _BoundaryForms, start: tuple[float, float],
-               start_radii: tuple[float, float], short: bool) -> BMCertificate:
+def _bm_search(forms: _BoundaryForms, start: tuple[float, float], short: bool
+               ) -> BMCertificate:
     """Certificate at the (s, phi) minimizing the radii ratio, by Nelder-Mead
-    over (log s, phi) from a fixed simplex at ``start``, where Phi K has the
-    (inradius, circumradius) ``start_radii``; a short search stops sooner and
-    falls back to ``start`` if it ends above it."""
+    over (log s, phi) from a fixed simplex at ``start``; a short search stops
+    sooner.  Either ends no higher than ``start``, its first vertex."""
     maxiter, xatol, fatol = (24, 1e-7, 1e-11) if short else (400, 1e-9, 1e-13)
-    (s, phi), (lo, hi) = start, start_radii
-    f_start = float(hi / lo)
-    x0 = np.array([np.log(s), phi])
+    x0 = np.array([np.log(start[0]), start[1]])
     simplex = np.vstack([x0, x0 + [0.05, 0.0], x0 + [0.0, 0.05]])
     res = minimize(lambda x: float(forms.ratio(np.exp(x[0]), x[1])), simplex,
-                   xatol=xatol, fatol=fatol, maxiter=maxiter, maxfev=4 * maxiter)
-    if res.fun <= f_start + 1e-12 * max(1.0, abs(f_start)):
-        s, phi = float(np.exp(res.x[0])), float(res.x[1])
-        lo, hi = forms.radii(s, phi)
-    elif not short:
-        raise OptimizationFailed(
-            f"refinement went uphill: {res.fun:.12g} > start {f_start:.12g}"
-        )
+                   xatol=xatol, fatol=fatol, maxiter=maxiter)
+    s, phi = float(np.exp(res.x[0])), float(res.x[1])
+    lo, hi = forms.radii(s, phi)
     return BMCertificate(distance=float(hi / lo), witness=family_map(s, phi),
                          inner_radius=float(lo), outer_radius=float(hi))
 
@@ -286,8 +261,7 @@ def banach_mazur_to_disk(h: SupportFn) -> BMCertificate:
     """
     require_symmetric(h, "banach_mazur_to_disk")
     forms = _BoundaryForms(h)
-    start = _perimeter_minimum(forms)
-    return _bm_search(forms, start, forms.radii(*start), short=False)
+    return _bm_search(forms, _perimeter_minimum(forms), short=False)
 
 
 def sl2_positions(h: SupportFn) -> tuple[tuple[float, float], tuple[float, float],
@@ -301,8 +275,7 @@ def sl2_positions(h: SupportFn) -> tuple[tuple[float, float], tuple[float, float
     require_symmetric(h, "sl2_positions")
     forms = _BoundaryForms(h)
     start = _perimeter_minimum(forms)
-    radii = forms.radii(*start)
-    return start, radii, _bm_search(forms, start, radii, short=True)
+    return start, forms.radii(*start), _bm_search(forms, start, short=True)
 
 
 def pinching_to_bm_bound(h: SupportFn) -> float:

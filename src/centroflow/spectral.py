@@ -71,19 +71,13 @@ def fourier_coeffs(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def from_coeffs(a: np.ndarray, b: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Synthesize grid samples from real coefficients (inverse of fourier_coeffs)."""
+def from_coeffs(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Synthesize n grid samples from the n//2 + 1 real coefficients of each
+    kind (inverse of fourier_coeffs)."""
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if n is None:
-        n = 2 * (a.size - 1)
-    m = n // 2 + 1
-    f = np.zeros(m, dtype=complex)
-    kmax = min(a.size, m)
-    f[:kmax] = (n / 2.0) * (a[:kmax] - 1j * b[:kmax])
+    f = (n / 2.0) * (a - 1j * np.asarray(b, dtype=float))
     f[0] = n * a[0]
-    if a.size >= m:
-        f[-1] = n * a[m - 1]
+    f[-1] = n * a[-1]
     return np.fft.irfft(f, n)
 
 

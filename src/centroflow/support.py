@@ -14,6 +14,7 @@ an integral over the boundary parametrization, not a root solve.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,7 @@ class SupportFn:
         x = np.array(self.samples, dtype=float)
         if x.ndim != 1:
             raise ValueError("support samples must be a 1-D sequence")
-        if x.size < 16 or x.size % 2:
-            raise ValueError("grid size must be an even integer >= 16")
+        check_grid_size(x.size)
         if not np.all(np.isfinite(x)):
             raise ValueError("support samples must be finite")
         hmax = float(np.max(x))
@@ -127,14 +127,14 @@ class LinearMap2:
     def __matmul__(self, other: "LinearMap2") -> "LinearMap2":
         return LinearMap2.from_array(self.as_array() @ other.as_array())
 
-    def inverse(self) -> "LinearMap2":
-        return LinearMap2.from_array(np.linalg.inv(self.as_array()))
 
-    def transpose(self) -> "LinearMap2":
-        return LinearMap2(self.a, self.c, self.b, self.d)
-
-    def inverse_transpose(self) -> "LinearMap2":
-        return self.inverse().transpose()
+def check_grid_size(n) -> None:
+    """Raise ValueError unless ``n`` is an even integer from 16 to 65536.
+    A grid size from outside passes here before anything of that size is
+    allocated."""
+    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+            or not 16 <= n <= 65536 or n % 2):
+        raise ValueError("grid size n must be an even integer from 16 to 65536")
 
 
 def require_symmetric(h: SupportFn, op: str) -> None:

@@ -68,7 +68,8 @@ class TestPolar:
     def test_gl2_equivariance(self, wobble):
         phi = LinearMap2.diagonal(1.4, 1 / 1.4) @ LinearMap2.rotation(0.6)
         lhs = polar_body(apply_linear_map(wobble, phi))
-        rhs = apply_linear_map(polar_body(wobble), phi.inverse_transpose())
+        phi_inv_t = LinearMap2.from_array(np.linalg.inv(phi.as_array()).T)
+        rhs = apply_linear_map(polar_body(wobble), phi_inv_t)
         assert np.max(np.abs(lhs.samples - rhs.samples)) < 1e-6 * np.max(rhs.samples)
 
 
@@ -300,4 +301,4 @@ class TestConvexityFloor:
         assert mixed_volume(body, body) == pytest.approx(area(body), rel=1e-12)
         assert np.isfinite(groemer_gap(body, disk(1.0, body.n)))
         assert np.isfinite(petty_projection_product(body))
-        assert np.isfinite(deficit_report(body, with_bm=True).petty_gap)
+        assert np.isfinite(deficit_report(body).petty_gap)

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from centroflow import (
     AsymmetricData,
+    BodySpec,
+    FlowConfig,
     GridMismatch,
     LinearMap2,
     NonConvex,
@@ -18,8 +20,8 @@ from centroflow import (
     scaled,
 )
 from centroflow.spectral import angles, fourier_coeffs, resample
-from centroflow.support import (RADIAL_OVERSAMPLE, boundary_points, check_same_grid,
-                                curvature_samples, radial_powers)
+from centroflow.support import (RADIAL_OVERSAMPLE, boundary_points, check_grid_size,
+                                check_same_grid, curvature_samples, radial_powers)
 
 import oracles
 
@@ -54,6 +56,20 @@ class TestConstructor:
             SupportFn(np.ones(8))
         with pytest.raises(ValueError):
             SupportFn(np.ones(17))
+        with pytest.raises(ValueError):
+            SupportFn(np.ones(65538))
+
+    def test_one_grid_size_rule(self):
+        for n in (16, 18, 65536, np.int64(64)):
+            check_grid_size(n)
+        for n in (14, 17, 65538, 2 ** 40, 64.0, True, None, "64"):
+            with pytest.raises(ValueError):
+                check_grid_size(n)
+        # a size refused here never reaches an allocation
+        with pytest.raises(ValueError):
+            BodySpec(seed=0, n=2 ** 40)
+        with pytest.raises(ValueError):
+            FlowConfig(n=2 ** 40)
 
     def test_samples_immutable(self):
         b = disk(1.0, 64)
