@@ -257,7 +257,6 @@ def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult
     Reports the least admissible witness gamma for the quarter-power bound
     and the log-log slope fitted on the samples with deficit <= 1e-2.
     """
-    check_grid_size(n)
     if count < 10:
         raise ValueError("need at least 10 samples")
     targets = np.geomspace(EPS_LOW, EPS_HIGH, count)

@@ -36,6 +36,7 @@ from .support import (
     area,
     area_quadrature,
     boundary_points,
+    check_grid_size,
     check_same_grid,
     curvature_samples,
     radial_powers,
@@ -150,8 +151,9 @@ def minkowski_solve(f, symmetric: bool | None = None) -> MinkowskiSolution:
     first harmonic of h is set to zero, fixing the body up to translation.
     """
     density = np.asarray(f, dtype=float)
-    if density.ndim != 1 or density.size < 16 or density.size % 2 or not np.all(np.isfinite(density)):
-        raise ValueError("curvature density must be finite, 1-D and of even size >= 16")
+    if density.ndim != 1 or not np.all(np.isfinite(density)):
+        raise ValueError("curvature density must be finite and 1-D")
+    check_grid_size(density.size)
     if np.min(density) <= 0.0:
         raise NonConvex("curvature density must be strictly positive")
     n = density.size

@@ -13,6 +13,7 @@ from centroflow import (
     NonConvex,
     apply_linear_map,
     area,
+    banach_mazur_to_disk,
     SupportFn,
     centroid_body,
     curvature_image,
@@ -22,6 +23,7 @@ from centroflow import (
     minkowski_solve,
     mixed_volume,
     perimeter,
+    pinching_to_bm_bound,
     polar_area,
     polar_body,
     projection_body,
@@ -175,6 +177,13 @@ class TestMinkowskiSolve:
         with pytest.raises(ClosureViolated):
             minkowski_solve(1 + 0.2 * np.cos(TH))
 
+    def test_grid_size_rule(self):
+        # the density size comes from a file: the same rule as SupportFn,
+        # checked before the closure test and the solve
+        for size in (1, 14, 17, 65538):
+            with pytest.raises(ValueError, match="grid size n must be"):
+                minkowski_solve(np.ones(size))
+
     def test_translation_modes_reported(self):
         sol = minkowski_solve(1 + 0.2 * np.cos(2 * TH))
         assert sol.translation_modes_removed == pytest.approx((0.0, 0.0), abs=1e-13)
@@ -302,3 +311,8 @@ class TestConvexityFloor:
         assert np.isfinite(groemer_gap(body, disk(1.0, body.n)))
         assert np.isfinite(petty_projection_product(body))
         assert np.isfinite(deficit_report(body).petty_gap)
+        d_bm = banach_mazur_to_disk(body).distance
+        assert np.isfinite(d_bm) and d_bm >= 1.0
+        # the curvature radius touches 0 here, so the pinching bound is the
+        # vacuous inf; it must still be returned, not raised
+        assert pinching_to_bm_bound(body) >= d_bm
