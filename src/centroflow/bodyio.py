@@ -6,8 +6,9 @@ Two interchangeable on-disk forms are accepted:
     {"n": 256, "fourier": {"a": [a_0, a_1, ...], "b": [b_1, ...]},
      "symmetric": true}
 
-Writers always emit the grid form.  Loading validates the body, so a
-non-convex file is rejected at the boundary.
+Writers always emit the grid form with the measured ``symmetric``.  Loading
+validates the body, so a non-convex file is rejected at the boundary, and so
+is ``"symmetric": true`` over asymmetric samples; no key or ``false`` claims nothing.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import tempfile
 import numpy as np
 
 from . import spectral
-from .support import SupportFn, check_grid_size
+from .support import SupportFn, check_grid_size, require_symmetric
 
-__all__ = ["body_to_dict", "body_from_dict", "load_body", "save_body", "number_list",
+__all__ = ["body_to_dict", "body_from_dict", "load_body", "save_body", "grid_samples",
            "sha256_of_file", "atomic_write_text", "write_lines"]
 
 
@@ -44,35 +45,46 @@ def number_list(value, what: str) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
+def grid_samples(data: dict, key: str) -> np.ndarray:
+    """``data[key]`` as finite samples, checked against ``data["n"]`` if given."""
+    samples = number_list(data[key], key)
+    n = samples.size if data.get("n") is None else data["n"]
+    check_grid_size(n)
+    if n != samples.size:
+        raise ValueError("n does not match the number of samples")
+    return samples
+
+
 def body_from_dict(data: dict) -> SupportFn:
     """Validated body from parsed body JSON; any other JSON value raises
     ValueError or a CentroflowError."""
     if not isinstance(data, dict):
         raise ValueError("body JSON must be an object")
-    n = data.get("n")
-    if n is not None:
-        check_grid_size(n)
     symmetric = data.get("symmetric", False)
     if not isinstance(symmetric, bool):
         raise ValueError("symmetric must be true or false")
     if "h" in data:
-        samples = number_list(data["h"], "h")
-        if n is not None and n != samples.size:
-            raise ValueError("n does not match the number of samples")
+        samples = grid_samples(data, "h")
     elif "fourier" in data:
-        coeffs = data["fourier"]
+        n, coeffs = data.get("n"), data["fourier"]
         if n is None or not isinstance(coeffs, dict):
             raise ValueError("the Fourier form needs an n and a 'fourier' object")
+        check_grid_size(n)
         a_in = number_list(coeffs.get("a", []), "fourier a")
         b_in = number_list(coeffs.get("b", []), "fourier b")
-        a = np.zeros(n // 2 + 1)
-        b = np.zeros(n // 2 + 1)
-        a[: a_in.size] = a_in
-        b[1: 1 + b_in.size] = b_in  # b starts at the first harmonic
+        # the grid holds cosines up to the Nyquist mode n/2, sines below it
+        for name, given, limit in (("a", a_in, n // 2 + 1), ("b", b_in, n // 2 - 1)):
+            if given.size > limit:
+                raise ValueError(f"fourier {name} has at most {limit} entries when n = {n}")
+        a = np.pad(a_in, (0, n // 2 + 1 - a_in.size))
+        b = np.pad(b_in, (1, n // 2 - b_in.size))  # b starts at the first harmonic
         samples = spectral.from_coeffs(a, b, n)
     else:
         raise ValueError("body JSON needs an 'h' or 'fourier' field")
-    return SupportFn(samples, symmetric=symmetric)
+    body = SupportFn(samples)
+    if symmetric:
+        require_symmetric(body, '"symmetric": true')
+    return body
 
 
 def load_body(path) -> SupportFn:

@@ -130,7 +130,7 @@ def cmd_flow(args, argv) -> int:
 
     if args.frames:
         os.makedirs(args.frames, exist_ok=True)
-        inside_out = os.path.abspath(args.frames).startswith(os.path.abspath(args.out))
+        inside_out = os.path.relpath(args.frames, args.out).split(os.sep)[0] != os.pardir
         for i in range(trace.rows):
             path = os.path.join(args.frames, f"frame_{i:06d}.svg")
             _svg_frame(normalized_view(trace, i), path)
@@ -176,9 +176,9 @@ def cmd_minkowski(args, argv) -> int:
     args.error_context = "invalid density file"
     with open(args.f, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("the density file must hold a JSON object")
-    density = bodyio.number_list(data.get("f", data.get("h", [])), "the density")
+    if not isinstance(data, dict) or "f" not in data:
+        raise ValueError("the density file must hold a JSON object with an 'f' list")
+    density = bodyio.grid_samples(data, "f")
     args.error_context = None
 
     sol = ops.minkowski_solve(density)

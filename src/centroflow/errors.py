@@ -14,7 +14,7 @@ class NonConvex(CentroflowError):
 
 
 class AsymmetricData(CentroflowError):
-    """Samples flagged origin-symmetric but antipodal values disagree."""
+    """A body that must be origin-symmetric, for an operator or by its file, is not."""
 
 
 class GridMismatch(CentroflowError):

@@ -137,7 +137,7 @@ class FlowTrace:
         return self.t.size
 
     def row_body(self, i: int) -> SupportFn:
-        return SupportFn(self.h_rows[i], symmetric=True)
+        return SupportFn(self.h_rows[i])
 
     def to_csv(self, target) -> None:
         """Write the trace in the stable 9-column format (17 significant digits)."""
@@ -195,7 +195,7 @@ class _RowRecorder:
         self.probe_rate_rows: list[np.ndarray] = []
 
     def record(self, t: float, arr: np.ndarray, s: np.ndarray, v: float) -> None:
-        body = SupportFn(arr, symmetric=True)
+        body = SupportFn(arr)
         ca2 = 1.0 / (s * arr ** 2)
         ca3 = ca2 / arr
 
@@ -261,7 +261,7 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     arr = np.array(h0.samples)
     if cfg.n is not None and cfg.n != arr.size:
         arr = spectral.resample(arr, cfg.n)
-        SupportFn(arr, symmetric=True)  # validate the regridded data
+        SupportFn(arr)  # validate the regridded data
     n = arr.size
     dth = 2.0 * np.pi / n
     k = np.arange(n // 2 + 1)

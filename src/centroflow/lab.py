@@ -75,7 +75,7 @@ def _floored_body(pert: np.ndarray) -> SupportFn:
     scale = 1.0
     if 1.0 + low < MIN_CURVATURE:
         scale = (1.0 - MIN_CURVATURE) / (-low)
-    return SupportFn(1.0 + scale * pert, symmetric=True)
+    return SupportFn(1.0 + scale * pert)
 
 
 def random_body(spec: BodySpec) -> SupportFn:
@@ -149,7 +149,7 @@ def deficit_report(h: SupportFn) -> DeficitReport:
     """
     v = area(h)
     chain = ops.polar_chain(h)
-    gamma = SupportFn(chain.centroid_samples(v), symmetric=True)
+    gamma = SupportFn(chain.centroid_samples(v))
     lut = chain.identity_residual(gamma.samples) / float(np.max(gamma.samples))
     lam = ops.curvature_image(h)
     return DeficitReport(
@@ -198,7 +198,7 @@ class StabilityResult:
 
 def _interpolate_to_disk(h: SupportFn, lam: float) -> SupportFn:
     """Support-function interpolation (1 - lam) disk + lam K."""
-    return SupportFn(1.0 + lam * (h.samples - 1.0), symmetric=True)
+    return SupportFn(1.0 + lam * (h.samples - 1.0))
 
 
 def _square_perturbation(n: int) -> np.ndarray:

@@ -71,7 +71,7 @@ def _polar_area(samples: np.ndarray) -> float:
 def polar_body(h: SupportFn) -> SupportFn:
     """Polar (dual) body K* = {x : <x, y> <= 1 for all y in K}, with support
     1/rho_K."""
-    return SupportFn(radial_powers(h.samples, [-1])[0], symmetric=h.symmetric)
+    return SupportFn(radial_powers(h.samples, [-1])[0])
 
 
 # --- |cos| kernel as a Fourier multiplier -----------------------------------
@@ -97,7 +97,7 @@ def centroid_body(h: SupportFn) -> SupportFn:
     """Centroid body: support = (1/3V) * integral of |<u, v>| rho(v)^3 d v."""
     require_symmetric(h, "centroid_body")
     rho3 = radial_powers(h.samples, [3])[0]
-    return SupportFn(_abs_cos_transform(rho3) / (3.0 * area(h)), symmetric=True)
+    return SupportFn(_abs_cos_transform(rho3) / (3.0 * area(h)))
 
 
 def projection_body(h: SupportFn) -> SupportFn:
@@ -108,7 +108,7 @@ def projection_body(h: SupportFn) -> SupportFn:
     """
     s = curvature_samples(h.samples)
     out = 0.5 * _abs_cos_transform(s)
-    return SupportFn(out, symmetric=True)
+    return SupportFn(out)
 
 
 def mixed_volume(h_k: SupportFn, h_l: SupportFn) -> float:
@@ -143,7 +143,7 @@ def _solve_curvature(f: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(f) * (1.0 / mult), f.size)
 
 
-def minkowski_solve(f, symmetric: bool | None = None) -> MinkowskiSolution:
+def minkowski_solve(f) -> MinkowskiSolution:
     """Solve h'' + h = f for the support function of a convex body.
 
     Diagonal in Fourier space: h_k = f_k / (1 - k^2) for k != 1.  The
@@ -156,7 +156,6 @@ def minkowski_solve(f, symmetric: bool | None = None) -> MinkowskiSolution:
     check_grid_size(density.size)
     if np.min(density) <= 0.0:
         raise NonConvex("curvature density must be strictly positive")
-    n = density.size
     fmax = float(np.max(np.abs(density)))
     a, b = spectral.fourier_coeffs(density)
     a1, b1 = a[1], b[1]
@@ -166,19 +165,13 @@ def minkowski_solve(f, symmetric: bool | None = None) -> MinkowskiSolution:
             f"{CLOSURE_RTOL:g} * max f"
         )
     hvals = _solve_curvature(density)
-    if symmetric is None:
-        half = n // 2
-        symmetric = bool(
-            np.max(np.abs(hvals - np.roll(hvals, half)))
-            <= 1e-12 * max(1.0, np.max(np.abs(hvals)))
-        )
     try:
-        body = SupportFn(hvals, symmetric=symmetric)
+        body = SupportFn(hvals)
     except (NonConvex, NonPositive) as exc:
         raise NonConvexSolution(str(exc)) from exc
     resid = float(np.max(np.abs(curvature_samples(hvals) - density)))
     return MinkowskiSolution(h=body, residual=resid,
-                             translation_modes_removed=(a1, b1))
+                             translation_modes_removed=(float(a1), float(b1)))
 
 
 def curvature_image(h: SupportFn) -> SupportFn:
@@ -186,7 +179,7 @@ def curvature_image(h: SupportFn) -> SupportFn:
     (V(K)/V(K*)) * h^-3."""
     require_symmetric(h, "curvature_image")
     weight = area(h) / polar_area(h)
-    sol = minkowski_solve(weight * h.samples ** -3, symmetric=True)
+    sol = minkowski_solve(weight * h.samples ** -3)
     return sol.h
 
 
@@ -251,7 +244,7 @@ def steiner_symmetrize(h: SupportFn, axis_angle: float) -> SupportFn:
     if h.symmetric:
         out = spectral.project_even(out)
     out = spectral.rotate(out, axis_angle)
-    return SupportFn(out, symmetric=h.symmetric)
+    return SupportFn(out)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ A body K is stored through n uniform samples of its support function
 h(theta) = max_{x in K} <x, u(theta)>, u(theta) = (cos theta, sin theta).
 Strict convexity is equivalent to positivity of the curvature function
 S = h'' + h (the reciprocal curvature of the boundary as a function of the
-outer normal angle), which is evaluated spectrally.  Bodies are immutable;
-every operation returns a new body.
+outer normal angle), which is evaluated spectrally.  Bodies are immutable and
+measure their own origin symmetry; every operation returns a new body.
 
 Powers of the radial function rho, the polar side of the representation,
 come from a change of variables to the normal angle (``radial_powers``):
@@ -15,7 +15,7 @@ an integral over the boundary parametrization, not a root solve.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,13 +50,13 @@ class SupportFn:
     """Validated support-function samples on the uniform angular grid.
 
     Construction enforces the body invariants: positive samples (origin
-    interior), positive spectral curvature h'' + h (strict convexity, with a
-    roundoff floor of ``CONVEXITY_FLOOR * max h``), and, when ``symmetric``
-    is set, agreement of antipodal samples to ``SYMMETRY_TOL * max h``.
+    interior) and positive spectral curvature h'' + h (strict convexity, with
+    a roundoff floor of ``CONVEXITY_FLOOR * max h``).  ``symmetric`` is
+    measured: it holds when antipodal samples agree to ``SYMMETRY_TOL * max h``.
     """
 
     samples: np.ndarray
-    symmetric: bool = False
+    symmetric: bool = field(init=False)
 
     def __post_init__(self):
         x = np.array(self.samples, dtype=float)
@@ -68,14 +68,6 @@ class SupportFn:
         hmax = float(np.max(x))
         if np.min(x) <= 0.0:
             raise NonPositive(f"min support sample {np.min(x):.6g} <= 0")
-        if self.symmetric:
-            half = x.size // 2
-            mismatch = float(np.max(np.abs(x - np.roll(x, half))))
-            if mismatch > SYMMETRY_TOL * hmax:
-                raise AsymmetricData(
-                    f"antipodal mismatch {mismatch:.3g} exceeds "
-                    f"{SYMMETRY_TOL:g} * max h"
-                )
         curv = curvature_samples(x)
         if np.min(curv) <= -CONVEXITY_FLOOR * hmax:
             raise NonConvex(
@@ -84,6 +76,8 @@ class SupportFn:
             )
         x.setflags(write=False)
         object.__setattr__(self, "samples", x)
+        mismatch = np.abs(x[: x.size // 2] - x[x.size // 2:]).max()  # antipodal pairs
+        object.__setattr__(self, "symmetric", bool(mismatch <= SYMMETRY_TOL * hmax))
 
     @property
     def n(self) -> int:
@@ -138,9 +132,9 @@ def check_grid_size(n) -> None:
 
 
 def require_symmetric(h: SupportFn, op: str) -> None:
-    """Raise AsymmetricData unless ``h`` is flagged origin-symmetric."""
+    """Raise AsymmetricData unless ``h`` is origin-symmetric (the one guard)."""
     if not h.symmetric:
-        raise AsymmetricData(f"{op} requires an origin-symmetric body")
+        raise AsymmetricData(f"{op} requires an origin-symmetric body; this one is not")
 
 
 def curvature_samples(samples: np.ndarray) -> np.ndarray:
@@ -169,7 +163,7 @@ def scaled(h: SupportFn, factor: float) -> SupportFn:
     """Dilate by a positive factor about the origin."""
     if factor <= 0.0:
         raise ValueError("scale factor must be positive")
-    return SupportFn(factor * h.samples, symmetric=h.symmetric)
+    return SupportFn(factor * h.samples)
 
 
 MAP_OVERSAMPLE = 4  # output-grid refinement factor of apply_linear_map
@@ -194,7 +188,7 @@ def apply_linear_map(h: SupportFn, phi: LinearMap2) -> SupportFn:
     out = spectral.resample(vals, n)
     if h.symmetric:
         out = spectral.project_even(out)
-    return SupportFn(out, symmetric=h.symmetric)
+    return SupportFn(out)
 
 
 def boundary_points(samples: np.ndarray, th: np.ndarray):
@@ -248,7 +242,7 @@ def disk(radius: float = 1.0, n: int = 256) -> SupportFn:
     """Origin-centered disk."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    return SupportFn(np.full(n, float(radius)), symmetric=True)
+    return SupportFn(np.full(n, float(radius)))
 
 
 def ellipse(a: float, b: float, angle: float = 0.0, n: int = 256) -> SupportFn:
@@ -257,7 +251,7 @@ def ellipse(a: float, b: float, angle: float = 0.0, n: int = 256) -> SupportFn:
         raise ValueError("semi-axes must be positive")
     th = spectral.angles(n) - angle
     hs = np.sqrt((a * np.cos(th)) ** 2 + (b * np.sin(th)) ** 2)
-    return SupportFn(hs, symmetric=True)
+    return SupportFn(hs)
 
 
 def check_same_grid(*bodies) -> int:

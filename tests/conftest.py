@@ -18,7 +18,7 @@ def unit_disk():
 def wobble():
     """The canonical mildly non-elliptical body 1 + 0.2 cos(2 theta)."""
     th = angles(256)
-    return SupportFn(1.0 + 0.2 * np.cos(2.0 * th), symmetric=True)
+    return SupportFn(1.0 + 0.2 * np.cos(2.0 * th))
 
 
 @pytest.fixture(scope="session")
@@ -34,9 +34,8 @@ def mild_bodies():
         disk(1.0, 256),
         disk(0.7, 256),
         ellipse(1.4, 0.8, 0.3, 256),
-        SupportFn(1.0 + 0.2 * np.cos(2.0 * th), symmetric=True),
-        SupportFn(1.0 + 0.1 * np.cos(2.0 * th) + 0.03 * np.sin(4.0 * th),
-                  symmetric=True),
+        SupportFn(1.0 + 0.2 * np.cos(2.0 * th)),
+        SupportFn(1.0 + 0.1 * np.cos(2.0 * th) + 0.03 * np.sin(4.0 * th)),
     ]
     out += [random_body(BodySpec(seed=s, mode_count=3, decay=2.0, amplitude=0.3))
             for s in (11, 12, 13)]
@@ -61,7 +60,7 @@ def near_floor_body(n=64):
     """1 + (1/3 + 1e-12) cos 2 theta: min S = -3.0e-12, inside SupportFn's
     roundoff floor of -1e-10 max h, so it loads as a valid body."""
     th = angles(n)
-    return SupportFn(1.0 + (1.0 / 3.0 + 1e-12) * np.cos(2.0 * th), symmetric=True)
+    return SupportFn(1.0 + (1.0 / 3.0 + 1e-12) * np.cos(2.0 * th))
 
 
 def smoothed_square(n=256, sigma=0.04, pad=0.02):
@@ -71,4 +70,4 @@ def smoothed_square(n=256, sigma=0.04, pad=0.02):
     f = np.fft.rfft(hs)
     k = np.arange(n // 2 + 1)
     f *= np.exp(-0.5 * (sigma * k) ** 2)
-    return SupportFn(np.fft.irfft(f, n) + pad, symmetric=True)
+    return SupportFn(np.fft.irfft(f, n) + pad)

@@ -21,6 +21,9 @@ def workdir(tmp_path):
     th = angles(256)
     bad = {"n": 256, "h": list(1 + 0.5 * np.cos(2 * th)), "symmetric": True}
     (tmp_path / "bad.json").write_text(json.dumps(bad))
+    # symmetric samples written without the "symmetric" key
+    unflagged = {"n": 64, "h": list(ellipse(1.3, 0.8, 0.5, 64).samples)}
+    (tmp_path / "unflagged.json").write_text(json.dumps(unflagged))
     return tmp_path
 
 
@@ -61,6 +64,15 @@ class TestBodyJson:
     def test_writer_emits_grid_form(self, wobble):
         data = body_to_dict(wobble)
         assert set(data) == {"n", "h", "symmetric"}
+
+    def test_fourier_lists_fit_the_grid(self):
+        # n = 16 holds cosines 0..8 and sines 1..7; the sine at 8 vanishes on the grid
+        body = body_from_dict({"n": 16, "fourier": {"a": [1.0] + [0.0] * 8, "b": [0.0] * 7}})
+        assert body.n == 16
+        with pytest.raises(ValueError, match="fourier a has at most 9 entries"):
+            body_from_dict({"n": 16, "fourier": {"a": [1.0] + [0.0] * 9}})
+        with pytest.raises(ValueError, match="fourier b has at most 7 entries"):
+            body_from_dict({"n": 16, "fourier": {"a": [1.0], "b": [0.0] * 8}})
 
     def test_mismatched_n_rejected(self):
         with pytest.raises(ValueError):
@@ -116,6 +128,14 @@ class TestOpCommand:
         data = json.loads(capsys.readouterr().out)
         orig = load_body(workdir / "ellipse.json")
         assert np.max(np.abs(np.array(data["h"]) - orig.samples)) <= 1e-7
+
+    @pytest.mark.parametrize("claim", [{}, {"symmetric": False}])
+    def test_symmetry_is_read_from_the_samples(self, workdir, capsys, claim):
+        path = workdir / "claim.json"
+        path.write_text(json.dumps({**json.loads((workdir / "unflagged.json").read_text()),
+                                    **claim}))
+        assert main(["op", "centroid", "--body", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["symmetric"] is True
 
     def test_nonconvex_body_is_exit_2(self, workdir, capsys):
         rc = main(["op", "polar", "--body", str(workdir / "bad.json")])
@@ -184,6 +204,21 @@ class TestFlowCommand:
         assert "viewBox=\"-2 -2 4 4\"" in text
         assert "polyline" in text
 
+    def test_frames_outside_out_not_in_manifest(self, workdir):
+        # "run2" shares the prefix "run" but is not inside it
+        rc = main(["flow", "--body", str(workdir / "disk.json"),
+                   "--out", str(workdir / "run"), "--frames", str(workdir / "run2" / "frames"),
+                   "--t-stop", "0.02", "--every", "50"])
+        assert rc == 0
+        assert os.listdir(workdir / "run2" / "frames")
+        manifest = json.loads((workdir / "run" / "manifest.json").read_text())
+        assert manifest["outputs"] == ["report.json", "trace.csv"]
+
+    def test_body_without_symmetric_key_flows(self, workdir):
+        rc = main(["flow", "--body", str(workdir / "unflagged.json"),
+                   "--out", str(workdir / "r3"), "--t-stop", "0.01", "--every", "20"])
+        assert rc == 0
+
     def test_nonconvex_body_exit_2(self, workdir, capsys):
         rc = main(["flow", "--body", str(workdir / "bad.json"),
                    "--out", str(workdir / "r2")])
@@ -242,6 +277,17 @@ BAD_INPUTS = {
     "flow-huge-n": lambda d: ["flow", "--n", "1099511627776"],
     "fuzz-huge-n": lambda d: ["fuzz", "--seeds", "1", "--n", "1099511627776"],
     "stability-huge-n": lambda d: ["stability", "--samples", "10", "--n", "1099511627776"],
+    "body-claims-symmetric": lambda d: ["op", "polar", "--body", _write(d / "b.json", json.dumps(
+        {"h": list(1 + 0.05 * np.cos(3 * angles(64))), "symmetric": True}))],
+    "body-fourier-a-too-long": lambda d: ["op", "polar", "--body", _write(
+        d / "b.json", json.dumps({"n": 16, "fourier": {"a": [1.0] + [0.0] * 11}}))],
+    "body-fourier-b-nyquist": lambda d: ["op", "polar", "--body", _write(
+        d / "b.json", json.dumps({"n": 16, "fourier": {"a": [1.0], "b": [0.0] * 8}}))],
+    "minkowski-h-key": lambda d: ["minkowski", "--f", _write(
+        d / "f.json", json.dumps({"n": 64, "h": [1.0] * 64}))],
+    "minkowski-n-mismatch": lambda d: ["minkowski", "--f", _write(
+        d / "f.json", json.dumps({"n": 32, "f": [1.0] * 64}))],
+    "minkowski-no-f": lambda d: ["minkowski", "--f", _write(d / "f.json", '{"n": 64}')],
 }
 
 

@@ -35,7 +35,7 @@ def disk_trace():
 @pytest.fixture(scope="module")
 def wobble_trace():
     th = angles(128)
-    h0 = SupportFn(1 + 0.2 * np.cos(2 * th), symmetric=True)
+    h0 = SupportFn(1 + 0.2 * np.cos(2 * th))
     cfg = FlowConfig(cfl=0.1, t_stop=0.12, renormalize_every=25)
     return flow_run(h0, cfg)
 

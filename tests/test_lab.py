@@ -19,7 +19,7 @@ from centroflow import (
     scaled,
     stability_experiment,
 )
-from centroflow.lab import MIN_CURVATURE, affine_support_bracket
+from centroflow.lab import MIN_CURVATURE, _stability_base, affine_support_bracket
 from centroflow.ops import polar_chain
 from centroflow.spectral import angles, deriv
 
@@ -48,6 +48,12 @@ class TestGenerator:
             s = b.samples + deriv(b.samples, 2)
             assert np.min(s) >= MIN_CURVATURE - 1e-9
             assert b.symmetric
+
+    def test_campaign_bodies_measure_symmetric(self):
+        # the stability bases and ellipses reach the symmetric operators
+        # without any caller declaring their symmetry
+        assert all(_stability_base(seed, 128).symmetric for seed in range(10))
+        assert ellipse(1.8, 0.6, 0.7, 128).symmetric
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

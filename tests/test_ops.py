@@ -187,6 +187,11 @@ class TestMinkowskiSolve:
     def test_translation_modes_reported(self):
         sol = minkowski_solve(1 + 0.2 * np.cos(2 * TH))
         assert sol.translation_modes_removed == pytest.approx((0.0, 0.0), abs=1e-13)
+        assert all(type(c) is float for c in sol.translation_modes_removed)
+
+    def test_symmetry_measured(self):
+        assert minkowski_solve(1 + 0.3 * np.cos(2 * TH)).h.symmetric
+        assert not minkowski_solve(1 + 0.3 * np.cos(3 * TH)).h.symmetric
 
     def test_curvature_fn_input(self, wobble):
         sol = minkowski_solve(curvature_samples(wobble.samples))

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centroflow import (
-    AsymmetricData,
     BodySpec,
     FlowConfig,
     GridMismatch,
@@ -20,8 +19,9 @@ from centroflow import (
     scaled,
 )
 from centroflow.spectral import angles, fourier_coeffs, resample
-from centroflow.support import (RADIAL_OVERSAMPLE, boundary_points, check_grid_size,
-                                check_same_grid, curvature_samples, radial_powers)
+from centroflow.support import (RADIAL_OVERSAMPLE, SYMMETRY_TOL, boundary_points,
+                                check_grid_size, check_same_grid, curvature_samples,
+                                radial_powers)
 
 import oracles
 
@@ -30,12 +30,12 @@ TH = angles(256)
 
 class TestConstructor:
     def test_unit_disk(self):
-        b = SupportFn(np.ones(64), symmetric=True)
+        b = SupportFn(np.ones(64))
         s = curvature_samples(b.samples)
         assert np.allclose(s, 1.0, atol=1e-13)
 
     def test_valid_wobble(self):
-        b = SupportFn(1 + 0.2 * np.cos(2 * TH), symmetric=True)
+        b = SupportFn(1 + 0.2 * np.cos(2 * TH))
         s = curvature_samples(b.samples)
         assert np.max(np.abs(s - (1 - 0.6 * np.cos(2 * TH)))) < 1e-11
 
@@ -47,9 +47,14 @@ class TestConstructor:
         with pytest.raises(NonPositive):
             SupportFn(np.cos(TH) - 2.0)
 
-    def test_asymmetric_flag_rejected(self):
-        with pytest.raises(AsymmetricData):
-            SupportFn(1 + 0.05 * np.cos(3 * TH), symmetric=True)
+    def test_symmetry_is_measured(self):
+        assert not SupportFn(1 + 0.05 * np.cos(3 * TH)).symmetric
+        base = 1 + 0.2 * np.cos(2 * TH)
+        assert SupportFn(base).symmetric
+        # an odd mode moves antipodal samples apart by twice its amplitude
+        odd = SYMMETRY_TOL * np.max(base) * np.cos(3 * TH)
+        assert SupportFn(base + 0.25 * odd).symmetric
+        assert not SupportFn(base + 2.0 * odd).symmetric
 
     def test_small_or_odd_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -82,7 +87,7 @@ class TestCurvature:
         assert np.allclose(curvature_samples(disk(2.5, 64).samples), 2.5)
 
     def test_wobble_values(self):
-        b = SupportFn(1 + 0.2 * np.cos(2 * TH), symmetric=True)
+        b = SupportFn(1 + 0.2 * np.cos(2 * TH))
         s = curvature_samples(b.samples)
         assert s[0] == pytest.approx(0.4, abs=1e-12)
         assert s[64] == pytest.approx(1.6, abs=1e-12)
@@ -98,7 +103,7 @@ class TestAreaPerimeter:
         assert area(disk(2.0, 64)) == pytest.approx(4 * np.pi, rel=1e-14)
 
     def test_wobble_area(self):
-        b = SupportFn(1 + 0.2 * np.cos(2 * TH), symmetric=True)
+        b = SupportFn(1 + 0.2 * np.cos(2 * TH))
         assert area(b) == pytest.approx(0.94 * np.pi, rel=1e-13)
 
     def test_ellipse_area(self):
@@ -108,7 +113,7 @@ class TestAreaPerimeter:
         assert perimeter(disk(0.5, 64)) == pytest.approx(np.pi, rel=1e-14)
 
     def test_wobble_perimeter(self):
-        b = SupportFn(1 + 0.2 * np.cos(2 * TH), symmetric=True)
+        b = SupportFn(1 + 0.2 * np.cos(2 * TH))
         assert perimeter(b) == pytest.approx(2 * np.pi, rel=1e-14)
 
     def test_ellipse_perimeter_vs_elliptic_integral(self):
@@ -120,7 +125,7 @@ class TestAreaPerimeter:
     def test_parseval_area_identity(self):
         b = SupportFn(
             1 + 0.15 * np.cos(2 * TH) + 0.02 * np.sin(4 * TH)
-            + 0.003 * np.cos(6 * TH), symmetric=True)
+            + 0.003 * np.cos(6 * TH))
         a, bb = fourier_coeffs(b.samples)
         k = np.arange(a.size)
         parseval = np.pi * a[0] ** 2 + (np.pi / 2) * np.sum(
@@ -138,7 +143,7 @@ class TestLinearMap:
         assert np.max(np.abs(img.samples - 3.0)) < 1e-12
 
     def test_rotation_shifts_samples(self):
-        b = SupportFn(1 + 0.2 * np.cos(2 * TH), symmetric=True)
+        b = SupportFn(1 + 0.2 * np.cos(2 * TH))
         img = apply_linear_map(b, LinearMap2.rotation(0.5))
         want = 1 + 0.2 * np.cos(2 * (TH - 0.5))
         assert np.max(np.abs(img.samples - want)) < 1e-12
