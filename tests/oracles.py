@@ -89,20 +89,27 @@ def disk_flow_radius(t):
 def grid_rk4_rows(samples, cfl, every, steps):
     """Times and support samples, every ``every`` steps and after the last of
     ``steps``, of dh/dt = -1/(h^2 S) by explicit RK4 on grid samples, numpy
-    only: each stage takes S = h + h'' by FFT, a step has the size
-    cfl * min(dtheta^2 min (h S)^2, min h^3 S) and ends by zeroing the modes
-    above n/3 and the odd modes of the updated samples."""
+    only: the initial samples and each stage speed are masked by FFT to the
+    even modes up to n/3, each stage takes S = h + h'' by FFT, and a step has
+    the size cfl * min(dtheta^2 min (h S)^2, min h^3 S)."""
     h = np.array(samples, dtype=float)
     n = h.size
     ksq = np.arange(n // 2 + 1) ** 2
     dth = 2.0 * np.pi / n
 
+    def kept(x):
+        f = np.fft.rfft(x)
+        f[n // 3 + 1:] = 0.0
+        f[1::2] = 0.0
+        return np.fft.irfft(f, n)
+
     def curvature(x):
         return x - np.fft.irfft(ksq * np.fft.rfft(x), n)
 
     def speed(x):
-        return -1.0 / (x * x * curvature(x))
+        return kept(-1.0 / (x * x * curvature(x)))
 
+    h = kept(h)
     t, times, rows = 0.0, [], []
     for step in range(steps + 1):
         if step % every == 0 or step == steps:
@@ -116,10 +123,7 @@ def grid_rk4_rows(samples, cfl, every, steps):
         k2 = speed(h + 0.5 * dt * k1)
         k3 = speed(h + 0.5 * dt * k2)
         k4 = speed(h + dt * k3)
-        f = np.fft.rfft(h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        f[n // 3 + 1:] = 0.0
-        f[1::2] = 0.0
-        h = np.fft.irfft(f, n)
+        h = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += dt
     return np.array(times), np.array(rows)
 

@@ -243,6 +243,18 @@ class TestFlowCommand:
             assert harnack[key] is None, key
         assert harnack["shrinking_ok"] is True
 
+    def test_grid_above_cap_says_regrid(self, workdir, capsys):
+        save_body(disk(1.0, 1024), workdir / "disk1024.json")
+        for argv in (["--body", str(workdir / "disk1024.json")],
+                     ["--body", str(workdir / "disk.json"), "--n", "1024"]):
+            assert main(["flow", *argv, "--out", str(workdir / "big")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "regrid with --n" in err
+        # regridding the large body down runs
+        assert main(["flow", "--body", str(workdir / "disk1024.json"), "--n", "512",
+                     "--out", str(workdir / "big"), "--t-stop", "1e-4"]) == 0
+
 
 def _write(path, text):
     path.write_text(text)
@@ -275,6 +287,7 @@ BAD_INPUTS = {
     "body-fourier-huge-n": lambda d: ["op", "polar", "--body", _write(
         d / "b.json", '{"n": 1099511627776, "fourier": {"a": [1.0]}}')],
     "flow-huge-n": lambda d: ["flow", "--n", "1099511627776"],
+    "flow-n-above-cap": lambda d: ["flow", "--n", "1024"],
     "fuzz-huge-n": lambda d: ["fuzz", "--seeds", "1", "--n", "1099511627776"],
     "stability-huge-n": lambda d: ["stability", "--samples", "10", "--n", "1099511627776"],
     "body-claims-symmetric": lambda d: ["op", "polar", "--body", _write(d / "b.json", json.dumps(

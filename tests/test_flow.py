@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from centroflow import (
+    BodySpec,
     ConvexityLost,
     FlowConfig,
     LinearMap2,
@@ -17,11 +18,13 @@ from centroflow import (
     flow_run,
     harnack_and_bounds_monitor,
     normalized_view,
+    random_body,
     sl2_positions,
 )
-from centroflow.flow import TRACE_CSV_COLUMNS, _grid_values, gated_central_difference
+from centroflow.flow import (TRACE_CSV_COLUMNS, _half_grid, _kept_mode_tables,
+                             gated_central_difference)
 from centroflow.normalize import family_map
-from centroflow.spectral import angles, curvature_multiplier
+from centroflow.spectral import angles
 
 import oracles
 
@@ -123,6 +126,17 @@ class TestConservation:
         assert rep.area_law_max_rel_dev < 1e-3
         assert rep.min_ca2_monotone
 
+    def test_unresolved_polar_law_is_none(self):
+        # a row every 50 steps at cfl 0.5 is too coarse for the stride gate:
+        # no row is checked, and the polar deviation says so instead of 0.0
+        body = random_body(BodySpec(seed=1, n=64, mode_count=3, decay=1.6, amplitude=0.5))
+        tr = flow_run(body, FlowConfig(cfl=0.5, t_stop_area=1e-3, renormalize_every=50))
+        rep = conservation_checks(tr)
+        assert tr.rows >= 10
+        assert rep.rows_checked == 0
+        assert rep.polar_law_max_rel_dev is None
+        assert np.isnan(rep.area_law_max_rel_dev)
+
     def test_ratio_monotone_and_rhs_match(self, wobble_trace):
         tr = wobble_trace
         assert np.all(np.diff(tr.bp_ratio) <= 1e-8)
@@ -168,9 +182,21 @@ class TestStepperIntegrity:
         order = np.log2(errs[0] / errs[1])
         assert order > 3.8
 
+    def test_temporal_order_non_disk(self):
+        # the disk has the k = 0 mode only; a random body carries the modes
+        # up to n/3, and every RK4 stage must stay on them for fourth order
+        body = random_body(BodySpec(seed=1, n=64, mode_count=3, decay=1.6, amplitude=0.5))
+        final = {}
+        for cfl in (0.1, 0.05, 0.0125):
+            cfg = FlowConfig(cfl=cfl, t_stop=0.15, renormalize_every=10_000)
+            final[cfl] = flow_run(body, cfg).h_rows[-1]
+        errs = [np.max(np.abs(final[cfl] - final[0.0125])) for cfl in (0.1, 0.05)]
+        assert np.log2(errs[0] / errs[1]) >= 3.8
+
     def test_rows_match_grid_space_reference(self, seeded_trace):
-        # the stages run on rfft coefficients; the reference runs them on
-        # grid samples, so the two differ by rounding only
+        # the stages run on kept-mode coefficients on the half grid; the
+        # reference runs them on full-grid samples with FFT masks, so the two
+        # differ by rounding only
         tr = seeded_trace
         body = tr.row_body(0)
         t, rows = oracles.grid_rk4_rows(body.samples, tr.config.cfl,
@@ -182,11 +208,25 @@ class TestStepperIntegrity:
     def test_stage_convexity_check(self):
         # the stage values come from coefficients: a non-convex stage body
         # stops the run at the time of the step it falls in
-        spec = np.fft.rfft(1.0 + 0.4 * np.cos(2.0 * angles(64)))
-        multipliers = np.stack([np.ones(spec.size), curvature_multiplier(64)])
+        synth, project = _kept_mode_tables(64)
+        coef = project @ (1.0 + 0.4 * np.cos(2.0 * angles(64)[:32]))
         with pytest.raises(ConvexityLost) as err:
-            _grid_values(spec, multipliers, 0.25)
+            _half_grid(coef, synth, 0.25)
         assert err.value.t == 0.25
+
+    def test_kept_mode_tables(self):
+        # projection inverts synthesis on the kept modes (even k <= n/3), and
+        # the S rows are h + h''
+        n = 96
+        synth, project = _kept_mode_tables(n)
+        assert synth.shape == (n, 2 * (n // 6) + 1)
+        assert np.max(np.abs(project @ synth[: n // 2] - np.eye(synth.shape[1]))) < 1e-14
+        th = angles(n)[: n // 2]
+        h = 1.0 + 0.1 * np.cos(2.0 * th) + 0.005 * np.sin(8.0 * th) + 2e-4 * np.cos(32.0 * th)
+        s = 1.0 - 0.3 * np.cos(2.0 * th) - 0.315 * np.sin(8.0 * th) - 0.2046 * np.cos(32.0 * th)
+        h_half, s_half = _half_grid(project @ h, synth, 0.0)
+        assert np.max(np.abs(h_half - h)) < 1e-14
+        assert np.max(np.abs(s_half - s)) < 1e-11  # 1 - k^2 scales rounding up to 1e3
 
     def test_spatial_resolution_already_converged(self):
         errs = {}
