@@ -35,7 +35,6 @@ from .ops import (
     polar_area,
     polar_body,
     projection_body,
-    steiner_symmetrize,
 )
 from .normalize import (
     BMCertificate,

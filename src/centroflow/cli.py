@@ -110,8 +110,8 @@ def cmd_flow(args, argv) -> int:
     cfg = FlowConfig(**overrides)
     args.error_context = None
 
-    os.makedirs(args.out, exist_ok=True)
     trace = flow_run(body, cfg)
+    os.makedirs(args.out, exist_ok=True)
 
     buf = io.StringIO()
     trace.to_csv(buf)
@@ -143,7 +143,7 @@ def cmd_flow(args, argv) -> int:
 
 _BODY_OPS = {"polar": ops.polar_body, "centroid": ops.centroid_body,
              "proj": ops.projection_body, "lambda": ops.curvature_image}
-_OP_NAMES = (*_BODY_OPS, "steiner", "bm", "normalize")
+_OP_NAMES = (*_BODY_OPS, "bm", "normalize")
 
 
 def cmd_op(args, argv) -> int:
@@ -153,8 +153,6 @@ def cmd_op(args, argv) -> int:
 
     if args.name in _BODY_OPS:
         result = bodyio.body_to_dict(_BODY_OPS[args.name](body))
-    elif args.name == "steiner":
-        result = bodyio.body_to_dict(ops.steiner_symmetrize(body, args.axis))
     elif args.name == "normalize":
         normalized, witness = sl2_normalize(body)
         result = bodyio.body_to_dict(normalized)
@@ -257,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_op.add_argument("name", choices=_OP_NAMES)
     p_op.add_argument("--body", required=True)
     p_op.add_argument("--out")
-    p_op.add_argument("--axis", type=float, default=0.0,
-                      help="axis angle for steiner")
 
     p_mink = sub.add_parser("minkowski",
                             help="solve h'' + h = f for a density file")

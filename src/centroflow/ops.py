@@ -1,7 +1,7 @@
 """Affinely associated bodies and functionals.
 
 Polar, centroid, projection and curvature-image bodies, the mixed volume,
-the Fourier curvature-prescription solver, and Steiner symmetrization.
+and the Fourier curvature-prescription solver.
 
 Every polar quantity comes from powers of the radial function rho, read
 off the body's own n grid by a change of variables to the normal angle
@@ -35,7 +35,6 @@ from .support import (
     SupportFn,
     area,
     area_quadrature,
-    boundary_points,
     check_grid_size,
     check_same_grid,
     curvature_samples,
@@ -52,7 +51,6 @@ __all__ = [
     "MinkowskiSolution",
     "minkowski_solve",
     "curvature_image",
-    "steiner_symmetrize",
     "PolarChain",
     "polar_chain",
     "lutwak_identity_check",
@@ -181,70 +179,6 @@ def curvature_image(h: SupportFn) -> SupportFn:
     weight = area(h) / polar_area(h)
     sol = minkowski_solve(weight * h.samples ** -3)
     return sol.h
-
-
-# --- Steiner symmetrization ---------------------------------------------------
-
-STEINER_OVERSAMPLE = 8  # chord-matching grid refinement factor
-
-
-def steiner_symmetrize(h: SupportFn, axis_angle: float) -> SupportFn:
-    """Steiner symmetral about the line through the origin at ``axis_angle``.
-
-    Chords perpendicular to the axis are re-centered on it.  The body is
-    rotated so the axis is horizontal, dense chord endpoints are matched by
-    Newton iteration on the boundary parametrization (x is strictly monotone
-    along each chain since dx/dtheta = -S sin theta), the support function is
-    rebuilt as a refined vertex supremum, and the result is smoothed by
-    spectral truncation to n/4 modes before rotating back.
-    """
-    n = h.n
-    m = STEINER_OVERSAMPLE * n
-    work = spectral.rotate(h.samples, -axis_angle)
-
-    th_up = spectral.angles(m)[1 : m // 2]  # upper chain, normals pointing up
-    x_up, y_up = boundary_points(work, th_up)
-
-    # lower chain sampled densely; x is monotone increasing there
-    th_dense = np.pi + spectral.angles(2 * m) * 0.5
-    th_dense = th_dense[1:-1]
-    x_dense, _ = boundary_points(work, th_dense)
-
-    # initial matching angles by inverse interpolation, then Newton
-    idx = np.clip(np.searchsorted(x_dense, x_up), 1, x_dense.size - 1)
-    frac = (x_up - x_dense[idx - 1]) / (x_dense[idx] - x_dense[idx - 1])
-    th_lo = th_dense[idx - 1] + frac * (th_dense[idx] - th_dense[idx - 1])
-
-    curv = curvature_samples(work)
-    for _ in range(6):
-        x_lo, _ = boundary_points(work, th_lo)
-        dx = -spectral.trig_eval(curv, th_lo) * np.sin(th_lo)
-        th_lo = np.clip(th_lo - (x_lo - x_up) / dx,
-                        np.pi + 1e-12, 2.0 * np.pi - 1e-12)
-    _, y_lo = boundary_points(work, th_lo)
-
-    half_width = 0.5 * (y_up - y_lo)
-    # end vertices of the axis: chords degenerate to points there
-    x_right, _ = boundary_points(work, np.array([0.0]))
-    x_left, _ = boundary_points(work, np.array([np.pi]))
-    xs = np.concatenate([x_right, x_up, x_left])
-    ws = np.concatenate([[0.0], half_width, [0.0]])
-
-    phi = spectral.angles(n)
-    proj = xs[None, :] * np.cos(phi)[:, None] + ws[None, :] * np.abs(np.sin(phi))[:, None]
-    j = np.argmax(proj, axis=1)
-    rows = np.arange(n)
-    interior = (j >= 1) & (j <= xs.size - 2)
-    jc = np.clip(j, 1, xs.size - 2)
-    _, vertex = spectral.parabola_vertex(
-        proj[rows, jc - 1], proj[rows, jc], proj[rows, jc + 1])
-    new_h = np.where(interior, vertex, proj[rows, j])
-
-    out = spectral.low_pass(new_h, n // 4)
-    if h.symmetric:
-        out = spectral.project_even(out)
-    out = spectral.rotate(out, axis_angle)
-    return SupportFn(out)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """FFT calculus for 2*pi-periodic samples on a uniform grid.
 
 An array of n real values is identified with the trigonometric interpolant
-through the points theta_j = 2*pi*j/n.  Differentiation, resampling,
-low-pass filtering and pointwise evaluation are exact for bandlimited data
-(all spectral mass strictly below the Nyquist wavenumber n/2), and the
+through the points theta_j = 2*pi*j/n.  Differentiation, resampling and
+pointwise evaluation are exact for bandlimited data (all spectral mass
+strictly below the Nyquist wavenumber n/2), and the
 derivative of the Nyquist mode follows the usual convention: zeroed for odd
 orders, kept with multiplier (-1)^(order/2) * k^order for even orders.
 """
@@ -20,8 +20,6 @@ __all__ = [
     "from_coeffs",
     "trig_eval",
     "resample",
-    "low_pass",
-    "rotate",
     "project_even",
     "tail_fraction",
     "parabola_vertex",
@@ -111,27 +109,6 @@ def resample(samples: np.ndarray, m: int) -> np.ndarray:
         g = f[: m // 2 + 1].copy()
         g[-1] = 0.0
     return np.fft.irfft(g * (m / n), m)
-
-
-def low_pass(samples: np.ndarray, kmax: int) -> np.ndarray:
-    """Zero all modes with wavenumber above kmax."""
-    x = np.asarray(samples, dtype=float)
-    f = np.fft.rfft(x)
-    f[kmax + 1 :] = 0.0
-    return np.fft.irfft(f, x.size)
-
-
-def rotate(samples: np.ndarray, phi: float) -> np.ndarray:
-    """Samples of f(theta - phi) for the interpolant f."""
-    x = np.asarray(samples, dtype=float)
-    n = x.size
-    f = np.fft.rfft(x)
-    nyquist = f[-1].real
-    k = np.arange(n // 2 + 1)
-    f *= np.exp(-1j * k * phi)
-    # the rotated Nyquist mode has an unrepresentable sine part; keep the cos part
-    f[-1] = nyquist * np.cos((n // 2) * phi)
-    return np.fft.irfft(f, n)
 
 
 def project_even(samples: np.ndarray) -> np.ndarray:

@@ -99,6 +99,16 @@ class TestOpCommand:
         data = json.loads(capsys.readouterr().out)
         assert np.allclose(data["h"], 4 / (3 * np.pi), atol=1e-10)
 
+    def test_removed_steiner_command_is_exit_2(self, workdir, capsys):
+        body = str(workdir / "disk.json")
+        for argv, why in ((["op", "steiner", "--body", body], "invalid choice: 'steiner'"),
+                          (["op", "polar", "--body", body, "--axis", "0.5"],
+                           "unrecognized arguments: --axis 0.5")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert why in capsys.readouterr().err
+
     def test_bm_of_ellipse(self, workdir, capsys):
         rc = main(["op", "bm", "--body", str(workdir / "ellipse.json")])
         assert rc == 0
@@ -251,6 +261,7 @@ class TestFlowCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert "regrid with --n" in err
+            assert not (workdir / "big").exists()
         # regridding the large body down runs
         assert main(["flow", "--body", str(workdir / "disk1024.json"), "--n", "512",
                      "--out", str(workdir / "big"), "--t-stop", "1e-4"]) == 0
@@ -312,6 +323,7 @@ def test_bad_input_is_exit_2_without_traceback(case, workdir, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (workdir / "run").exists()
 
 
 class TestCampaignCommands:

@@ -28,12 +28,11 @@ from centroflow import (
     polar_body,
     projection_body,
     random_body,
-    steiner_symmetrize,
 )
 from centroflow.errors import GridMismatch
 from centroflow.lab import deficit_report, groemer_gap, petty_projection_product
 from centroflow.ops import polar_chain
-from centroflow.spectral import angles, rotate
+from centroflow.spectral import angles
 from centroflow.support import curvature_samples
 
 from conftest import near_floor_body
@@ -112,7 +111,8 @@ class TestProjection:
     def test_symmetric_is_doubled_quarter_turn(self, mild_bodies):
         for b in mild_bodies:
             p = projection_body(b)
-            want = 2.0 * rotate(b.samples, np.pi / 2)
+            # h(theta - pi/2) is an exact index shift since 4 divides n
+            want = 2.0 * np.roll(b.samples, b.n // 4)
             assert np.max(np.abs(p.samples - want)) <= 1e-8 * np.max(want)
 
     def test_ellipse_closed_form(self):
@@ -229,40 +229,6 @@ class TestCurvatureImage:
         lhs = curvature_image(apply_linear_map(wobble, phi))
         rhs = apply_linear_map(curvature_image(wobble), phi)
         assert np.max(np.abs(lhs.samples - rhs.samples)) < 1e-6 * np.max(rhs.samples)
-
-
-class TestSteiner:
-    def test_disk_invariant(self):
-        s = steiner_symmetrize(disk(1.0, 128), 0.9)
-        assert np.max(np.abs(s.samples - 1.0)) < 1e-9
-
-    def test_ellipse_about_major_axis(self):
-        e = ellipse(2.0, 1.0, 0.0, 256)
-        s = steiner_symmetrize(e, 0.0)
-        assert np.max(np.abs(s.samples - e.samples)) < 1e-7
-
-    def test_area_preserved(self, wobble):
-        for axis in (0.0, np.pi / 4, 1.1):
-            s = steiner_symmetrize(wobble, axis)
-            assert area(s) == pytest.approx(area(wobble), rel=1e-6)
-
-    def test_area_preserved_vs_polygon_oracle(self, wobble):
-        s = steiner_symmetrize(wobble, np.pi / 4)
-        x, y = oracles.boundary_points(s, 1 << 15)
-        assert oracles.shoelace_area(x, y) == pytest.approx(
-            area(wobble), rel=2e-6)
-
-    def test_centroid_ratio_never_increases(self, wobble):
-        before = area(centroid_body(wobble)) / area(wobble)
-        for axis in (np.pi / 4, 0.3):
-            s = steiner_symmetrize(wobble, axis)
-            after = area(centroid_body(s)) / area(s)
-            assert after <= before + 1e-6
-
-    def test_asymmetric_body_supported(self):
-        b = SupportFn(1 + 0.05 * np.cos(3 * TH))
-        s = steiner_symmetrize(b, 0.0)
-        assert area(s) == pytest.approx(area(b), rel=1e-6)
 
 
 class TestLutwakIdentity:

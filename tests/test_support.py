@@ -160,6 +160,17 @@ class TestLinearMap:
         half = img.n // 2
         assert np.max(np.abs(img.samples - np.roll(img.samples, half))) < 1e-13
 
+    def test_sl2_image_area_vs_polygon_oracle(self):
+        b = SupportFn(
+            1 + 0.15 * np.cos(2 * TH) + 0.02 * np.sin(4 * TH)
+            + 0.003 * np.cos(6 * TH))
+        img = apply_linear_map(
+            b, LinearMap2.diagonal(1.3, 1 / 1.3) @ LinearMap2.rotation(0.3))
+        x, y = oracles.boundary_points(img, 1 << 15)
+        # the 2^15-gon misses the curve's area by about 1.4e-8 relative
+        assert area(img) == pytest.approx(oracles.shoelace_area(x, y), rel=1e-7)
+        assert area(img) == pytest.approx(area(b), rel=1e-12)
+
     @settings(max_examples=15, deadline=None)
     @given(st.floats(0.6, 1.6), st.floats(-0.3, 0.3), st.floats(0.7, 1.5),
            st.floats(0.0, np.pi))
