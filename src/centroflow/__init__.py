@@ -7,11 +7,9 @@ __version__ = "0.1.0"
 from .errors import (
     AsymmetricData,
     CentroflowError,
-    ClosureViolated,
     ConvexityLost,
     GridMismatch,
     NonConvex,
-    NonConvexSolution,
     NonPositive,
     StepUnderflow,
 )
@@ -26,11 +24,8 @@ from .support import (
     scaled,
 )
 from .ops import (
-    MinkowskiSolution,
     centroid_body,
     curvature_image,
-    lutwak_identity_check,
-    minkowski_solve,
     mixed_volume,
     polar_area,
     polar_body,

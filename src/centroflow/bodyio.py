@@ -24,7 +24,7 @@ import numpy as np
 from . import spectral
 from .support import SupportFn, check_grid_size, require_symmetric
 
-__all__ = ["body_to_dict", "body_from_dict", "load_body", "save_body", "grid_samples",
+__all__ = ["body_to_dict", "body_from_dict", "load_body", "save_body",
            "sha256_of_file", "atomic_write_text", "write_lines"]
 
 
@@ -45,16 +45,6 @@ def number_list(value, what: str) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
-def grid_samples(data: dict, key: str) -> np.ndarray:
-    """``data[key]`` as finite samples, checked against ``data["n"]`` if given."""
-    samples = number_list(data[key], key)
-    n = samples.size if data.get("n") is None else data["n"]
-    check_grid_size(n)
-    if n != samples.size:
-        raise ValueError("n does not match the number of samples")
-    return samples
-
-
 def body_from_dict(data: dict) -> SupportFn:
     """Validated body from parsed body JSON; any other JSON value raises
     ValueError or a CentroflowError."""
@@ -64,7 +54,11 @@ def body_from_dict(data: dict) -> SupportFn:
     if not isinstance(symmetric, bool):
         raise ValueError("symmetric must be true or false")
     if "h" in data:
-        samples = grid_samples(data, "h")
+        samples = number_list(data["h"], "h")
+        n = samples.size if data.get("n") is None else data["n"]
+        check_grid_size(n)
+        if n != samples.size:
+            raise ValueError("n does not match the number of samples")
     elif "fourier" in data:
         n, coeffs = data.get("n"), data["fourier"]
         if n is None or not isinstance(coeffs, dict):
@@ -93,10 +87,14 @@ def load_body(path) -> SupportFn:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file and rename, so failures leave no partial file."""
+    """Write via a temp file and rename, so failures leave no partial file.
+    The file gets the mode a plain create would, 0666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

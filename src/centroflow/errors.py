@@ -21,15 +21,6 @@ class GridMismatch(CentroflowError):
     """Binary operation applied to bodies with different grid sizes."""
 
 
-class ClosureViolated(CentroflowError):
-    """Candidate curvature density carries first-harmonic mass; no closed
-    convex curve has that surface area measure."""
-
-
-class NonConvexSolution(CentroflowError):
-    """Curvature-prescription solve produced a non-convex support function."""
-
-
 class ConvexityLost(CentroflowError):
     """Time stepping lost strict convexity.  Signals a step-size failure,
     not a property of the evolution itself."""

@@ -237,6 +237,9 @@ def _bm_search(forms: _BoundaryForms, start: tuple[float, float], short: bool
                    xatol=xatol, fatol=fatol, maxiter=maxiter)
     s, phi = float(np.exp(res.x[0])), float(res.x[1])
     lo, hi = forms.radii(s, phi)
+    if not np.isfinite(hi / lo):
+        raise ValueError("the Banach-Mazur distance is not finite: the body's scale "
+                         "overflows or underflows")
     return BMCertificate(distance=float(hi / lo), witness=family_map(s, phi),
                          inner_radius=float(lo), outer_radius=float(hi))
 

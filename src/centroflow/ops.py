@@ -1,7 +1,7 @@
 """Affinely associated bodies and functionals.
 
-Polar, centroid, projection and curvature-image bodies, the mixed volume,
-and the Fourier curvature-prescription solver.
+Polar, centroid, projection and curvature-image bodies and the mixed
+volume.
 
 Every polar quantity comes from powers of the radial function rho, read
 off the body's own n grid by a change of variables to the normal angle
@@ -30,12 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import ClosureViolated, NonConvex, NonConvexSolution, NonPositive
 from .support import (
     SupportFn,
     area,
     area_quadrature,
-    check_grid_size,
     check_same_grid,
     curvature_samples,
     radial_powers,
@@ -48,12 +46,9 @@ __all__ = [
     "centroid_body",
     "projection_body",
     "mixed_volume",
-    "MinkowskiSolution",
-    "minkowski_solve",
     "curvature_image",
     "PolarChain",
     "polar_chain",
-    "lutwak_identity_check",
 ]
 
 
@@ -115,24 +110,6 @@ def mixed_volume(h_k: SupportFn, h_l: SupportFn) -> float:
     return area_quadrature(h_l.samples, curvature_samples(h_k.samples))
 
 
-@dataclass(frozen=True)
-class MinkowskiSolution:
-    """Solution of the curvature prescription h'' + h = f.
-
-    ``residual`` is the sup-norm of h'' + h - f; ``translation_modes_removed``
-    are the (cos, sin) first-harmonic coefficients of f that were dropped to
-    fix the translation gauge.
-    """
-
-    h: SupportFn
-    residual: float
-    translation_modes_removed: tuple[float, float]
-
-
-# first-harmonic mass beyond this (relative) fraction of max f is rejected
-CLOSURE_RTOL = 1e-6
-
-
 def _solve_curvature(f: np.ndarray) -> np.ndarray:
     """Samples of the solution of h'' + h = f: h_k = f_k / (1 - k^2), with
     the first harmonic (the translations) set to zero."""
@@ -141,44 +118,12 @@ def _solve_curvature(f: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(f) * (1.0 / mult), f.size)
 
 
-def minkowski_solve(f) -> MinkowskiSolution:
-    """Solve h'' + h = f for the support function of a convex body.
-
-    Diagonal in Fourier space: h_k = f_k / (1 - k^2) for k != 1.  The
-    first harmonic of f must vanish (closure of the boundary curve); the
-    first harmonic of h is set to zero, fixing the body up to translation.
-    """
-    density = np.asarray(f, dtype=float)
-    if density.ndim != 1 or not np.all(np.isfinite(density)):
-        raise ValueError("curvature density must be finite and 1-D")
-    check_grid_size(density.size)
-    if np.min(density) <= 0.0:
-        raise NonConvex("curvature density must be strictly positive")
-    fmax = float(np.max(np.abs(density)))
-    a, b = spectral.fourier_coeffs(density)
-    a1, b1 = a[1], b[1]
-    if np.hypot(a1, b1) > CLOSURE_RTOL * fmax:
-        raise ClosureViolated(
-            f"first-harmonic amplitude {np.hypot(a1, b1):.3g} exceeds "
-            f"{CLOSURE_RTOL:g} * max f"
-        )
-    hvals = _solve_curvature(density)
-    try:
-        body = SupportFn(hvals)
-    except (NonConvex, NonPositive) as exc:
-        raise NonConvexSolution(str(exc)) from exc
-    resid = float(np.max(np.abs(curvature_samples(hvals) - density)))
-    return MinkowskiSolution(h=body, residual=resid,
-                             translation_modes_removed=(float(a1), float(b1)))
-
-
 def curvature_image(h: SupportFn) -> SupportFn:
     """Curvature-image body: the body whose surface density is
     (V(K)/V(K*)) * h^-3."""
     require_symmetric(h, "curvature_image")
     weight = area(h) / polar_area(h)
-    sol = minkowski_solve(weight * h.samples ** -3)
-    return sol.h
+    return SupportFn(_solve_curvature(weight * h.samples ** -3))
 
 
 @dataclass(frozen=True)
@@ -236,9 +181,3 @@ def polar_chain(h: SupportFn) -> PolarChain:
     return PolarChain(polar=p, polar_curvature=curvature_samples(p), rho_cubed=rho3, v_star=v_star,
                       v_lambda_star=area_quadrature(lam, curvature_samples(lam)))
 
-
-def lutwak_identity_check(h: SupportFn) -> float:
-    """Sup-norm residual of h_{Gamma K} = (2 / (3 V(K*))) * h_{Pi Lambda K*}
-    (see ``PolarChain.identity_residual``), from one polar chain."""
-    chain = polar_chain(h)
-    return chain.identity_residual(chain.centroid_samples(area(h)))

@@ -69,7 +69,7 @@ class SupportFn:
         if np.min(x) <= 0.0:
             raise NonPositive(f"min support sample {np.min(x):.6g} <= 0")
         curv = curvature_samples(x)
-        if np.min(curv) <= -CONVEXITY_FLOOR * hmax:
+        if not np.min(curv) > -CONVEXITY_FLOOR * hmax:  # NaN when the scale overflows
             raise NonConvex(
                 f"min curvature {np.min(curv):.6g} at grid node "
                 f"{int(np.argmin(curv))}"

@@ -1,5 +1,7 @@
 import json
 import os
+import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -164,25 +166,6 @@ class TestOpCommand:
         assert load_body(out).samples[0] == pytest.approx(1.0, abs=1e-10)
 
 
-class TestMinkowskiCommand:
-    def test_solve(self, workdir, capsys):
-        th = angles(64)
-        (workdir / "f.json").write_text(
-            json.dumps({"n": 64, "f": list(1 + 0.3 * np.cos(2 * th))}))
-        rc = main(["minkowski", "--f", str(workdir / "f.json")])
-        assert rc == 0
-        data = json.loads(capsys.readouterr().out)
-        want = 1 - 0.1 * np.cos(2 * th)
-        assert np.max(np.abs(np.array(data["h"]) - want)) < 1e-12
-
-    def test_closure_violation_exit_2(self, workdir, capsys):
-        th = angles(64)
-        (workdir / "f1.json").write_text(
-            json.dumps({"n": 64, "f": list(1 + 0.2 * np.cos(th))}))
-        rc = main(["minkowski", "--f", str(workdir / "f1.json")])
-        assert rc == 2
-
-
 class TestFlowCommand:
     def test_disk_run_outputs(self, workdir):
         out = workdir / "run"
@@ -280,16 +263,12 @@ BAD_INPUTS = {
     "flow-odd-n": lambda d: ["flow", "--n", "17"],
     "fuzz-no-seeds": lambda d: ["fuzz", "--seeds", "0"],
     "stability-few": lambda d: ["stability", "--samples", "3"],
-    "minkowski-malformed": lambda d: ["minkowski", "--f", _write(d / "f.json", "{nope")],
     "body-string": lambda d: ["op", "polar", "--body", _write(d / "b.json", '"hello"')],
     "body-number": lambda d: ["op", "polar", "--body", _write(d / "b.json", "5")],
     "body-fourier-number": lambda d: ["op", "polar", "--body",
                                       _write(d / "b.json", '{"n": 64, "fourier": 5}')],
     "body-null-n": lambda d: ["op", "polar", "--body",
                               _write(d / "b.json", '{"n": null, "fourier": {"a": [1.0]}}')],
-    "minkowski-object-density": lambda d: ["minkowski", "--f",
-                                           _write(d / "f.json", '{"f": {"a": 1}}')],
-    "minkowski-one-sample": lambda d: ["minkowski", "--f", _write(d / "f.json", '{"f": [1.0]}')],
     "config-float-n": lambda d: ["flow", "--config", _write(d / "c.json", '{"n": 32.0}')],
     "config-float-every": lambda d: ["flow", "--config",
                                      _write(d / "c.json", '{"renormalize_every": 2.5}')],
@@ -307,11 +286,15 @@ BAD_INPUTS = {
         d / "b.json", json.dumps({"n": 16, "fourier": {"a": [1.0] + [0.0] * 11}}))],
     "body-fourier-b-nyquist": lambda d: ["op", "polar", "--body", _write(
         d / "b.json", json.dumps({"n": 16, "fourier": {"a": [1.0], "b": [0.0] * 8}}))],
-    "minkowski-h-key": lambda d: ["minkowski", "--f", _write(
-        d / "f.json", json.dumps({"n": 64, "h": [1.0] * 64}))],
-    "minkowski-n-mismatch": lambda d: ["minkowski", "--f", _write(
-        d / "f.json", json.dumps({"n": 32, "f": [1.0] * 64}))],
-    "minkowski-no-f": lambda d: ["minkowski", "--f", _write(d / "f.json", '{"n": 64}')],
+    # scales whose curvature, polar or radii overflow to inf or NaN
+    "body-overflow-lambda": lambda d: ["op", "lambda", "--body", _write(
+        d / "b.json", json.dumps({"h": [1e308] * 16}))],
+    "body-overflow-bm": lambda d: ["op", "bm", "--body", _write(
+        d / "b.json", json.dumps({"h": [1e308] * 16}))],
+    "body-underflow-bm": lambda d: ["op", "bm", "--body", _write(
+        d / "b.json", json.dumps({"h": [1e-160] * 16}))],
+    "body-underflow-lambda": lambda d: ["op", "lambda", "--body", _write(
+        d / "b.json", json.dumps({"h": [1e-300] * 16}))],
 }
 
 
@@ -320,10 +303,38 @@ def test_bad_input_is_exit_2_without_traceback(case, workdir, capsys):
     argv = BAD_INPUTS[case](workdir)
     if argv[0] == "flow":
         argv += ["--body", str(workdir / "disk.json"), "--out", str(workdir / "run")]
-    assert main(argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    # a warning would print more lines on stderr outside the test
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (workdir / "run").exists()
+
+
+def test_removed_minkowski_command_is_exit_2(workdir, capsys):
+    (workdir / "f.json").write_text(json.dumps({"n": 64, "f": [1.0] * 64}))
+    with pytest.raises(SystemExit) as exc:
+        main(["minkowski", "--f", str(workdir / "f.json")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'minkowski'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_output_files_honour_the_umask(workdir, umask):
+    old = os.umask(umask)
+    try:
+        out = workdir / "run"
+        assert main(["op", "polar", "--body", str(workdir / "disk.json"),
+                     "--out", str(workdir / "polar.json")]) == 0
+        assert main(["flow", "--body", str(workdir / "disk.json"), "--out", str(out),
+                     "--t-stop", "0.01", "--every", "20"]) == 0
+    finally:
+        os.umask(old)
+    for path in (workdir / "polar.json", out / "trace.csv", out / "report.json",
+                 out / "manifest.json"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
 
 
 class TestCampaignCommands:

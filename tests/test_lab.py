@@ -156,9 +156,10 @@ class TestReports:
             "groemer_gap", "lambda_gap", "lutwak_residual_rel"}
 
     def test_identity_residual_matches_ops(self, wobble):
-        from centroflow import centroid_body, lutwak_identity_check
+        from centroflow import centroid_body
         for body in (wobble, random_body(BodySpec(seed=5))):
-            want = lutwak_identity_check(body) / np.max(centroid_body(body).samples)
+            gamma = centroid_body(body).samples
+            want = polar_chain(body).identity_residual(gamma) / np.max(gamma)
             assert deficit_report(body).lutwak_residual_rel == pytest.approx(
                 want, rel=1e-12, abs=1e-300)
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from centroflow import (
     AsymmetricData,
     BodySpec,
-    ClosureViolated,
     LinearMap2,
     NonConvex,
     apply_linear_map,
@@ -19,8 +18,6 @@ from centroflow import (
     curvature_image,
     disk,
     ellipse,
-    lutwak_identity_check,
-    minkowski_solve,
     mixed_volume,
     perimeter,
     pinching_to_bm_bound,
@@ -31,7 +28,7 @@ from centroflow import (
 )
 from centroflow.errors import GridMismatch
 from centroflow.lab import deficit_report, groemer_gap, petty_projection_product
-from centroflow.ops import polar_chain
+from centroflow.ops import _solve_curvature, polar_chain
 from centroflow.spectral import angles
 from centroflow.support import curvature_samples
 
@@ -162,41 +159,27 @@ class TestMixedVolume:
 
 
 class TestMinkowskiSolve:
+    """h'' + h = f through ``_solve_curvature``, the solve behind the curvature
+    image."""
+
     def test_constant(self):
-        sol = minkowski_solve(np.ones(64))
-        assert np.max(np.abs(sol.h.samples - 1.0)) < 1e-13
-        assert sol.residual < 1e-12
+        assert np.max(np.abs(_solve_curvature(np.ones(64)) - 1.0)) < 1e-13
 
     def test_mode_two(self):
-        sol = minkowski_solve(1 + 0.3 * np.cos(2 * TH))
-        assert np.max(np.abs(sol.h.samples - (1 - 0.1 * np.cos(2 * TH)))) < 1e-13
+        h = _solve_curvature(1 + 0.3 * np.cos(2 * TH))
+        assert np.max(np.abs(h - (1 - 0.1 * np.cos(2 * TH)))) < 1e-13
 
-    def test_mode_three_fine_but_first_harmonic_rejected(self):
-        sol = minkowski_solve(1 + 0.2 * np.cos(3 * TH))
-        assert np.max(np.abs(sol.h.samples - (1 - 0.025 * np.cos(3 * TH)))) < 1e-13
-        with pytest.raises(ClosureViolated):
-            minkowski_solve(1 + 0.2 * np.cos(TH))
-
-    def test_grid_size_rule(self):
-        # the density size comes from a file: the same rule as SupportFn,
-        # checked before the closure test and the solve
-        for size in (1, 14, 17, 65538):
-            with pytest.raises(ValueError, match="grid size n must be"):
-                minkowski_solve(np.ones(size))
-
-    def test_translation_modes_reported(self):
-        sol = minkowski_solve(1 + 0.2 * np.cos(2 * TH))
-        assert sol.translation_modes_removed == pytest.approx((0.0, 0.0), abs=1e-13)
-        assert all(type(c) is float for c in sol.translation_modes_removed)
-
-    def test_symmetry_measured(self):
-        assert minkowski_solve(1 + 0.3 * np.cos(2 * TH)).h.symmetric
-        assert not minkowski_solve(1 + 0.3 * np.cos(3 * TH)).h.symmetric
+    def test_mode_three_and_first_harmonic_dropped(self):
+        want = 1 - 0.025 * np.cos(3 * TH)
+        assert np.max(np.abs(_solve_curvature(1 + 0.2 * np.cos(3 * TH)) - want)) < 1e-13
+        # the first harmonic (the translations) has no solution and is set to zero
+        h = _solve_curvature(1 + 0.2 * np.cos(3 * TH) + 0.2 * np.cos(TH) - 0.1 * np.sin(TH))
+        assert np.max(np.abs(h - want)) < 1e-13
 
     def test_curvature_fn_input(self, wobble):
-        sol = minkowski_solve(curvature_samples(wobble.samples))
         # translation gauge: the solve reproduces the body (no k=1 content)
-        assert np.max(np.abs(sol.h.samples - wobble.samples)) < 1e-12
+        h = _solve_curvature(curvature_samples(wobble.samples))
+        assert np.max(np.abs(h - wobble.samples)) < 1e-12
 
 
 class TestCurvatureImage:
@@ -231,18 +214,24 @@ class TestCurvatureImage:
         assert np.max(np.abs(lhs.samples - rhs.samples)) < 1e-6 * np.max(rhs.samples)
 
 
+def identity_residual(h):
+    """Sup-norm residual of h_{Gamma K} = (2 / (3 V(K*))) * h_{Pi Lambda K*}."""
+    chain = polar_chain(h)
+    return chain.identity_residual(chain.centroid_samples(area(h)))
+
+
 class TestLutwakIdentity:
     def test_disk_exact(self):
-        assert lutwak_identity_check(disk(1.0, 128)) < 1e-10
+        assert identity_residual(disk(1.0, 128)) < 1e-10
 
     def test_ellipse(self):
         e = ellipse(1.5, 0.9, 0.4, 256)
         g = centroid_body(e)
-        assert lutwak_identity_check(e) <= 1e-6 * np.max(g.samples)
+        assert identity_residual(e) <= 1e-6 * np.max(g.samples)
 
     def test_wobble(self, wobble):
         g = centroid_body(wobble)
-        assert lutwak_identity_check(wobble) <= 1e-5 * np.max(g.samples)
+        assert identity_residual(wobble) <= 1e-5 * np.max(g.samples)
 
     def test_perturbed_polar_row_is_detected(self, wobble):
         # the right-hand side is built from the polar row alone
