@@ -46,7 +46,6 @@ from .flow import (
     conservation_checks,
     flow_run,
     harnack_and_bounds_monitor,
-    normalized_view,
 )
 from .lab import (
     BP_CONSTANT,

@@ -25,7 +25,7 @@ from . import spectral
 from .support import SupportFn, check_grid_size, require_symmetric
 
 __all__ = ["body_to_dict", "body_from_dict", "load_body", "save_body",
-           "sha256_of_file", "atomic_write_text", "write_lines"]
+           "sha256_of_file", "atomic_write_text"]
 
 
 def body_to_dict(h: SupportFn) -> dict:
@@ -102,11 +102,6 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_lines(target, lines) -> None:
-    """Write each line plus a newline to an open text stream."""
-    target.writelines(line + "\n" for line in lines)
 
 
 def save_body(h: SupportFn, path) -> None:

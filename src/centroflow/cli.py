@@ -14,13 +14,13 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import __version__, bodyio, ops
 from .errors import CentroflowError
-from .flow import FlowConfig, conservation_checks, flow_run, harnack_and_bounds_monitor, normalized_view
+from .flow import FlowConfig, conservation_checks, flow_run, harnack_and_bounds_monitor
 from .lab import fuzz_campaign, stability_experiment
 from .normalize import banach_mazur_to_disk, pinching_to_bm_bound, sl2_normalize
 from .spectral import angles
@@ -55,14 +55,26 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_manifest(out_dir: str, argv: list[str], config: dict,
-                    input_path: str | None, outputs: list[str],
-                    started: float) -> None:
+def _csv_text(table) -> str:
+    """What ``table.to_csv`` writes, as a string."""
+    buf = io.StringIO()
+    table.to_csv(buf)
+    return buf.getvalue()
+
+
+def _write_run_dir(out_dir: str, files: dict[str, str], argv: list[str], config: dict,
+                   started: float, input_path: str | None = None,
+                   extra_outputs: list[str] = ()) -> None:
+    """Make ``out_dir`` and write into it ``files`` (name: text) and the run's
+    manifest, which lists them and ``extra_outputs`` (paths relative to it)."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files.items():
+        bodyio.atomic_write_text(os.path.join(out_dir, name), text)
     manifest = {
         "command": shlex.join(["centroflow"] + list(argv)),
         "config": config,
         "input_sha256": bodyio.sha256_of_file(input_path) if input_path else None,
-        "outputs": sorted(outputs),
+        "outputs": sorted([*files, *extra_outputs]),
         "wall_time_s": time.time() - started,
         "version": __version__,
     }
@@ -113,33 +125,27 @@ def cmd_flow(args, argv) -> int:
     args.error_context = None
 
     trace = flow_run(body, cfg)
-    os.makedirs(args.out, exist_ok=True)
-
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    bodyio.atomic_write_text(os.path.join(args.out, "trace.csv"), buf.getvalue())
     reports = {
         "estimated_T": trace.estimated_T,
         "steps": trace.steps,
         "stop_reason": trace.stop_reason,
-        "conservation": conservation_checks(trace).as_dict()
-        if trace.rows >= 10 else None,
-        "harnack": harnack_and_bounds_monitor(trace).as_dict(),
+        "conservation": asdict(conservation_checks(trace)) if trace.rows >= 10 else None,
+        "harnack": asdict(harnack_and_bounds_monitor(trace)),
     }
-    bodyio.atomic_write_text(os.path.join(args.out, "report.json"),
-                             _json_text(reports, indent=2, sort_keys=True))
-    outputs = ["trace.csv", "report.json"]
 
+    frames = []
     if args.frames:
         os.makedirs(args.frames, exist_ok=True)
         inside_out = os.path.relpath(args.frames, args.out).split(os.sep)[0] != os.pardir
         for i in range(trace.rows):
             path = os.path.join(args.frames, f"frame_{i:06d}.svg")
-            _svg_frame(normalized_view(trace, i), path)
+            _svg_frame(sl2_normalize(trace.row_body(i))[0], path)
             if inside_out:
-                outputs.append(os.path.relpath(path, args.out))
+                frames.append(os.path.relpath(path, args.out))
 
-    _write_manifest(args.out, argv, {**overrides}, args.body, outputs, started)
+    _write_run_dir(args.out, {"trace.csv": _csv_text(trace),
+                              "report.json": _json_text(reports, indent=2, sort_keys=True)},
+                   argv, {**overrides}, started, args.body, frames)
     return EXIT_OK
 
 
@@ -151,7 +157,7 @@ _OP_NAMES = (*_BODY_OPS, "bm", "normalize")
 def cmd_op(args, argv) -> int:
     args.error_context = "invalid body"
     body = bodyio.load_body(args.body)
-    args.error_context = None
+    args.error_context = f"op {args.name}"  # a failure from here on is the operator's
 
     if args.name in _BODY_OPS:
         result = bodyio.body_to_dict(_BODY_OPS[args.name](body))
@@ -168,6 +174,7 @@ def cmd_op(args, argv) -> int:
             "outer_radius": cert.outer_radius,
             "pinching_bound": pinching_to_bm_bound(body),
         }
+    args.error_context = None
     _emit(_json_text(result), args.out)
     return EXIT_OK
 
@@ -177,11 +184,8 @@ def cmd_fuzz(args, argv) -> int:
     report = fuzz_campaign(args.seeds, args.seed, n=args.n)
     payload = _json_text(report.as_dict(), indent=2, sort_keys=True)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        bodyio.atomic_write_text(os.path.join(args.out, "fuzz.json"), payload)
-        _write_manifest(args.out, argv,
-                        {"seeds": args.seeds, "seed": args.seed, "n": args.n},
-                        None, ["fuzz.json"], started)
+        _write_run_dir(args.out, {"fuzz.json": payload}, argv,
+                       {"seeds": args.seeds, "seed": args.seed, "n": args.n}, started)
     else:
         sys.stdout.write(payload)
     if report.worst() < GAP_FLOOR:
@@ -202,19 +206,12 @@ def cmd_stability(args, argv) -> int:
         "eps_min": min(s.eps for s in result.samples),
         "eps_max": max(s.eps for s in result.samples),
     }
+    summary_text = _json_text(summary, indent=2, sort_keys=True)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        buf = io.StringIO()
-        result.to_csv(buf)
-        bodyio.atomic_write_text(os.path.join(args.out, "scatter.csv"),
-                                 buf.getvalue())
-        bodyio.atomic_write_text(os.path.join(args.out, "summary.json"),
-                                 _json_text(summary, indent=2, sort_keys=True))
-        _write_manifest(args.out, argv,
-                        {"samples": args.samples, "seed": args.seed, "n": args.n},
-                        None, ["scatter.csv", "summary.json"], started)
+        _write_run_dir(args.out, {"scatter.csv": _csv_text(result), "summary.json": summary_text},
+                       argv, {"samples": args.samples, "seed": args.seed, "n": args.n}, started)
     else:
-        sys.stdout.write(_json_text(summary, indent=2, sort_keys=True))
+        sys.stdout.write(summary_text)
     if any(s.eps < GAP_FLOOR for s in result.samples):
         return EXIT_VIOLATION
     return EXIT_OK
@@ -262,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; the one error boundary.  An I/O error exits 3, bad
     input or an operator failure 2, each with one ``error:`` line, prefixed
-    by the ``args.error_context`` a command sets while it reads its inputs.
+    by the ``args.error_context`` a command sets while it reads its inputs or
+    runs an operator.
     numpy's floating-point warnings are silenced: a body whose scale
     overflows is reported by that line alone."""
     argv = list(sys.argv[1:] if argv is None else argv)

@@ -17,8 +17,8 @@ the flow runs on grids of at most ``FLOW_MAX_N`` points.
 
 A trace row is recorded every ``renormalize_every`` accepted steps, on the
 half grid tiled twice (so each row is exactly origin-symmetric); each row
-carries the monitored functionals, the SL(2) position of least perimeter with
-the radii there, the Banach-Mazur distance (a short search from that
+carries the monitored functionals, the radii at the SL(2) position of least
+perimeter, the Banach-Mazur distance (a short search from that
 position, so each row depends on its own body only) and the quantities needed
 to verify the evolution laws after the run.
 """
@@ -26,14 +26,13 @@ to verify the evolution laws after the run.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import ops, spectral
-from .bodyio import write_lines
 from .errors import ConvexityLost, StepUnderflow
-from .normalize import family_map, normalized_image, sl2_positions
+from .normalize import sl2_positions
 from .support import (SupportFn, area_quadrature, check_grid_size, curvature_samples,
                       require_symmetric)
 
@@ -41,7 +40,6 @@ __all__ = [
     "FlowConfig",
     "FlowTrace",
     "flow_run",
-    "normalized_view",
     "conservation_checks",
     "harnack_and_bounds_monitor",
     "ConservationReport",
@@ -58,6 +56,7 @@ TRACE_CSV_COLUMNS = (
 # largest flow grid: above about n = 700 the O(n^2) stage tables lose to the FFT
 FLOW_MAX_N = 512
 ROUND_RATIO = 1.5 ** 0.25  # radii-ratio threshold monitored per run
+MAX_STEPS = 2_000_000  # hard step cap; a run that reaches it stops with "max_steps"
 
 # fewest rows the extinction fit and the row-to-row monitors use; shorter
 # traces report those monitors as None
@@ -74,7 +73,6 @@ class FlowConfig:
     ``cfl``      step-safety factor in (0, 0.5];
     ``t_stop_area``  terminal area threshold;
     ``renormalize_every``  accepted steps between trace rows;
-    ``max_steps``    hard step cap;
     ``t_stop``   optional time cap (the last step is clipped to land on it).
     """
 
@@ -82,7 +80,6 @@ class FlowConfig:
     cfl: float = 0.1
     t_stop_area: float = 1e-3
     renormalize_every: int = 25
-    max_steps: int = 2_000_000
     t_stop: float | None = None
 
     def __post_init__(self):
@@ -99,8 +96,8 @@ class FlowConfig:
             raise ValueError("t_stop_area must be positive")
         if self.n is not None:
             check_grid_size(self.n)
-        if self.renormalize_every < 1 or self.max_steps < 1:
-            raise ValueError("cadence and step cap must be positive")
+        if self.renormalize_every < 1:
+            raise ValueError("renormalize_every must be positive")
         if self.t_stop is not None and not self.t_stop > 0.0:
             raise ValueError("t_stop must be positive")
 
@@ -127,8 +124,6 @@ class FlowTrace:
     min_ca3: np.ndarray
     bp_rhs: np.ndarray
     norm_disk_dist: np.ndarray
-    norm_s: np.ndarray
-    norm_phi: np.ndarray
     r_plus: np.ndarray
     r_minus: np.ndarray
     h_rows: np.ndarray
@@ -148,10 +143,12 @@ class FlowTrace:
         return SupportFn(self.h_rows[i])
 
     def to_csv(self, target) -> None:
-        """Write the trace in the stable 9-column format (17 significant digits)."""
+        """Write the trace in the stable 9-column format (17 significant
+        digits) to an open text stream."""
         cols = [getattr(self, name) for name in TRACE_CSV_COLUMNS]
-        write_lines(target, [",".join(TRACE_CSV_COLUMNS)] + [
-            ",".join(f"{c[i]:.17g}" for c in cols) for i in range(self.rows)])
+        target.write(",".join(TRACE_CSV_COLUMNS) + "\n")
+        target.writelines(",".join(f"{c[i]:.17g}" for c in cols) + "\n"
+                          for i in range(self.rows))
 
 
 def _kept_mode_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +161,8 @@ def _kept_mode_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     ks = np.arange(0, n // 3 + 1, 2)
     phase = (2.0 * np.pi / n) * (np.outer(np.arange(m), ks) % n)  # exact k j mod n
     basis = np.hstack([np.cos(phase), np.sin(phase[:, 1:])])
-    synth = np.vstack([basis, basis * (1.0 - np.concatenate([ks, ks[1:]]) ** 2)])
+    mult = spectral.curvature_multiplier(n)[ks]
+    synth = np.vstack([basis, basis * np.concatenate([mult, mult[1:]])])
     weight = np.full(basis.shape[1], 2.0 / m)
     weight[0] = 1.0 / m
     return synth, basis.T * weight[:, None]
@@ -207,15 +205,11 @@ def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
 
 
 class _RowRecorder:
-    """Accumulates trace rows."""
+    """Accumulates trace rows, each a dict keyed by ``FlowTrace`` field."""
 
     def __init__(self, n: int):
         self.probe_idx = [0, n // 3, (2 * n) // 3]
-        self.scalar_rows: list[dict] = []
-        self.h_rows: list[np.ndarray] = []
-        self.ca2_rows: list[np.ndarray] = []
-        self.probe_rows: list[np.ndarray] = []
-        self.probe_rate_rows: list[np.ndarray] = []
+        self.rows: list[dict] = []
 
     def record(self, t: float, arr: np.ndarray, s: np.ndarray, v: float) -> None:
         body = SupportFn(arr)
@@ -229,11 +223,11 @@ class _RowRecorder:
         gamma = chain.centroid_samples(v)
         bp = area_quadrature(gamma, curvature_samples(gamma)) / v
 
-        (norm_s, norm_phi), (r_minus, r_plus), cert = sl2_positions(body)
+        (r_minus, r_plus), cert = sl2_positions(body)
         scale = np.sqrt(np.pi / v)
         norm_dist = float(max(r_plus * scale - 1.0, 1.0 - r_minus * scale))
 
-        self.scalar_rows.append({
+        self.rows.append({
             "t": t,
             "area": v,
             "polar_area": chain.v_star,
@@ -246,19 +240,16 @@ class _RowRecorder:
             "min_ca3": float(np.min(ca3)),
             "bp_rhs": chain.ratio_derivative(v),
             "norm_disk_dist": norm_dist,
-            "norm_s": norm_s,
-            "norm_phi": norm_phi,
             "r_plus": r_plus,
             "r_minus": r_minus,
+            "h_rows": arr.copy(),
+            "ca2_rows": ca2,
+            "polar_probe": probe,
+            "polar_probe_rate": probe_rate,
         })
-        self.h_rows.append(arr.copy())
-        self.ca2_rows.append(ca2)
-        self.probe_rows.append(probe)
-        self.probe_rate_rows.append(probe_rate)
 
     def build(self, stop_reason: str, steps: int, cfg: FlowConfig) -> FlowTrace:
-        keys = self.scalar_rows[0].keys()
-        cols = {k: np.array([r[k] for r in self.scalar_rows]) for k in keys}
+        cols = {k: np.array([r[k] for r in self.rows]) for k in self.rows[0]}
         if cols["t"].size > 1:
             if not np.all(np.diff(cols["t"]) > 0):
                 raise ValueError("trace times are not strictly increasing")
@@ -266,10 +257,6 @@ class _RowRecorder:
                 raise ValueError("trace areas are not strictly decreasing")
         return FlowTrace(
             **cols,
-            h_rows=np.array(self.h_rows),
-            ca2_rows=np.array(self.ca2_rows),
-            polar_probe=np.array(self.probe_rows),
-            polar_probe_rate=np.array(self.probe_rate_rows),
             estimated_T=_estimate_extinction(cols["t"], cols["area"]),
             stop_reason=stop_reason,
             steps=steps,
@@ -308,7 +295,7 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
             stop_reason = "area_threshold"
         elif cfg.t_stop is not None and t >= cfg.t_stop * (1.0 - 1e-14):
             stop_reason = "t_stop"
-        elif steps >= cfg.max_steps:
+        elif steps >= MAX_STEPS:
             stop_reason = "max_steps"
 
         if stop_reason or steps % cfg.renormalize_every == 0:
@@ -336,14 +323,6 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
         steps += 1
 
     return recorder.build(stop_reason, steps, cfg)
-
-
-def normalized_view(trace: FlowTrace, index: int) -> SupportFn:
-    """SL(2)-normalized, area-pi body at a recorded row."""
-    if not (-trace.rows <= index < trace.rows):
-        raise IndexError(f"trace has {trace.rows} rows")
-    witness = family_map(trace.norm_s[index], trace.norm_phi[index])
-    return normalized_image(trace.row_body(index), witness)
 
 
 def _central_diff(t: np.ndarray, y: np.ndarray, stride: int = 1):
@@ -391,9 +370,6 @@ class ConservationReport:
     min_ca2_worst_drop: float
     polar_law_max_rel_dev: float | None  # dh*/dt vs h*^4 S* at probe angles
     rows_checked: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def conservation_checks(trace: FlowTrace) -> ConservationReport:
@@ -444,9 +420,6 @@ class HarnackReport:
     displacement_ok: bool             # h(0) <= h(t) (1 + 2 t max G/h^3)
     sandwich_ok: bool | None          # r-^4/4 <= T-t <= r+^4/4
     first_round_time: float | None    # first row with r+/r- below 1.5^(1/4)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def harnack_and_bounds_monitor(trace: FlowTrace) -> HarnackReport:

@@ -4,12 +4,11 @@ Banach-Mazur distance from the disk."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ops, spectral
-from .bodyio import write_lines
 from .normalize import banach_mazur_to_disk, pinching_to_bm_bound
 from .support import (SupportFn, area, check_grid_size, check_same_grid, curvature_samples,
                       disk, require_symmetric)
@@ -138,9 +137,6 @@ class DeficitReport:
     lambda_gap: float
     lutwak_residual_rel: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def deficit_report(h: SupportFn) -> DeficitReport:
     """Evaluate every audited inequality on one body.
@@ -191,9 +187,11 @@ class StabilityResult:
     control_d_minus_1: float
 
     def to_csv(self, target) -> None:
-        write_lines(target, ["seed,eps,d_bm_minus_1,pinch_bound,gamma_witness"] + [
-            f"{s.seed},{s.eps:.17g},{s.d_bm_minus_1:.17g},"
-            f"{s.pinch_bound:.17g},{s.gamma_witness:.17g}" for s in self.samples])
+        """Write the scatter, one sample a line, to an open text stream."""
+        target.write("seed,eps,d_bm_minus_1,pinch_bound,gamma_witness\n")
+        target.writelines(f"{s.seed},{s.eps:.17g},{s.d_bm_minus_1:.17g},"
+                          f"{s.pinch_bound:.17g},{s.gamma_witness:.17g}\n"
+                          for s in self.samples)
 
 
 def _interpolate_to_disk(h: SupportFn, lam: float) -> SupportFn:

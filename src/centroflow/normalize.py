@@ -49,12 +49,6 @@ def family_map(s: float, phi: float) -> LinearMap2:
     return LinearMap2.diagonal(s, 1.0 / s) @ LinearMap2.rotation(phi)
 
 
-def normalized_image(h: SupportFn, witness: LinearMap2) -> SupportFn:
-    """Image of ``h`` under ``witness``, rescaled to area pi."""
-    image = apply_linear_map(h, witness)
-    return scaled(image, np.sqrt(np.pi / area(image)))
-
-
 SEARCH_OVERSAMPLE = 8  # boundary samples per grid node of the body
 
 
@@ -252,7 +246,8 @@ def sl2_normalize(h: SupportFn) -> tuple[SupportFn, LinearMap2]:
     """
     require_symmetric(h, "sl2_normalize")
     witness = family_map(*_perimeter_minimum(_BoundaryForms(h)))
-    return normalized_image(h, witness), witness
+    image = apply_linear_map(h, witness)
+    return scaled(image, np.sqrt(np.pi / area(image))), witness
 
 
 def banach_mazur_to_disk(h: SupportFn) -> BMCertificate:
@@ -267,18 +262,28 @@ def banach_mazur_to_disk(h: SupportFn) -> BMCertificate:
     return _bm_search(forms, _perimeter_minimum(forms), short=False)
 
 
-def sl2_positions(h: SupportFn) -> tuple[tuple[float, float], tuple[float, float],
-                                         BMCertificate]:
+def sl2_positions(h: SupportFn) -> tuple[tuple[float, float], BMCertificate]:
     """The SL(2) quantities a flow trace row monitors, from one sampling.
 
-    Returns the perimeter-minimal (s, phi), the (inradius, circumradius) of
-    Phi K there, and the certificate of a short Banach-Mazur search started
-    there, which reads within about 1e-4 above the full search's distance.
+    Returns the (inradius, circumradius) of Phi K at the perimeter-minimal
+    Phi (the witness of ``sl2_normalize``), and the certificate of a short
+    Banach-Mazur search started there, which reads within about 1e-4 above
+    the full search's distance.
     """
     require_symmetric(h, "sl2_positions")
     forms = _BoundaryForms(h)
     start = _perimeter_minimum(forms)
-    return start, forms.radii(*start), _bm_search(forms, start, short=True)
+    return forms.radii(*start), _bm_search(forms, start, short=True)
+
+
+def _parabola_peak(values: np.ndarray, j: int) -> float:
+    """Value at the vertex of the parabola through the periodic samples
+    j - 1, j, j + 1, the refined extremum when sample j is one.  Collinear
+    samples around an extremum are equal, so any nonzero divisor gives f0."""
+    fm, f0, fp = values[j - 1], values[j], values[(j + 1) % values.size]
+    denom = fm - 2.0 * f0 + fp
+    denom = denom + (denom == 0.0)
+    return f0 - 0.125 * (fm - fp) ** 2 / denom
 
 
 def pinching_to_bm_bound(h: SupportFn) -> float:
@@ -287,8 +292,7 @@ def pinching_to_bm_bound(h: SupportFn) -> float:
     origin-centered ellipses)."""
     require_symmetric(h, "pinching_to_bm_bound")
     q = h.samples * np.cbrt(curvature_samples(h.samples))
-    _, qmax = spectral.refine_periodic_max(q)
-    _, qmin = spectral.refine_periodic_min(q)
+    qmax, qmin = _parabola_peak(q, np.argmax(q)), _parabola_peak(q, np.argmin(q))
     if qmin <= 0.0:
         return float("inf")
     return float((qmax / qmin) ** 1.5)

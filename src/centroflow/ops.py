@@ -86,11 +86,15 @@ def _abs_cos_transform(density: np.ndarray) -> np.ndarray:
     return np.fft.irfft(f, density.size)
 
 
+def _centroid_support(rho3: np.ndarray, v_body: float) -> np.ndarray:
+    """Centroid-body support from the samples of rho^3 and V = V(K)."""
+    return _abs_cos_transform(rho3) / (3.0 * v_body)
+
+
 def centroid_body(h: SupportFn) -> SupportFn:
     """Centroid body: support = (1/3V) * integral of |<u, v>| rho(v)^3 d v."""
     require_symmetric(h, "centroid_body")
-    rho3 = radial_powers(h.samples, [3])[0]
-    return SupportFn(_abs_cos_transform(rho3) / (3.0 * area(h)))
+    return SupportFn(_centroid_support(radial_powers(h.samples, [3])[0], area(h)))
 
 
 def projection_body(h: SupportFn) -> SupportFn:
@@ -148,7 +152,7 @@ class PolarChain:
 
     def centroid_samples(self, v_body: float) -> np.ndarray:
         """Support of the centroid body, given V(K)."""
-        return _abs_cos_transform(self.rho_cubed) / (3.0 * v_body)
+        return _centroid_support(self.rho_cubed, v_body)
 
     def identity_residual(self, gamma: np.ndarray) -> float:
         """Sup-norm residual of the identity relating the centroid body to the

@@ -22,9 +22,6 @@ __all__ = [
     "resample",
     "project_even",
     "tail_fraction",
-    "parabola_vertex",
-    "refine_periodic_max",
-    "refine_periodic_min",
 ]
 
 
@@ -135,27 +132,3 @@ def tail_fraction(samples: np.ndarray, kmax: int | None = None) -> float:
     if total == 0.0:
         return 0.0
     return float(power[kmax + 1 :].sum() / total)
-
-
-def parabola_vertex(fm, f0, fp):
-    """Offset (in grid units, in [-1/2, 1/2] at a discrete extremum) and value
-    of the vertex of the parabola through three consecutive samples; works
-    elementwise on arrays.  Collinear samples around an extremum are equal, so
-    any nonzero divisor gives their vertex (0, f0)."""
-    denom = fm - 2.0 * f0 + fp
-    denom = denom + (denom == 0.0)
-    return 0.5 * (fm - fp) / denom, f0 - 0.125 * (fm - fp) ** 2 / denom
-
-
-def refine_periodic_max(values: np.ndarray) -> tuple[float, float]:
-    """(position_in_grid_units, value) of the max, parabola-refined."""
-    v = np.asarray(values, dtype=float)
-    j = int(np.argmax(v))
-    delta, val = parabola_vertex(v[j - 1], v[j], v[(j + 1) % v.size])
-    return j + delta, val
-
-
-def refine_periodic_min(values: np.ndarray) -> tuple[float, float]:
-    """(position_in_grid_units, value) of the min, parabola-refined."""
-    pos, val = refine_periodic_max(-np.asarray(values, dtype=float))
-    return pos, -val

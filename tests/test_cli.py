@@ -295,7 +295,15 @@ BAD_INPUTS = {
         d / "b.json", json.dumps({"h": [1e-160] * 16}))],
     "body-underflow-lambda": lambda d: ["op", "lambda", "--body", _write(
         d / "b.json", json.dumps({"h": [1e-300] * 16}))],
+    "body-underflow-centroid": lambda d: ["op", "centroid", "--body", _write(
+        d / "b.json", json.dumps({"h": [1e-160] * 16}))],
+    "body-underflow-polar": lambda d: ["op", "polar", "--body", _write(
+        d / "b.json", json.dumps({"h": [1e-300] * 16}))],
 }
+# bodies that load but whose operator fails: the message names the operator,
+# not the input
+OPERATOR_FAILURES = {"body-underflow-bm", "body-underflow-lambda",
+                     "body-underflow-centroid", "body-underflow-polar"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -308,6 +316,9 @@ def test_bad_input_is_exit_2_without_traceback(case, workdir, capsys):
         assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if argv[0] == "op":
+        context = f"op {argv[1]}" if case in OPERATOR_FAILURES else "invalid body"
+        assert err.startswith(f"error: {context}: "), err
     # a warning would print more lines on stderr outside the test
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (workdir / "run").exists()
@@ -355,4 +366,12 @@ class TestCampaignCommands:
         assert lines[0] == "seed,eps,d_bm_minus_1,pinch_bound,gamma_witness"
         assert len(lines) == 11
         summary = json.loads((out / "summary.json").read_text())
+        assert np.isfinite(summary["gamma"])
+
+    def test_stability_without_out_prints_the_summary(self, workdir, capsys):
+        assert main(["stability", "--samples", "10", "--seed", "1", "--n", "64"]) == 0
+        # strict JSON: a NaN or Infinity constant fails the parse
+        summary = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert set(summary) == {"gamma", "fit_exponent", "fit_count", "control_eps",
+                                "control_d_minus_1", "eps_min", "eps_max"}
         assert np.isfinite(summary["gamma"])

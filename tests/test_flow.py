@@ -17,13 +17,13 @@ from centroflow import (
     ellipse,
     flow_run,
     harnack_and_bounds_monitor,
-    normalized_view,
     random_body,
+    sl2_normalize,
     sl2_positions,
 )
+from centroflow import flow
 from centroflow.flow import (TRACE_CSV_COLUMNS, _half_grid, _kept_mode_tables,
                              gated_central_difference)
-from centroflow.normalize import family_map
 from centroflow.spectral import angles
 
 import oracles
@@ -61,8 +61,8 @@ class TestDiskRun:
         assert np.all(np.diff(disk_trace.area) < 0)
         assert np.all(np.diff(disk_trace.t) > 0)
 
-    def test_normalized_view_is_disk(self, disk_trace):
-        body = normalized_view(disk_trace, -1)
+    def test_normalized_row_is_disk(self, disk_trace):
+        body, _ = sl2_normalize(disk_trace.row_body(-1))
         assert np.max(np.abs(body.samples - 1.0)) < 1e-10
         assert disk_trace.norm_disk_dist[-1] < 1e-10
 
@@ -78,21 +78,22 @@ class TestEquivarianceOracle:
             want = oracles.disk_flow_radius(tr.t[i]) * e0.samples
             assert np.max(np.abs(tr.h_rows[i] - want)) < 1e-5
 
-    def test_normalized_view_of_ellipse_run_is_disk(self):
+    def test_normalized_rows_of_ellipse_run_are_disk(self):
         phi = LinearMap2.diagonal(1.4, 1 / 1.4)
         e0 = apply_linear_map(disk(1.0, 128), phi)
         cfg = FlowConfig(cfl=0.1, t_stop=0.1, renormalize_every=100)
         tr = flow_run(e0, cfg)
         for i in range(tr.rows):
-            body = normalized_view(tr, i)
+            body, _ = sl2_normalize(tr.row_body(i))
             assert np.max(np.abs(body.samples - 1.0)) < 1e-5
 
 
 class TestSl2Row:
     def test_radii_match_polygon_oracle(self, seeded_trace):
+        # the radii are read at the perimeter-minimal map, the normalization's
         tr = seeded_trace
         for i in range(tr.rows):
-            witness = family_map(tr.norm_s[i], tr.norm_phi[i]).as_array()
+            witness = sl2_normalize(tr.row_body(i))[1].as_array()
             inner, outer = oracles.polygon_radii(tr.row_body(i), witness, m=1 << 14)
             assert tr.r_minus[i] == pytest.approx(inner, rel=1e-6)
             assert tr.r_plus[i] == pytest.approx(outer, rel=1e-6)
@@ -109,7 +110,7 @@ class TestSl2Row:
         tr = seeded_trace
         for i in range(tr.rows):
             body = tr.row_body(i)
-            assert sl2_positions(body)[2].distance == tr.d_bm[i]
+            assert sl2_positions(body)[1].distance == tr.d_bm[i]
             excess = tr.d_bm[i] - banach_mazur_to_disk(body).distance
             assert -1e-12 <= excess <= 1e-4
 
@@ -125,6 +126,12 @@ class TestConservation:
         rep = conservation_checks(wobble_trace)
         assert rep.area_law_max_rel_dev < 1e-3
         assert rep.min_ca2_monotone
+
+    def test_short_trace_is_refused(self):
+        tr = flow_run(disk(1.0, 64), FlowConfig(t_stop=0.01, renormalize_every=50))
+        assert tr.rows < 10
+        with pytest.raises(ValueError, match="at least 10 trace rows"):
+            conservation_checks(tr)
 
     def test_unresolved_polar_law_is_none(self):
         # a row every 50 steps at cfl 0.5 is too coarse for the stride gate:
@@ -262,6 +269,13 @@ class TestStepperIntegrity:
             FlowConfig(renormalize_every=2.5)
         with pytest.raises(ValueError):
             FlowConfig(cfl="0.1")
+
+    def test_step_cap_stops_the_run(self, monkeypatch):
+        monkeypatch.setattr(flow, "MAX_STEPS", 3)
+        tr = flow_run(disk(1.0, 64), FlowConfig(renormalize_every=2))
+        assert tr.stop_reason == "max_steps"
+        assert tr.steps == 3
+        assert tr.rows == 3  # steps 0 and 2, and the stop
 
     def test_regrid_through_config(self):
         cfg = FlowConfig(n=64, t_stop=0.02, renormalize_every=100)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -151,7 +153,7 @@ class TestReports:
         assert rep.groemer_gap >= -1e-9
         assert rep.lambda_gap >= -1e-9
         assert rep.lutwak_residual_rel <= 1e-5
-        assert set(rep.as_dict()) == {
+        assert set(asdict(rep)) == {
             "bp_deficit", "santalo_gap", "petty_gap",
             "groemer_gap", "lambda_gap", "lutwak_residual_rel"}
 

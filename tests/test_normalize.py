@@ -17,8 +17,9 @@ from centroflow import (
 )
 from centroflow.errors import AsymmetricData
 from centroflow.lab import _deficit_targeted_body, _stability_base
-from centroflow.normalize import (_BoundaryForms, _bm_search, _perimeter_minimum,
-                                  family_map, minimize)
+from centroflow.normalize import (_BoundaryForms, _bm_search, _parabola_peak,
+                                  _perimeter_minimum, family_map, minimize)
+from centroflow.spectral import angles
 
 from conftest import smoothed_square
 import oracles
@@ -44,7 +45,6 @@ class TestSl2Normalize:
 
     def test_requires_symmetric(self):
         from centroflow import SupportFn
-        from centroflow.spectral import angles
         b = SupportFn(1 + 0.05 * np.cos(3 * angles(256)))
         with pytest.raises(AsymmetricData):
             sl2_normalize(b)
@@ -79,6 +79,14 @@ class TestBanachMazur:
 
 
 class TestPinching:
+    def test_parabola_peak_refines_the_extremum(self):
+        # the extremum of cos(t - 0.337) lies between the nodes; the nearest
+        # sample is 2.2e-5 off, the parabola through three 1e-6
+        f = np.cos(angles(128) - 0.337)
+        assert _parabola_peak(f, np.argmax(f)) == pytest.approx(1.0, abs=1e-6)
+        assert _parabola_peak(f, np.argmin(f)) == pytest.approx(-1.0, abs=1e-6)
+        assert 1.0 - f.max() > 2e-5
+
     def test_disk(self):
         assert pinching_to_bm_bound(disk(2.0, 128)) == pytest.approx(1.0, abs=1e-10)
 

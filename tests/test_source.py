@@ -107,6 +107,30 @@ def test_every_public_definition_is_named(path, callers_named):
     assert unnamed(path.read_text(encoding="utf-8"), *callers_named) == []
 
 
+# the computational modules, which must not reach into file I/O or the CLI
+CORE = ("spectral", "support", "ops", "normalize", "flow", "lab")
+
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the package that ``source`` imports relatively."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= {node.module} if node.module else {alias.name for alias in node.names}
+    return out
+
+
+def test_detects_package_imports():
+    assert package_imports("from . import ops, bodyio\nfrom .cli import main\n"
+                           "from numpy import pi\n") == {"ops", "bodyio", "cli"}
+
+
+@pytest.mark.parametrize("name", CORE)
+def test_core_modules_import_no_io_or_cli(name):
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    assert package_imports(source) & {"bodyio", "cli"} == set()
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the package and its CLI run on numpy
     probe = ("import sys, centroflow, centroflow.cli; "

@@ -66,11 +66,3 @@ def test_project_even():
     g = spectral.project_even(f)
     assert np.max(np.abs(g - (1.0 + 0.3 * np.cos(2 * th)))) < 1e-13
 
-
-def test_refine_extremum_subgrid():
-    n = 128
-    th = spectral.angles(n)
-    f = np.cos(th - 0.337)
-    pos, val = spectral.refine_periodic_max(f)
-    assert val == pytest.approx(1.0, abs=1e-6)
-    assert (pos * 2 * np.pi / n) == pytest.approx(0.337, abs=1e-3)
