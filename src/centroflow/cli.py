@@ -14,7 +14,7 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -98,38 +98,25 @@ def _svg_frame(body: SupportFn, path: str) -> None:
     bodyio.atomic_write_text(path, svg)
 
 
-def _load_config(args) -> dict:
-    cfg = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError("the config file must hold a JSON object")
-        unknown = set(cfg) - {f.name for f in fields(FlowConfig)}
-        if unknown:
-            raise ValueError(f"unknown FlowConfig fields {sorted(unknown)}")
-    return cfg
-
-
 def cmd_flow(args, argv) -> int:
     started = time.time()
     args.error_context = "invalid body at t=0"
     body = bodyio.load_body(args.body)
 
     args.error_context = "invalid flow configuration"
-    overrides = _load_config(args)
     flags = {"n": args.n, "t_stop_area": args.stop_area, "t_stop": args.t_stop,
              "cfl": args.cfl, "renormalize_every": args.every}
-    overrides.update({k: v for k, v in flags.items() if v is not None})
+    overrides = {k: v for k, v in flags.items() if v is not None}
     cfg = FlowConfig(**overrides)
     args.error_context = None
 
     trace = flow_run(body, cfg)
+    conservation = conservation_checks(trace)
     reports = {
         "estimated_T": trace.estimated_T,
         "steps": trace.steps,
         "stop_reason": trace.stop_reason,
-        "conservation": asdict(conservation_checks(trace)) if trace.rows >= 10 else None,
+        "conservation": asdict(conservation) if conservation is not None else None,
         "harnack": asdict(harnack_and_bounds_monitor(trace)),
     }
 
@@ -145,7 +132,7 @@ def cmd_flow(args, argv) -> int:
 
     _write_run_dir(args.out, {"trace.csv": _csv_text(trace),
                               "report.json": _json_text(reports, indent=2, sort_keys=True)},
-                   argv, {**overrides}, started, args.body, frames)
+                   argv, overrides, started, args.body, frames)
     return EXIT_OK
 
 
@@ -232,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--stop-area", type=float, dest="stop_area")
     p_flow.add_argument("--t-stop", type=float, dest="t_stop")
     p_flow.add_argument("--every", type=int, help="steps between trace rows")
-    p_flow.add_argument("--config", help="JSON file with FlowConfig overrides")
 
     p_op = sub.add_parser("op", help="apply one operator to a body file")
     p_op.add_argument("name", choices=_OP_NAMES)

@@ -83,7 +83,7 @@ class FlowConfig:
     t_stop: float | None = None
 
     def __post_init__(self):
-        for f in fields(self):  # the fields may come from a JSON config
+        for f in fields(self):  # Python callers may pass any type
             value = getattr(self, f.name)
             if value is None and f.type.endswith("None"):
                 continue
@@ -362,26 +362,28 @@ def gated_central_difference(t: np.ndarray, y: np.ndarray):
 
 @dataclass(frozen=True)
 class ConservationReport:
-    """Deviations of the run from the proved evolution laws.
-    ``polar_law_max_rel_dev`` is None when no probe row passes the stride gate."""
+    """Deviations of the run from the proved evolution laws.  A law's
+    deviation is None when no row (probe row, for the polar law) passes the
+    stride gate."""
 
-    area_law_max_rel_dev: float       # dV/dt vs -2 V(K*)
+    area_law_max_rel_dev: float | None  # dV/dt vs -2 V(K*)
     min_ca2_monotone: bool            # min G/h^2 non-decreasing
     min_ca2_worst_drop: float
     polar_law_max_rel_dev: float | None  # dh*/dt vs h*^4 S* at probe angles
     rows_checked: int
 
 
-def conservation_checks(trace: FlowTrace) -> ConservationReport:
-    """Verify the area law, speed monotonicity, and polar evolution law."""
+def conservation_checks(trace: FlowTrace) -> ConservationReport | None:
+    """Verify the area law, speed monotonicity, and polar evolution law;
+    None on a trace of fewer than 10 rows."""
     if trace.rows < 10:
-        raise ValueError("need at least 10 trace rows")
+        return None
     t = trace.t
 
     deriv, mask = gated_central_difference(t, trace.area)
     rel = np.abs(deriv[mask] + 2.0 * trace.polar_area[mask]) / (
         2.0 * trace.polar_area[mask])
-    area_dev = float(np.max(rel)) if mask.any() else float("nan")
+    area_dev = float(np.max(rel)) if mask.any() else None
 
     min_ca2 = np.min(trace.ca2_rows, axis=1)
     drops = min_ca2[:-1] - min_ca2[1:]

@@ -55,6 +55,8 @@ class BodySpec:
     n: int = 256
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         check_grid_size(self.n)
         if self.mode_count < 1:
             raise ValueError("mode_count must be at least 1")
@@ -63,7 +65,8 @@ class BodySpec:
         if self.amplitude < 0.0:
             raise ValueError("amplitude must be non-negative")
         if 2 * self.mode_count >= self.n // 4:
-            raise ValueError("highest mode must stay below n/4")
+            raise ValueError(f"highest mode {2 * self.mode_count} must stay below "
+                             f"n/4 = {self.n // 4}")
 
 
 def _floored_body(pert: np.ndarray) -> SupportFn:
@@ -214,10 +217,9 @@ def _square_perturbation(n: int) -> np.ndarray:
 
 def _stability_base(seed: int, n: int) -> SupportFn:
     """Random body blended with the square direction, curvature floored."""
-    rng = np.random.default_rng(seed)
-    mix = rng.uniform(0.0, 1.0)
-    wob = random_body(BodySpec(seed=seed, n=n, mode_count=4,
-                               decay=1.4, amplitude=0.8))
+    spec = BodySpec(seed=seed, n=n, mode_count=4, decay=1.4, amplitude=0.8)
+    mix = np.random.default_rng(seed).uniform(0.0, 1.0)
+    wob = random_body(spec)
     pert = (1.0 - mix) * (wob.samples - 1.0) + mix * _square_perturbation(n)
     return _floored_body(pert)
 
@@ -326,9 +328,10 @@ def fuzz_campaign(count: int, seed: int, n: int = 256) -> FuzzReport:
     the strengthened mixed-volume gap, the curvature-image area drop, the
     centroid/projection identity residual, and the affine-support bracket.
     """
-    check_grid_size(n)
     if count < 1:
         raise ValueError("need at least one body")
+    # every recipe is checked before the first body is computed
+    specs = [_fuzz_spec(seed, i, n) for i in range(count)]
     report = FuzzReport(count=count, seed=seed)
     mins: dict[str, tuple[float, int]] = {}
     max_lutwak = (-np.inf, -1)
@@ -339,8 +342,7 @@ def fuzz_campaign(count: int, seed: int, n: int = 256) -> FuzzReport:
         if name not in mins or value < mins[name][0]:
             mins[name] = (value, body_seed)
 
-    for i in range(count):
-        spec = _fuzz_spec(seed, i, n)
+    for spec in specs:
         body = random_body(spec)
         v = area(body)
         rep = deficit_report(body)

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import os
 import stat
+import tempfile
 import warnings
 
 import numpy as np
@@ -250,28 +253,60 @@ class TestFlowCommand:
                      "--out", str(workdir / "big"), "--t-stop", "1e-4"]) == 0
 
 
+# flow flags, valid and invalid, spelled "--flag=value" so that a negative
+# value is not read as an option; --t-stop keeps every run to at most 1e-3
+_NOT_POSITIVE = st.sampled_from([0.0, -1e-4, float("nan")])
+_FLOW_FLAGS = st.fixed_dictionaries({
+    "--t-stop": st.floats(0.0, 1e-3, exclude_min=True) | _NOT_POSITIVE,
+}, optional={
+    "--n": st.sampled_from([16, 32, 64, 128]) | st.integers(-4, 600),
+    "--cfl": st.floats(0.05, 0.5) | _NOT_POSITIVE | st.just(0.7),
+    "--every": st.integers(-2, 30),
+    "--stop-area": st.floats(1e-3, 10.0) | _NOT_POSITIVE | st.just(float("inf")),
+})
+
+
+@settings(max_examples=30, deadline=None)
+@given(flags=_FLOW_FLAGS)
+def test_flow_flags_run_or_exit_2_cleanly(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_body(disk(1.0, 64), os.path.join(tmp, "disk.json"))
+        out = os.path.join(tmp, "run")
+        argv = ["flow", "--body", os.path.join(tmp, "disk.json"), "--out", out,
+                *(f"{k}={v!r}" for k, v in flags.items())]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv)
+        if rc == 0:
+            with open(os.path.join(out, "report.json")) as fh:
+                json.load(fh, parse_constant=pytest.fail)
+        else:
+            assert rc == 2, err.getvalue()
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not os.path.exists(out)
+
+
 def _write(path, text):
     path.write_text(text)
     return str(path)
 
 
 BAD_INPUTS = {
-    "config-unknown-key": lambda d: ["flow", "--config", _write(d / "c.json", '{"bogus": 1}')],
-    "config-malformed": lambda d: ["flow", "--config", _write(d / "c.json", '{"cfl": ')],
     "flow-cfl": lambda d: ["flow", "--cfl", "0.9"],
     "flow-every": lambda d: ["flow", "--every", "0"],
     "flow-odd-n": lambda d: ["flow", "--n", "17"],
     "fuzz-no-seeds": lambda d: ["fuzz", "--seeds", "0"],
     "stability-few": lambda d: ["stability", "--samples", "3"],
+    "fuzz-negative-seed": lambda d: ["fuzz", "--seeds", "2", "--seed", "-1"],
+    "stability-negative-seed": lambda d: ["stability", "--samples", "10", "--seed", "-3"],
+    # the third recipe's highest mode, 8, needs n/4 > 8: refused before the first body
+    "fuzz-recipe-above-grid": lambda d: ["fuzz", "--seeds", "5", "--n", "32"],
     "body-string": lambda d: ["op", "polar", "--body", _write(d / "b.json", '"hello"')],
     "body-number": lambda d: ["op", "polar", "--body", _write(d / "b.json", "5")],
     "body-fourier-number": lambda d: ["op", "polar", "--body",
                                       _write(d / "b.json", '{"n": 64, "fourier": 5}')],
     "body-null-n": lambda d: ["op", "polar", "--body",
                               _write(d / "b.json", '{"n": null, "fourier": {"a": [1.0]}}')],
-    "config-float-n": lambda d: ["flow", "--config", _write(d / "c.json", '{"n": 32.0}')],
-    "config-float-every": lambda d: ["flow", "--config",
-                                     _write(d / "c.json", '{"renormalize_every": 2.5}')],
     "body-symmetric-string": lambda d: ["op", "polar", "--body", _write(
         d / "b.json", json.dumps({"n": 16, "h": [1.0] * 16, "symmetric": "no"}))],
     "body-fourier-huge-n": lambda d: ["op", "polar", "--body", _write(
@@ -330,6 +365,16 @@ def test_removed_minkowski_command_is_exit_2(workdir, capsys):
         main(["minkowski", "--f", str(workdir / "f.json")])
     assert exc.value.code == 2
     assert "invalid choice: 'minkowski'" in capsys.readouterr().err
+
+
+def test_removed_config_option_is_exit_2(workdir, capsys):
+    (workdir / "c.json").write_text(json.dumps({"cfl": 0.05}))
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--body", str(workdir / "disk.json"), "--out", str(workdir / "run"),
+              "--config", str(workdir / "c.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (workdir / "run").exists()
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])

@@ -128,21 +128,21 @@ class TestConservation:
         assert rep.min_ca2_monotone
 
     def test_short_trace_is_refused(self):
+        # too few rows for the monitor: it returns None instead of a report
         tr = flow_run(disk(1.0, 64), FlowConfig(t_stop=0.01, renormalize_every=50))
         assert tr.rows < 10
-        with pytest.raises(ValueError, match="at least 10 trace rows"):
-            conservation_checks(tr)
+        assert conservation_checks(tr) is None
 
     def test_unresolved_polar_law_is_none(self):
         # a row every 50 steps at cfl 0.5 is too coarse for the stride gate:
-        # no row is checked, and the polar deviation says so instead of 0.0
+        # no row is checked, and both deviations say so instead of 0.0 or NaN
         body = random_body(BodySpec(seed=1, n=64, mode_count=3, decay=1.6, amplitude=0.5))
         tr = flow_run(body, FlowConfig(cfl=0.5, t_stop_area=1e-3, renormalize_every=50))
         rep = conservation_checks(tr)
         assert tr.rows >= 10
         assert rep.rows_checked == 0
         assert rep.polar_law_max_rel_dev is None
-        assert np.isnan(rep.area_law_max_rel_dev)
+        assert rep.area_law_max_rel_dev is None
 
     def test_ratio_monotone_and_rhs_match(self, wobble_trace):
         tr = wobble_trace
@@ -261,7 +261,7 @@ class TestStepperIntegrity:
             FlowConfig(cfl=0.7)
         with pytest.raises(ValueError):
             FlowConfig(t_stop_area=-1.0)
-        # a JSON config can hold any value: no float grid size or cadence,
+        # a Python caller can pass any value: no float grid size or cadence,
         # no string for a number
         with pytest.raises(ValueError):
             FlowConfig(n=64.0)

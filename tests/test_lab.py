@@ -21,6 +21,7 @@ from centroflow import (
     scaled,
     stability_experiment,
 )
+from centroflow import lab
 from centroflow.lab import MIN_CURVATURE, _stability_base, affine_support_bracket
 from centroflow.ops import polar_chain
 from centroflow.spectral import angles, deriv
@@ -64,6 +65,8 @@ class TestGenerator:
             BodySpec(seed=1, mode_count=0)
         with pytest.raises(ValueError):
             BodySpec(seed=1, mode_count=40, n=256)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            BodySpec(seed=-1)
 
 
 class TestDeficits:
@@ -177,6 +180,16 @@ class TestFuzz:
         a = fuzz_campaign(10, seed=9)
         b = fuzz_campaign(10, seed=9)
         assert a.as_dict() == b.as_dict()
+
+    def test_campaigns_refuse_bad_inputs_before_any_body(self, monkeypatch):
+        monkeypatch.setattr(lab, "random_body", lambda spec: pytest.fail("a body was made"))
+        with pytest.raises(ValueError, match="got -1"):
+            fuzz_campaign(2, seed=-1, n=64)
+        with pytest.raises(ValueError, match="got -3"):
+            stability_experiment(10, seed=-3, n=64)
+        # the third recipe has 2 * mode_count >= n/4 at n=32
+        with pytest.raises(ValueError, match="highest mode 8 must stay below n/4 = 8"):
+            fuzz_campaign(5, seed=1, n=32)
 
 
 class TestStability:
