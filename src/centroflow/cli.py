@@ -192,6 +192,7 @@ def cmd_stability(args, argv) -> int:
         "control_d_minus_1": result.control_d_minus_1,
         "eps_min": min(s.eps for s in result.samples),
         "eps_max": max(s.eps for s in result.samples),
+        "deficit_evaluations": result.deficit_evaluations,
     }
     summary_text = _json_text(summary, indent=2, sort_keys=True)
     if args.out:

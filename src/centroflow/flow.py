@@ -249,6 +249,11 @@ class _RowRecorder:
         })
 
     def build(self, stop_reason: str, steps: int, cfg: FlowConfig) -> FlowTrace:
+        # the last step of a t_stop run is clipped, and can be too short to
+        # lower the area (t_stop = 1e-300); the trace ends at the row before it
+        if (stop_reason == "t_stop" and len(self.rows) > 1
+                and not self.rows[-1]["area"] < self.rows[-2]["area"]):
+            self.rows.pop()
         cols = {k: np.array([r[k] for r in self.rows]) for k in self.rows[0]}
         if cols["t"].size > 1:
             if not np.all(np.diff(cols["t"]) > 0):

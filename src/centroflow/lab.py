@@ -4,6 +4,7 @@ Banach-Mazur distance from the disk."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,6 +189,7 @@ class StabilityResult:
     fit_count: int
     control_eps: float       # deficit of the disk control body
     control_d_minus_1: float
+    deficit_evaluations: int  # bp_deficit calls of the campaign, the control's included
 
     def to_csv(self, target) -> None:
         """Write the scatter, one sample a line, to an open text stream."""
@@ -224,36 +226,54 @@ def _stability_base(seed: int, n: int) -> SupportFn:
     return _floored_body(pert)
 
 
-def _deficit_targeted_body(base: SupportFn, target: float) -> tuple[SupportFn, float]:
-    """Bisect the disk-interpolation weight until the deficit hits target.
+def _deficit_targeted_body(base: SupportFn, target: float) -> tuple[SupportFn, float, int]:
+    """Root-find the disk-interpolation weight lam at which the deficit hits
+    target; returns the body, its deficit and the number of deficits computed.
 
-    When the base body cannot reach the target, the base itself is returned
-    with its actual deficit (the target is clamped)."""
+    The deficit of (1 - lam) disk + lam K grows like c lam^2 near the disk,
+    so log f is close to linear in log lam: the search starts at
+    lam = (target / f(1))^(1/2) and takes secant steps on (log lam, log f).
+    Every iterate stays strictly inside the bracket [lo, hi] found so far;
+    a secant step that would leave it, or a deficit <= 0, falls back to the
+    bracket's midpoint.  When the base body cannot reach the target, the
+    base itself is returned with its actual deficit (the target is clamped)."""
     f_hi = bp_deficit(base)
     if f_hi < target:
-        return base, f_hi
+        return base, f_hi, 1
     lo, hi = 0.0, 1.0
-    body, f = base, f_hi
+    x_prev, g_prev = 0.0, math.log(f_hi / target)  # the base, lam = 1
+    lam = math.sqrt(target / f_hi)
+    evaluations = 1
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        body = _interpolate_to_disk(base, mid)
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+        body = _interpolate_to_disk(base, lam)
         f = bp_deficit(body)
+        evaluations += 1
         if abs(f - target) <= DEFICIT_RTOL * target:
             break
         if f < target:
-            lo = mid
+            lo = lam
         else:
-            hi = mid
-    return body, f
+            hi = lam
+        lam_next = 0.5 * (lo + hi)
+        if f > 0.0:
+            x, g = math.log(lam), math.log(f / target)
+            if g != g_prev:  # capped at lam = 1; a runaway step ends outside the bracket
+                lam_next = math.exp(min(x - g * (x - x_prev) / (g - g_prev), 0.0))
+            x_prev, g_prev = x, g
+        lam = lam_next
+    return body, f, evaluations
 
 
 def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult:
     """Scatter of (deficit, Banach-Mazur distance - 1) across target deficits.
 
     Bodies are drawn from the seeded generator (blended with a mollified
-    square for the high-deficit end) and pulled toward the disk by bisection
-    until the deficit lands on a log-spaced target (1% relative); targets
-    beyond the symmetric-class maximum are clamped to the body's own deficit.
+    square for the high-deficit end) and pulled toward the disk, by a
+    root-finder on the interpolation weight, until the deficit lands on a
+    log-spaced target (1% relative); targets beyond the symmetric-class
+    maximum are clamped to the body's own deficit.
     Reports the least admissible witness gamma for the quarter-power bound
     and the log-log slope fitted on the samples with deficit <= 1e-2.
     """
@@ -261,13 +281,15 @@ def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult
         raise ValueError("need at least 10 samples")
     targets = np.geomspace(EPS_LOW, EPS_HIGH, count)
     samples = []
+    evaluations = 1  # the disk control's deficit
     for i, target in enumerate(targets):
         best: tuple[SupportFn, float] | None = None
         base_seed = 0
         for retry in range(6):
             base_seed = seed + 1000 * i + retry
             base = _stability_base(base_seed, n)
-            body, eps = _deficit_targeted_body(base, float(target))
+            body, eps, calls = _deficit_targeted_body(base, float(target))
+            evaluations += calls
             if best is None or eps > best[1]:
                 best = (body, eps)
             if eps >= target * 0.99:
@@ -292,7 +314,7 @@ def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult
     control_d = banach_mazur_to_disk(control).distance - 1.0
     return StabilityResult(samples=samples, gamma=gamma, fit_exponent=slope,
                            fit_count=len(small), control_eps=control_eps,
-                           control_d_minus_1=control_d)
+                           control_d_minus_1=control_d, deficit_evaluations=evaluations)
 
 
 # --- fuzzing -------------------------------------------------------------------

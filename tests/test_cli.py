@@ -239,6 +239,18 @@ class TestFlowCommand:
             assert harnack[key] is None, key
         assert harnack["shrinking_ok"] is True
 
+    def test_t_stop_below_one_step_ends_at_the_last_moving_row(self, workdir):
+        # the step clipped to t_stop = 1e-300 cannot lower the area, so the
+        # trace ends at the row before it and the run still stops on t_stop
+        out = workdir / "tiny"
+        assert main(["flow", "--body", str(workdir / "disk.json"), "--out", str(out),
+                     "--t-stop", "1e-300"]) == 0
+        lines = (out / "trace.csv").read_text().strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("0,")
+        report = json.loads((out / "report.json").read_text(), parse_constant=pytest.fail)
+        assert report["stop_reason"] == "t_stop"
+        assert report["steps"] == 1
+
     def test_grid_above_cap_says_regrid(self, workdir, capsys):
         save_body(disk(1.0, 1024), workdir / "disk1024.json")
         for argv in (["--body", str(workdir / "disk1024.json")],
@@ -410,13 +422,17 @@ class TestCampaignCommands:
         lines = (out / "scatter.csv").read_text().strip().split("\n")
         assert lines[0] == "seed,eps,d_bm_minus_1,pinch_bound,gamma_witness"
         assert len(lines) == 11
-        summary = json.loads((out / "summary.json").read_text())
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
         assert np.isfinite(summary["gamma"])
+        # each sample computes at least two deficits, and the control one
+        assert isinstance(summary["deficit_evaluations"], int)
+        assert summary["deficit_evaluations"] >= 2 * 10 + 1
 
     def test_stability_without_out_prints_the_summary(self, workdir, capsys):
         assert main(["stability", "--samples", "10", "--seed", "1", "--n", "64"]) == 0
         # strict JSON: a NaN or Infinity constant fails the parse
         summary = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
         assert set(summary) == {"gamma", "fit_exponent", "fit_count", "control_eps",
-                                "control_d_minus_1", "eps_min", "eps_max"}
+                                "control_d_minus_1", "eps_min", "eps_max",
+                                "deficit_evaluations"}
         assert np.isfinite(summary["gamma"])

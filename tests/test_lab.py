@@ -22,7 +22,8 @@ from centroflow import (
     stability_experiment,
 )
 from centroflow import lab
-from centroflow.lab import MIN_CURVATURE, _stability_base, affine_support_bracket
+from centroflow.lab import (DEFICIT_RTOL, MIN_CURVATURE, _deficit_targeted_body,
+                            _stability_base, affine_support_bracket)
 from centroflow.ops import polar_chain
 from centroflow.spectral import angles, deriv
 
@@ -190,6 +191,44 @@ class TestFuzz:
         # the third recipe has 2 * mode_count >= n/4 at n=32
         with pytest.raises(ValueError, match="highest mode 8 must stay below n/4 = 8"):
             fuzz_campaign(5, seed=1, n=32)
+
+
+@pytest.fixture()
+def deficit_calls(monkeypatch):
+    """A list whose length counts the ``lab.bp_deficit`` calls from here on."""
+    calls = []
+    original = lab.bp_deficit
+
+    def counted(h):
+        calls.append(None)
+        return original(h)
+
+    monkeypatch.setattr(lab, "bp_deficit", counted)
+    return calls
+
+
+class TestDeficitTarget:
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_lands_on_every_target_in_few_deficits(self, n, deficit_calls):
+        for seed in range(10):
+            base = _stability_base(seed, n)
+            base_eps = bp_deficit(base)
+            for target in np.geomspace(1e-6, 1e-1, 12):
+                deficit_calls.clear()
+                body, eps, evaluations = _deficit_targeted_body(base, float(target))
+                assert evaluations == len(deficit_calls)
+                if base_eps < target:  # unreachable: the base, with its own deficit
+                    assert body is base and eps == base_eps
+                    continue
+                # the base's deficit and at most five steps (the bisection takes up to 15)
+                assert len(deficit_calls) <= 6, (seed, target, len(deficit_calls))
+                assert abs(eps - target) <= DEFICIT_RTOL * target, (seed, target)
+                assert eps == bp_deficit(body)
+
+    def test_campaign_deficit_count(self, deficit_calls):
+        res = stability_experiment(20, seed=1, n=128)
+        assert res.deficit_evaluations == len(deficit_calls)
+        assert len(deficit_calls) <= 100  # the bisection makes 188
 
 
 class TestStability:

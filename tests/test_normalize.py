@@ -165,7 +165,7 @@ class TestGlobalMinima:
         for seed in range(3):
             base = _stability_base(seed, 128)
             for target in (1e-4, 1e-2):
-                body, _ = _deficit_targeted_body(base, target)
+                body, _, _ = _deficit_targeted_body(base, target)
                 distance = banach_mazur_to_disk(body).distance
                 forms = _BoundaryForms(body)
                 for start in self.STARTS:
