@@ -18,9 +18,9 @@ the flow runs on grids of at most ``FLOW_MAX_N`` points.
 A trace row is recorded every ``renormalize_every`` accepted steps, on the
 half grid tiled twice (so each row is exactly origin-symmetric); each row
 carries the monitored functionals, the radii at the SL(2) position of least
-perimeter, the Banach-Mazur distance (a short search from that
-position, so each row depends on its own body only) and the quantities needed
-to verify the evolution laws after the run.
+perimeter, the Banach-Mazur distance (the search of ``banach_mazur_to_disk``,
+started at that position, so each row depends on its own body only) and the
+quantities needed to verify the evolution laws after the run.
 """
 
 from __future__ import annotations

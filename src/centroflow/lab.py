@@ -11,8 +11,8 @@ import numpy as np
 
 from . import ops, spectral
 from .normalize import banach_mazur_to_disk, pinching_to_bm_bound
-from .support import (SupportFn, area, check_grid_size, check_same_grid, curvature_samples,
-                      disk, require_symmetric)
+from .support import (SupportFn, affine_support, area, check_grid_size, check_same_grid,
+                      curvature_samples, disk, require_symmetric)
 
 __all__ = [
     "BP_CONSTANT",
@@ -165,8 +165,7 @@ def deficit_report(h: SupportFn) -> DeficitReport:
 def affine_support_bracket(h: SupportFn) -> tuple[float, float]:
     """(min, max) of h S^(1/3) after rescaling the body to area pi; the
     bracket straddles 1 for every convex body."""
-    factor = np.sqrt(np.pi / area(h))
-    q = factor * h.samples * np.cbrt(factor * curvature_samples(h.samples))
+    q = affine_support(h.samples, np.sqrt(np.pi / area(h)))
     return float(np.min(q)), float(np.max(q))
 
 

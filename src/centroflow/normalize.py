@@ -7,22 +7,33 @@ Banach-Mazur distance to the disk.  Over M = Phi^T Phi (det 1) both
 objectives are geodesically convex, so a local minimum is the global one.
 Every quantity is read off one boundary sampling of the body
 (``_BoundaryForms``).  The perimeter minimum comes from a majorize-minimize
-fixed-point iteration in M started at the identity; the Banach-Mazur search
-is Nelder-Mead (``minimize``, an in-package copy of scipy's method) with a
-fixed initial simplex started at that minimum.  Nelder-Mead never trades its
-best vertex for a worse one, so the search ends no higher than its start and
-needs neither a fallback nor an evaluation cap.
+fixed-point iteration in M started at the identity.
+
+The Banach-Mazur search (``minimize``) works in the Klein coordinate
+v = tanh(2 ln s) (cos 2phi, -sin 2phi) of M, in which geodesics are chords
+and the squared radii ratio is A(v) B(v) / (1 - |v|^2).  A is the max over
+the boundary points x of |x|^2 + v . (x1^2 - x2^2, 2 x1 x2), and B the same
+over the polar boundary points with -v.  Every point of the interpolant is
+therefore an affine cut below A or B, and the ratio of any set of cuts bounds
+the distance from below.  The search is an exchange method started at the
+perimeter minimum: each round evaluates the body at one point (the upper end
+of the bracket), adds the maxima found there as cuts, and minimizes the cut
+model in closed form (the lower end).  It stops once the bracket is closed to
+``SEARCH_RTOL`` and returns the best point it evaluated, so it ends no higher
+than its start.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import spectral
-from .support import (LinearMap2, SupportFn, apply_linear_map, area, boundary_points,
+from .support import (LinearMap2, SupportFn, affine_support, apply_linear_map, area,
                       curvature_samples, require_symmetric, scaled)
 
 __all__ = [
@@ -36,12 +47,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BMCertificate:
-    """Banach-Mazur distance to the disk with its witnessing map."""
+    """Banach-Mazur distance to the disk with its witnessing map, and the
+    lower end of the search's bracket (the cut model's minimum)."""
 
     distance: float
     witness: LinearMap2
     inner_radius: float
     outer_radius: float
+    lower_bound: float
 
 
 def family_map(s: float, phi: float) -> LinearMap2:
@@ -50,20 +63,34 @@ def family_map(s: float, phi: float) -> LinearMap2:
 
 
 SEARCH_OVERSAMPLE = 8  # boundary samples per grid node of the body
+SEARCH_RTOL = 1e-12  # relative width of a closed bracket
+MAX_ROUNDS = 30  # evaluations a search may make
+CUTS_PER_SIDE = 4  # cuts the model keeps below each of A and B
 
 
-def _form_coeffs(s: float, phi: float) -> np.ndarray:
-    """(a - 1, b cos 2phi, -b sin 2phi), a = (s^2 + s^-2)/2 and
-    b = (s^2 - s^-2)/2: for Phi = diag(s, 1/s) R(phi), |Phi p|^2 - |p|^2 is
-    their product with (|p|^2, p1^2 - p2^2, 2 p1 p2), and b -> -b gives
-    Phi^-T.  a - 1 is written to keep its digits near s = 1."""
-    b = 0.5 * (s * s - 1.0 / (s * s))
-    return np.array([0.5 * (s - 1.0 / s) ** 2, b * np.cos(2.0 * phi), -b * np.sin(2.0 * phi)])
+def _klein(s: float, phi: float) -> np.ndarray:
+    """Klein coordinate v of M = Phi^T Phi: for Phi = diag(s, 1/s) R(phi),
+    |Phi p|^2 = (|p|^2 + v . (p1^2 - p2^2, 2 p1 p2)) / sqrt(1 - |v|^2), and
+    -v in place of v gives Phi^-T."""
+    return np.tanh(2.0 * np.log(s)) * np.array([np.cos(2.0 * phi), -np.sin(2.0 * phi)])
+
+
+def _family_params(v: np.ndarray) -> tuple[float, float]:
+    """(s, phi), s >= 1 and phi in [0, pi), of the Klein coordinate v."""
+    s = np.exp(0.5 * np.arctanh(np.hypot(v[0], v[1])))
+    return float(s), float(0.5 * np.arctan2(-v[1], v[0]) % np.pi)
+
+
+def _radii(v: np.ndarray, maxima) -> tuple[float, float]:
+    """(inradius, circumradius) of Phi K from the maxima (A, B) at v."""
+    scale = 1.0 / np.sqrt(1.0 - v @ v)
+    return float(1.0 / np.sqrt(scale * maxima[1])), float(np.sqrt(scale * maxima[0]))
 
 
 def _curve_rows(px, py, dx, dy, dt: float, sign: float = 1.0):
-    """Rows of |Phi p|^2 and of its t-derivative times dt, (3, M + 1) each,
-    for the samples p of a curve (first sample appended); sign -1 negates b."""
+    """Rows of |p|^2 + v . (p1^2 - p2^2, 2 p1 p2) and of its t-derivative
+    times dt, (3, M + 1) each, for the samples p of a curve (first sample
+    appended); sign -1 negates v."""
     rows = np.array([[px * px + py * py, px * dx + py * dy],
                      [px * px - py * py, px * dx - py * dy],
                      [2.0 * px * py, px * dy + py * dx]])
@@ -72,26 +99,9 @@ def _curve_rows(px, py, dx, dy, dt: float, sign: float = 1.0):
     return rows[:, 0], rows[:, 1]
 
 
-def _refined_max(coef: np.ndarray, rows: np.ndarray, slope_rows: np.ndarray) -> np.ndarray:
-    """Max over t of each of the two blocks of M + 1 samples coef @ rows:
-    the largest sample or, larger, the max of the cubic Hermite interpolant
-    of the samples and slopes coef @ slope_rows on a grid interval where the
-    slope turns from rising to falling."""
-    slope = (coef @ slope_rows).reshape(2, -1)
-    vals = (coef @ rows).reshape(2, -1)
-    k, j = np.nonzero((slope[:, :-1] > 0.0) & ~(slope[:, 1:] > 0.0))
-    d0, d1 = slope[k, j], slope[k, j + 1]
-    g0, g1 = vals[k, j], vals[k, j + 1]
-    x = d0 / (d0 - d1)
-    dg = g1 - g0
-    rise = x * (d0 + x * (3.0 * dg - 2.0 * d0 - d1 + x * (d0 + d1 - 2.0 * dg)))
-    vals[k, j] = g0 + np.maximum(rise, 0.0)
-    return vals.max(axis=1)
-
-
 class _BoundaryForms:
     """Symmetric K sampled at SEARCH_OVERSAMPLE * n / 2 normal angles t in
-    [0, pi) as rows of quadratic forms.
+    [0, pi) as rows of quadratic forms, and its Fourier coefficients.
 
     For Phi in the family, the circumradius of Phi K is max |Phi x(t)| over
     the boundary points x = h u + h' u_perp (x' = S u_perp, S = h + h''),
@@ -102,28 +112,107 @@ class _BoundaryForms:
 
     def __init__(self, h: SupportFn):
         m = SEARCH_OVERSAMPLE * h.n
-        dt = 2.0 * np.pi / m
+        self.dt = dt = 2.0 * np.pi / m
         t = spectral.angles(m)[: m // 2]
         c, s = np.cos(t), np.sin(t)
-        x, y = boundary_points(h.samples, t)
-        hv, hp = x * c + y * s, y * c - x * s
-        self.curv = curvature_samples(spectral.resample(h.samples, m))[: m // 2]
+        fine = spectral.resample(h.samples, m)
+        hv, hp = fine[: m // 2], spectral.deriv(fine)[: m // 2]
+        x, y = hv * c - hp * s, hv * s + hp * c
+        self.curv = curvature_samples(fine)[: m // 2]
         # (u1^2, 2 u1 u2, u2^2) of u_perp, weighted by S in the perimeter
         self.tangent_rows = np.array([s * s, -2.0 * s * c, c * c])
         dpolar = (-(s * hv + c * hp) / hv ** 2, (c * hv - s * hp) / hv ** 2)  # (u/h)'
         outer = _curve_rows(x, y, -self.curv * s, self.curv * c, dt)
         polar = _curve_rows(c / hv, s / hv, *dpolar, dt, -1.0)
         # blocks [outer | polar] of M + 1 columns: samples, then slopes
-        self.radius_rows = [np.hstack([o, q]) for o, q in zip(outer, polar)]
+        self.rows, self.slope_rows = (np.hstack([o, q]) for o, q in zip(outer, polar))
+        a, b = spectral.fourier_coeffs(h.samples)
+        self.modes = np.arange(a.size)
+        # h, h', h'' and h''' are the real parts of these times exp(i k t)
+        self.derivs = (1j * self.modes) ** np.arange(4)[:, None] * (a - 1j * b)
+
+    def _at(self, t: np.ndarray, orders: int) -> np.ndarray:
+        """h and its next ``orders - 1`` derivatives at the angles t, a row each."""
+        waves = np.exp(1j * np.outer(self.modes, t))
+        return np.sum(self.derivs[:orders, :, None] * waves, axis=1).real
+
+    def _peaks(self, coef: np.ndarray) -> list[np.ndarray]:
+        """Angles of the two largest maxima over t of each block of samples
+        coef @ rows: the peak of the cubic Hermite interpolant of the samples
+        and slopes on each grid interval where the slope turns from rising to
+        falling, or the largest sample where none does."""
+        slope = (coef @ self.slope_rows).reshape(2, -1)
+        vals = (coef @ self.rows).reshape(2, -1)
+        k, j = np.nonzero((slope[:, :-1] > 0.0) & ~(slope[:, 1:] > 0.0))
+        d0, d1 = slope[k, j], slope[k, j + 1]
+        g0, g1 = vals[k, j], vals[k, j + 1]
+        x = d0 / (d0 - d1)
+        dg = g1 - g0
+        rise = x * (d0 + x * (3.0 * dg - 2.0 * d0 - d1 + x * (d0 + d1 - 2.0 * dg)))
+        peak = g0 + rise
+        out = []
+        for block in (0, 1):
+            top = sorted(np.flatnonzero(k == block), key=peak.__getitem__)[-2:]
+            out.append((j[top] + x[top]) * self.dt if top
+                       else np.array([np.argmax(vals[block]) * self.dt]))
+        return out
+
+    @staticmethod
+    def _cuts(h0: np.ndarray, h1: np.ndarray, t: np.ndarray, outer: int) -> np.ndarray:
+        """Cuts (c0, c1, c2), c . (1, v) <= A(v) or B(v): of the boundary
+        points with normals at the first ``outer`` angles t, and of the polar
+        boundary points at the rest."""
+        z2 = ((h0 + 1j * h1) * np.exp(1j * t)) ** 2
+        e2 = np.exp(2j * t) / (h0 * h0)
+        return np.where(np.arange(t.size)[:, None] < outer,
+                        np.column_stack([h0 * h0 + h1 * h1, z2.real, z2.imag]),
+                        np.column_stack([1.0 / (h0 * h0), -e2.real, -e2.imag]))
+
+    def evaluate(self, v: np.ndarray):
+        """The maxima (A, B) at v and the cuts of the points attaining them.
+
+        The two largest maxima of each block are refined on the interpolant
+        itself by one Newton step in t from the Hermite peak; of the peak and
+        the Newton point the higher is kept.  A and B are the largest of
+        those values, so the cut model meets them at v.  Returns (A, B),
+        [outer cuts, polar cuts] and [outer angles, polar angles].
+        """
+        coef = np.array([1.0, v[0], v[1]])
+        outer, polar = self._peaks(coef)
+        t = np.concatenate([outer, polar])
+        h0, h1, h2, h3 = self._at(t, 4)
+        w, e = v[0] - 1j * v[1], np.exp(1j * t)
+        # outer: f = |z|^2 + Re(w z^2) with z = (h + i h') e^{it}, z' = i S e^{it}
+        s0, s1 = h0 + h2, h1 + h3
+        z, zp, zpp = (h0 + 1j * h1) * e, 1j * s0 * e, (1j * s1 - s0) * e
+        f1 = 2.0 * (h1 * s0 + (w * z * zp).real)
+        f2 = 2.0 * (s0 * s0 + h1 * s1 - h0 * s0 + (w * (zp * zp + z * zpp)).real)
+        # polar: f = g / h^2 with g = 1 - Re(w e^{2it})
+        we2 = w * e * e
+        g, gp, gpp = 1.0 - we2.real, 2.0 * we2.imag, 4.0 * we2.real
+        inv = 1.0 / h0
+        p1 = inv * inv * (gp - 2.0 * g * h1 * inv)
+        p2 = inv * inv * (gpp - 4.0 * gp * h1 * inv
+                          + g * inv * (6.0 * h1 * h1 * inv - 2.0 * h2))
+        is_polar = np.arange(t.size) >= outer.size
+        f1, f2 = np.where(is_polar, p1, f1), np.where(is_polar, p2, f2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(f2 < 0.0, -f1 / f2, 0.0)
+        tn = t + np.maximum(-self.dt, np.minimum(self.dt, np.nan_to_num(step)))
+        old = self._cuts(h0, h1, t, outer.size)
+        new = self._cuts(*self._at(tn, 2), tn, outer.size)
+        higher = new @ coef >= old @ coef
+        cuts = np.where(higher[:, None], new, old)
+        angles = np.where(higher, tn, t)
+        values = cuts @ coef
+        sides = (slice(None, outer.size), slice(outer.size, None))
+        return ((values[sides[0]].max(), values[sides[1]].max()),
+                [cuts[side] for side in sides], [angles[side] for side in sides])
 
     def radii(self, s: float, phi: float) -> tuple[float, float]:
         """(inradius, circumradius) of Phi K."""
-        sq = _refined_max(_form_coeffs(s, phi) + [1.0, 0.0, 0.0], *self.radius_rows)
-        return 1.0 / np.sqrt(sq[1]), np.sqrt(sq[0])
-
-    def ratio(self, s: float, phi: float) -> float:
-        lo, hi = self.radii(s, phi)
-        return hi / lo
+        v = _klein(s, phi)
+        return _radii(v, self.evaluate(v)[0])
 
 
 def _perimeter_minimum(forms: _BoundaryForms) -> tuple[float, float]:
@@ -151,91 +240,152 @@ def _perimeter_minimum(forms: _BoundaryForms) -> tuple[float, float]:
     return float(s), float(0.5 * np.arctan2(-e, d) % np.pi)
 
 
+@functools.cache
+def _layout(outer: int, polar: int):
+    """Index arrays of a model with ``outer`` + ``polar`` stacked cuts: the
+    cut pairs (i, k) of one side, whose tie lines these are; the pairs of
+    tie lines, whose crossings are vertex candidates; and the pairs (a, b)
+    of one cut of each side, with ``own``[p, r] the one of the two on the
+    side of cut r."""
+    side = np.arange(outer + polar) >= outer
+    i, k = np.array([(i, k) for i, k in itertools.combinations(range(outer + polar), 2)
+                     if side[i] == side[k]], dtype=int).reshape(-1, 2).T
+    crossings = np.array(list(itertools.combinations(range(i.size), 2)), dtype=int)
+    a, b = np.divmod(np.arange(outer * polar), polar)
+    b = b + outer
+    return (i, k, crossings.reshape(-1, 2).T, a, b,
+            np.where(side, b[:, None], a[:, None]))
+
+
+def _model_minimum(outer: np.ndarray, polar: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimum over |v| < 1 of the cut model max(outer . (1, v))
+    max(polar . (1, v)) / (1 - |v|^2), and a point attaining it.
+
+    The minimum lies at a vertex (two cuts of each side tie, or three of one
+    side), on a tie line where two cuts of one side tie against one of the
+    other, or on a chord where one cut of each side is the largest.
+    - On a tie line v = p + tau e, 1 - |v|^2 = d0 - tau^2, the model is
+      (a0 + a1 tau)(b0 + b1 tau) / (d0 - tau^2) = (n0 + n1 tau + n2 tau^2) /
+      (d0 - tau^2), stationary where n1 tau^2 + 2 (n0 + n2 d0) tau + n1 d0
+      = 0; the roots multiply to d0, so the smaller one is the one inside.
+    - The cuts a of x and b of y are null vectors, and the product of the two
+      has its least value (x . y)^2 = (a0 b0 - a1 b1 - a2 b2) / 2 on the
+      chord between their ideal points -(a1, a2)/a0 and -(b1, b2)/b0.  That
+      is a model value where the chord crosses the cell in which a and b are
+      the largest cuts of their sides.  It is reached at an ideal point only
+      when that cell holds no more of the chord; a point just inside the
+      disk stands in for it.
+    """
+    split = len(outer)
+    cuts = np.vstack([outer, polar])
+    i, k, (li, lk), a, b, own = _layout(split, len(polar))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = cuts[i] - cuts[k]  # g . (1, v) = 0 on the tie line
+        norm2 = g[:, 1] * g[:, 1] + g[:, 2] * g[:, 2]
+        p = g[:, 1:] * (-g[:, :1] / norm2[:, None])
+        e = np.column_stack([-g[:, 2], g[:, 1]]) / np.sqrt(norm2)[:, None]
+        d0 = 1.0 - np.sum(p * p, axis=1)[:, None]
+        # every cut at p, and its slope along e, on every line
+        at = cuts[:, 0] + p[:, :1] * cuts[:, 1] + p[:, 1:] * cuts[:, 2]
+        along = e[:, :1] * cuts[:, 1] + e[:, 1:] * cuts[:, 2]
+        line = np.arange(i.size)
+        a0, a1 = at[line, i][:, None], along[line, i][:, None]
+        n0, n1, n2 = a0 * at, a0 * along + a1 * at, a1 * along
+        q = n0 + n2 * d0
+        tau = np.where(n1 == 0.0, 0.0,
+                       -n1 * d0 / (q + np.copysign(np.sqrt(q * q - n1 * n1 * d0), q)))
+        det = g[li, 1] * g[lk, 2] - g[li, 2] * g[lk, 1]
+        v = np.vstack([(p[:, None] + tau[..., None] * e[:, None]).reshape(-1, 2),
+                       np.column_stack([g[lk, 0] * g[li, 2] - g[li, 0] * g[lk, 2],
+                                        g[li, 0] * g[lk, 1] - g[lk, 0] * g[li, 1]])
+                       / det[:, None]])
+        x = cuts[:, 0] + v[:, :1] * cuts[:, 1] + v[:, 1:] * cuts[:, 2]
+        room = 1.0 - np.sum(v * v, axis=1)
+        values = np.where(room > 0.0, x[:, :split].max(axis=1) * x[:, split:].max(axis=1) / room,
+                          np.inf)
+        # chords v = start + tau span, tau in [0, 1], along which a and b
+        # stay the largest of their sides while c + d tau >= 0 for each rival
+        start = -cuts[a, 1:] / cuts[a, :1]
+        span = -cuts[b, 1:] / cuts[b, :1] - start
+        gap = cuts[own] - cuts
+        c = gap[..., 0] + gap[..., 1] * start[:, :1] + gap[..., 2] * start[:, 1:]
+        d = gap[..., 1] * span[:, :1] + gap[..., 2] * span[:, 1:]
+        bound = -c / d
+    lo = np.max(np.where(d > 0.0, bound, 0.0), axis=1, initial=0.0)
+    hi = np.min(np.where(d < 0.0, bound, 1.0), axis=1, initial=1.0)
+    chord = np.where((lo <= hi) & np.all((d != 0.0) | (c >= 0.0), axis=1),
+                     0.5 * (cuts[a, 0] * cuts[b, 0] - cuts[a, 1] * cuts[b, 1]
+                            - cuts[a, 2] * cuts[b, 2]), np.inf)
+    pair = int(np.argmin(chord))
+    if values.size and values.min() <= chord[pair]:
+        best = int(np.argmin(values))
+        return float(values[best]), v[best]
+    point = start[pair] + 0.5 * (lo[pair] + hi[pair]) * span[pair]
+    radius = np.hypot(point[0], point[1])
+    return float(chord[pair]), point * min(1.0, (1.0 - 1e-6) / radius)
+
+
+def _merge(cuts: np.ndarray, angles: np.ndarray, new: np.ndarray, new_angles: np.ndarray,
+           coef: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """The new cuts and the old ones more than ``spacing`` from all of them
+    (angles mod pi), the CUTS_PER_SIDE largest at coef = (1, v) kept."""
+    apart = np.abs((angles[:, None] - new_angles + 0.5 * np.pi) % np.pi - 0.5 * np.pi)
+    keep = np.all(apart > spacing, axis=1)
+    cuts = np.vstack([new, cuts[keep]])
+    angles = np.concatenate([new_angles, angles[keep]])
+    values = cuts @ coef
+    top = sorted(range(len(cuts)), key=lambda r: -values[r])[:CUTS_PER_SIDE]
+    return cuts[top], angles[top]
+
+
 class _Minimum(NamedTuple):
-    x: np.ndarray
+    x: np.ndarray  # Klein coordinate of the best point evaluated
+    maxima: tuple  # (A, B) there
+    lower: float  # the largest cut-model minimum of the ratio
+    start: tuple  # (A, B) at the start
     nfev: int
 
 
-def _by_value(vertex: list) -> tuple[bool, float]:
-    """Sort key ranking vertices by value, NaN last (numpy's order)."""
-    return vertex[0] != vertex[0], vertex[0]
+def minimize(forms: _BoundaryForms, start: tuple[float, float]) -> _Minimum:
+    """Exchange-method minimum of the radii ratio from ``start`` = (s, phi).
 
-
-def minimize(fun, simplex, xatol: float, fatol: float, maxiter: int) -> _Minimum:
-    """Nelder-Mead minimum of ``fun`` from the vertices ``simplex``.
-
-    This is scipy.optimize.minimize(method="Nelder-Mead") with
-    ``initial_simplex`` and these options, operation for operation:
-    reflection 1, expansion 2, contraction 1/2 and shrink 1/2; the vertices
-    sorted stably by value after each iteration; a stop once every vertex
-    lies within ``xatol`` of the best in each coordinate and within ``fatol``
-    of it in value, or after ``maxiter`` iterations.  So x and nfev agree
-    with scipy's to the bit.  In two dimensions the simplex costs 3
-    evaluations and an iteration at most 4 (a reflection, a contraction and
-    a 2-vertex shrink), so a search ends after at most 3 + 4 (maxiter - 1) of
-    them.  The best vertex is only ever replaced by a better one, so the
-    result is no worse than the best initial vertex.
+    Each round evaluates the body at v (``_BoundaryForms.evaluate``), keeps
+    the best point so far as the upper end of the bracket, merges the cuts
+    found at v into the model and moves v to the model's minimizer, whose
+    value is a lower end.  It stops once the ends agree to SEARCH_RTOL or
+    after MAX_ROUNDS evaluations.
     """
-    nfev = 0
-
-    def evaluate(x: list[float]) -> float:
-        nonlocal nfev
-        nfev += 1
-        return fun(x)
-
-    sim = [[evaluate(x), x] for x in ([float(c) for c in vertex] for vertex in simplex)]
-    dim = len(sim) - 1
-    sim.sort(key=_by_value)
-    for _ in range(maxiter - 1):
-        (f_best, best), (f_next, _), (f_worst, worst) = sim[0], sim[-2], sim[-1]
-        if (all(abs(c - b) <= xatol for _, x in sim[1:] for c, b in zip(x, best))
-                and all(abs(f_best - f) <= fatol for f, _ in sim[1:])):
+    v = _klein(*start)
+    cuts = [np.empty((0, 3)), np.empty((0, 3))]
+    angles = [np.empty(0), np.empty(0)]
+    best = first = None
+    lower = 0.0
+    for nfev in range(1, MAX_ROUNDS + 1):
+        maxima, new, new_angles = forms.evaluate(v)
+        value = maxima[0] * maxima[1] / (1.0 - v @ v)
+        if first is None:
+            if not np.isfinite(value):
+                raise ValueError("the Banach-Mazur distance is not finite: the body's "
+                                 "scale overflows or underflows")
+            first = maxima
+        if best is None or value < best[0]:
+            best = (value, v, maxima)
+        coef = np.array([1.0, v[0], v[1]])
+        for side in (0, 1):
+            cuts[side], angles[side] = _merge(cuts[side], angles[side], new[side],
+                                              new_angles[side], coef, forms.dt)
+        model, v = _model_minimum(*cuts)
+        lower = max(lower, model)
+        if np.sqrt(best[0]) - np.sqrt(lower) <= SEARCH_RTOL * np.sqrt(best[0]):
             break
-        xbar = [sum(c[1:], c[0]) / dim for c in zip(*(x for _, x in sim[:-1]))]
-        xr = [2.0 * b - w for b, w in zip(xbar, worst)]
-        fr = evaluate(xr)
-        if fr < f_best:
-            xe = [3.0 * b - 2.0 * w for b, w in zip(xbar, worst)]
-            fe = evaluate(xe)
-            sim[-1] = [fe, xe] if fe < fr else [fr, xr]
-        elif fr < f_next:
-            sim[-1] = [fr, xr]
-        else:
-            if fr < f_worst:  # contract outside
-                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
-                fc = evaluate(xc)
-                shrink = not fc <= fr
-            else:  # contract inside
-                xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
-                fc = evaluate(xc)
-                shrink = not fc < f_worst
-            if not shrink:
-                sim[-1] = [fc, xc]
-            else:
-                for vertex in sim[1:]:
-                    vertex[1] = [b + 0.5 * (c - b) for c, b in zip(vertex[1], best)]
-                    vertex[0] = evaluate(vertex[1])
-        sim.sort(key=_by_value)
-    return _Minimum(x=np.array(sim[0][1]), nfev=nfev)
+    return _Minimum(x=best[1], maxima=best[2], lower=float(np.sqrt(lower)), start=first,
+                    nfev=nfev)
 
 
-def _bm_search(forms: _BoundaryForms, start: tuple[float, float], short: bool
-               ) -> BMCertificate:
-    """Certificate at the (s, phi) minimizing the radii ratio, by Nelder-Mead
-    over (log s, phi) from a fixed simplex at ``start``; a short search stops
-    sooner.  Either ends no higher than ``start``, its first vertex."""
-    maxiter, xatol, fatol = (24, 1e-7, 1e-11) if short else (400, 1e-9, 1e-13)
-    x0 = np.array([np.log(start[0]), start[1]])
-    simplex = np.vstack([x0, x0 + [0.05, 0.0], x0 + [0.0, 0.05]])
-    res = minimize(lambda x: float(forms.ratio(np.exp(x[0]), x[1])), simplex,
-                   xatol=xatol, fatol=fatol, maxiter=maxiter)
-    s, phi = float(np.exp(res.x[0])), float(res.x[1])
-    lo, hi = forms.radii(s, phi)
-    if not np.isfinite(hi / lo):
-        raise ValueError("the Banach-Mazur distance is not finite: the body's scale "
-                         "overflows or underflows")
-    return BMCertificate(distance=float(hi / lo), witness=family_map(s, phi),
-                         inner_radius=float(lo), outer_radius=float(hi))
+def _certificate(res: _Minimum) -> BMCertificate:
+    inner, outer = _radii(res.x, res.maxima)
+    return BMCertificate(distance=outer / inner, witness=family_map(*_family_params(res.x)),
+                         inner_radius=inner, outer_radius=outer, lower_bound=res.lower)
 
 
 def sl2_normalize(h: SupportFn) -> tuple[SupportFn, LinearMap2]:
@@ -255,25 +405,28 @@ def banach_mazur_to_disk(h: SupportFn) -> BMCertificate:
 
     For an origin-symmetric body this is the min over the family of the
     circumradius/inradius ratio of the image, both radii read off the
-    sampled boundary and polar boundary of the body.
+    sampled boundary and polar boundary of the body.  The certificate's
+    ``lower_bound`` is within SEARCH_RTOL of the distance unless the search
+    ran out of rounds.
     """
     require_symmetric(h, "banach_mazur_to_disk")
     forms = _BoundaryForms(h)
-    return _bm_search(forms, _perimeter_minimum(forms), short=False)
+    return _certificate(minimize(forms, _perimeter_minimum(forms)))
 
 
 def sl2_positions(h: SupportFn) -> tuple[tuple[float, float], BMCertificate]:
     """The SL(2) quantities a flow trace row monitors, from one sampling.
 
     Returns the (inradius, circumradius) of Phi K at the perimeter-minimal
-    Phi (the witness of ``sl2_normalize``), and the certificate of a short
-    Banach-Mazur search started there, which reads within about 1e-4 above
-    the full search's distance.
+    Phi (the witness of ``sl2_normalize``), read off the first evaluation of
+    the Banach-Mazur search started there, and that search's certificate:
+    the search ``banach_mazur_to_disk`` makes.
     """
     require_symmetric(h, "sl2_positions")
     forms = _BoundaryForms(h)
     start = _perimeter_minimum(forms)
-    return forms.radii(*start), _bm_search(forms, start, short=True)
+    res = minimize(forms, start)
+    return _radii(_klein(*start), res.start), _certificate(res)
 
 
 def _parabola_peak(values: np.ndarray, j: int) -> float:
@@ -291,7 +444,7 @@ def pinching_to_bm_bound(h: SupportFn) -> float:
     affine support function q = h * S^(1/3) (constant exactly on
     origin-centered ellipses)."""
     require_symmetric(h, "pinching_to_bm_bound")
-    q = h.samples * np.cbrt(curvature_samples(h.samples))
+    q = affine_support(h.samples)
     qmax, qmin = _parabola_peak(q, np.argmax(q)), _parabola_peak(q, np.argmin(q))
     if qmin <= 0.0:
         return float("inf")

@@ -142,6 +142,12 @@ def curvature_samples(samples: np.ndarray) -> np.ndarray:
     return samples + spectral.deriv(samples, 2)
 
 
+def affine_support(samples: np.ndarray, factor: float = 1.0) -> np.ndarray:
+    """The affine support function q = h S^(1/3) of the body dilated by
+    ``factor`` (constant exactly on origin-centered ellipses)."""
+    return factor * samples * np.cbrt(factor * curvature_samples(samples))
+
+
 def area_quadrature(h: np.ndarray, s: np.ndarray) -> float:
     """(1/2) * integral of h * s d theta on the uniform grid: the area when s
     is the curvature h + h'' of the same samples, the mixed volume V(K, L)

@@ -105,8 +105,8 @@ class TestSl2Row:
         assert np.array_equal(tr.norm_disk_dist, want)
 
     def test_banach_mazur_depends_on_the_row_only(self, seeded_trace):
-        # a short search from the row's own perimeter minimum, within 1e-4
-        # above the full search
+        # the search from the row's own perimeter minimum, the one
+        # banach_mazur_to_disk makes
         tr = seeded_trace
         for i in range(tr.rows):
             body = tr.row_body(i)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.optimize
 
 from centroflow import (
     BodySpec,
@@ -17,7 +16,7 @@ from centroflow import (
 )
 from centroflow.errors import AsymmetricData
 from centroflow.lab import _deficit_targeted_body, _stability_base
-from centroflow.normalize import (_BoundaryForms, _bm_search, _parabola_peak,
+from centroflow.normalize import (SEARCH_RTOL, _BoundaryForms, _certificate, _parabola_peak,
                                   _perimeter_minimum, family_map, minimize)
 from centroflow.spectral import angles
 
@@ -169,72 +168,47 @@ class TestGlobalMinima:
                 distance = banach_mazur_to_disk(body).distance
                 forms = _BoundaryForms(body)
                 for start in self.STARTS:
-                    cert = _bm_search(forms, start, short=False)
+                    cert = _certificate(minimize(forms, start))
                     assert cert.distance == pytest.approx(distance, abs=1e-9)
 
 
-class TestNelderMead:
-    # (maxiter, xatol, fatol) of the short and the cold search
-    SETTINGS = [(24, 1e-7, 1e-11), (400, 1e-9, 1e-13)]
-
-    @staticmethod
-    def problem(body):
-        """The radii-ratio objective over (log s, phi) and the search's
-        initial simplex at the perimeter minimum."""
-        forms = _BoundaryForms(body)
-        s, phi = _perimeter_minimum(forms)
-        x0 = np.array([np.log(s), phi])
-        simplex = np.vstack([x0, x0 + [0.05, 0.0], x0 + [0.0, 0.05]])
-        return (lambda x: float(forms.ratio(np.exp(x[0]), x[1]))), simplex
-
+class TestExchangeSearch:
     @staticmethod
     def bodies(seeded_trace):
         bodies = [_stability_base(seed, 128) for seed in range(10)]
         return bodies + [seeded_trace.row_body(i) for i in range(0, seeded_trace.rows, 10)]
 
     @staticmethod
-    def assert_same_as_scipy(fun, simplex, maxiter, xatol, fatol):
-        ref = scipy.optimize.minimize(
-            fun, simplex[0], method="Nelder-Mead",
-            options={"initial_simplex": simplex, "xatol": xatol, "fatol": fatol,
-                     "maxiter": maxiter})
-        res = minimize(fun, simplex, xatol=xatol, fatol=fatol, maxiter=maxiter)
-        np.testing.assert_array_equal(res.x, ref.x)  # NaN equals NaN here
-        assert res.nfev == ref.nfev
-        # 3 for the simplex, then at most 4 an iteration: the search needs no
-        # evaluation cap
-        assert res.nfev <= 3 + 4 * (maxiter - 1)
+    def search(body):
+        forms = _BoundaryForms(body)
+        res = minimize(forms, _perimeter_minimum(forms))
+        return res, _certificate(res)
 
-    def test_matches_scipy(self, seeded_trace):
+    def test_bracket_holds_and_closes(self, seeded_trace):
+        # the cut model's minimum lies below the distance and within
+        # SEARCH_RTOL of it; once the bracket has closed, the two ends can
+        # cross by rounding only
         for body in self.bodies(seeded_trace):
-            fun, simplex = self.problem(body)
-            for maxiter, xatol, fatol in self.SETTINGS:
-                self.assert_same_as_scipy(fun, simplex, maxiter, xatol, fatol)
+            _, cert = self.search(body)
+            gap = (cert.distance - cert.lower_bound) / cert.distance
+            assert -1e-14 <= gap <= SEARCH_RTOL
+
+    def test_few_evaluations(self, seeded_trace, wobble):
+        # the bracket closes quadratically, also on a disk and on flat forms
+        # (an ellipse, a strong image of a mild body, a near-disk flow row)
+        flat = [disk(1.0, 128), ellipse(2.0, 1.0, 0.0, 256),
+                apply_linear_map(wobble, family_map(np.sqrt(8.0), 0.7)),
+                seeded_trace.row_body(seeded_trace.rows - 1)]
+        for body in self.bodies(seeded_trace) + flat:
+            res, cert = self.search(body)
+            assert res.nfev <= 8
+            assert cert.distance - cert.lower_bound <= SEARCH_RTOL * cert.distance
 
     def test_search_ends_no_higher_than_its_start(self, seeded_trace):
-        # so neither search needs a fall-back to its start
+        # the best point evaluated is returned, and the first is the start
         for body in self.bodies(seeded_trace):
             forms = _BoundaryForms(body)
             start = _perimeter_minimum(forms)
-            for short in (True, False):
-                # the first vertex is at exp(log s), which may round s by an ulp
-                assert _bm_search(forms, start, short).distance <= \
-                    forms.ratio(*start) * (1.0 + 1e-14)
-
-    def test_ties_and_nan_match_scipy(self):
-        # a staircase ties vertex values, so the order of equal vertices
-        # shows; NaN beyond x = 1 sorts last, also in a simplex that keeps a
-        # NaN vertex (maxiter 1: no iteration); small maxiter ends mid-descent
-        def stairs(x):
-            return float(np.floor(4.0 * np.hypot(x[0] - 0.3, x[1] + 0.2)))
-
-        def nan_beyond(x):
-            return float("nan") if x[0] > 1.0 else (x[0] - 2.0) ** 2 + x[1] ** 2
-
-        settings = [(k, 1e-9, 1e-13) for k in (1, 2, 3, 5)] + self.SETTINGS
-        for fun in (stairs, nan_beyond):
-            for corner in ([0.0, 0.0], [0.8, 0.0], [2.0, -1.0], [-1.5, 0.7]):
-                simplex = np.array(corner) + [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
-                for maxiter, xatol, fatol in settings:
-                    self.assert_same_as_scipy(fun, simplex, maxiter, xatol, fatol)
-
+            inner, outer = forms.radii(*start)
+            assert _certificate(minimize(forms, start)).distance <= \
+                outer / inner * (1.0 + 1e-14)
