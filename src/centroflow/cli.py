@@ -23,8 +23,8 @@ from .errors import CentroflowError
 from .flow import FlowConfig, conservation_checks, flow_run, harnack_and_bounds_monitor
 from .lab import fuzz_campaign, stability_experiment
 from .normalize import banach_mazur_to_disk, pinching_to_bm_bound, sl2_normalize
-from .spectral import angles
-from .support import SupportFn, boundary_points
+from .spectral import angles, deriv
+from .support import SupportFn
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -84,7 +84,9 @@ def _write_run_dir(out_dir: str, files: dict[str, str], argv: list[str], config:
 
 def _svg_frame(body: SupportFn, path: str) -> None:
     """Boundary polyline with a unit-circle overlay on a fixed [-2,2]^2 view."""
-    x, y = boundary_points(body.samples, angles(body.n))
+    # at the nodes deriv's zeroed Nyquist term is also the interpolant's own h'
+    t, h, hp = angles(body.n), body.samples, deriv(body.samples)
+    x, y = h * np.cos(t) - hp * np.sin(t), h * np.sin(t) + hp * np.cos(t)
     pts = " ".join(f"{xi:.6f},{-yi:.6f}" for xi, yi in zip(x, y))
     first = f"{x[0]:.6f},{-y[0]:.6f}"
     svg = (

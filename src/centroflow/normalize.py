@@ -3,24 +3,25 @@
 Left rotations change neither the perimeter nor the radii ratio of the image
 body, and scalings are factored out of both objectives, so this family is
 exhaustive for the perimeter-minimizing normalization and for the
-Banach-Mazur distance to the disk.  Over M = Phi^T Phi (det 1) both
-objectives are geodesically convex, so a local minimum is the global one.
-Every quantity is read off one boundary sampling of the body
-(``_BoundaryForms``).  The perimeter minimum comes from a majorize-minimize
-fixed-point iteration in M started at the identity.
+Banach-Mazur distance to the disk.  Both searches work in the Klein
+coordinate v = tanh(2 ln s) (cos 2phi, -sin 2phi) of M = Phi^T Phi, where
+geodesics are chords, both objectives are geodesically convex (a local
+minimum is the global one), and |Phi z|^2 sqrt(1 - |v|^2) is (1, v) times
+the cut row (|z|^2, Re z^2, Im z^2) of z; negating the last two entries
+gives Phi^-T.  (s, phi) is read off v only to build the witness map.
 
-The Banach-Mazur search (``minimize``) works in the Klein coordinate
-v = tanh(2 ln s) (cos 2phi, -sin 2phi) of M, in which geodesics are chords
-and the squared radii ratio is A(v) B(v) / (1 - |v|^2).  A is the max over
-the boundary points x of |x|^2 + v . (x1^2 - x2^2, 2 x1 x2), and B the same
-over the polar boundary points with -v.  Every point of the interpolant is
-therefore an affine cut below A or B, and the ratio of any set of cuts bounds
-the distance from below.  The search is an exchange method started at the
-perimeter minimum: each round evaluates the body at one point (the upper end
-of the bracket), adds the maxima found there as cuts, and minimizes the cut
-model in closed form (the lower end).  It stops once the bracket is closed to
-``SEARCH_RTOL`` and returns the best point it evaluated, so it ends no higher
-than its start.
+Every quantity is read off the curves of one boundary sampling of the body
+(``_BoundaryForms``).  The perimeter minimum comes from a majorize-minimize
+fixed-point iteration in v started at v = 0.  The squared radii ratio is
+A(v) B(v) / (1 - |v|^2), A and B maxima over the boundary and the polar
+boundary of affine functions of v, so every point of the interpolant is an
+affine cut below A or B and the ratio of any set of cuts bounds the distance
+from below.  The Banach-Mazur search (``minimize``) is an exchange method
+started at the perimeter minimum: each round evaluates the body at one point
+(the upper end of the bracket), adds the maxima found there as cuts, and
+minimizes the cut model in closed form (the lower end).  It stops once the
+bracket is closed to ``SEARCH_RTOL`` and returns the best point it
+evaluated, so it ends no higher than its start.
 """
 
 from __future__ import annotations
@@ -66,13 +67,7 @@ SEARCH_OVERSAMPLE = 8  # boundary samples per grid node of the body
 SEARCH_RTOL = 1e-12  # relative width of a closed bracket
 MAX_ROUNDS = 30  # evaluations a search may make
 CUTS_PER_SIDE = 4  # cuts the model keeps below each of A and B
-
-
-def _klein(s: float, phi: float) -> np.ndarray:
-    """Klein coordinate v of M = Phi^T Phi: for Phi = diag(s, 1/s) R(phi),
-    |Phi p|^2 = (|p|^2 + v . (p1^2 - p2^2, 2 p1 p2)) / sqrt(1 - |v|^2), and
-    -v in place of v gives Phi^-T."""
-    return np.tanh(2.0 * np.log(s)) * np.array([np.cos(2.0 * phi), -np.sin(2.0 * phi)])
+NEWTON_STEPS = 2  # refinements of each sampled maximum on the interpolant
 
 
 def _family_params(v: np.ndarray) -> tuple[float, float]:
@@ -87,157 +82,111 @@ def _radii(v: np.ndarray, maxima) -> tuple[float, float]:
     return float(1.0 / np.sqrt(scale * maxima[1])), float(np.sqrt(scale * maxima[0]))
 
 
-def _curve_rows(px, py, dx, dy, dt: float, sign: float = 1.0):
-    """Rows of |p|^2 + v . (p1^2 - p2^2, 2 p1 p2) and of its t-derivative
-    times dt, (3, M + 1) each, for the samples p of a curve (first sample
-    appended); sign -1 negates v."""
-    rows = np.array([[px * px + py * py, px * dx + py * dy],
-                     [px * px - py * py, px * dx - py * dy],
-                     [2.0 * px * py, px * dy + py * dx]])
-    rows *= np.array([1.0, sign, sign])[:, None, None] * [[1.0], [2.0 * dt]]
-    rows = np.concatenate([rows, rows[..., :1]], axis=-1)
-    return rows[:, 0], rows[:, 1]
+def _cut_rows(z: np.ndarray, sign) -> np.ndarray:
+    """Rows (|z|^2, sign Re z^2, sign Im z^2) of the points z of a curve,
+    one column each: (1, v) times a column is |Phi z|^2 sqrt(1 - |v|^2)
+    for sign +1, and the same with Phi^-T for sign -1."""
+    z2 = sign * z * z
+    return np.array([z.real * z.real + z.imag * z.imag, z2.real, z2.imag])
 
 
 class _BoundaryForms:
     """Symmetric K sampled at SEARCH_OVERSAMPLE * n / 2 normal angles t in
-    [0, pi) as rows of quadratic forms, and its Fourier coefficients.
+    [0, pi) as the cut rows of its curves, and its Fourier coefficients.
 
-    For Phi in the family, the circumradius of Phi K is max |Phi x(t)| over
-    the boundary points x = h u + h' u_perp (x' = S u_perp, S = h + h''),
-    its inradius is 1/max |Phi^-T u/h| over the polar boundary points, and
-    its perimeter is the integral of S |Phi u_perp| dt.  These are
-    identities of the interpolant, convex between the nodes or not.
+    For Phi in the family, the circumradius of Phi K is max |Phi z(t)| over
+    the boundary points z = (h + i h') e^{it} (z' = i S e^{it}, S = h + h''),
+    its inradius is 1/max |Phi^-T z(t)| over the polar boundary points
+    z = e^{it}/h, and its perimeter is the integral of S |Phi z| dt over the
+    tangents z = i e^{it}.  These are identities of the interpolant, convex
+    between the nodes or not.
     """
 
     def __init__(self, h: SupportFn):
         m = SEARCH_OVERSAMPLE * h.n
-        self.dt = dt = 2.0 * np.pi / m
-        t = spectral.angles(m)[: m // 2]
-        c, s = np.cos(t), np.sin(t)
+        self.dt = 2.0 * np.pi / m
+        e = np.exp(1j * spectral.angles(m)[: m // 2])
         fine = spectral.resample(h.samples, m)
         hv, hp = fine[: m // 2], spectral.deriv(fine)[: m // 2]
-        x, y = hv * c - hp * s, hv * s + hp * c
         self.curv = curvature_samples(fine)[: m // 2]
-        # (u1^2, 2 u1 u2, u2^2) of u_perp, weighted by S in the perimeter
-        self.tangent_rows = np.array([s * s, -2.0 * s * c, c * c])
-        dpolar = (-(s * hv + c * hp) / hv ** 2, (c * hv - s * hp) / hv ** 2)  # (u/h)'
-        outer = _curve_rows(x, y, -self.curv * s, self.curv * c, dt)
-        polar = _curve_rows(c / hv, s / hv, *dpolar, dt, -1.0)
-        # blocks [outer | polar] of M + 1 columns: samples, then slopes
-        self.rows, self.slope_rows = (np.hstack([o, q]) for o, q in zip(outer, polar))
+        self.tangent_rows = _cut_rows(1j * e, 1.0)
+        # blocks [boundary | polar] of m / 2 columns
+        self.rows = np.hstack([_cut_rows((hv + 1j * hp) * e, 1.0), _cut_rows(e / hv, -1.0)])
         a, b = spectral.fourier_coeffs(h.samples)
         self.modes = np.arange(a.size)
         # h, h', h'' and h''' are the real parts of these times exp(i k t)
         self.derivs = (1j * self.modes) ** np.arange(4)[:, None] * (a - 1j * b)
 
-    def _at(self, t: np.ndarray, orders: int) -> np.ndarray:
-        """h and its next ``orders - 1`` derivatives at the angles t, a row each."""
-        waves = np.exp(1j * np.outer(self.modes, t))
-        return np.sum(self.derivs[:orders, :, None] * waves, axis=1).real
-
-    def _peaks(self, coef: np.ndarray) -> list[np.ndarray]:
-        """Angles of the two largest maxima over t of each block of samples
-        coef @ rows: the peak of the cubic Hermite interpolant of the samples
-        and slopes on each grid interval where the slope turns from rising to
-        falling, or the largest sample where none does."""
-        slope = (coef @ self.slope_rows).reshape(2, -1)
-        vals = (coef @ self.rows).reshape(2, -1)
-        k, j = np.nonzero((slope[:, :-1] > 0.0) & ~(slope[:, 1:] > 0.0))
-        d0, d1 = slope[k, j], slope[k, j + 1]
-        g0, g1 = vals[k, j], vals[k, j + 1]
-        x = d0 / (d0 - d1)
-        dg = g1 - g0
-        rise = x * (d0 + x * (3.0 * dg - 2.0 * d0 - d1 + x * (d0 + d1 - 2.0 * dg)))
-        peak = g0 + rise
-        out = []
-        for block in (0, 1):
-            top = sorted(np.flatnonzero(k == block), key=peak.__getitem__)[-2:]
-            out.append((j[top] + x[top]) * self.dt if top
-                       else np.array([np.argmax(vals[block]) * self.dt]))
-        return out
-
-    @staticmethod
-    def _cuts(h0: np.ndarray, h1: np.ndarray, t: np.ndarray, outer: int) -> np.ndarray:
-        """Cuts (c0, c1, c2), c . (1, v) <= A(v) or B(v): of the boundary
-        points with normals at the first ``outer`` angles t, and of the polar
-        boundary points at the rest."""
-        z2 = ((h0 + 1j * h1) * np.exp(1j * t)) ** 2
-        e2 = np.exp(2j * t) / (h0 * h0)
-        return np.where(np.arange(t.size)[:, None] < outer,
-                        np.column_stack([h0 * h0 + h1 * h1, z2.real, z2.imag]),
-                        np.column_stack([1.0 / (h0 * h0), -e2.real, -e2.imag]))
+    def _curves(self, t: np.ndarray) -> np.ndarray:
+        """z, z' and z'' of the boundary curve and of the polar curve at the
+        angles t, shape (2, 3, t.size), from h through h''' of the
+        interpolant."""
+        h0, h1, h2, h3 = np.sum(self.derivs[:, :, None]
+                                * np.exp(1j * np.outer(self.modes, t)), axis=1).real
+        e, s0, s1 = np.exp(1j * t), h0 + h2, h1 + h3
+        g0 = 1.0 / h0  # the polar curve is g e^{it}, g = 1/h
+        g1, g2 = -h1 * g0 * g0, (2.0 * h1 * h1 * g0 - h2) * g0 * g0
+        return np.array([[(h0 + 1j * h1) * e, 1j * s0 * e, (1j * s1 - s0) * e],
+                         [g0 * e, (g1 + 1j * g0) * e, (g2 - g0 + 2j * g1) * e]])
 
     def evaluate(self, v: np.ndarray):
         """The maxima (A, B) at v and the cuts of the points attaining them.
 
-        The two largest maxima of each block are refined on the interpolant
-        itself by one Newton step in t from the Hermite peak; of the peak and
-        the Newton point the higher is kept.  A and B are the largest of
-        those values, so the cut model meets them at v.  Returns (A, B),
-        [outer cuts, polar cuts] and [outer angles, polar angles].
+        The two largest periodic local maxima of each side's samples (its
+        largest sample where it has none) are refined on the interpolant
+        itself by NEWTON_STEPS Newton steps in t, kept within one sample
+        spacing; of the sample and the Newton point the higher is kept.  A
+        and B are the largest of those values, so the cut model meets them
+        at v.  Returns (A, B), [boundary cuts, polar cuts] and their angles.
         """
         coef = np.array([1.0, v[0], v[1]])
-        outer, polar = self._peaks(coef)
-        t = np.concatenate([outer, polar])
-        h0, h1, h2, h3 = self._at(t, 4)
-        w, e = v[0] - 1j * v[1], np.exp(1j * t)
-        # outer: f = |z|^2 + Re(w z^2) with z = (h + i h') e^{it}, z' = i S e^{it}
-        s0, s1 = h0 + h2, h1 + h3
-        z, zp, zpp = (h0 + 1j * h1) * e, 1j * s0 * e, (1j * s1 - s0) * e
-        f1 = 2.0 * (h1 * s0 + (w * z * zp).real)
-        f2 = 2.0 * (s0 * s0 + h1 * s1 - h0 * s0 + (w * (zp * zp + z * zpp)).real)
-        # polar: f = g / h^2 with g = 1 - Re(w e^{2it})
-        we2 = w * e * e
-        g, gp, gpp = 1.0 - we2.real, 2.0 * we2.imag, 4.0 * we2.real
-        inv = 1.0 / h0
-        p1 = inv * inv * (gp - 2.0 * g * h1 * inv)
-        p2 = inv * inv * (gpp - 4.0 * gp * h1 * inv
-                          + g * inv * (6.0 * h1 * h1 * inv - 2.0 * h2))
-        is_polar = np.arange(t.size) >= outer.size
-        f1, f2 = np.where(is_polar, p1, f1), np.where(is_polar, p2, f2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(f2 < 0.0, -f1 / f2, 0.0)
-        tn = t + np.maximum(-self.dt, np.minimum(self.dt, np.nan_to_num(step)))
-        old = self._cuts(h0, h1, t, outer.size)
-        new = self._cuts(*self._at(tn, 2), tn, outer.size)
+        vals = (coef @ self.rows).reshape(2, -1)
+        ring = np.concatenate([vals[:, -1:], vals, vals[:, :1]], axis=1)
+        side, j = np.nonzero((vals > ring[:, :-2]) & (vals >= ring[:, 2:]))
+        peak = vals[side, j]
+        cols = []
+        for block in (0, 1):
+            top = sorted(np.flatnonzero(side == block), key=peak.__getitem__)[-2:]
+            cols.append(j[top] if top else np.array([np.argmax(vals[block])]))
+        idx = np.concatenate(cols)
+        boundary = np.arange(idx.size) < cols[0].size
+        sign, start = np.where(boundary, 1.0, -1.0), idx * self.dt
+        w, t = v[0] - 1j * v[1], start
+        for _ in range(NEWTON_STEPS):
+            z, z1, z2 = np.where(boundary, *self._curves(t))
+            # f = |z|^2 + sign Re(w z^2) and its first two t-derivatives
+            f1 = 2.0 * (z.conj() * z1 + sign * w * z * z1).real
+            f2 = 2.0 * (z1.conj() * z1 + z.conj() * z2 + sign * w * (z1 * z1 + z * z2)).real
+            offset = t - start - f1 / np.where(f2 < 0.0, f2, -np.inf)
+            t = start + np.maximum(-self.dt, np.minimum(self.dt, offset))
+        old = self.rows[:, idx + ~boundary * vals.shape[1]].T
+        new = _cut_rows(np.where(boundary, *self._curves(t)[:, 0]), sign).T
         higher = new @ coef >= old @ coef
         cuts = np.where(higher[:, None], new, old)
-        angles = np.where(higher, tn, t)
+        angles = np.where(higher, t, start)
         values = cuts @ coef
-        sides = (slice(None, outer.size), slice(outer.size, None))
-        return ((values[sides[0]].max(), values[sides[1]].max()),
-                [cuts[side] for side in sides], [angles[side] for side in sides])
-
-    def radii(self, s: float, phi: float) -> tuple[float, float]:
-        """(inradius, circumradius) of Phi K."""
-        v = _klein(s, phi)
-        return _radii(v, self.evaluate(v)[0])
+        return ((values[boundary].max(), values[~boundary].max()),
+                [cuts[boundary], cuts[~boundary]], [angles[boundary], angles[~boundary]])
 
 
-def _perimeter_minimum(forms: _BoundaryForms) -> tuple[float, float]:
-    """(s, phi), s >= 1 and phi in [0, pi), minimizing the perimeter of Phi K.
+def _perimeter_minimum(forms: _BoundaryForms) -> np.ndarray:
+    """Klein coordinate v of the Phi minimizing the perimeter of Phi K.
 
-    With M = Phi^T Phi (det 1) the perimeter is the integral of
-    S sqrt(u_perp' M u_perp) dt.  As sqrt is concave it lies below
-    tr(M A)/2 + const at M0, A = sum S u_perp u_perp' dt
-    / sqrt(u_perp' M0 u_perp), and det M = 1 minimizes tr(M A) at
-    sqrt(det A) A^-1; repeating that step from M = I never raises the
-    perimeter and converges to its one minimum.
+    The perimeter is the integral of S |Phi z| dt over the tangents z, with
+    |Phi z|^2 = (1, v) . r / sqrt(1 - |v|^2) for their cut rows r.  As sqrt
+    is concave, at v0 it lies below a constant plus a positive multiple of
+    (1, v) . a / sqrt(1 - |v|^2), a = sum S r / sqrt((1, v0) . r), which is
+    least at v = -(a1, a2) / a0; repeating that step from v = 0 never raises
+    the perimeter and converges to its one minimum.
     """
     rows = forms.tangent_rows
-    mat = np.array([1.0, 0.0, 1.0])  # (M00, M01, M11)
-    for _ in range(200):  # it settles in 25-45 steps
-        a00, a01, a11 = rows @ (forms.curv / np.sqrt(mat @ rows))
-        a01 *= 0.5
-        prev, mat = mat, np.array([a11, -a01, a00]) / np.sqrt(a00 * a11 - a01 * a01)
-        if np.max(np.abs(mat - prev)) <= 1e-15 * np.max(mat):
+    v = np.zeros(2)
+    for _ in range(200):  # it settles in 24-38 steps
+        a = rows @ (forms.curv / np.sqrt(rows[0] + v @ rows[1:]))
+        prev, v = v, -a[1:] / a[0]
+        if np.max(np.abs(v - prev)) <= 1e-15:
             break
-    # M = R(phi)^T diag(s^2, s^-2) R(phi), so M00 - M11 = 2 sinh(2 ln s) cos 2phi
-    # and 2 M01 = -2 sinh(2 ln s) sin 2phi
-    d, e = mat[0] - mat[2], 2.0 * mat[1]
-    s = np.exp(0.5 * np.arcsinh(0.5 * np.hypot(d, e)))
-    return float(s), float(0.5 * np.arctan2(-e, d) % np.pi)
+    return v
 
 
 @functools.cache
@@ -322,7 +271,7 @@ def _model_minimum(outer: np.ndarray, polar: np.ndarray) -> tuple[float, np.ndar
         return float(values[best]), v[best]
     point = start[pair] + 0.5 * (lo[pair] + hi[pair]) * span[pair]
     radius = np.hypot(point[0], point[1])
-    return float(chord[pair]), point * min(1.0, (1.0 - 1e-6) / radius)
+    return float(chord[pair]), point * min(1.0, (1.0 - 1e-6) / max(radius, 1e-300))
 
 
 def _merge(cuts: np.ndarray, angles: np.ndarray, new: np.ndarray, new_angles: np.ndarray,
@@ -346,8 +295,8 @@ class _Minimum(NamedTuple):
     nfev: int
 
 
-def minimize(forms: _BoundaryForms, start: tuple[float, float]) -> _Minimum:
-    """Exchange-method minimum of the radii ratio from ``start`` = (s, phi).
+def minimize(forms: _BoundaryForms, start: np.ndarray) -> _Minimum:
+    """Exchange-method minimum of the radii ratio from the Klein point ``start``.
 
     Each round evaluates the body at v (``_BoundaryForms.evaluate``), keeps
     the best point so far as the upper end of the bracket, merges the cuts
@@ -355,7 +304,7 @@ def minimize(forms: _BoundaryForms, start: tuple[float, float]) -> _Minimum:
     value is a lower end.  It stops once the ends agree to SEARCH_RTOL or
     after MAX_ROUNDS evaluations.
     """
-    v = _klein(*start)
+    v = start
     cuts = [np.empty((0, 3)), np.empty((0, 3))]
     angles = [np.empty(0), np.empty(0)]
     best = first = None
@@ -395,7 +344,7 @@ def sl2_normalize(h: SupportFn) -> tuple[SupportFn, LinearMap2]:
     is applied after the map and is not part of the witness).
     """
     require_symmetric(h, "sl2_normalize")
-    witness = family_map(*_perimeter_minimum(_BoundaryForms(h)))
+    witness = family_map(*_family_params(_perimeter_minimum(_BoundaryForms(h))))
     image = apply_linear_map(h, witness)
     return scaled(image, np.sqrt(np.pi / area(image))), witness
 
@@ -426,7 +375,7 @@ def sl2_positions(h: SupportFn) -> tuple[tuple[float, float], BMCertificate]:
     forms = _BoundaryForms(h)
     start = _perimeter_minimum(forms)
     res = minimize(forms, start)
-    return _radii(_klein(*start), res.start), _certificate(res)
+    return _radii(start, res.start), _certificate(res)
 
 
 def _parabola_peak(values: np.ndarray, j: int) -> float:

@@ -21,7 +21,6 @@ __all__ = [
     "trig_eval",
     "resample",
     "project_even",
-    "tail_fraction",
 ]
 
 
@@ -76,13 +75,11 @@ def from_coeffs(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(f, n)
 
 
-def trig_eval(samples: np.ndarray, theta: np.ndarray, order: int = 0) -> np.ndarray:
-    """Evaluate the trigonometric interpolant, or its derivative of the given
-    order (Nyquist mode included, unlike ``deriv``), at arbitrary angles:
-    Horner's rule in z = exp(i theta) for the real part of
-    sum_k (i k)^order (a_k - i b_k) z^k."""
+def trig_eval(samples: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Evaluate the trigonometric interpolant at arbitrary angles: Horner's
+    rule in z = exp(i theta) for the real part of sum_k (a_k - i b_k) z^k."""
     a, b = fourier_coeffs(samples)
-    coef = (1j * np.arange(a.size)) ** order * (a - 1j * b)
+    coef = a - 1j * b
     z = np.exp(1j * np.asarray(theta, dtype=float))
     out = np.full(z.shape, coef[-1])
     for c in coef[-2::-1]:
@@ -115,20 +112,3 @@ def project_even(samples: np.ndarray) -> np.ndarray:
     f[1::2] = 0.0
     return np.fft.irfft(f, x.size)
 
-
-def tail_fraction(samples: np.ndarray, kmax: int | None = None) -> float:
-    """Fraction of non-constant spectral energy above kmax (default n//4).
-
-    Diagnostic for whether the grid resolves the data: trustworthy inputs
-    should report a tiny value.
-    """
-    x = np.asarray(samples, dtype=float)
-    n = x.size
-    if kmax is None:
-        kmax = n // 4
-    f = np.fft.rfft(x)
-    power = np.abs(f) ** 2
-    total = power[1:].sum()
-    if total == 0.0:
-        return 0.0
-    return float(power[kmax + 1 :].sum() / total)

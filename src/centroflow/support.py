@@ -31,7 +31,6 @@ __all__ = [
     "area",
     "perimeter",
     "apply_linear_map",
-    "boundary_points",
     "radial_powers",
     "scaled",
     "disk",
@@ -195,15 +194,6 @@ def apply_linear_map(h: SupportFn, phi: LinearMap2) -> SupportFn:
     if h.symmetric:
         out = spectral.project_even(out)
     return SupportFn(out)
-
-
-def boundary_points(samples: np.ndarray, th: np.ndarray):
-    """Coordinates (x, y) of the boundary points h u + h' u_perp with outer
-    normals at the angles ``th``, through the trigonometric interpolant and
-    its own derivative."""
-    hv = spectral.trig_eval(samples, th)
-    hp = spectral.trig_eval(samples, th, 1)
-    return hv * np.cos(th) - hp * np.sin(th), hv * np.sin(th) + hp * np.cos(th)
 
 
 RADIAL_OVERSAMPLE = 16  # t-grid refinement of the change of variables in radial_powers

@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import ellipe
 
 
-def boundary_points(body, m):
+def dense_boundary(body, m):
     """m > n points of the boundary X = h u + h' u_perp of the trigonometric
     interpolant of h, by zero-padded FFT; h' keeps the interpolant's Nyquist
     term, which becomes an interior cosine mode on the finer grid."""
@@ -43,7 +43,7 @@ def centroid_support_polygon(body, u_angles, m=100_000):
     form; the half-plane <u, x> = 0 passes through the origin vertex, so a
     triangle splits at most once along PQ.
     """
-    x, y = boundary_points(body, m)
+    x, y = dense_boundary(body, m)
     px, py = x, y
     qx, qy = np.roll(x, -1), np.roll(y, -1)
     cross = px * qy - py * qx
@@ -69,7 +69,7 @@ def centroid_support_polygon(body, u_angles, m=100_000):
 def radial_by_boundary(body, u_angles, m=2048):
     """Radial function by periodic cubic-spline inversion of the boundary
     direction angle (independent of the polar-body route)."""
-    x, y = boundary_points(body, m)
+    x, y = dense_boundary(body, m)
     alpha = np.unwrap(np.arctan2(y, x))
     alpha -= 2.0 * np.pi * np.floor(alpha[0] / (2.0 * np.pi))
     r = np.hypot(x, y)
@@ -132,7 +132,7 @@ def polygon_radii(body, maps, m=4096):
     """(inradius, circumradius) of the images of the m-point boundary polygon
     under each 2x2 matrix of the stack ``maps``: the least distance from the
     origin to an edge line, and the largest vertex norm."""
-    x, y = boundary_points(body, m)
+    x, y = dense_boundary(body, m)
     img = np.asarray(maps) @ np.vstack([x, y])
     nxt = np.roll(img, -1, axis=-1)
     cross = np.abs(img[..., 0, :] * nxt[..., 1, :] - img[..., 1, :] * nxt[..., 0, :])
@@ -144,7 +144,7 @@ def polygon_perimeter(body, maps, m=4096):
     """Perimeters of the images of the m-point boundary polygon under each
     2x2 matrix A of the stack ``maps``: the sum over the edges e of
     |A e| = sqrt(e' A'A e)."""
-    x, y = boundary_points(body, m)
+    x, y = dense_boundary(body, m)
     dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
     maps = np.asarray(maps)
     gram = np.swapaxes(maps, -1, -2) @ maps

@@ -17,11 +17,19 @@ from centroflow import (
 from centroflow.errors import AsymmetricData
 from centroflow.lab import _deficit_targeted_body, _stability_base
 from centroflow.normalize import (SEARCH_RTOL, _BoundaryForms, _certificate, _parabola_peak,
-                                  _perimeter_minimum, family_map, minimize)
+                                  _perimeter_minimum, _radii, family_map, minimize)
 from centroflow.spectral import angles
 
 from conftest import smoothed_square
 import oracles
+
+
+def klein(s, phi):
+    """Klein coordinate (M00 - M11, 2 M01) / (M00 + M11) of M = Phi^T Phi,
+    Phi = family_map(s, phi)."""
+    a = family_map(s, phi).as_array()
+    m = a.T @ a
+    return np.array([m[0, 0] - m[1, 1], 2.0 * m[0, 1]]) / (m[0, 0] + m[1, 1])
 
 
 class TestSl2Normalize:
@@ -117,7 +125,8 @@ class TestBoundaryForms:
             for s, phi in self.PARAMS:
                 sv = np.linalg.svd(family_map(s, phi).as_array() @ axes,
                                    compute_uv=False)
-                lo, hi = forms.radii(s, phi)
+                v = klein(s, phi)
+                lo, hi = _radii(v, forms.evaluate(v)[0])
                 assert abs(hi - sv[0]) <= 1e-10 and abs(lo - sv[1]) <= 1e-10
 
     def test_certificate_matches_polygon_oracle(self):
@@ -168,7 +177,7 @@ class TestGlobalMinima:
                 distance = banach_mazur_to_disk(body).distance
                 forms = _BoundaryForms(body)
                 for start in self.STARTS:
-                    cert = _certificate(minimize(forms, start))
+                    cert = _certificate(minimize(forms, klein(*start)))
                     assert cert.distance == pytest.approx(distance, abs=1e-9)
 
 
@@ -204,11 +213,21 @@ class TestExchangeSearch:
             assert res.nfev <= 8
             assert cert.distance - cert.lower_bound <= SEARCH_RTOL * cert.distance
 
+    def test_maxima_reach_the_best_sample(self, seeded_trace):
+        # the refined maxima of each side are never below its best dense
+        # sample, at the origin, off it and at the perimeter minimum
+        for body in self.bodies(seeded_trace) + [disk(1.0, 128)]:
+            forms = _BoundaryForms(body)
+            for v in (np.zeros(2), np.array([0.3, -0.2]), _perimeter_minimum(forms)):
+                maxima = forms.evaluate(v)[0]
+                samples = (np.array([1.0, v[0], v[1]]) @ forms.rows).reshape(2, -1)
+                assert maxima[0] >= samples[0].max() and maxima[1] >= samples[1].max()
+
     def test_search_ends_no_higher_than_its_start(self, seeded_trace):
         # the best point evaluated is returned, and the first is the start
         for body in self.bodies(seeded_trace):
             forms = _BoundaryForms(body)
             start = _perimeter_minimum(forms)
-            inner, outer = forms.radii(*start)
+            inner, outer = _radii(start, forms.evaluate(start)[0])
             assert _certificate(minimize(forms, start)).distance <= \
                 outer / inner * (1.0 + 1e-14)

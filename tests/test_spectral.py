@@ -50,15 +50,6 @@ def test_resample_bandlimited_exact(m):
     assert np.max(np.abs(spectral.resample(f, m) - want)) < 1e-12
 
 
-def test_tail_fraction():
-    n = 128
-    th = spectral.angles(n)
-    g = np.cos(2 * th)
-    f = g + 0.5 * np.cos(40 * th)
-    assert spectral.tail_fraction(f, 32) == pytest.approx(0.2, rel=1e-10)
-    assert spectral.tail_fraction(g, 32) < 1e-25
-
-
 def test_project_even():
     n = 64
     th = spectral.angles(n)

@@ -19,9 +19,8 @@ from centroflow import (
     scaled,
 )
 from centroflow.spectral import angles, fourier_coeffs, resample
-from centroflow.support import (RADIAL_OVERSAMPLE, SYMMETRY_TOL, boundary_points,
-                                check_grid_size, check_same_grid, curvature_samples,
-                                radial_powers)
+from centroflow.support import (RADIAL_OVERSAMPLE, SYMMETRY_TOL, check_grid_size,
+                                check_same_grid, curvature_samples, radial_powers)
 
 import oracles
 
@@ -166,7 +165,7 @@ class TestLinearMap:
             + 0.003 * np.cos(6 * TH))
         img = apply_linear_map(
             b, LinearMap2.diagonal(1.3, 1 / 1.3) @ LinearMap2.rotation(0.3))
-        x, y = oracles.boundary_points(img, 1 << 15)
+        x, y = oracles.dense_boundary(img, 1 << 15)
         # the 2^15-gon misses the curve's area by about 1.4e-8 relative
         assert area(img) == pytest.approx(oracles.shoelace_area(x, y), rel=1e-7)
         assert area(img) == pytest.approx(area(b), rel=1e-12)
@@ -218,11 +217,13 @@ class TestRadial:
         assert np.max(np.abs(got - resample(want, body.n))) < 1e-5
 
 
-def test_boundary_points_off_grid_match_coefficients():
+def test_boundary_curves_off_grid_match_coefficients():
     # an n=128 stability body with a sizeable Nyquist coefficient a_N: at the
-    # grid midpoints, where sin(N t) = +-1, x(t) = h u + h' u_perp must use
-    # the derivative of h's own interpolant, a_N cos(N t) included
+    # grid midpoints, where sin(N t) = +-1, the boundary point
+    # x(t) = h u + h' u_perp and the polar point u/h of the SL(2) search must
+    # use h's own interpolant and its derivative, a_N cos(N t) included
     from centroflow.lab import _stability_base
+    from centroflow.normalize import _BoundaryForms
     body = _stability_base(4, 128)
     n = body.n
     t = angles(n) + np.pi / n
@@ -232,10 +233,12 @@ def test_boundary_points_off_grid_match_coefficients():
     e = np.exp(1j * np.outer(t, k))
     h = (e * f * w).real.sum(axis=1)
     hp = (1j * k * e * f * w).real.sum(axis=1)
-    x, y = boundary_points(body.samples, t)
+    boundary, polar = _BoundaryForms(body)._curves(t)[:, 0]
     assert n // 2 * abs(f[-1]) > 1e-3  # the Nyquist term is not negligible
-    assert np.max(np.abs(x - (h * np.cos(t) - hp * np.sin(t)))) < 1e-12
-    assert np.max(np.abs(y - (h * np.sin(t) + hp * np.cos(t)))) < 1e-12
+    assert np.max(np.abs(boundary.real - (h * np.cos(t) - hp * np.sin(t)))) < 1e-12
+    assert np.max(np.abs(boundary.imag - (h * np.sin(t) + hp * np.cos(t)))) < 1e-12
+    assert np.max(np.abs(polar.real - np.cos(t) / h)) < 1e-12
+    assert np.max(np.abs(polar.imag - np.sin(t) / h)) < 1e-12
 
 
 def test_scaled():
