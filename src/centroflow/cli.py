@@ -64,9 +64,10 @@ def _csv_text(table) -> str:
 
 def _write_run_dir(out_dir: str, files: dict[str, str], argv: list[str], config: dict,
                    started: float, input_path: str | None = None,
-                   extra_outputs: list[str] = ()) -> None:
+                   extra_outputs: list[str] = (), timings: dict | None = None) -> None:
     """Make ``out_dir`` and write into it ``files`` (name: text) and the run's
-    manifest, which lists them and ``extra_outputs`` (paths relative to it)."""
+    manifest, which lists them and ``extra_outputs`` (paths relative to it)
+    and holds ``timings``, where the run's time went."""
     os.makedirs(out_dir, exist_ok=True)
     for name, text in files.items():
         bodyio.atomic_write_text(os.path.join(out_dir, name), text)
@@ -75,6 +76,7 @@ def _write_run_dir(out_dir: str, files: dict[str, str], argv: list[str], config:
         "config": config,
         "input_sha256": bodyio.sha256_of_file(input_path) if input_path else None,
         "outputs": sorted([*files, *extra_outputs]),
+        "timings": timings,
         "wall_time_s": time.time() - started,
         "version": __version__,
     }
@@ -134,7 +136,9 @@ def cmd_flow(args, argv) -> int:
 
     _write_run_dir(args.out, {"trace.csv": _csv_text(trace),
                               "report.json": _json_text(reports, indent=2, sort_keys=True)},
-                   argv, overrides, started, args.body, frames)
+                   argv, overrides, started, args.body, frames,
+                   {"rows": trace.rows, "steps": trace.steps, "stepper_s": trace.stepper_s,
+                    "monitor_s": trace.monitor_s})
     return EXIT_OK
 
 

@@ -19,20 +19,23 @@ A trace row is recorded every ``renormalize_every`` accepted steps, on the
 half grid tiled twice (so each row is exactly origin-symmetric); each row
 carries the monitored functionals, the radii at the SL(2) position of least
 perimeter, the Banach-Mazur distance (the search of ``banach_mazur_to_disk``,
-started at that position, so each row depends on its own body only) and the
-quantities needed to verify the evolution laws after the run.
+started at that position) and the quantities needed to verify the evolution
+laws after the run.  The monitors run on blocks of ``ROW_BLOCK`` rows, one
+stacked polar chain and SL(2) search a block, and each row's columns are the
+ones it gives alone.
 """
 
 from __future__ import annotations
 
 import numbers
+import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import ops, spectral
 from .errors import ConvexityLost, StepUnderflow
-from .normalize import sl2_positions
+from .normalize import sl2_searches
 from .support import (SupportFn, area_quadrature, check_grid_size, curvature_samples,
                       require_symmetric)
 
@@ -134,6 +137,8 @@ class FlowTrace:
     stop_reason: str
     steps: int
     config: FlowConfig
+    stepper_s: float  # seconds of the run spent outside the row monitors
+    monitor_s: float  # seconds spent computing the row monitors
 
     @property
     def rows(self) -> int:
@@ -204,57 +209,63 @@ def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
     return float(-intercept / slope)
 
 
+ROW_BLOCK = 12  # trace rows whose monitors are computed together
+
+
 class _RowRecorder:
-    """Accumulates trace rows, each a dict keyed by ``FlowTrace`` field."""
+    """Buffers trace rows (t, h, S, V) and computes their ``FlowTrace``
+    columns ``ROW_BLOCK`` rows at a time; the newest row waits for the next,
+    so ``build`` can drop it unmonitored."""
 
     def __init__(self, n: int):
         self.probe_idx = [0, n // 3, (2 * n) // 3]
-        self.rows: list[dict] = []
+        self.pending: list[tuple] = []
+        self.blocks: list[dict] = []
+        self.areas: list[float] = []
+        self.started, self.monitor_s = time.perf_counter(), 0.0
 
     def record(self, t: float, arr: np.ndarray, s: np.ndarray, v: float) -> None:
-        body = SupportFn(arr)
+        if len(self.pending) == ROW_BLOCK:
+            self._flush()
+        self.pending.append((t, arr, s, v))
+        self.areas.append(v)
+
+    def _flush(self) -> None:
+        started = time.perf_counter()
+        t, arr, s, v = (np.array(col) for col in zip(*self.pending))
+        self.pending = []
         ca2 = 1.0 / (s * arr ** 2)
         ca3 = ca2 / arr
-
-        chain = ops.polar_chain(body)
-        probe = chain.polar[self.probe_idx]
-        probe_rate = probe ** 4 * chain.polar_curvature[self.probe_idx]
-
+        chain = ops.polar_chain(arr)
+        probe = chain.polar[:, self.probe_idx]
         gamma = chain.centroid_samples(v)
-        bp = area_quadrature(gamma, curvature_samples(gamma)) / v
-
-        (r_minus, r_plus), cert = sl2_positions(body)
+        radii, certs = sl2_searches(arr)
+        r_minus, r_plus = radii.T
         scale = np.sqrt(np.pi / v)
-        norm_dist = float(max(r_plus * scale - 1.0, 1.0 - r_minus * scale))
-
-        self.rows.append({
-            "t": t,
-            "area": v,
-            "polar_area": chain.v_star,
-            "bp_ratio": bp,
-            "min_S": float(np.min(s)),
-            "max_ca2": float(np.max(ca2)),
-            "max_ca3": float(np.max(ca3)),
-            "d_bm": cert.distance,
-            "harnack": float(np.sqrt(max(t, 0.0)) * np.min(ca2)),
-            "min_ca3": float(np.min(ca3)),
+        self.blocks.append({
+            "t": t, "area": v, "polar_area": chain.v_star,
+            "bp_ratio": area_quadrature(gamma, curvature_samples(gamma)) / v,
+            "min_S": np.min(s, axis=1), "max_ca2": np.max(ca2, axis=1),
+            "max_ca3": np.max(ca3, axis=1), "min_ca3": np.min(ca3, axis=1),
+            "d_bm": np.array([cert.distance for cert in certs]),
+            "harnack": np.sqrt(np.maximum(t, 0.0)) * np.min(ca2, axis=1),
             "bp_rhs": chain.ratio_derivative(v),
-            "norm_disk_dist": norm_dist,
-            "r_plus": r_plus,
-            "r_minus": r_minus,
-            "h_rows": arr.copy(),
-            "ca2_rows": ca2,
+            "norm_disk_dist": np.maximum(r_plus * scale - 1.0, 1.0 - r_minus * scale),
+            "r_plus": r_plus, "r_minus": r_minus, "h_rows": arr, "ca2_rows": ca2,
             "polar_probe": probe,
-            "polar_probe_rate": probe_rate,
+            "polar_probe_rate": probe ** 4 * chain.polar_curvature[:, self.probe_idx],
         })
+        self.monitor_s += time.perf_counter() - started
 
     def build(self, stop_reason: str, steps: int, cfg: FlowConfig) -> FlowTrace:
         # the last step of a t_stop run is clipped, and can be too short to
         # lower the area (t_stop = 1e-300); the trace ends at the row before it
-        if (stop_reason == "t_stop" and len(self.rows) > 1
-                and not self.rows[-1]["area"] < self.rows[-2]["area"]):
-            self.rows.pop()
-        cols = {k: np.array([r[k] for r in self.rows]) for k in self.rows[0]}
+        if (stop_reason == "t_stop" and len(self.areas) > 1
+                and not self.areas[-1] < self.areas[-2]):
+            self.pending.pop()
+        if self.pending:
+            self._flush()
+        cols = {k: np.concatenate([b[k] for b in self.blocks]) for k in self.blocks[0]}
         if cols["t"].size > 1:
             if not np.all(np.diff(cols["t"]) > 0):
                 raise ValueError("trace times are not strictly increasing")
@@ -266,6 +277,8 @@ class _RowRecorder:
             stop_reason=stop_reason,
             steps=steps,
             config=cfg,
+            stepper_s=time.perf_counter() - self.started - self.monitor_s,
+            monitor_s=self.monitor_s,
         )
 
 

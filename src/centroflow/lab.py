@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops, spectral
-from .normalize import banach_mazur_to_disk, pinching_to_bm_bound
+from .normalize import pinching_to_bm_bound, sl2_searches
 from .support import (SupportFn, affine_support, area, check_grid_size, check_same_grid,
                       curvature_samples, disk, require_symmetric)
 
@@ -272,14 +272,15 @@ def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult
     square for the high-deficit end) and pulled toward the disk, by a
     root-finder on the interpolation weight, until the deficit lands on a
     log-spaced target (1% relative); targets beyond the symmetric-class
-    maximum are clamped to the body's own deficit.
+    maximum are clamped to the body's own deficit.  The bodies' distances
+    and the disk control's come from one stacked search.
     Reports the least admissible witness gamma for the quarter-power bound
     and the log-log slope fitted on the samples with deficit <= 1e-2.
     """
     if count < 10:
         raise ValueError("need at least 10 samples")
     targets = np.geomspace(EPS_LOW, EPS_HIGH, count)
-    samples = []
+    found = []
     evaluations = 1  # the disk control's deficit
     for i, target in enumerate(targets):
         best: tuple[SupportFn, float] | None = None
@@ -293,12 +294,16 @@ def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult
                 best = (body, eps)
             if eps >= target * 0.99:
                 break
-        body, eps = best
-        cert = banach_mazur_to_disk(body)
+        found.append((base_seed, *best))
+    control = disk(1.0, n)
+    # one search over the stack of every sample body and the control
+    *certs, control_cert = sl2_searches(np.array([body.samples for _, body, _ in found]
+                                                 + [control.samples]))[1]
+    samples = []
+    for (base_seed, body, eps), cert in zip(found, certs):
         d1 = cert.distance - 1.0
-        pinch = pinching_to_bm_bound(body)
         samples.append(StabilitySample(
-            seed=base_seed, eps=eps, d_bm_minus_1=d1, pinch_bound=pinch,
+            seed=base_seed, eps=eps, d_bm_minus_1=d1, pinch_bound=pinching_to_bm_bound(body),
             gamma_witness=d1 / eps ** 0.25))
     gamma = max(s.gamma_witness for s in samples)
     small = [s for s in samples if s.eps <= 1e-2 and s.d_bm_minus_1 > 0]
@@ -308,9 +313,8 @@ def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult
         slope = float(np.polyfit(logs_e, logs_d, 1)[0])
     else:
         slope = float("nan")
-    control = disk(1.0, n)
     control_eps = bp_deficit(control)
-    control_d = banach_mazur_to_disk(control).distance - 1.0
+    control_d = control_cert.distance - 1.0
     return StabilityResult(samples=samples, gamma=gamma, fit_exponent=slope,
                            fit_count=len(small), control_eps=control_eps,
                            control_d_minus_1=control_d, deficit_evaluations=evaluations)

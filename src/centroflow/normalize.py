@@ -22,11 +22,15 @@ started at the perimeter minimum: each round evaluates the body at one point
 minimizes the cut model in closed form (the lower end).  It stops once the
 bracket is closed to ``SEARCH_RTOL`` and returns the best point it
 evaluated, so it ends no higher than its start.
+
+The searches run on a stack of bodies (R, n), one row a body; a row that has
+converged stops while the others go on.  Every step is elementwise, a sum
+along the last axis or an FFT, so a row's results are those it gives alone,
+and the one-body functions are the one-row case.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,6 +45,7 @@ __all__ = [
     "BMCertificate",
     "sl2_normalize",
     "sl2_positions",
+    "sl2_searches",
     "banach_mazur_to_disk",
     "pinching_to_bm_bound",
 ]
@@ -76,23 +81,30 @@ def _family_params(v: np.ndarray) -> tuple[float, float]:
     return float(s), float(0.5 * np.arctan2(-v[1], v[0]) % np.pi)
 
 
-def _radii(v: np.ndarray, maxima) -> tuple[float, float]:
-    """(inradius, circumradius) of Phi K from the maxima (A, B) at v."""
-    scale = 1.0 / np.sqrt(1.0 - v @ v)
-    return float(1.0 / np.sqrt(scale * maxima[1])), float(np.sqrt(scale * maxima[0]))
+def _radii(v: np.ndarray, maxima: np.ndarray) -> np.ndarray:
+    """(inradius, circumradius) of Phi K, a pair a row, from the Klein
+    coordinates v and the maxima (A, B) there, both (R, 2)."""
+    scale = 1.0 / np.sqrt(1.0 - np.sum(v * v, axis=-1))
+    return np.stack([1.0 / np.sqrt(scale * maxima[:, 1]), np.sqrt(scale * maxima[:, 0])], axis=-1)
 
 
 def _cut_rows(z: np.ndarray, sign) -> np.ndarray:
-    """Rows (|z|^2, sign Re z^2, sign Im z^2) of the points z of a curve,
-    one column each: (1, v) times a column is |Phi z|^2 sqrt(1 - |v|^2)
-    for sign +1, and the same with Phi^-T for sign -1."""
+    """Cut rows (|z|^2, sign Re z^2, sign Im z^2) of the points z of a curve,
+    along a new last axis: (1, v) . row is |Phi z|^2 sqrt(1 - |v|^2) for
+    sign +1, and the same with Phi^-T for sign -1."""
     z2 = sign * z * z
-    return np.array([z.real * z.real + z.imag * z.imag, z2.real, z2.imag])
+    return np.stack([z.real * z.real + z.imag * z.imag, z2.real, z2.imag], axis=-1)
+
+
+def _at(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(1, v) . row of the cut rows along the last axis of ``rows``."""
+    return rows[..., 0] + v[..., 0] * rows[..., 1] + v[..., 1] * rows[..., 2]
 
 
 class _BoundaryForms:
-    """Symmetric K sampled at SEARCH_OVERSAMPLE * n / 2 normal angles t in
-    [0, pi) as the cut rows of its curves, and its Fourier coefficients.
+    """Symmetric bodies (R, n), each sampled at SEARCH_OVERSAMPLE * n / 2
+    normal angles t in [0, pi) as the cut rows of its curves, and their
+    Fourier coefficients; the methods act on the rows they are given.
 
     For Phi in the family, the circumradius of Phi K is max |Phi z(t)| over
     the boundary points z = (h + i h') e^{it} (z' = i S e^{it}, S = h + h''),
@@ -102,75 +114,77 @@ class _BoundaryForms:
     between the nodes or not.
     """
 
-    def __init__(self, h: SupportFn):
-        m = SEARCH_OVERSAMPLE * h.n
+    def __init__(self, samples: np.ndarray):
+        m = SEARCH_OVERSAMPLE * samples.shape[-1]
         self.dt = 2.0 * np.pi / m
         e = np.exp(1j * spectral.angles(m)[: m // 2])
-        fine = spectral.resample(h.samples, m)
-        hv, hp = fine[: m // 2], spectral.deriv(fine)[: m // 2]
-        self.curv = curvature_samples(fine)[: m // 2]
-        self.tangent_rows = _cut_rows(1j * e, 1.0)
-        # blocks [boundary | polar] of m / 2 columns
-        self.rows = np.hstack([_cut_rows((hv + 1j * hp) * e, 1.0), _cut_rows(e / hv, -1.0)])
-        a, b = spectral.fourier_coeffs(h.samples)
-        self.modes = np.arange(a.size)
+        fine = spectral.resample(samples, m)
+        hv, hp = fine[:, : m // 2], spectral.deriv(fine)[:, : m // 2]
+        self.curv = curvature_samples(fine)[:, : m // 2].copy()
+        self.tangent_rows = np.ascontiguousarray(_cut_rows(1j * e, 1.0).T)  # one row a component
+        # blocks [boundary | polar] of m / 2 points a row
+        self.rows = np.concatenate([_cut_rows((hv + 1j * hp) * e, 1.0),
+                                    _cut_rows(e / hv, -1.0)], axis=1)
+        a, b = spectral.fourier_coeffs(samples)
+        self.modes = np.arange(a.shape[-1])
         # h, h', h'' and h''' are the real parts of these times exp(i k t)
-        self.derivs = (1j * self.modes) ** np.arange(4)[:, None] * (a - 1j * b)
+        self.derivs = (1j * self.modes) ** np.arange(4)[:, None] * (a - 1j * b)[:, None, :]
 
-    def _curves(self, t: np.ndarray) -> np.ndarray:
+    def _curves(self, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """z, z' and z'' of the boundary curve and of the polar curve at the
-        angles t, shape (2, 3, t.size), from h through h''' of the
-        interpolant."""
-        h0, h1, h2, h3 = np.sum(self.derivs[:, :, None]
-                                * np.exp(1j * np.outer(self.modes, t)), axis=1).real
+        angles t (a row of angles for each of ``rows``), shape
+        (2, 3) + t.shape, from h through h''' of the interpolant."""
+        phase = np.exp(1j * (t[..., None] * self.modes))
+        derivs = self.derivs[rows].swapaxes(0, 1)  # one derivative at a time
+        h0, h1, h2, h3 = (np.sum(c[:, None] * phase, axis=-1).real for c in derivs)
         e, s0, s1 = np.exp(1j * t), h0 + h2, h1 + h3
         g0 = 1.0 / h0  # the polar curve is g e^{it}, g = 1/h
         g1, g2 = -h1 * g0 * g0, (2.0 * h1 * h1 * g0 - h2) * g0 * g0
         return np.array([[(h0 + 1j * h1) * e, 1j * s0 * e, (1j * s1 - s0) * e],
                          [g0 * e, (g1 + 1j * g0) * e, (g2 - g0 + 2j * g1) * e]])
 
-    def evaluate(self, v: np.ndarray):
-        """The maxima (A, B) at v and the cuts of the points attaining them.
+    def evaluate(self, v: np.ndarray, rows: np.ndarray):
+        """The maxima (A, B) of ``rows`` at their points in v (a point a row
+        of the stack) and the cuts of the points attaining them.
 
-        The two largest periodic local maxima of each side's samples (its
-        largest sample where it has none) are refined on the interpolant
-        itself by NEWTON_STEPS Newton steps in t, kept within one sample
-        spacing; of the sample and the Newton point the higher is kept.  A
-        and B are the largest of those values, so the cut model meets them
-        at v.  Returns (A, B), [boundary cuts, polar cuts] and their angles.
+        The two largest periodic local maxima of each side's samples (one
+        twice, or the largest sample twice, where there are fewer) are
+        refined on the interpolant itself by NEWTON_STEPS Newton steps in t,
+        kept within one sample spacing; of the sample and the Newton point
+        the higher is kept.  A and B are the largest of the values, so the
+        cut model meets them at v.  Returns (A, B) as (R', 2), the cuts
+        (R', side, 2, 3) and their angles (R', side, 2).
         """
-        coef = np.array([1.0, v[0], v[1]])
-        vals = (coef @ self.rows).reshape(2, -1)
-        ring = np.concatenate([vals[:, -1:], vals, vals[:, :1]], axis=1)
-        side, j = np.nonzero((vals > ring[:, :-2]) & (vals >= ring[:, 2:]))
-        peak = vals[side, j]
-        cols = []
-        for block in (0, 1):
-            top = sorted(np.flatnonzero(side == block), key=peak.__getitem__)[-2:]
-            cols.append(j[top] if top else np.array([np.argmax(vals[block])]))
-        idx = np.concatenate(cols)
-        boundary = np.arange(idx.size) < cols[0].size
+        count = len(rows)
+        vals = _at(self.rows, v[:, None])[rows].reshape(count, 2, -1)
+        v = v[rows]
+        ring = np.concatenate([vals[..., -1:], vals, vals[..., :1]], axis=-1)
+        peak = (vals > ring[..., :-2]) & (vals >= ring[..., 2:])
+        score = np.where(peak, vals, -np.inf)
+        top = np.where(peak.any(axis=-1), np.argmax(score, axis=-1), np.argmax(vals, axis=-1))
+        np.put_along_axis(score, top[..., None], -np.inf, axis=-1)
+        second = np.where(score.max(axis=-1) > -np.inf, np.argmax(score, axis=-1), top)
+        idx = np.stack([second, top], axis=-1).reshape(count, 4)
+        boundary = np.arange(4) < 2
         sign, start = np.where(boundary, 1.0, -1.0), idx * self.dt
-        w, t = v[0] - 1j * v[1], start
+        w, t = (v[:, 0] - 1j * v[:, 1])[:, None], start
         for _ in range(NEWTON_STEPS):
-            z, z1, z2 = np.where(boundary, *self._curves(t))
+            z, z1, z2 = np.where(boundary, *self._curves(t, rows))
             # f = |z|^2 + sign Re(w z^2) and its first two t-derivatives
             f1 = 2.0 * (z.conj() * z1 + sign * w * z * z1).real
             f2 = 2.0 * (z1.conj() * z1 + z.conj() * z2 + sign * w * (z1 * z1 + z * z2)).real
             offset = t - start - f1 / np.where(f2 < 0.0, f2, -np.inf)
             t = start + np.maximum(-self.dt, np.minimum(self.dt, offset))
-        old = self.rows[:, idx + ~boundary * vals.shape[1]].T
-        new = _cut_rows(np.where(boundary, *self._curves(t)[:, 0]), sign).T
-        higher = new @ coef >= old @ coef
-        cuts = np.where(higher[:, None], new, old)
-        angles = np.where(higher, t, start)
-        values = cuts @ coef
-        return ((values[boundary].max(), values[~boundary].max()),
-                [cuts[boundary], cuts[~boundary]], [angles[boundary], angles[~boundary]])
+        old = self.rows[rows[:, None], idx + ~boundary * vals.shape[-1]]
+        new = _cut_rows(np.where(boundary, *self._curves(t, rows)[:, 0]), sign)
+        higher = _at(new, v[:, None]) >= _at(old, v[:, None])
+        cuts = np.where(higher[..., None], new, old).reshape(count, 2, 2, 3)
+        angles = np.where(higher, t, start).reshape(count, 2, 2)
+        return _at(cuts, v[:, None, None]).max(axis=-1), cuts, angles
 
 
 def _perimeter_minimum(forms: _BoundaryForms) -> np.ndarray:
-    """Klein coordinate v of the Phi minimizing the perimeter of Phi K.
+    """Klein coordinates v (R, 2) of the Phi minimizing the perimeter of Phi K.
 
     The perimeter is the integral of S |Phi z| dt over the tangents z, with
     |Phi z|^2 = (1, v) . r / sqrt(1 - |v|^2) for their cut rows r.  As sqrt
@@ -179,40 +193,47 @@ def _perimeter_minimum(forms: _BoundaryForms) -> np.ndarray:
     least at v = -(a1, a2) / a0; repeating that step from v = 0 never raises
     the perimeter and converges to its one minimum.
     """
-    rows = forms.tangent_rows
-    v = np.zeros(2)
+    rows, curv = forms.tangent_rows, forms.curv
+    v = np.zeros((len(curv), 2))
+    active = np.arange(len(v))
     for _ in range(200):  # it settles in 24-38 steps
-        a = rows @ (forms.curv / np.sqrt(rows[0] + v @ rows[1:]))
-        prev, v = v, -a[1:] / a[0]
-        if np.max(np.abs(v - prev)) <= 1e-15:
+        weight = curv / np.sqrt(rows[0] + v[active, :1] * rows[1] + v[active, 1:] * rows[2])
+        a = np.sum(rows[:, None] * weight, axis=-1)
+        step = -a[1:].T / a[0][:, None]
+        moving = np.max(np.abs(step - v[active]), axis=-1) > 1e-15
+        v[active] = step
+        active, curv = active[moving], curv[moving]
+        if not active.size:
             break
     return v
 
 
-@functools.cache
-def _layout(outer: int, polar: int):
-    """Index arrays of a model with ``outer`` + ``polar`` stacked cuts: the
-    cut pairs (i, k) of one side, whose tie lines these are; the pairs of
-    tie lines, whose crossings are vertex candidates; and the pairs (a, b)
-    of one cut of each side, with ``own``[p, r] the one of the two on the
-    side of cut r."""
-    side = np.arange(outer + polar) >= outer
-    i, k = np.array([(i, k) for i, k in itertools.combinations(range(outer + polar), 2)
-                     if side[i] == side[k]], dtype=int).reshape(-1, 2).T
-    crossings = np.array(list(itertools.combinations(range(i.size), 2)), dtype=int)
-    a, b = np.divmod(np.arange(outer * polar), polar)
-    b = b + outer
-    return (i, k, crossings.reshape(-1, 2).T, a, b,
-            np.where(side, b[:, None], a[:, None]))
+def _layout(split: int):
+    """Index arrays of a model with ``split`` cuts a side, stacked: the cut
+    pairs (i, k) of one side, whose tie lines these are; the pairs of tie
+    lines, whose crossings are vertex candidates; and the pairs (a, b) of
+    one cut of each side, with ``own``[p, r] the one of the two on the side
+    of cut r."""
+    side = np.arange(2 * split) >= split
+    i, k = np.array([(i, k) for i, k in itertools.combinations(range(2 * split), 2)
+                     if side[i] == side[k]]).T
+    crossings = np.array(list(itertools.combinations(range(i.size), 2))).T
+    a, b = np.divmod(np.arange(split * split), split)
+    return i, k, crossings, a, b + split, np.where(side, b[:, None] + split, a[:, None])
 
 
-def _model_minimum(outer: np.ndarray, polar: np.ndarray) -> tuple[float, np.ndarray]:
+_LAYOUT = _layout(CUTS_PER_SIDE)
+
+
+def _model_minimum(cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum over |v| < 1 of the cut model max(outer . (1, v))
-    max(polar . (1, v)) / (1 - |v|^2), and a point attaining it.
+    max(polar . (1, v)) / (1 - |v|^2) for each row of ``cuts`` (R', side,
+    CUTS_PER_SIDE, 3), and a point attaining it.
 
     The minimum lies at a vertex (two cuts of each side tie, or three of one
     side), on a tie line where two cuts of one side tie against one of the
-    other, or on a chord where one cut of each side is the largest.
+    other, or on a chord where one cut of each side is the largest (a
+    repeated cut adds no candidate).
     - On a tie line v = p + tau e, 1 - |v|^2 = d0 - tau^2, the model is
       (a0 + a1 tau)(b0 + b1 tau) / (d0 - tau^2) = (n0 + n1 tau + n2 tau^2) /
       (d0 - tau^2), stationary where n1 tau^2 + 2 (n0 + n2 d0) tau + n1 d0
@@ -225,116 +246,125 @@ def _model_minimum(outer: np.ndarray, polar: np.ndarray) -> tuple[float, np.ndar
       when that cell holds no more of the chord; a point just inside the
       disk stands in for it.
     """
-    split = len(outer)
-    cuts = np.vstack([outer, polar])
-    i, k, (li, lk), a, b, own = _layout(split, len(polar))
+    count, split = len(cuts), CUTS_PER_SIDE
+    cuts = cuts.reshape(count, 2 * split, 3)
+    i, k, (li, lk), a, b, own = _LAYOUT
+    line, row = np.arange(i.size), np.arange(count)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = cuts[i] - cuts[k]  # g . (1, v) = 0 on the tie line
-        norm2 = g[:, 1] * g[:, 1] + g[:, 2] * g[:, 2]
-        p = g[:, 1:] * (-g[:, :1] / norm2[:, None])
-        e = np.column_stack([-g[:, 2], g[:, 1]]) / np.sqrt(norm2)[:, None]
-        d0 = 1.0 - np.sum(p * p, axis=1)[:, None]
+        g = cuts[:, i] - cuts[:, k]  # g . (1, v) = 0 on the tie line
+        norm2 = g[..., 1] * g[..., 1] + g[..., 2] * g[..., 2]
+        p = g[..., 1:] * (-g[..., :1] / norm2[..., None])
+        e = np.stack([-g[..., 2], g[..., 1]], axis=-1) / np.sqrt(norm2)[..., None]
+        d0 = 1.0 - np.sum(p * p, axis=-1, keepdims=True)
         # every cut at p, and its slope along e, on every line
-        at = cuts[:, 0] + p[:, :1] * cuts[:, 1] + p[:, 1:] * cuts[:, 2]
-        along = e[:, :1] * cuts[:, 1] + e[:, 1:] * cuts[:, 2]
-        line = np.arange(i.size)
-        a0, a1 = at[line, i][:, None], along[line, i][:, None]
+        at = _at(cuts[:, None], p[:, :, None])
+        along = e[..., :1] * cuts[:, None, :, 1] + e[..., 1:] * cuts[:, None, :, 2]
+        a0, a1 = at[:, line, i][..., None], along[:, line, i][..., None]
         n0, n1, n2 = a0 * at, a0 * along + a1 * at, a1 * along
         q = n0 + n2 * d0
         tau = np.where(n1 == 0.0, 0.0,
                        -n1 * d0 / (q + np.copysign(np.sqrt(q * q - n1 * n1 * d0), q)))
-        det = g[li, 1] * g[lk, 2] - g[li, 2] * g[lk, 1]
-        v = np.vstack([(p[:, None] + tau[..., None] * e[:, None]).reshape(-1, 2),
-                       np.column_stack([g[lk, 0] * g[li, 2] - g[li, 0] * g[lk, 2],
-                                        g[li, 0] * g[lk, 1] - g[lk, 0] * g[li, 1]])
-                       / det[:, None]])
-        x = cuts[:, 0] + v[:, :1] * cuts[:, 1] + v[:, 1:] * cuts[:, 2]
-        room = 1.0 - np.sum(v * v, axis=1)
-        values = np.where(room > 0.0, x[:, :split].max(axis=1) * x[:, split:].max(axis=1) / room,
-                          np.inf)
+        det = g[:, li, 1] * g[:, lk, 2] - g[:, li, 2] * g[:, lk, 1]
+        v = np.concatenate([(p[:, :, None] + tau[..., None] * e[:, :, None]).reshape(count, -1, 2),
+                            np.stack([g[:, lk, 0] * g[:, li, 2] - g[:, li, 0] * g[:, lk, 2],
+                                      g[:, li, 0] * g[:, lk, 1] - g[:, lk, 0] * g[:, li, 1]],
+                                     axis=-1) / det[..., None]], axis=1)
+        outer, polar = (_at(side[:, None], v[:, :, None]).max(axis=-1)
+                        for side in (cuts[:, :split], cuts[:, split:]))
+        room = 1.0 - np.sum(v * v, axis=-1)
+        values = np.where(room > 0.0, outer * polar / room, np.inf)
         # chords v = start + tau span, tau in [0, 1], along which a and b
         # stay the largest of their sides while c + d tau >= 0 for each rival
-        start = -cuts[a, 1:] / cuts[a, :1]
-        span = -cuts[b, 1:] / cuts[b, :1] - start
-        gap = cuts[own] - cuts
-        c = gap[..., 0] + gap[..., 1] * start[:, :1] + gap[..., 2] * start[:, 1:]
-        d = gap[..., 1] * span[:, :1] + gap[..., 2] * span[:, 1:]
+        start = -cuts[:, a, 1:] / cuts[:, a, :1]
+        span = -cuts[:, b, 1:] / cuts[:, b, :1] - start
+        gap = cuts[:, own] - cuts[:, None]
+        c = _at(gap, start[:, :, None])
+        d = gap[..., 1] * span[..., :1] + gap[..., 2] * span[..., 1:]
         bound = -c / d
-    lo = np.max(np.where(d > 0.0, bound, 0.0), axis=1, initial=0.0)
-    hi = np.min(np.where(d < 0.0, bound, 1.0), axis=1, initial=1.0)
-    chord = np.where((lo <= hi) & np.all((d != 0.0) | (c >= 0.0), axis=1),
-                     0.5 * (cuts[a, 0] * cuts[b, 0] - cuts[a, 1] * cuts[b, 1]
-                            - cuts[a, 2] * cuts[b, 2]), np.inf)
-    pair = int(np.argmin(chord))
-    if values.size and values.min() <= chord[pair]:
-        best = int(np.argmin(values))
-        return float(values[best]), v[best]
-    point = start[pair] + 0.5 * (lo[pair] + hi[pair]) * span[pair]
-    radius = np.hypot(point[0], point[1])
-    return float(chord[pair]), point * min(1.0, (1.0 - 1e-6) / max(radius, 1e-300))
+    lo = np.max(np.where(d > 0.0, bound, 0.0), axis=-1, initial=0.0)
+    hi = np.min(np.where(d < 0.0, bound, 1.0), axis=-1, initial=1.0)
+    ca, cb = cuts[:, a], cuts[:, b]
+    chord = np.where((lo <= hi) & np.all((d != 0.0) | (c >= 0.0), axis=-1),
+                     0.5 * (ca[..., 0] * cb[..., 0] - ca[..., 1] * cb[..., 1]
+                            - ca[..., 2] * cb[..., 2]), np.inf)
+    pair, best = np.argmin(chord, axis=-1), np.argmin(values, axis=-1)
+    vertex = values[row, best] <= chord[row, pair]
+    point = start[row, pair] + (0.5 * (lo[row, pair] + hi[row, pair]))[:, None] * span[row, pair]
+    radius = np.hypot(point[:, 0], point[:, 1])
+    point = point * np.minimum(1.0, (1.0 - 1e-6) / np.maximum(radius, 1e-300))[:, None]
+    return (np.where(vertex, values[row, best], chord[row, pair]),
+            np.where(vertex[:, None], v[row, best], point))
 
 
 def _merge(cuts: np.ndarray, angles: np.ndarray, new: np.ndarray, new_angles: np.ndarray,
-           coef: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
-    """The new cuts and the old ones more than ``spacing`` from all of them
-    (angles mod pi), the CUTS_PER_SIDE largest at coef = (1, v) kept."""
-    apart = np.abs((angles[:, None] - new_angles + 0.5 * np.pi) % np.pi - 0.5 * np.pi)
-    keep = np.all(apart > spacing, axis=1)
-    cuts = np.vstack([new, cuts[keep]])
-    angles = np.concatenate([new_angles, angles[keep]])
-    values = cuts @ coef
-    top = sorted(range(len(cuts)), key=lambda r: -values[r])[:CUTS_PER_SIDE]
-    return cuts[top], angles[top]
+           v: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row and side, the new cuts and then the old ones, less each
+    cut within ``spacing`` of one before it (angles mod pi), the
+    CUTS_PER_SIDE largest at the row's point v kept; a side left with fewer
+    repeats its largest.  The kept cuts are more than ``spacing`` apart, so
+    an old cut only gives way to a new one (or to a cut it copies)."""
+    cuts = np.concatenate([new, cuts], axis=-2)
+    angles = np.concatenate([new_angles, angles], axis=-1)
+    apart = np.abs((angles[..., :, None] - angles[..., None, :] + 0.5 * np.pi) % np.pi
+                   - 0.5 * np.pi)
+    near = np.tril(apart <= spacing, -1).any(axis=-1)
+    values = np.where(near, -np.inf, _at(cuts, v[:, None, None]))
+    top = np.argsort(-values, axis=-1, kind="stable")[..., :CUTS_PER_SIDE]
+    top = np.where(np.take_along_axis(values, top, axis=-1) > -np.inf, top, top[..., :1])
+    return np.take_along_axis(cuts, top[..., None], axis=-2), np.take_along_axis(angles, top, -1)
 
 
 class _Minimum(NamedTuple):
-    x: np.ndarray  # Klein coordinate of the best point evaluated
-    maxima: tuple  # (A, B) there
-    lower: float  # the largest cut-model minimum of the ratio
-    start: tuple  # (A, B) at the start
-    nfev: int
+    x: np.ndarray  # Klein coordinates of the best points evaluated, (R, 2)
+    maxima: np.ndarray  # (A, B) there, (R, 2)
+    lower: np.ndarray  # the largest cut-model minimum of each row's ratio
+    start: np.ndarray  # (A, B) at the start, (R, 2)
+    nfev: int  # body evaluations, summed over the rows
 
 
 def minimize(forms: _BoundaryForms, start: np.ndarray) -> _Minimum:
-    """Exchange-method minimum of the radii ratio from the Klein point ``start``.
+    """Exchange-method minimum of the radii ratio of each row of ``forms``,
+    from its Klein point in ``start`` (R, 2).
 
     Each round evaluates the body at v (``_BoundaryForms.evaluate``), keeps
     the best point so far as the upper end of the bracket, merges the cuts
     found at v into the model and moves v to the model's minimizer, whose
-    value is a lower end.  It stops once the ends agree to SEARCH_RTOL or
+    value is a lower end.  A row stops once its ends agree to SEARCH_RTOL or
     after MAX_ROUNDS evaluations.
     """
-    v = start
-    cuts = [np.empty((0, 3)), np.empty((0, 3))]
-    angles = [np.empty(0), np.empty(0)]
-    best = first = None
-    lower = 0.0
-    for nfev in range(1, MAX_ROUNDS + 1):
-        maxima, new, new_angles = forms.evaluate(v)
-        value = maxima[0] * maxima[1] / (1.0 - v @ v)
-        if first is None:
-            if not np.isfinite(value):
+    v = np.array(start, dtype=float)
+    count = len(v)
+    x, rows, nfev = v.copy(), np.arange(count), 0
+    best, lower, maxima = np.full(count, np.inf), np.zeros(count), np.zeros((count, 2))
+    cuts, angles = np.empty((count, 2, CUTS_PER_SIDE, 3)), np.empty((count, 2, CUTS_PER_SIDE))
+    for rounds in range(MAX_ROUNDS):
+        found, new, new_angles = forms.evaluate(v, rows)
+        value = found[:, 0] * found[:, 1] / (1.0 - np.sum(v[rows] * v[rows], axis=-1))
+        nfev += rows.size
+        if not rounds:
+            if not np.all(np.isfinite(value)):
                 raise ValueError("the Banach-Mazur distance is not finite: the body's "
                                  "scale overflows or underflows")
-            first = maxima
-        if best is None or value < best[0]:
-            best = (value, v, maxima)
-        coef = np.array([1.0, v[0], v[1]])
-        for side in (0, 1):
-            cuts[side], angles[side] = _merge(cuts[side], angles[side], new[side],
-                                              new_angles[side], coef, forms.dt)
-        model, v = _model_minimum(*cuts)
-        lower = max(lower, model)
-        if np.sqrt(best[0]) - np.sqrt(lower) <= SEARCH_RTOL * np.sqrt(best[0]):
+            first = found
+            cuts[:], angles[:] = new[:, :, :1], new_angles[:, :, :1]  # copies the merge drops
+        better = value < best[rows]
+        x[rows[better]], maxima[rows[better]], best[rows[better]] = \
+            v[rows[better]], found[better], value[better]
+        cuts[rows], angles[rows] = _merge(cuts[rows], angles[rows], new, new_angles, v[rows],
+                                          forms.dt)
+        model, v[rows] = _model_minimum(cuts[rows])
+        lower[rows] = np.maximum(lower[rows], model)
+        rows = rows[np.sqrt(best[rows]) - np.sqrt(lower[rows]) > SEARCH_RTOL * np.sqrt(best[rows])]
+        if not rows.size:
             break
-    return _Minimum(x=best[1], maxima=best[2], lower=float(np.sqrt(lower)), start=first,
-                    nfev=nfev)
+    return _Minimum(x=x, maxima=maxima, lower=np.sqrt(lower), start=first, nfev=nfev)
 
 
-def _certificate(res: _Minimum) -> BMCertificate:
-    inner, outer = _radii(res.x, res.maxima)
-    return BMCertificate(distance=outer / inner, witness=family_map(*_family_params(res.x)),
-                         inner_radius=inner, outer_radius=outer, lower_bound=res.lower)
+def _certificates(res: _Minimum) -> list[BMCertificate]:
+    return [BMCertificate(distance=float(outer / inner), witness=family_map(*_family_params(x)),
+                          inner_radius=float(inner), outer_radius=float(outer),
+                          lower_bound=float(lower))
+            for (inner, outer), x, lower in zip(_radii(res.x, res.maxima), res.x, res.lower)]
 
 
 def sl2_normalize(h: SupportFn) -> tuple[SupportFn, LinearMap2]:
@@ -344,9 +374,22 @@ def sl2_normalize(h: SupportFn) -> tuple[SupportFn, LinearMap2]:
     is applied after the map and is not part of the witness).
     """
     require_symmetric(h, "sl2_normalize")
-    witness = family_map(*_family_params(_perimeter_minimum(_BoundaryForms(h))))
+    v = _perimeter_minimum(_BoundaryForms(h.samples[None]))[0]
+    witness = family_map(*_family_params(v))
     image = apply_linear_map(h, witness)
     return scaled(image, np.sqrt(np.pi / area(image))), witness
+
+
+def sl2_searches(samples: np.ndarray) -> tuple[np.ndarray, list[BMCertificate]]:
+    """The SL(2) quantities a flow trace row monitors, for each row of
+    stacked origin-symmetric support samples (R, n): the (inradius,
+    circumradius) of Phi K at the perimeter-minimal Phi (the witness of
+    ``sl2_normalize``), read off the first evaluation of the Banach-Mazur
+    search started there, as (R, 2), and the certificate of that search."""
+    forms = _BoundaryForms(samples)
+    start = _perimeter_minimum(forms)
+    res = minimize(forms, start)
+    return _radii(start, res.start), _certificates(res)
 
 
 def banach_mazur_to_disk(h: SupportFn) -> BMCertificate:
@@ -359,23 +402,14 @@ def banach_mazur_to_disk(h: SupportFn) -> BMCertificate:
     ran out of rounds.
     """
     require_symmetric(h, "banach_mazur_to_disk")
-    forms = _BoundaryForms(h)
-    return _certificate(minimize(forms, _perimeter_minimum(forms)))
+    return sl2_searches(h.samples[None])[1][0]
 
 
 def sl2_positions(h: SupportFn) -> tuple[tuple[float, float], BMCertificate]:
-    """The SL(2) quantities a flow trace row monitors, from one sampling.
-
-    Returns the (inradius, circumradius) of Phi K at the perimeter-minimal
-    Phi (the witness of ``sl2_normalize``), read off the first evaluation of
-    the Banach-Mazur search started there, and that search's certificate:
-    the search ``banach_mazur_to_disk`` makes.
-    """
+    """``sl2_searches`` of one body."""
     require_symmetric(h, "sl2_positions")
-    forms = _BoundaryForms(h)
-    start = _perimeter_minimum(forms)
-    res = minimize(forms, start)
-    return _radii(start, res.start), _certificate(res)
+    radii, certs = sl2_searches(h.samples[None])
+    return (float(radii[0, 0]), float(radii[0, 1])), certs[0]
 
 
 def _parabola_peak(values: np.ndarray, j: int) -> float:

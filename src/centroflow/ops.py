@@ -54,11 +54,11 @@ __all__ = [
 
 def polar_area(h: SupportFn) -> float:
     """Area of the polar body, (1/2) * integral of h^-2 d theta."""
-    return _polar_area(h.samples)
+    return float(_polar_area(h.samples))
 
 
-def _polar_area(samples: np.ndarray) -> float:
-    return float(0.5 * (2.0 * np.pi / samples.size) * np.sum(samples ** -2))
+def _polar_area(samples: np.ndarray):
+    return 0.5 * (2.0 * np.pi / samples.shape[-1]) * np.sum(samples ** -2, axis=-1)
 
 
 def polar_body(h: SupportFn) -> SupportFn:
@@ -82,13 +82,13 @@ def _abs_cos_transform(density: np.ndarray) -> np.ndarray:
     """Grid samples of integral |cos(psi - phi)| g(psi) d psi, exact for the
     interpolant of g.  Odd modes drop out, so the result is symmetric."""
     f = np.fft.rfft(density)
-    f *= _abs_cos_multipliers(f.size)
-    return np.fft.irfft(f, density.size)
+    f *= _abs_cos_multipliers(f.shape[-1])
+    return np.fft.irfft(f, density.shape[-1])
 
 
-def _centroid_support(rho3: np.ndarray, v_body: float) -> np.ndarray:
-    """Centroid-body support from the samples of rho^3 and V = V(K)."""
-    return _abs_cos_transform(rho3) / (3.0 * v_body)
+def _centroid_support(rho3: np.ndarray, v_body) -> np.ndarray:
+    """Centroid-body support from the samples of rho^3 and V = V(K), a row each."""
+    return _abs_cos_transform(rho3) / (3.0 * np.asarray(v_body)[..., None])
 
 
 def centroid_body(h: SupportFn) -> SupportFn:
@@ -117,9 +117,9 @@ def mixed_volume(h_k: SupportFn, h_l: SupportFn) -> float:
 def _solve_curvature(f: np.ndarray) -> np.ndarray:
     """Samples of the solution of h'' + h = f: h_k = f_k / (1 - k^2), with
     the first harmonic (the translations) set to zero."""
-    mult = spectral.curvature_multiplier(f.size)
+    mult = spectral.curvature_multiplier(f.shape[-1])
     mult[1] = np.inf  # its reciprocal zeroes the first harmonic
-    return np.fft.irfft(np.fft.rfft(f) * (1.0 / mult), f.size)
+    return np.fft.irfft(np.fft.rfft(f) * (1.0 / mult), f.shape[-1])
 
 
 def curvature_image(h: SupportFn) -> SupportFn:
@@ -133,7 +133,7 @@ def curvature_image(h: SupportFn) -> SupportFn:
 @dataclass(frozen=True)
 class PolarChain:
     """The polar body, its area and the area of its curvature image, on the
-    body's n grid from one pass of ``radial_powers``.
+    body's n grid from one pass of ``radial_powers``; stacked bodies stack.
 
     V(K*) is ``polar_area`` of the body and V(K**) is V(K).  The two areas
     of ``v_lambda_star - v_star`` come from different quadratures (the modes
@@ -147,8 +147,8 @@ class PolarChain:
     polar: np.ndarray            # support of K*, 1/rho
     polar_curvature: np.ndarray  # S* = h_{K*} + h_{K*}''
     rho_cubed: np.ndarray        # rho^3, density of the centroid body
-    v_star: float                # V(K*)
-    v_lambda_star: float         # V(Lambda K*)
+    v_star: float | np.ndarray          # V(K*)
+    v_lambda_star: float | np.ndarray   # V(Lambda K*)
 
     def centroid_samples(self, v_body: float) -> np.ndarray:
         """Support of the centroid body, given V(K)."""
@@ -168,20 +168,22 @@ class PolarChain:
         pi_lam = 0.5 * (self.v_star / v_bipolar) * _abs_cos_transform(self.polar ** -3)
         return float(np.max(np.abs(gamma - (2.0 / (3.0 * self.v_star)) * pi_lam)))
 
-    def ratio_derivative(self, v_body: float) -> float:
+    def ratio_derivative(self, v_body):
         """Time derivative of V(Gamma K)/V(K) along the flow, given V(K):
         32 (V(Lambda K*) - V(K*)) / (3 V(K)^2 V(K*))."""
-        return float(32.0 * (self.v_lambda_star - self.v_star)
-                     / (3.0 * v_body * v_body * self.v_star))
+        return 32.0 * (self.v_lambda_star - self.v_star) / (3.0 * v_body * v_body * self.v_star)
 
 
-def polar_chain(h: SupportFn) -> PolarChain:
-    """Polar body, its area, and the area of its curvature image."""
-    require_symmetric(h, "polar_chain")
-    rho3, p = radial_powers(h.samples, [3, -1])
-    v_star = polar_area(h)
+def polar_chain(h: SupportFn | np.ndarray) -> PolarChain:
+    """Polar body, its area, and the area of its curvature image, of one body
+    or of each row of stacked origin-symmetric support samples (R, n)."""
+    if isinstance(h, SupportFn):
+        require_symmetric(h, "polar_chain")
+        h = h.samples
+    rho3, p = radial_powers(h, [3, -1])
+    v_star = _polar_area(h)
     # Lambda K* has surface density (V(K*) / V(K**)) h_{K*}^-3, and V(K**) = V(K)
-    lam = _solve_curvature((v_star / area(h)) * rho3)
+    lam = _solve_curvature((v_star / area_quadrature(h, curvature_samples(h)))[..., None] * rho3)
     return PolarChain(polar=p, polar_curvature=curvature_samples(p), rho_cubed=rho3, v_star=v_star,
                       v_lambda_star=area_quadrature(lam, curvature_samples(lam)))
 

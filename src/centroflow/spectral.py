@@ -1,7 +1,8 @@
 """FFT calculus for 2*pi-periodic samples on a uniform grid.
 
 An array of n real values is identified with the trigonometric interpolant
-through the points theta_j = 2*pi*j/n.  Differentiation, resampling and
+through the points theta_j = 2*pi*j/n; a stack (..., n) is one interpolant a
+row, and every function acts on the last axis.  Differentiation, resampling and
 pointwise evaluation are exact for bandlimited data (all spectral mass
 strictly below the Nyquist wavenumber n/2), and the
 derivative of the Nyquist mode follows the usual convention: zeroed for odd
@@ -32,12 +33,12 @@ def angles(n: int) -> np.ndarray:
 def deriv(samples: np.ndarray, order: int = 1) -> np.ndarray:
     """Spectral derivative of the given order."""
     x = np.asarray(samples, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     f = np.fft.rfft(x)
     k = np.arange(n // 2 + 1, dtype=float)
     f *= (1j * k) ** order
     if order % 2:
-        f[-1] = 0.0  # Nyquist mode of odd derivatives is ambiguous
+        f[..., -1] = 0.0  # Nyquist mode of odd derivatives is ambiguous
     return np.fft.irfft(f, n)
 
 
@@ -54,14 +55,14 @@ def fourier_coeffs(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``b[0]`` and ``b[n//2]`` are identically zero.
     """
     x = np.asarray(samples, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     f = np.fft.rfft(x)
     a = 2.0 * f.real / n
     b = -2.0 * f.imag / n
-    a[0] = f[0].real / n
-    a[-1] = f[-1].real / n
-    b[0] = 0.0
-    b[-1] = 0.0
+    a[..., 0] = f[..., 0].real / n
+    a[..., -1] = f[..., -1].real / n
+    b[..., 0] = 0.0
+    b[..., -1] = 0.0
     return a, b
 
 
@@ -91,17 +92,17 @@ def trig_eval(samples: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def resample(samples: np.ndarray, m: int) -> np.ndarray:
     """Resample onto an m-point grid by zero-padding or truncating the spectrum."""
     x = np.asarray(samples, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     if m == n:
         return x.copy()
     f = np.fft.rfft(x)
     if m > n:
-        g = np.zeros(m // 2 + 1, dtype=complex)
-        g[: n // 2 + 1] = f
-        g[n // 2] = 0.5 * f[n // 2]  # source Nyquist becomes an interior cosine mode
+        g = np.zeros(f.shape[:-1] + (m // 2 + 1,), dtype=complex)
+        g[..., : n // 2 + 1] = f
+        g[..., n // 2] = 0.5 * f[..., n // 2]  # source Nyquist becomes an interior cosine mode
     else:
-        g = f[: m // 2 + 1].copy()
-        g[-1] = 0.0
+        g = f[..., : m // 2 + 1].copy()
+        g[..., -1] = 0.0
     return np.fft.irfft(g * (m / n), m)
 
 

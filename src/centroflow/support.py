@@ -147,10 +147,13 @@ def affine_support(samples: np.ndarray, factor: float = 1.0) -> np.ndarray:
     return factor * samples * np.cbrt(factor * curvature_samples(samples))
 
 
-def area_quadrature(h: np.ndarray, s: np.ndarray) -> float:
+def area_quadrature(h: np.ndarray, s: np.ndarray):
     """(1/2) * integral of h * s d theta on the uniform grid: the area when s
     is the curvature h + h'' of the same samples, the mixed volume V(K, L)
-    when h is the support of L and s the curvature of K."""
+    when h is the support of L and s the curvature of K.  Stacked samples
+    (R, n) give an array of R values, each from its own row's dot product."""
+    if h.ndim > 1:
+        return np.array([area_quadrature(a, b) for a, b in zip(h, s)])
     return float(0.5 * (2.0 * np.pi / h.size) * np.dot(h, s))
 
 
@@ -200,8 +203,8 @@ RADIAL_OVERSAMPLE = 16  # t-grid refinement of the change of variables in radial
 
 
 def radial_powers(samples: np.ndarray, powers) -> np.ndarray:
-    """Samples of rho^p on the body's n grid, one row per power p, each
-    band-limited to the modes k < n/2.
+    """Samples of rho^p on the body's n grid, one row (..., n) per power p
+    for samples (..., n), each band-limited to the modes k < n/2.
 
     The boundary point with outer normal u(t) is x(t) = h u(t) + h' u_perp(t),
     at direction angle alpha(t) = t + atan2(h', h) with d alpha/dt = h S/|x|^2.
@@ -213,25 +216,31 @@ def radial_powers(samples: np.ndarray, powers) -> np.ndarray:
     uniform ``RADIAL_OVERSAMPLE * n`` grid is spectrally accurate.  No root is
     solved and no branch is picked: this is an identity of the interpolant,
     whether or not it is convex between the nodes.  The sum over k runs by the
-    recurrence e^{-i k alpha} = e^{-i alpha} e^{-i (k-1) alpha}, in O(n) memory.
-    Modes at and above n/2 are dropped rather than folded back: the powers of
-    rho of a mildly convex body decay slowly, and their aliased tail would
-    spoil the areas computed from them.
+    recurrence e^{-i k alpha} = e^{-i alpha} e^{-i (k-1) alpha}, in O(n) memory
+    a body, summing along the last axis.  Modes at and above n/2 are dropped
+    rather than folded back: the powers of rho of a mildly convex body decay
+    slowly, and their aliased tail would spoil the areas computed from them.
     """
-    n = samples.size
+    n = samples.shape[-1]
     m = RADIAL_OVERSAMPLE * n
     h = spectral.resample(samples, m)
     hp = spectral.deriv(h, 1)
     r2 = h * h + hp * hp
     weight = h * curvature_samples(h) / (m * r2)
-    vals = (r2 ** (0.5 * np.asarray(powers, dtype=float)[:, None]) * weight).astype(complex)
-    # e^{-i alpha} = e^{-i t} (h - i h') / |x|
-    step = (h - 1j * hp) * np.exp(-1j * spectral.angles(m)) / np.sqrt(r2)
-    coef = np.zeros((vals.shape[0], n // 2 + 1), dtype=complex)
-    for k in range(n // 2):
-        coef[:, k] = vals.sum(axis=1)
-        vals *= step
-    return np.fft.irfft(n * coef, n)
+    step = h + 0j  # e^{-i alpha} = e^{-i t} (h - i h') / |x|, built in place
+    step.imag = -hp
+    step *= np.exp(-1j * spectral.angles(m))
+    step /= np.sqrt(r2)
+    del h, hp
+    out = []
+    for half in 0.5 * np.asarray(powers, dtype=float)[:, None]:  # one power at a time
+        vals = (r2 ** half * weight).astype(complex)
+        coef = np.zeros(vals.shape[:-1] + (n // 2 + 1,), dtype=complex)
+        for k in range(n // 2):
+            coef[..., k] = vals.sum(axis=-1)
+            vals *= step
+        out.append(np.fft.irfft(n * coef, n))
+    return np.array(out)
 
 
 def disk(radius: float = 1.0, n: int = 256) -> SupportFn:

@@ -186,6 +186,9 @@ class TestFlowCommand:
         assert manifest["version"]
         assert "trace.csv" in manifest["outputs"]
         assert len(manifest["input_sha256"]) == 64
+        timings = manifest["timings"]
+        assert timings["rows"] == len(lines) - 1 and timings["steps"] == report["steps"]
+        assert timings["stepper_s"] > 0.0 and timings["monitor_s"] > 0.0
 
     def test_frames_emitted(self, workdir):
         out = workdir / "run_frames"

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -113,6 +114,52 @@ class TestSl2Row:
             assert sl2_positions(body)[1].distance == tr.d_bm[i]
             excess = tr.d_bm[i] - banach_mazur_to_disk(body).distance
             assert -1e-12 <= excess <= 1e-4
+
+
+class TestRowBlocks:
+    """The monitors of a block of rows are those of each row alone."""
+
+    ARRAY_FIELDS = [f.name for f in dataclasses.fields(flow.FlowTrace)
+                    if f.type == "np.ndarray"]
+
+    @staticmethod
+    def run(monkeypatch, cfg):
+        """A run of the seed-1 flow-seeded body, the rows (t, h, S, V) its
+        recorder received, and the number of rows each search block held."""
+        received, blocks = [], []
+        record, searches = flow._RowRecorder.record, flow.sl2_searches
+        monkeypatch.setattr(flow._RowRecorder, "record",
+                            lambda self, *row: (received.append(row), record(self, *row)))
+        monkeypatch.setattr(flow, "sl2_searches",
+                            lambda h: (blocks.append(len(h)), searches(h))[1])
+        body = random_body(BodySpec(seed=1, n=64, mode_count=3, decay=1.6, amplitude=0.5))
+        return flow_run(body, cfg), received, blocks
+
+    def check_rows_alone(self, trace, received):
+        for i in range(trace.rows):
+            alone = flow._RowRecorder(trace.h_rows.shape[1])
+            alone.record(*received[i])
+            one = alone.build("area_threshold", 0, trace.config)
+            for name in self.ARRAY_FIELDS:
+                assert np.array_equal(getattr(one, name)[0], getattr(trace, name)[i]), (i, name)
+
+    @pytest.mark.parametrize("rows", [1, flow.ROW_BLOCK - 1, flow.ROW_BLOCK,
+                                      flow.ROW_BLOCK + 1])
+    def test_columns_equal_each_row_alone(self, monkeypatch, rows):
+        # one row a step, stopped by the step cap after rows - 1 steps
+        monkeypatch.setattr(flow, "MAX_STEPS", rows - 1)
+        trace, received, blocks = self.run(monkeypatch, FlowConfig(renormalize_every=1))
+        assert trace.rows == rows and trace.stop_reason == "max_steps"
+        assert max(blocks) <= flow.ROW_BLOCK and sum(blocks) == rows
+        self.check_rows_alone(trace, received)
+
+    def test_dropped_t_stop_row_is_never_monitored(self, monkeypatch):
+        trace, received, blocks = self.run(monkeypatch, FlowConfig(t_stop=1e-300))
+        assert len(received) == 2 and trace.rows == 1 and blocks == [1]
+        self.check_rows_alone(trace, received)
+
+    def test_run_records_where_its_time_went(self, seeded_trace):
+        assert seeded_trace.stepper_s > 0.0 and seeded_trace.monitor_s > 0.0
 
 
 class TestConservation:

@@ -4,6 +4,7 @@ import pytest
 from centroflow import (
     BodySpec,
     LinearMap2,
+    SupportFn,
     apply_linear_map,
     area,
     banach_mazur_to_disk,
@@ -16,8 +17,9 @@ from centroflow import (
 )
 from centroflow.errors import AsymmetricData
 from centroflow.lab import _deficit_targeted_body, _stability_base
-from centroflow.normalize import (SEARCH_RTOL, _BoundaryForms, _certificate, _parabola_peak,
-                                  _perimeter_minimum, _radii, family_map, minimize)
+from centroflow.normalize import (SEARCH_RTOL, _at, _BoundaryForms, _certificates,
+                                  _parabola_peak, _perimeter_minimum, _radii, family_map, minimize,
+                                  sl2_searches)
 from centroflow.spectral import angles
 
 from conftest import smoothed_square
@@ -30,6 +32,27 @@ def klein(s, phi):
     a = family_map(s, phi).as_array()
     m = a.T @ a
     return np.array([m[0, 0] - m[1, 1], 2.0 * m[0, 1]]) / (m[0, 0] + m[1, 1])
+
+
+def forms_of(body):
+    """The search's sampling of one body, a stack of one row."""
+    return _BoundaryForms(body.samples[None])
+
+
+def evaluate(forms, v):
+    """``evaluate`` of the one row of ``forms`` at v: (A, B), cuts, angles."""
+    return [x[0] for x in forms.evaluate(v[None], np.arange(1))]
+
+
+def radii(forms, v):
+    """(inradius, circumradius) at v, from the maxima there."""
+    return _radii(v[None], evaluate(forms, v)[0][None])[0]
+
+
+def search(forms, start):
+    """The search from ``start`` on the one row of ``forms``, and its certificate."""
+    res = minimize(forms, start[None])
+    return res, _certificates(res)[0]
 
 
 class TestSl2Normalize:
@@ -120,13 +143,13 @@ class TestBoundaryForms:
     def test_ellipse_radii(self):
         # Phi E is the ellipse with the singular values of Phi A as semi-axes
         for a, b, rot in [(1.7, 0.9, 0.3), (1.3, 1.0, 2.0)]:
-            forms = _BoundaryForms(ellipse(a, b, rot, 256))
+            forms = forms_of(ellipse(a, b, rot, 256))
             axes = LinearMap2.rotation(rot).as_array() @ np.diag([a, b])
             for s, phi in self.PARAMS:
                 sv = np.linalg.svd(family_map(s, phi).as_array() @ axes,
                                    compute_uv=False)
                 v = klein(s, phi)
-                lo, hi = _radii(v, forms.evaluate(v)[0])
+                lo, hi = radii(forms, v)
                 assert abs(hi - sv[0]) <= 1e-10 and abs(lo - sv[1]) <= 1e-10
 
     def test_certificate_matches_polygon_oracle(self):
@@ -175,9 +198,9 @@ class TestGlobalMinima:
             for target in (1e-4, 1e-2):
                 body, _, _ = _deficit_targeted_body(base, target)
                 distance = banach_mazur_to_disk(body).distance
-                forms = _BoundaryForms(body)
+                forms = forms_of(body)
                 for start in self.STARTS:
-                    cert = _certificate(minimize(forms, klein(*start)))
+                    cert = search(forms, klein(*start))[1]
                     assert cert.distance == pytest.approx(distance, abs=1e-9)
 
 
@@ -189,9 +212,8 @@ class TestExchangeSearch:
 
     @staticmethod
     def search(body):
-        forms = _BoundaryForms(body)
-        res = minimize(forms, _perimeter_minimum(forms))
-        return res, _certificate(res)
+        forms = forms_of(body)
+        return search(forms, _perimeter_minimum(forms)[0])
 
     def test_bracket_holds_and_closes(self, seeded_trace):
         # the cut model's minimum lies below the distance and within
@@ -217,17 +239,33 @@ class TestExchangeSearch:
         # the refined maxima of each side are never below its best dense
         # sample, at the origin, off it and at the perimeter minimum
         for body in self.bodies(seeded_trace) + [disk(1.0, 128)]:
-            forms = _BoundaryForms(body)
-            for v in (np.zeros(2), np.array([0.3, -0.2]), _perimeter_minimum(forms)):
-                maxima = forms.evaluate(v)[0]
-                samples = (np.array([1.0, v[0], v[1]]) @ forms.rows).reshape(2, -1)
+            forms = forms_of(body)
+            for v in (np.zeros(2), np.array([0.3, -0.2]), _perimeter_minimum(forms)[0]):
+                maxima = evaluate(forms, v)[0]
+                samples = _at(forms.rows[0], v).reshape(2, -1)
                 assert maxima[0] >= samples[0].max() and maxima[1] >= samples[1].max()
+
+    def test_second_cut_per_side(self):
+        # at v = 0 this body has two separated local maxima of unequal height
+        # on the boundary side (and two on the polar side): each side must cut
+        # both arms, not the top one twice
+        t = angles(128)
+        forms = forms_of(SupportFn(1.0 + 0.06 * np.cos(4.0 * t) + 0.02 * np.cos(2.0 * t)))
+        for first, second in evaluate(forms, np.zeros(2))[2]:
+            assert abs((first - second + 0.5 * np.pi) % np.pi - 0.5 * np.pi) > forms.dt
+
+    def test_stacked_search_equals_each_body_alone(self):
+        # bodies that close in different rounds, and a disk, in one stack
+        bodies = [_stability_base(seed, 128) for seed in range(6)] + [disk(1.0, 128)]
+        radii, certs = sl2_searches(np.array([b.samples for b in bodies]))
+        for body, pair, cert in zip(bodies, radii, certs):
+            alone = sl2_searches(body.samples[None])
+            assert np.array_equal(alone[0][0], pair) and alone[1][0] == cert
 
     def test_search_ends_no_higher_than_its_start(self, seeded_trace):
         # the best point evaluated is returned, and the first is the start
         for body in self.bodies(seeded_trace):
-            forms = _BoundaryForms(body)
-            start = _perimeter_minimum(forms)
-            inner, outer = _radii(start, forms.evaluate(start)[0])
-            assert _certificate(minimize(forms, start)).distance <= \
-                outer / inner * (1.0 + 1e-14)
+            forms = forms_of(body)
+            start = _perimeter_minimum(forms)[0]
+            inner, outer = radii(forms, start)
+            assert search(forms, start)[1].distance <= outer / inner * (1.0 + 1e-14)
