@@ -36,7 +36,6 @@ from .normalize import (
     banach_mazur_to_disk,
     pinching_to_bm_bound,
     sl2_normalize,
-    sl2_positions,
 )
 from .flow import (
     ConservationReport,

@@ -15,14 +15,15 @@ reuses the (h, S) of the step's start.  Every stage lives in the kept space,
 so the scheme is fourth order in dt.  The tables cost O(n^2) a stage, so
 the flow runs on grids of at most ``FLOW_MAX_N`` points.
 
-A trace row is recorded every ``renormalize_every`` accepted steps, on the
-half grid tiled twice (so each row is exactly origin-symmetric); each row
-carries the monitored functionals, the radii at the SL(2) position of least
-perimeter, the Banach-Mazur distance (the search of ``banach_mazur_to_disk``,
-started at that position) and the quantities needed to verify the evolution
-laws after the run.  The monitors run on blocks of ``ROW_BLOCK`` rows, one
-stacked polar chain and SL(2) search a block, and each row's columns are the
-ones it gives alone.
+A trace row is recorded every ``renormalize_every`` accepted steps: the run
+stores its time, area and half-grid (h, S), and after the run one pass
+computes the columns of every stored row on the half grid tiled twice (so
+each row is exactly origin-symmetric).  Each row carries the monitored
+functionals, the radii at the SL(2) position of least perimeter, the
+Banach-Mazur distance (the search of ``banach_mazur_to_disk``, started at that
+position) and the quantities needed to verify the evolution laws after the
+run.  The pass runs one stacked polar chain and SL(2) search a block of
+``ROW_BLOCK`` rows, and each row's columns are the ones it gives alone.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ class FlowTrace:
     stop_reason: str
     steps: int
     config: FlowConfig
-    stepper_s: float  # seconds of the run spent outside the row monitors
-    monitor_s: float  # seconds spent computing the row monitors
+    stepper_s: float  # seconds of the stepping loop
+    monitor_s: float  # seconds of the pass that computes the row monitors
 
     @property
     def rows(self) -> int:
@@ -212,74 +213,40 @@ def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
 ROW_BLOCK = 12  # trace rows whose monitors are computed together
 
 
-class _RowRecorder:
-    """Buffers trace rows (t, h, S, V) and computes their ``FlowTrace``
-    columns ``ROW_BLOCK`` rows at a time; the newest row waits for the next,
-    so ``build`` can drop it unmonitored."""
-
-    def __init__(self, n: int):
-        self.probe_idx = [0, n // 3, (2 * n) // 3]
-        self.pending: list[tuple] = []
-        self.blocks: list[dict] = []
-        self.areas: list[float] = []
-        self.started, self.monitor_s = time.perf_counter(), 0.0
-
-    def record(self, t: float, arr: np.ndarray, s: np.ndarray, v: float) -> None:
-        if len(self.pending) == ROW_BLOCK:
-            self._flush()
-        self.pending.append((t, arr, s, v))
-        self.areas.append(v)
-
-    def _flush(self) -> None:
-        started = time.perf_counter()
-        t, arr, s, v = (np.array(col) for col in zip(*self.pending))
-        self.pending = []
-        ca2 = 1.0 / (s * arr ** 2)
-        ca3 = ca2 / arr
-        chain = ops.polar_chain(arr)
-        probe = chain.polar[:, self.probe_idx]
-        gamma = chain.centroid_samples(v)
-        radii, certs = sl2_searches(arr)
-        r_minus, r_plus = radii.T
-        scale = np.sqrt(np.pi / v)
-        self.blocks.append({
-            "t": t, "area": v, "polar_area": chain.v_star,
-            "bp_ratio": area_quadrature(gamma, curvature_samples(gamma)) / v,
-            "min_S": np.min(s, axis=1), "max_ca2": np.max(ca2, axis=1),
-            "max_ca3": np.max(ca3, axis=1), "min_ca3": np.min(ca3, axis=1),
-            "d_bm": np.array([cert.distance for cert in certs]),
-            "harnack": np.sqrt(np.maximum(t, 0.0)) * np.min(ca2, axis=1),
-            "bp_rhs": chain.ratio_derivative(v),
-            "norm_disk_dist": np.maximum(r_plus * scale - 1.0, 1.0 - r_minus * scale),
-            "r_plus": r_plus, "r_minus": r_minus, "h_rows": arr, "ca2_rows": ca2,
-            "polar_probe": probe,
-            "polar_probe_rate": probe ** 4 * chain.polar_curvature[:, self.probe_idx],
-        })
-        self.monitor_s += time.perf_counter() - started
-
-    def build(self, stop_reason: str, steps: int, cfg: FlowConfig) -> FlowTrace:
-        # the last step of a t_stop run is clipped, and can be too short to
-        # lower the area (t_stop = 1e-300); the trace ends at the row before it
-        if (stop_reason == "t_stop" and len(self.areas) > 1
-                and not self.areas[-1] < self.areas[-2]):
-            self.pending.pop()
-        if self.pending:
-            self._flush()
-        cols = {k: np.concatenate([b[k] for b in self.blocks]) for k in self.blocks[0]}
-        if cols["t"].size > 1:
-            if not np.all(np.diff(cols["t"]) > 0):
-                raise ValueError("trace times are not strictly increasing")
-            if not np.all(np.diff(cols["area"]) < 0):
-                raise ValueError("trace areas are not strictly decreasing")
-        return FlowTrace(
-            **cols,
-            estimated_T=_estimate_extinction(cols["t"], cols["area"]),
-            stop_reason=stop_reason,
-            steps=steps,
-            config=cfg,
-            stepper_s=time.perf_counter() - self.started - self.monitor_s,
-            monitor_s=self.monitor_s,
-        )
+def _monitor_rows(t: np.ndarray, h: np.ndarray, s: np.ndarray,
+                  v: np.ndarray) -> dict[str, np.ndarray]:
+    """Every ``FlowTrace`` array column of the stored rows: times ``t``,
+    half-grid samples ``h`` and ``s`` (R, n/2) and areas ``v``.  The polar
+    chain and SL(2) search run once a block of ``ROW_BLOCK`` rows, and each
+    row's columns are the ones it gives alone."""
+    arr = np.tile(h, 2)
+    n = arr.shape[1]
+    probe_idx = [0, n // 3, (2 * n) // 3]
+    ca2 = 1.0 / (s * h ** 2)
+    ca3 = ca2 / h
+    blocks = []
+    for lo in range(0, t.size, ROW_BLOCK):
+        block = slice(lo, lo + ROW_BLOCK)
+        chain = ops.polar_chain(arr[block])
+        gamma = chain.centroid_samples(v[block])
+        radii, certs = sl2_searches(arr[block])
+        blocks.append((chain.v_star, area_quadrature(gamma, curvature_samples(gamma)),
+                       chain.ratio_derivative(v[block]), chain.polar[:, probe_idx],
+                       chain.polar_curvature[:, probe_idx], radii,
+                       [cert.distance for cert in certs]))
+    v_star, bp_area, bp_rhs, probe, probe_s, radii, d_bm = (
+        np.concatenate(col) for col in zip(*blocks))
+    r_minus, r_plus = radii.T
+    scale = np.sqrt(np.pi / v)
+    return {
+        "t": t, "area": v, "polar_area": v_star, "bp_ratio": bp_area / v,
+        "min_S": np.min(s, axis=1), "max_ca2": np.max(ca2, axis=1),
+        "max_ca3": np.max(ca3, axis=1), "min_ca3": np.min(ca3, axis=1), "d_bm": d_bm,
+        "harnack": np.sqrt(np.maximum(t, 0.0)) * np.min(ca2, axis=1), "bp_rhs": bp_rhs,
+        "norm_disk_dist": np.maximum(r_plus * scale - 1.0, 1.0 - r_minus * scale),
+        "r_plus": r_plus, "r_minus": r_minus, "h_rows": arr, "ca2_rows": np.tile(ca2, 2),
+        "polar_probe": probe, "polar_probe_rate": probe ** 4 * probe_s,
+    }
 
 
 def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
@@ -299,10 +266,11 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     synth, project = _kept_mode_tables(n)
     coef = project @ (0.5 * (arr[:m] + arr[m:]))  # the kept part of h0
 
-    recorder = _RowRecorder(n)
+    rows = []  # (t, h, S, V) of each trace row, on the half grid
     t = 0.0
     steps = 0
     stop_reason = None
+    started = time.perf_counter()
 
     while True:
         hs = _half_grid(coef, synth, t)
@@ -317,7 +285,7 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
             stop_reason = "max_steps"
 
         if stop_reason or steps % cfg.renormalize_every == 0:
-            recorder.record(t, np.tile(h, 2), np.tile(s, 2), v)
+            rows.append((t, h, s, v))
         if stop_reason:
             break
 
@@ -340,7 +308,23 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
         t += dt
         steps += 1
 
-    return recorder.build(stop_reason, steps, cfg)
+    stepper_s = time.perf_counter() - started
+
+    # the last step of a t_stop run is clipped, and can be too short to
+    # lower the area (t_stop = 1e-300); the trace ends at the row before it
+    if stop_reason == "t_stop" and len(rows) > 1 and not rows[-1][3] < rows[-2][3]:
+        rows.pop()
+    t, h, s, v = (np.array(col) for col in zip(*rows))
+    del rows  # the row tuples would otherwise live through the monitors' peak
+    if not np.all(np.diff(t) > 0):
+        raise ValueError("trace times are not strictly increasing")
+    if not np.all(np.diff(v) < 0):
+        raise ValueError("trace areas are not strictly decreasing")
+    started = time.perf_counter()
+    cols = _monitor_rows(t, h, s, v)
+    return FlowTrace(**cols, estimated_T=_estimate_extinction(t, v), stop_reason=stop_reason,
+                     steps=steps, config=cfg, stepper_s=stepper_s,
+                     monitor_s=time.perf_counter() - started)
 
 
 def _central_diff(t: np.ndarray, y: np.ndarray, stride: int = 1):

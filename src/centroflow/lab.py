@@ -283,18 +283,17 @@ def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult
     found = []
     evaluations = 1  # the disk control's deficit
     for i, target in enumerate(targets):
-        best: tuple[SupportFn, float] | None = None
-        base_seed = 0
+        best: tuple[int, SupportFn, float] | None = None
         for retry in range(6):
             base_seed = seed + 1000 * i + retry
             base = _stability_base(base_seed, n)
             body, eps, calls = _deficit_targeted_body(base, float(target))
             evaluations += calls
-            if best is None or eps > best[1]:
-                best = (body, eps)
+            if best is None or eps > best[2]:
+                best = (base_seed, body, eps)
             if eps >= target * 0.99:
                 break
-        found.append((base_seed, *best))
+        found.append(best)
     control = disk(1.0, n)
     # one search over the stack of every sample body and the control
     *certs, control_cert = sl2_searches(np.array([body.samples for _, body, _ in found]

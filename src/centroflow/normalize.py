@@ -44,7 +44,6 @@ from .support import (LinearMap2, SupportFn, affine_support, apply_linear_map, a
 __all__ = [
     "BMCertificate",
     "sl2_normalize",
-    "sl2_positions",
     "sl2_searches",
     "banach_mazur_to_disk",
     "pinching_to_bm_bound",
@@ -403,13 +402,6 @@ def banach_mazur_to_disk(h: SupportFn) -> BMCertificate:
     """
     require_symmetric(h, "banach_mazur_to_disk")
     return sl2_searches(h.samples[None])[1][0]
-
-
-def sl2_positions(h: SupportFn) -> tuple[tuple[float, float], BMCertificate]:
-    """``sl2_searches`` of one body."""
-    require_symmetric(h, "sl2_positions")
-    radii, certs = sl2_searches(h.samples[None])
-    return (float(radii[0, 0]), float(radii[0, 1])), certs[0]
 
 
 def _parabola_peak(values: np.ndarray, j: int) -> float:

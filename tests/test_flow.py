@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from centroflow import (
     harnack_and_bounds_monitor,
     random_body,
     sl2_normalize,
-    sl2_positions,
 )
 from centroflow import flow
 from centroflow.flow import (TRACE_CSV_COLUMNS, _half_grid, _kept_mode_tables,
@@ -110,10 +110,7 @@ class TestSl2Row:
         # banach_mazur_to_disk makes
         tr = seeded_trace
         for i in range(tr.rows):
-            body = tr.row_body(i)
-            assert sl2_positions(body)[1].distance == tr.d_bm[i]
-            excess = tr.d_bm[i] - banach_mazur_to_disk(body).distance
-            assert -1e-12 <= excess <= 1e-4
+            assert banach_mazur_to_disk(tr.row_body(i)).distance == tr.d_bm[i]
 
 
 class TestRowBlocks:
@@ -121,27 +118,31 @@ class TestRowBlocks:
 
     ARRAY_FIELDS = [f.name for f in dataclasses.fields(flow.FlowTrace)
                     if f.type == "np.ndarray"]
+    monitor_rows = staticmethod(flow._monitor_rows)  # the pass, unpatched
 
-    @staticmethod
-    def run(monkeypatch, cfg):
-        """A run of the seed-1 flow-seeded body, the rows (t, h, S, V) its
-        recorder received, and the number of rows each search block held."""
+    def run(self, monkeypatch, cfg):
+        """A run of the seed-1 flow-seeded body, the stored rows (t, h, S, V)
+        its monitor pass received, and the number of rows each search block
+        held."""
         received, blocks = [], []
-        record, searches = flow._RowRecorder.record, flow.sl2_searches
-        monkeypatch.setattr(flow._RowRecorder, "record",
-                            lambda self, *row: (received.append(row), record(self, *row)))
+        searches = flow.sl2_searches
+        monkeypatch.setattr(flow, "_monitor_rows",
+                            lambda *rows: (received.extend(rows), self.monitor_rows(*rows))[1])
         monkeypatch.setattr(flow, "sl2_searches",
                             lambda h: (blocks.append(len(h)), searches(h))[1])
         body = random_body(BodySpec(seed=1, n=64, mode_count=3, decay=1.6, amplitude=0.5))
-        return flow_run(body, cfg), received, blocks
+        started = time.perf_counter()
+        trace = flow_run(body, cfg)
+        wall = time.perf_counter() - started
+        assert 0.0 < trace.stepper_s and 0.0 < trace.monitor_s
+        assert trace.stepper_s + trace.monitor_s <= wall
+        return trace, received, blocks
 
     def check_rows_alone(self, trace, received):
         for i in range(trace.rows):
-            alone = flow._RowRecorder(trace.h_rows.shape[1])
-            alone.record(*received[i])
-            one = alone.build("area_threshold", 0, trace.config)
+            one = self.monitor_rows(*(col[i:i + 1] for col in received))
             for name in self.ARRAY_FIELDS:
-                assert np.array_equal(getattr(one, name)[0], getattr(trace, name)[i]), (i, name)
+                assert np.array_equal(one[name][0], getattr(trace, name)[i]), (i, name)
 
     @pytest.mark.parametrize("rows", [1, flow.ROW_BLOCK - 1, flow.ROW_BLOCK,
                                       flow.ROW_BLOCK + 1])
@@ -154,8 +155,10 @@ class TestRowBlocks:
         self.check_rows_alone(trace, received)
 
     def test_dropped_t_stop_row_is_never_monitored(self, monkeypatch):
+        # the one step records a second row, which the run drops
         trace, received, blocks = self.run(monkeypatch, FlowConfig(t_stop=1e-300))
-        assert len(received) == 2 and trace.rows == 1 and blocks == [1]
+        assert trace.steps == 1 and trace.rows == 1
+        assert received[0].size == 1 and blocks == [1]
         self.check_rows_alone(trace, received)
 
     def test_run_records_where_its_time_went(self, seeded_trace):

@@ -230,6 +230,15 @@ class TestDeficitTarget:
         assert res.deficit_evaluations == len(deficit_calls)
         assert len(deficit_calls) <= 100  # the bisection makes 188
 
+    def test_sample_seed_names_its_body(self):
+        # every retry misses the targets of samples 16-19 (seed 1, n=128), so
+        # those keep the best of six bodies, not the last one tried
+        res = stability_experiment(20, seed=1, n=128)
+        targets = np.geomspace(lab.EPS_LOW, lab.EPS_HIGH, 20)
+        for sample, target in zip(res.samples, targets):
+            base = _stability_base(sample.seed, 128)
+            assert _deficit_targeted_body(base, float(target))[1] == sample.eps, sample
+
 
 class TestStability:
     def test_mini_run(self):
