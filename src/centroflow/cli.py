@@ -23,8 +23,8 @@ from .errors import CentroflowError
 from .flow import FlowConfig, conservation_checks, flow_run, harnack_and_bounds_monitor
 from .lab import fuzz_campaign, stability_experiment
 from .normalize import banach_mazur_to_disk, pinching_to_bm_bound, sl2_normalize
-from .spectral import angles, deriv
-from .support import SupportFn
+from .spectral import angles, deriv, resample
+from .support import SupportFn, check_grid_size
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -108,10 +108,14 @@ def cmd_flow(args, argv) -> int:
     body = bodyio.load_body(args.body)
 
     args.error_context = "invalid flow configuration"
-    flags = {"n": args.n, "t_stop_area": args.stop_area, "t_stop": args.t_stop,
+    flags = {"t_stop_area": args.stop_area, "t_stop": args.t_stop,
              "cfl": args.cfl, "renormalize_every": args.every}
     overrides = {k: v for k, v in flags.items() if v is not None}
     cfg = FlowConfig(**overrides)
+    if args.n is not None:  # the flow runs on the body's grid: regrid it first
+        check_grid_size(args.n)
+        body = SupportFn(resample(body.samples, args.n))
+        overrides["n"] = args.n
     args.error_context = None
 
     trace = flow_run(body, cfg)

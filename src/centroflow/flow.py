@@ -13,7 +13,8 @@ one product with a precomputed table, checks that both are positive, and
 brings the speed back onto the kept modes by one more; the first stage
 reuses the (h, S) of the step's start.  Every stage lives in the kept space,
 so the scheme is fourth order in dt.  The tables cost O(n^2) a stage, so
-the flow runs on grids of at most ``FLOW_MAX_N`` points.
+the flow runs on the body's own grid, of at most ``FLOW_MAX_N`` points
+(``spectral.resample`` regrids a body).
 
 A trace row is recorded every ``renormalize_every`` accepted steps: the run
 stores its time, area and half-grid (h, S), and after the run one pass
@@ -37,8 +38,7 @@ import numpy as np
 from . import ops, spectral
 from .errors import ConvexityLost, StepUnderflow
 from .normalize import sl2_searches
-from .support import (SupportFn, area_quadrature, check_grid_size, curvature_samples,
-                      require_symmetric)
+from .support import SupportFn, area_quadrature, curvature_samples, require_symmetric
 
 __all__ = [
     "FlowConfig",
@@ -70,17 +70,14 @@ STRIDE_AGREEMENT = 0.05  # stride-1/stride-2 relative agreement that keeps a row
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Stepper and trace settings.
+    """Stepper and trace settings; the flow runs on the body's own grid.
 
-    ``n``        grid size the flow runs at, at most ``FLOW_MAX_N`` (None:
-                 inherit from the body);
     ``cfl``      step-safety factor in (0, 0.5];
     ``t_stop_area``  terminal area threshold;
     ``renormalize_every``  accepted steps between trace rows;
     ``t_stop``   optional time cap (the last step is clipped to land on it).
     """
 
-    n: int | None = None
     cfl: float = 0.1
     t_stop_area: float = 1e-3
     renormalize_every: int = 25
@@ -98,8 +95,6 @@ class FlowConfig:
             raise ValueError("cfl must lie in (0, 0.5]")
         if not self.t_stop_area > 0.0:
             raise ValueError("t_stop_area must be positive")
-        if self.n is not None:
-            check_grid_size(self.n)
         if self.renormalize_every < 1:
             raise ValueError("renormalize_every must be positive")
         if self.t_stop is not None and not self.t_stop > 0.0:
@@ -252,19 +247,15 @@ def _monitor_rows(t: np.ndarray, h: np.ndarray, s: np.ndarray,
 def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     """Run the flow from ``h0`` until the area threshold, time cap, or step cap."""
     cfg = cfg or FlowConfig()
-    n = h0.n if cfg.n is None else cfg.n
+    n = h0.n
     if n > FLOW_MAX_N:
         raise ValueError(f"the flow runs on grids of at most {FLOW_MAX_N} points, "
-                         f"not {n}; regrid with --n (FlowConfig.n) to at most {FLOW_MAX_N}")
+                         f"not {n}; regrid with --n to at most {FLOW_MAX_N}")
     require_symmetric(h0, "flow_run")
-    arr = np.array(h0.samples)
-    if n != arr.size:
-        arr = spectral.resample(arr, n)
-        SupportFn(arr)  # validate the regridded data
     m = n // 2
     dth = 2.0 * np.pi / n
     synth, project = _kept_mode_tables(n)
-    coef = project @ (0.5 * (arr[:m] + arr[m:]))  # the kept part of h0
+    coef = project @ (0.5 * (h0.samples[:m] + h0.samples[m:]))  # the kept part of h0
 
     rows = []  # (t, h, S, V) of each trace row, on the half grid
     t = 0.0
@@ -327,38 +318,33 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
                      monitor_s=time.perf_counter() - started)
 
 
-def _central_diff(t: np.ndarray, y: np.ndarray, stride: int = 1):
-    """Non-uniform 3-point central differences at interior rows."""
-    i = np.arange(stride, t.size - stride)
+def _central_diff(t: np.ndarray, y: np.ndarray, stride: int) -> np.ndarray:
+    """Non-uniform 3-point central differences over ``stride`` rows at rows
+    2 .. R-3, where strides 1 and 2 both exist."""
+    i = np.arange(2, t.size - 2)
     tm, t0, tp = t[i - stride], t[i], t[i + stride]
     ym, y0, yp = y[i - stride], y[i], y[i + stride]
     dl, dr = t0 - tm, tp - t0
-    d = (yp - y0) / dr * (dl / (dl + dr)) + (y0 - ym) / dl * (dr / (dl + dr))
-    return i, d
+    return (yp - y0) / dr * (dl / (dl + dr)) + (y0 - ym) / dl * (dr / (dl + dr))
 
 
 def gated_central_difference(t: np.ndarray, y: np.ndarray):
     """Richardson-extrapolated central differences with a self-consistency mask.
 
-    Rows are kept where the stride-1 and stride-2 estimates agree to
-    ``STRIDE_AGREEMENT`` relative: there the row spacing resolves dy/dt and
-    the difference quotient is trustworthy.  On kept rows the returned value is
-    the extrapolation (4 d1 - d2) / 3, which cancels the leading
-    second-order truncation term.
+    Rows are kept where the stride-1 and stride-2 estimates are finite and
+    agree to ``STRIDE_AGREEMENT`` relative: there the row spacing resolves
+    dy/dt and the difference quotient is trustworthy.  The returned value is
+    the extrapolation (4 d1 - d2) / 3, which cancels the leading second-order
+    truncation term; the first and last two rows have no stride-2 estimate,
+    so they are NaN and never kept.
     """
-    i1, d1 = _central_diff(t, y, 1)
-    i2, d2 = _central_diff(t, y, 2)
-    fine = np.full(t.size, np.nan)
-    fine[i1] = d1
-    coarse = np.full(t.size, np.nan)
-    coarse[i2] = d2
-    deriv = fine.copy()
-    both = np.isfinite(fine) & np.isfinite(coarse)
-    deriv[both] = (4.0 * fine[both] - coarse[both]) / 3.0
+    d1, d2 = _central_diff(t, y, 1), _central_diff(t, y, 2)
+    denom = np.maximum(np.abs(d1), np.abs(d2))  # finite where both are
+    deriv = np.full(t.size, np.nan)
     mask = np.zeros(t.size, dtype=bool)
-    denom = np.maximum(np.abs(fine), np.abs(coarse))
-    ok = both & (denom > 0)
-    mask[ok] = np.abs(fine[ok] - coarse[ok]) <= STRIDE_AGREEMENT * denom[ok]
+    deriv[2:t.size - 2] = (4.0 * d1 - d2) / 3.0
+    mask[2:t.size - 2] = (np.isfinite(denom) & (denom > 0)
+                          & (np.abs(d1 - d2) <= STRIDE_AGREEMENT * denom))
     return deriv, mask
 
 

@@ -211,7 +211,7 @@ def _square_perturbation(n: int) -> np.ndarray:
     hs = np.abs(np.cos(th)) + np.abs(np.sin(th))
     f = np.fft.rfft(hs)
     k = np.arange(n // 2 + 1)
-    f *= np.exp(-0.5 * (0.04 * k) ** 2)
+    f *= np.exp(-0.5 * (0.04 * (256 / n) * k) ** 2)  # one width in angle: S > 0 off the nodes
     hs = np.fft.irfft(f, n)
     return hs - hs.mean()
 
@@ -357,42 +357,32 @@ def fuzz_campaign(count: int, seed: int, n: int = 256) -> FuzzReport:
     # every recipe is checked before the first body is computed
     specs = [_fuzz_spec(seed, i, n) for i in range(count)]
     report = FuzzReport(count=count, seed=seed)
-    mins: dict[str, tuple[float, int]] = {}
-    max_lutwak = (-np.inf, -1)
+    lutwak = report.checks["lutwak_residual_rel"] = {"max": -np.inf, "argmax_seed": -1}
     reference = disk(1.0, n)
     prev = None
-
-    def see(name: str, value: float, body_seed: int):
-        if name not in mins or value < mins[name][0]:
-            mins[name] = (value, body_seed)
-
     for spec in specs:
         body = random_body(spec)
         v = area(body)
         rep = deficit_report(body)
-        see("bp_deficit", rep.bp_deficit, spec.seed)
-        see("santalo_gap", rep.santalo_gap / np.pi ** 2, spec.seed)
-        see("petty_gap", rep.petty_gap / (np.pi / 2.0) ** 2, spec.seed)
-        see("groemer_vs_disk", rep.groemer_gap, spec.seed)
-        see("lambda_area_drop", rep.lambda_gap, spec.seed)
-        if rep.lutwak_residual_rel > max_lutwak[0]:
-            max_lutwak = (rep.lutwak_residual_rel, spec.seed)
         lo, hi = affine_support_bracket(body)
-        see("affine_bracket_low", 1.0 - lo, spec.seed)
-        see("affine_bracket_high", hi - 1.0, spec.seed)
-        for other, tag in ((reference, "minkowski_vs_disk"),
-                           (prev, "minkowski_vs_prev")):
-            if other is None:
-                continue
-            vkl = ops.mixed_volume(body, other)
-            gap = (vkl * vkl - v * area(other)) / (v * area(other))
-            see(tag, gap, spec.seed)
+        gaps = {"bp_deficit": rep.bp_deficit,
+                "santalo_gap": rep.santalo_gap / np.pi ** 2,
+                "petty_gap": rep.petty_gap / (np.pi / 2.0) ** 2,
+                "groemer_vs_disk": rep.groemer_gap,
+                "lambda_area_drop": rep.lambda_gap,
+                "affine_bracket_low": 1.0 - lo,
+                "affine_bracket_high": hi - 1.0}
+        for other, tag in ((reference, "minkowski_vs_disk"), (prev, "minkowski_vs_prev")):
+            if other is not None:
+                vkl = ops.mixed_volume(body, other)
+                gaps[tag] = (vkl * vkl - v * area(other)) / (v * area(other))
         if prev is not None:
-            see("groemer_vs_prev", groemer_gap(body, prev), spec.seed)
+            gaps["groemer_vs_prev"] = groemer_gap(body, prev)
+        for name, gap in gaps.items():
+            worst = report.checks.setdefault(name, {"min_gap": gap, "argmin_seed": spec.seed})
+            if gap < worst["min_gap"]:
+                worst.update(min_gap=gap, argmin_seed=spec.seed)
+        if rep.lutwak_residual_rel > lutwak["max"]:
+            lutwak.update(max=rep.lutwak_residual_rel, argmax_seed=spec.seed)
         prev = body
-
-    for name, (value, argmin_seed) in mins.items():
-        report.checks[name] = {"min_gap": value, "argmin_seed": argmin_seed}
-    report.checks["lutwak_residual_rel"] = {
-        "max": max_lutwak[0], "argmax_seed": max_lutwak[1]}
     return report

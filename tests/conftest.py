@@ -71,3 +71,11 @@ def smoothed_square(n=256, sigma=0.04, pad=0.02):
     k = np.arange(n // 2 + 1)
     f *= np.exp(-0.5 * (sigma * k) ** 2)
     return SupportFn(np.fft.irfft(f, n) + pad)
+
+
+def off_node_nonconvex_body():
+    """The n=256 mollified square on every other node, floored to S = 0.05:
+    convex at its 128 nodes, but its interpolant has h + h'' < 0 (down to
+    -0.09) between some of them."""
+    from centroflow.lab import _floored_body, _square_perturbation
+    return _floored_body(_square_perturbation(256)[::2])

@@ -47,7 +47,7 @@ def _report(criterion, ok, detail):
 @pytest.fixture(scope="session")
 def disk_run():
     start = time.perf_counter()
-    cfg = FlowConfig(n=128, cfl=0.1, t_stop=0.2, renormalize_every=25)
+    cfg = FlowConfig(cfl=0.1, t_stop=0.2, renormalize_every=25)
     trace = flow_run(disk(1.0, 128), cfg)
     return trace, time.perf_counter() - start
 

@@ -12,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centroflow import CentroflowError, SupportFn, disk, ellipse, load_body, save_body
+from centroflow import cli
 from centroflow.bodyio import body_from_dict, body_to_dict
-from centroflow.cli import main
+from centroflow.cli import GAP_FLOOR, main
+from centroflow.lab import FuzzReport, StabilityResult, StabilitySample
 from centroflow.spectral import angles
 
 from conftest import near_floor_body
@@ -439,3 +441,43 @@ class TestCampaignCommands:
                                 "control_d_minus_1", "eps_min", "eps_max",
                                 "deficit_evaluations"}
         assert np.isfinite(summary["gamma"])
+
+    @staticmethod
+    def fake_fuzz(monkeypatch, min_gap, lutwak=1e-12):
+        checks = {"bp_deficit": {"min_gap": 1e-3, "argmin_seed": 0},
+                  "santalo_gap": {"min_gap": min_gap, "argmin_seed": 1},
+                  "lutwak_residual_rel": {"max": lutwak, "argmax_seed": 0}}
+        monkeypatch.setattr(cli, "fuzz_campaign",
+                            lambda count, seed, n: FuzzReport(count, seed, checks))
+
+    def test_fuzz_violation_is_exit_1(self, workdir, monkeypatch, capsys):
+        self.fake_fuzz(monkeypatch, -1e-6)
+        out = workdir / "fuzz"
+        assert main(["fuzz", "--seeds", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("violation: ") and err.count("\n") == 1, err
+        report = json.loads((out / "fuzz.json").read_text(), parse_constant=pytest.fail)
+        assert report["checks"]["santalo_gap"]["min_gap"] == -1e-6
+
+    def test_fuzz_gap_at_the_floor_is_exit_0(self, workdir, monkeypatch, capsys):
+        self.fake_fuzz(monkeypatch, GAP_FLOOR)
+        assert main(["fuzz", "--seeds", "2", "--out", str(workdir / "fuzz")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_fuzz_without_out_prints_strict_json(self, monkeypatch, capsys):
+        # residuals that are all NaN leave the maximum at -inf: written as null
+        self.fake_fuzz(monkeypatch, 1e-4, lutwak=-np.inf)
+        assert main(["fuzz", "--seeds", "2"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert report["checks"]["lutwak_residual_rel"]["max"] is None
+
+    def test_stability_violation_is_exit_1(self, workdir, monkeypatch):
+        samples = [StabilitySample(seed=i, eps=eps, d_bm_minus_1=0.01, pinch_bound=1.1,
+                                   gamma_witness=0.1) for i, eps in enumerate([1e-3, -1e-6])]
+        result = StabilityResult(samples=samples, gamma=0.1, fit_exponent=0.5, fit_count=1,
+                                 control_eps=0.0, control_d_minus_1=0.0, deficit_evaluations=3)
+        monkeypatch.setattr(cli, "stability_experiment", lambda count, seed, n: result)
+        out = workdir / "stab"
+        assert main(["stability", "--samples", "10", "--out", str(out)]) == 1
+        lines = (out / "scatter.csv").read_text().strip().split("\n")
+        assert len(lines) == 3 and lines[2].startswith("1,-9.99")

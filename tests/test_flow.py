@@ -32,7 +32,7 @@ import oracles
 
 @pytest.fixture(scope="module")
 def disk_trace():
-    cfg = FlowConfig(n=128, cfl=0.1, t_stop=0.15, renormalize_every=25)
+    cfg = FlowConfig(cfl=0.1, t_stop=0.15, renormalize_every=25)
     return flow_run(disk(1.0, 128), cfg)
 
 
@@ -288,7 +288,7 @@ class TestStepperIntegrity:
     def test_spatial_resolution_already_converged(self):
         errs = {}
         for n in (128, 256):
-            cfg = FlowConfig(n=n, cfl=0.1, t_stop=0.1, renormalize_every=10_000)
+            cfg = FlowConfig(cfl=0.1, t_stop=0.1, renormalize_every=10_000)
             tr = flow_run(disk(1.0, n), cfg)
             errs[n] = abs(tr.h_rows[-1][0] - oracles.disk_flow_radius(0.1))
         assert errs[256] <= max(2.0 * errs[128], 1e-10)
@@ -311,10 +311,8 @@ class TestStepperIntegrity:
             FlowConfig(cfl=0.7)
         with pytest.raises(ValueError):
             FlowConfig(t_stop_area=-1.0)
-        # a Python caller can pass any value: no float grid size or cadence,
-        # no string for a number
-        with pytest.raises(ValueError):
-            FlowConfig(n=64.0)
+        # a Python caller can pass any value: no float cadence, no string for
+        # a number
         with pytest.raises(ValueError):
             FlowConfig(renormalize_every=2.5)
         with pytest.raises(ValueError):
@@ -326,11 +324,6 @@ class TestStepperIntegrity:
         assert tr.stop_reason == "max_steps"
         assert tr.steps == 3
         assert tr.rows == 3  # steps 0 and 2, and the stop
-
-    def test_regrid_through_config(self):
-        cfg = FlowConfig(n=64, t_stop=0.02, renormalize_every=100)
-        tr = flow_run(disk(1.0, 128), cfg)
-        assert tr.h_rows.shape[1] == 64
 
 
 class TestTraceCsv:

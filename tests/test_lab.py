@@ -7,6 +7,7 @@ from centroflow import (
     BP_CONSTANT,
     BodySpec,
     LinearMap2,
+    SupportFn,
     apply_linear_map,
     area,
     bp_deficit,
@@ -19,13 +20,15 @@ from centroflow import (
     random_body,
     santalo_product,
     scaled,
+    sl2_normalize,
     stability_experiment,
 )
 from centroflow import lab
 from centroflow.lab import (DEFICIT_RTOL, MIN_CURVATURE, _deficit_targeted_body,
                             _stability_base, affine_support_bracket)
 from centroflow.ops import polar_chain
-from centroflow.spectral import angles, deriv
+from centroflow.spectral import angles, deriv, resample
+from centroflow.support import curvature_samples
 
 import oracles
 
@@ -58,6 +61,17 @@ class TestGenerator:
         # without any caller declaring their symmetry
         assert all(_stability_base(seed, 128).symmetric for seed in range(10))
         assert ellipse(1.8, 0.6, 0.7, 128).symmetric
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_stability_bases_convex_between_nodes(self, n):
+        # S = h + h'' is checked at the nodes only; the square direction's
+        # mollifier must keep it non-negative on the interpolant as well,
+        # which the SL(2) search evaluates between the nodes
+        for seed in range(20):
+            body = _stability_base(seed, n)
+            fine = curvature_samples(resample(body.samples, 16 * n))
+            assert np.min(fine) >= 0.0, (seed, np.min(fine))
+            sl2_normalize(body)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -224,6 +238,32 @@ class TestDeficitTarget:
                 assert len(deficit_calls) <= 6, (seed, target, len(deficit_calls))
                 assert abs(eps - target) <= DEFICIT_RTOL * target, (seed, target)
                 assert eps == bp_deficit(body)
+
+    def test_secant_steps_stay_inside_the_bracket(self, monkeypatch):
+        # a deficit whose slope jumps at lam = 0.05 throws secant steps out of
+        # the bracket; each must fall back to the bracket's midpoint
+        def deficit_of(lam):
+            return lam ** 2 if lam < 0.05 else 0.0025 + 50.0 * (lam - 0.05)
+
+        lams = []
+
+        def deficit(h):  # lam read back from the body (1 - lam) disk + lam base
+            lams.append((h.samples[0] - 1.0) / 0.2)
+            return deficit_of(lams[-1])
+
+        monkeypatch.setattr(lab, "bp_deficit", deficit)
+        base = SupportFn(1.0 + 0.2 * np.cos(2.0 * angles(64)))
+        target = 0.01
+        _, eps, evaluations = _deficit_targeted_body(base, target)
+        assert abs(eps - target) <= DEFICIT_RTOL * target
+        assert evaluations == len(lams) <= 12  # 25 without the guard
+        lo, hi = 0.0, 1.0
+        for lam in lams[1:]:
+            assert lo < lam < hi, (lam, lo, hi)
+            if deficit_of(lam) < target:
+                lo = lam
+            else:
+                hi = lam
 
     def test_campaign_deficit_count(self, deficit_calls):
         res = stability_experiment(20, seed=1, n=128)

@@ -22,7 +22,7 @@ from centroflow.normalize import (SEARCH_RTOL, _at, _BoundaryForms, _certificate
                                   sl2_searches)
 from centroflow.spectral import angles
 
-from conftest import smoothed_square
+from conftest import off_node_nonconvex_body, smoothed_square
 import oracles
 
 
@@ -153,10 +153,10 @@ class TestBoundaryForms:
                 assert abs(hi - sv[0]) <= 1e-10 and abs(lo - sv[1]) <= 1e-10
 
     def test_certificate_matches_polygon_oracle(self):
-        # n=128 stability bodies, some with interpolants that are not convex
+        # n=128 stability bodies, and one whose interpolant is not convex
         # between the nodes: the ratio at the witness against a dense polygon
-        for seed in range(10):
-            body = _stability_base(seed, 128)
+        bodies = [_stability_base(seed, 128) for seed in range(10)]
+        for body in bodies + [off_node_nonconvex_body()]:
             cert = banach_mazur_to_disk(body)
             inner, outer = oracles.polygon_radii(
                 body, cert.witness.as_array(), m=1 << 14)

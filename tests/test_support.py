@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from centroflow import (
     BodySpec,
-    FlowConfig,
     GridMismatch,
     LinearMap2,
     NonConvex,
@@ -22,6 +21,7 @@ from centroflow.spectral import angles, fourier_coeffs, resample
 from centroflow.support import (RADIAL_OVERSAMPLE, SYMMETRY_TOL, check_grid_size,
                                 check_same_grid, curvature_samples, radial_powers)
 
+from conftest import off_node_nonconvex_body
 import oracles
 
 TH = angles(256)
@@ -72,8 +72,6 @@ class TestConstructor:
         # a size refused here never reaches an allocation
         with pytest.raises(ValueError):
             BodySpec(seed=0, n=2 ** 40)
-        with pytest.raises(ValueError):
-            FlowConfig(n=2 ** 40)
 
     def test_samples_immutable(self):
         b = disk(1.0, 64)
@@ -201,15 +199,15 @@ class TestRadial:
         assert np.max(np.abs(inv * rho - 1.0)) < 1e-10
 
     def test_interpolant_nonconvex_between_nodes(self):
-        # this stability body is convex at its 128 nodes, but its interpolant
-        # has h + h'' < 0 between some of them; the change of variables must
+        # this body is convex at its 128 nodes, but its interpolant has
+        # h + h'' < 0 between some of them; the change of variables must
         # still land on the boundary: rho against 1 / (the polar support
         # max_t cos(t - phi) / h(t) on a 64x finer grid), taken on the
         # RADIAL_OVERSAMPLE grid and band-limited to the body's n grid
-        from centroflow.lab import _stability_base
-        body = _stability_base(4, 128)
+        body = off_node_nonconvex_body()
         t = angles(64 * body.n)
         h = resample(body.samples, t.size)
+        assert np.min(curvature_samples(h)) < -0.05
         want = np.concatenate([
             1.0 / np.max(np.cos(t[None, :] - phi[:, None]) / h, axis=1)
             for phi in np.split(angles(RADIAL_OVERSAMPLE * body.n), 32)])
@@ -218,13 +216,13 @@ class TestRadial:
 
 
 def test_boundary_curves_off_grid_match_coefficients():
-    # an n=128 stability body with a sizeable Nyquist coefficient a_N: at the
+    # a convex n=128 body with a sizeable Nyquist coefficient a_N: at the
     # grid midpoints, where sin(N t) = +-1, the boundary point
     # x(t) = h u + h' u_perp and the polar point u/h of the SL(2) search must
     # use h's own interpolant and its derivative, a_N cos(N t) included
-    from centroflow.lab import _stability_base
     from centroflow.normalize import _BoundaryForms
-    body = _stability_base(4, 128)
+    th = angles(128)
+    body = SupportFn(1.0 + 0.2 * np.cos(2.0 * th) + 5e-5 * np.cos(64.0 * th))
     n = body.n
     t = angles(n) + np.pi / n
     f = np.fft.rfft(body.samples) / n
