@@ -6,9 +6,9 @@ Two interchangeable on-disk forms are accepted:
     {"n": 256, "fourier": {"a": [a_0, a_1, ...], "b": [b_1, ...]},
      "symmetric": true}
 
-Writers always emit the grid form with the measured ``symmetric``.  Loading
-validates the body, so a non-convex file is rejected at the boundary, and so
-is ``"symmetric": true`` over asymmetric samples; no key or ``false`` claims nothing.
+Writers always emit the grid form with ``"symmetric": true``.  Loading
+validates the body, so a non-convex or asymmetric file is rejected at the
+boundary.  ``symmetric``, when present, must be a boolean and claims nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from . import spectral
-from .support import SupportFn, check_grid_size, require_symmetric
+from .support import SupportFn, check_grid_size
 
 __all__ = ["body_to_dict", "body_from_dict", "load_body", "save_body",
            "sha256_of_file", "atomic_write_text"]
@@ -32,7 +32,7 @@ def body_to_dict(h: SupportFn) -> dict:
     return {
         "n": int(h.n),
         "h": [float(v) for v in h.samples],
-        "symmetric": bool(h.symmetric),
+        "symmetric": True,
     }
 
 
@@ -50,8 +50,7 @@ def body_from_dict(data: dict) -> SupportFn:
     ValueError or a CentroflowError."""
     if not isinstance(data, dict):
         raise ValueError("body JSON must be an object")
-    symmetric = data.get("symmetric", False)
-    if not isinstance(symmetric, bool):
+    if not isinstance(data.get("symmetric", False), bool):
         raise ValueError("symmetric must be true or false")
     if "h" in data:
         samples = number_list(data["h"], "h")
@@ -75,10 +74,7 @@ def body_from_dict(data: dict) -> SupportFn:
         samples = spectral.from_coeffs(a, b, n)
     else:
         raise ValueError("body JSON needs an 'h' or 'fourier' field")
-    body = SupportFn(samples)
-    if symmetric:
-        require_symmetric(body, '"symmetric": true')
-    return body
+    return SupportFn(samples)
 
 
 def load_body(path) -> SupportFn:

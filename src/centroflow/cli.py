@@ -210,7 +210,8 @@ def cmd_stability(args, argv) -> int:
                        argv, {"samples": args.samples, "seed": args.seed, "n": args.n}, started)
     else:
         sys.stdout.write(summary_text)
-    if any(s.eps < GAP_FLOOR for s in result.samples):
+    if summary["eps_min"] < GAP_FLOOR:
+        print(f"violation: min eps {summary['eps_min']:.3e}", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 

@@ -14,7 +14,7 @@ class NonConvex(CentroflowError):
 
 
 class AsymmetricData(CentroflowError):
-    """A body that must be origin-symmetric, for an operator or by its file, is not."""
+    """Antipodal support samples differ: every body must be origin-symmetric."""
 
 
 class GridMismatch(CentroflowError):

@@ -38,7 +38,7 @@ import numpy as np
 from . import ops, spectral
 from .errors import ConvexityLost, StepUnderflow
 from .normalize import sl2_searches
-from .support import SupportFn, area_quadrature, curvature_samples, require_symmetric
+from .support import SupportFn, area_quadrature, curvature_samples
 
 __all__ = [
     "FlowConfig",
@@ -251,7 +251,6 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     if n > FLOW_MAX_N:
         raise ValueError(f"the flow runs on grids of at most {FLOW_MAX_N} points, "
                          f"not {n}; regrid with --n to at most {FLOW_MAX_N}")
-    require_symmetric(h0, "flow_run")
     m = n // 2
     dth = 2.0 * np.pi / n
     synth, project = _kept_mode_tables(n)

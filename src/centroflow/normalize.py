@@ -39,7 +39,7 @@ import numpy as np
 
 from . import spectral
 from .support import (LinearMap2, SupportFn, affine_support, apply_linear_map, area,
-                      curvature_samples, require_symmetric, scaled)
+                      curvature_samples, scaled)
 
 __all__ = [
     "BMCertificate",
@@ -372,7 +372,6 @@ def sl2_normalize(h: SupportFn) -> tuple[SupportFn, LinearMap2]:
     Returns the normalized body and the SL(2) witness map (the area rescale
     is applied after the map and is not part of the witness).
     """
-    require_symmetric(h, "sl2_normalize")
     v = _perimeter_minimum(_BoundaryForms(h.samples[None]))[0]
     witness = family_map(*_family_params(v))
     image = apply_linear_map(h, witness)
@@ -400,7 +399,6 @@ def banach_mazur_to_disk(h: SupportFn) -> BMCertificate:
     ``lower_bound`` is within SEARCH_RTOL of the distance unless the search
     ran out of rounds.
     """
-    require_symmetric(h, "banach_mazur_to_disk")
     return sl2_searches(h.samples[None])[1][0]
 
 
@@ -418,7 +416,6 @@ def pinching_to_bm_bound(h: SupportFn) -> float:
     """Banach-Mazur bound (max q / min q)^(3/2) from the pinching of the
     affine support function q = h * S^(1/3) (constant exactly on
     origin-centered ellipses)."""
-    require_symmetric(h, "pinching_to_bm_bound")
     q = affine_support(h.samples)
     qmax, qmin = _parabola_peak(q, np.argmax(q)), _parabola_peak(q, np.argmin(q))
     if qmin <= 0.0:

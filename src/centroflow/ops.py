@@ -37,7 +37,6 @@ from .support import (
     check_same_grid,
     curvature_samples,
     radial_powers,
-    require_symmetric,
 )
 
 __all__ = [
@@ -93,15 +92,14 @@ def _centroid_support(rho3: np.ndarray, v_body) -> np.ndarray:
 
 def centroid_body(h: SupportFn) -> SupportFn:
     """Centroid body: support = (1/3V) * integral of |<u, v>| rho(v)^3 d v."""
-    require_symmetric(h, "centroid_body")
     return SupportFn(_centroid_support(radial_powers(h.samples, [3])[0], area(h)))
 
 
 def projection_body(h: SupportFn) -> SupportFn:
     """Projection body: support = (1/2) * integral of |<u, v>| S(v) d v.
 
-    For symmetric bodies this equals the body rotated a quarter turn and
-    doubled, which the multiplier reproduces exactly.
+    It equals the body rotated a quarter turn and doubled, which the
+    multiplier reproduces exactly.
     """
     s = curvature_samples(h.samples)
     out = 0.5 * _abs_cos_transform(s)
@@ -125,7 +123,6 @@ def _solve_curvature(f: np.ndarray) -> np.ndarray:
 def curvature_image(h: SupportFn) -> SupportFn:
     """Curvature-image body: the body whose surface density is
     (V(K)/V(K*)) * h^-3."""
-    require_symmetric(h, "curvature_image")
     weight = area(h) / polar_area(h)
     return SupportFn(_solve_curvature(weight * h.samples ** -3))
 
@@ -178,7 +175,6 @@ def polar_chain(h: SupportFn | np.ndarray) -> PolarChain:
     """Polar body, its area, and the area of its curvature image, of one body
     or of each row of stacked origin-symmetric support samples (R, n)."""
     if isinstance(h, SupportFn):
-        require_symmetric(h, "polar_chain")
         h = h.samples
     rho3, p = radial_powers(h, [3, -1])
     v_star = _polar_area(h)

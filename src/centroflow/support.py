@@ -5,7 +5,7 @@ h(theta) = max_{x in K} <x, u(theta)>, u(theta) = (cos theta, sin theta).
 Strict convexity is equivalent to positivity of the curvature function
 S = h'' + h (the reciprocal curvature of the boundary as a function of the
 outer normal angle), which is evaluated spectrally.  Bodies are immutable and
-measure their own origin symmetry; every operation returns a new body.
+origin-symmetric, h(theta + pi) = h(theta); every operation returns a new body.
 
 Powers of the radial function rho, the polar side of the representation,
 come from a change of variables to the normal angle (``radial_powers``):
@@ -15,7 +15,7 @@ an integral over the boundary parametrization, not a root solve.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .errors import AsymmetricData, GridMismatch, NonConvex, NonPositive
 __all__ = [
     "SupportFn",
     "LinearMap2",
-    "require_symmetric",
     "curvature_samples",
     "area_quadrature",
     "area",
@@ -49,13 +48,12 @@ class SupportFn:
     """Validated support-function samples on the uniform angular grid.
 
     Construction enforces the body invariants: positive samples (origin
-    interior) and positive spectral curvature h'' + h (strict convexity, with
-    a roundoff floor of ``CONVEXITY_FLOOR * max h``).  ``symmetric`` is
-    measured: it holds when antipodal samples agree to ``SYMMETRY_TOL * max h``.
+    interior), positive spectral curvature h'' + h (strict convexity, with
+    a roundoff floor of ``CONVEXITY_FLOOR * max h``) and origin symmetry
+    (antipodal samples agree to ``SYMMETRY_TOL * max h``, else AsymmetricData).
     """
 
     samples: np.ndarray
-    symmetric: bool = field(init=False)
 
     def __post_init__(self):
         x = np.array(self.samples, dtype=float)
@@ -73,10 +71,12 @@ class SupportFn:
                 f"min curvature {np.min(curv):.6g} at grid node "
                 f"{int(np.argmin(curv))}"
             )
+        mismatch = np.abs(x[: x.size // 2] - x[x.size // 2:]).max()  # antipodal pairs
+        if mismatch > SYMMETRY_TOL * hmax:
+            raise AsymmetricData(f"not origin-symmetric: antipodal samples differ by "
+                                 f"{mismatch:.6g}, more than {SYMMETRY_TOL:g} * max h")
         x.setflags(write=False)
         object.__setattr__(self, "samples", x)
-        mismatch = np.abs(x[: x.size // 2] - x[x.size // 2:]).max()  # antipodal pairs
-        object.__setattr__(self, "symmetric", bool(mismatch <= SYMMETRY_TOL * hmax))
 
     @property
     def n(self) -> int:
@@ -128,12 +128,6 @@ def check_grid_size(n) -> None:
     if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
             or not 16 <= n <= 65536 or n % 2):
         raise ValueError("grid size n must be an even integer from 16 to 65536")
-
-
-def require_symmetric(h: SupportFn, op: str) -> None:
-    """Raise AsymmetricData unless ``h`` is origin-symmetric (the one guard)."""
-    if not h.symmetric:
-        raise AsymmetricData(f"{op} requires an origin-symmetric body; this one is not")
 
 
 def curvature_samples(samples: np.ndarray) -> np.ndarray:
@@ -193,10 +187,7 @@ def apply_linear_map(h: SupportFn, phi: LinearMap2) -> SupportFn:
     r = np.hypot(w[0], w[1])
     psi = np.arctan2(w[1], w[0])
     vals = r * spectral.trig_eval(h.samples, psi)
-    out = spectral.resample(vals, n)
-    if h.symmetric:
-        out = spectral.project_even(out)
-    return SupportFn(out)
+    return SupportFn(spectral.project_even(spectral.resample(vals, n)))
 
 
 RADIAL_OVERSAMPLE = 16  # t-grid refinement of the change of variables in radial_powers

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centroflow import CentroflowError, SupportFn, disk, ellipse, load_body, save_body
-from centroflow import cli
+from centroflow import cli, lab
 from centroflow.bodyio import body_from_dict, body_to_dict
 from centroflow.cli import GAP_FLOOR, main
 from centroflow.lab import FuzzReport, StabilityResult, StabilitySample
@@ -56,7 +56,6 @@ class TestBodyJson:
         save_body(wobble, path)
         back = load_body(path)
         assert np.max(np.abs(back.samples - wobble.samples)) < 1e-15
-        assert back.symmetric == wobble.symmetric
 
     def test_fourier_form_accepted(self):
         body = body_from_dict({
@@ -138,6 +137,16 @@ class TestOpCommand:
         assert rc == 0
         want = 2.0 * np.roll(body.samples, -body.n // 4)
         assert np.max(np.abs(np.array(json.loads(capsys.readouterr().out)["h"]) - want)) < 1e-12
+
+    def test_failed_write_is_exit_3_and_leaves_no_temp_file(self, workdir, capsys):
+        # the rename onto an existing directory fails after the temp file is written
+        target = workdir / "taken"
+        target.mkdir()
+        assert main(["op", "polar", "--body", str(workdir / "disk.json"),
+                     "--out", str(target)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not list(workdir.glob("*.tmp")) and not os.listdir(target)
 
     def test_lambda_of_ellipse_is_fixed_point(self, workdir, capsys):
         rc = main(["op", "lambda", "--body", str(workdir / "ellipse.json")])
@@ -256,6 +265,15 @@ class TestFlowCommand:
         assert report["stop_reason"] == "t_stop"
         assert report["steps"] == 1
 
+    def test_step_underflow_is_exit_2(self, workdir, capsys):
+        # the first step, cfl * (CFL limit), is below the dt floor at t = 0
+        out = workdir / "under"
+        assert main(["flow", "--body", str(workdir / "disk.json"), "--out", str(out),
+                     "--cfl", "1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dt=") and err.endswith(" at t=0\n"), err
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_grid_above_cap_says_regrid(self, workdir, capsys):
         save_body(disk(1.0, 1024), workdir / "disk1024.json")
         for argv in (["--body", str(workdir / "disk1024.json")],
@@ -334,6 +352,9 @@ BAD_INPUTS = {
     "stability-huge-n": lambda d: ["stability", "--samples", "10", "--n", "1099511627776"],
     "body-claims-symmetric": lambda d: ["op", "polar", "--body", _write(d / "b.json", json.dumps(
         {"h": list(1 + 0.05 * np.cos(3 * angles(64))), "symmetric": True}))],
+    # every body must be origin-symmetric, whatever its file claims
+    "body-asymmetric-unflagged": lambda d: ["op", "polar", "--body", _write(d / "b.json", json.dumps(
+        {"h": list(1 + 0.05 * np.cos(3 * angles(64)))}))],
     "body-fourier-a-too-long": lambda d: ["op", "polar", "--body", _write(
         d / "b.json", json.dumps({"n": 16, "fourier": {"a": [1.0] + [0.0] * 11}}))],
     "body-fourier-b-nyquist": lambda d: ["op", "polar", "--body", _write(
@@ -471,7 +492,7 @@ class TestCampaignCommands:
         report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
         assert report["checks"]["lutwak_residual_rel"]["max"] is None
 
-    def test_stability_violation_is_exit_1(self, workdir, monkeypatch):
+    def test_stability_violation_is_exit_1(self, workdir, monkeypatch, capsys):
         samples = [StabilitySample(seed=i, eps=eps, d_bm_minus_1=0.01, pinch_bound=1.1,
                                    gamma_witness=0.1) for i, eps in enumerate([1e-3, -1e-6])]
         result = StabilityResult(samples=samples, gamma=0.1, fit_exponent=0.5, fit_count=1,
@@ -481,3 +502,27 @@ class TestCampaignCommands:
         assert main(["stability", "--samples", "10", "--out", str(out)]) == 1
         lines = (out / "scatter.csv").read_text().strip().split("\n")
         assert len(lines) == 3 and lines[2].startswith("1,-9.99")
+        assert capsys.readouterr().err == "violation: min eps -1.000e-06\n"
+
+    @pytest.mark.parametrize("eps, rc", [(-1e-7, 1), (0.0, 0)])
+    def test_stability_sample_without_positive_deficit(self, workdir, monkeypatch, capsys,
+                                                        eps, rc):
+        # the lowest target's body lands on a deficit that is not positive:
+        # its witness is NaN, and gamma and the fit skip it
+        targeted = lab._deficit_targeted_body
+
+        def fake(base, target):
+            body, found, calls = targeted(base, target)
+            return (body, eps, calls) if target == lab.EPS_LOW else (body, found, calls)
+
+        monkeypatch.setattr(lab, "_deficit_targeted_body", fake)
+        out = workdir / "stab"
+        assert main(["stability", "--samples", "10", "--seed", "1", "--n", "64",
+                     "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        assert err == ("violation: min eps -1.000e-07\n" if rc else ""), err
+        assert sorted(os.listdir(out)) == ["manifest.json", "scatter.csv", "summary.json"]
+        first = (out / "scatter.csv").read_text().split("\n")[1].split(",")
+        assert float(first[1]) == eps and first[4] == "nan"
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+        assert np.isfinite(summary["gamma"]) and summary["fit_count"] >= 2

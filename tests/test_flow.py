@@ -297,13 +297,6 @@ class TestStepperIntegrity:
         rep = harnack_and_bounds_monitor(wobble_trace)
         assert rep.sandwich_ok
 
-    def test_rejects_asymmetric(self):
-        th = angles(64)
-        b = SupportFn(1 + 0.05 * np.cos(3 * th))
-        from centroflow.errors import AsymmetricData
-        with pytest.raises(AsymmetricData):
-            flow_run(b, FlowConfig(t_stop=0.01))
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FlowConfig(cfl=0.0)

@@ -54,13 +54,6 @@ class TestGenerator:
             b = random_body(BodySpec(seed=seed, amplitude=2.0, decay=1.2))
             s = b.samples + deriv(b.samples, 2)
             assert np.min(s) >= MIN_CURVATURE - 1e-9
-            assert b.symmetric
-
-    def test_campaign_bodies_measure_symmetric(self):
-        # the stability bases and ellipses reach the symmetric operators
-        # without any caller declaring their symmetry
-        assert all(_stability_base(seed, 128).symmetric for seed in range(10))
-        assert ellipse(1.8, 0.6, 0.7, 128).symmetric
 
     @pytest.mark.parametrize("n", [64, 128, 256])
     def test_stability_bases_convex_between_nodes(self, n):

@@ -15,7 +15,6 @@ from centroflow import (
     random_body,
     sl2_normalize,
 )
-from centroflow.errors import AsymmetricData
 from centroflow.lab import _deficit_targeted_body, _stability_base
 from centroflow.normalize import (SEARCH_RTOL, _at, _BoundaryForms, _certificates,
                                   _parabola_peak, _perimeter_minimum, _radii, family_map, minimize,
@@ -72,12 +71,6 @@ class TestSl2Normalize:
         iso = lambda k: perimeter(k) ** 2 / (4 * np.pi * area(k))
         assert iso(body) <= iso(wobble)
         assert area(body) == pytest.approx(np.pi, rel=1e-12)
-
-    def test_requires_symmetric(self):
-        from centroflow import SupportFn
-        b = SupportFn(1 + 0.05 * np.cos(3 * angles(256)))
-        with pytest.raises(AsymmetricData):
-            sl2_normalize(b)
 
 
 class TestBanachMazur:

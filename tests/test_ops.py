@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centroflow import (
-    AsymmetricData,
     BodySpec,
     LinearMap2,
     NonConvex,
     apply_linear_map,
     area,
     banach_mazur_to_disk,
-    SupportFn,
     centroid_body,
     curvature_image,
     disk,
@@ -93,11 +91,6 @@ class TestCentroid:
         want = oracles.centroid_support_polygon(wobble, probe)
         got = np.array([g.samples[i * wobble.n // 16] for i in range(16)])
         assert np.max(np.abs(got - want) / want) < 1e-5
-
-    def test_requires_symmetric(self):
-        b = SupportFn(1 + 0.05 * np.cos(3 * TH))
-        with pytest.raises(AsymmetricData):
-            centroid_body(b)
 
 
 class TestProjection:
