@@ -49,7 +49,6 @@ from .flow import (
 from .lab import (
     BP_CONSTANT,
     BodySpec,
-    DeficitReport,
     FuzzReport,
     StabilityResult,
     bp_deficit,

@@ -279,11 +279,9 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
         if stop_reason:
             break
 
-        dt = cfg.cfl * min(
-            dth * dth * float(((h * s) ** 2).min()),
-            float((h ** 3 * s).min()),
-        )
-        if dt < 1e-16 * max(t, 1e-3):
+        tau = float((h ** 3 * s).min())  # the body's own time scale, h / |dh/dt|
+        dt = cfg.cfl * min(dth * dth * float(((h * s) ** 2).min()), tau)
+        if dt < 1e-16 * max(t, tau):
             raise StepUnderflow(f"dt={dt:.3g} at t={t:.9g}")
         if cfg.t_stop is not None:
             dt = min(dt, cfg.t_stop - t)

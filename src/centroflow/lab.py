@@ -1,6 +1,7 @@
 """Deficit functionals, a seeded body generator, fuzzing campaigns, and the
 stability experiment relating the centroid-ratio deficit to the
-Banach-Mazur distance from the disk."""
+Banach-Mazur distance from the disk.  ``deficit_report`` returns one body's
+gaps under their ``fuzz.json`` names; ``fuzz_campaign`` keeps their minima."""
 
 from __future__ import annotations
 
@@ -17,14 +18,12 @@ from .support import (SupportFn, affine_support, area, check_grid_size, check_sa
 __all__ = [
     "BP_CONSTANT",
     "BodySpec",
-    "DeficitReport",
     "random_body",
     "bp_deficit",
     "santalo_product",
     "petty_projection_product",
     "groemer_gap",
     "deficit_report",
-    "affine_support_bracket",
     "StabilitySample",
     "StabilityResult",
     "stability_experiment",
@@ -126,43 +125,38 @@ def groemer_gap(h_k: SupportFn, h_l: SupportFn) -> float:
     return float(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class DeficitReport:
-    """Per-body inequality audit; all gaps are >= 0 up to roundoff."""
-
-    bp_deficit: float
-    santalo_gap: float
-    petty_gap: float
-    groemer_gap: float
-    lambda_gap: float
-    lutwak_residual_rel: float
+def _minkowski_gap(h_k: SupportFn, h_l: SupportFn) -> float:
+    """Slack in the mixed-volume inequality, (V(K,L)^2 - V(K)V(L)) / (V(K)V(L))."""
+    vkl = ops.mixed_volume(h_k, h_l)
+    vk_vl = area(h_k) * area(h_l)
+    return (vkl * vkl - vk_vl) / vk_vl
 
 
-def deficit_report(h: SupportFn) -> DeficitReport:
-    """Evaluate every audited inequality on one body.
+def deficit_report(h: SupportFn) -> tuple[dict[str, float], float]:
+    """One body's gaps against the unit disk, under their ``fuzz.json`` names
+    and divided by their sharp constants (each >= 0 up to roundoff), and the
+    centroid/projection identity residual relative to max h_{Gamma K}.
 
-    The centroid body and the identity residual share one polar computation.
+    The affine-bracket gaps read min and max of h S^(1/3) at area pi, which
+    straddle 1.  The centroid body and the residual share one polar pass.
     """
     v = area(h)
-    chain = ops.polar_chain(h)
+    chain = ops.polar_chain(h.samples)
     gamma = SupportFn(chain.centroid_samples(v))
-    lut = chain.identity_residual(gamma.samples) / float(np.max(gamma.samples))
-    lam = ops.curvature_image(h)
-    return DeficitReport(
-        bp_deficit=float(area(gamma) / v / BP_CONSTANT - 1.0),
-        santalo_gap=float(np.pi ** 2 - santalo_product(h)),
-        petty_gap=float((np.pi / 2.0) ** 2 - petty_projection_product(h)),
-        groemer_gap=groemer_gap(h, disk(1.0, h.n)),
-        lambda_gap=float((v - area(lam)) / v),
-        lutwak_residual_rel=lut,
-    )
-
-
-def affine_support_bracket(h: SupportFn) -> tuple[float, float]:
-    """(min, max) of h S^(1/3) after rescaling the body to area pi; the
-    bracket straddles 1 for every convex body."""
-    q = affine_support(h.samples, np.sqrt(np.pi / area(h)))
-    return float(np.min(q)), float(np.max(q))
+    residual = chain.identity_residual(gamma.samples) / float(np.max(gamma.samples))
+    unit = disk(1.0, h.n)
+    q = affine_support(h.samples, np.sqrt(np.pi / v))
+    gaps = {
+        "bp_deficit": float(area(gamma) / v / BP_CONSTANT - 1.0),
+        "santalo_gap": (np.pi ** 2 - santalo_product(h)) / np.pi ** 2,
+        "petty_gap": ((np.pi / 2.0) ** 2 - petty_projection_product(h)) / (np.pi / 2.0) ** 2,
+        "groemer_vs_disk": groemer_gap(h, unit),
+        "lambda_area_drop": float((v - area(ops.curvature_image(h))) / v),
+        "affine_bracket_low": 1.0 - float(np.min(q)),
+        "affine_bracket_high": float(np.max(q)) - 1.0,
+        "minkowski_vs_disk": _minkowski_gap(h, unit),
+    }
+    return gaps, residual
 
 
 # --- stability experiment -----------------------------------------------------
@@ -344,10 +338,9 @@ def _fuzz_spec(seed: int, i: int, n: int) -> BodySpec:
 def fuzz_campaign(count: int, seed: int, n: int = 256) -> FuzzReport:
     """Evaluate the inequality suite on ``count`` seeded bodies.
 
-    Checks: centroid-ratio deficit, volume-product bound, projection-product
-    bound, mixed-volume inequality (against the previous body and the disk),
-    the strengthened mixed-volume gap, the curvature-image area drop, the
-    centroid/projection identity residual, and the affine-support bracket.
+    Each body's ``deficit_report`` gaps, plus the plain and the strengthened
+    mixed-volume gaps against the previous body, keep their least value and
+    its seed; the identity residual keeps its largest.
     """
     if count < 1:
         raise ValueError("need at least one body")
@@ -355,31 +348,18 @@ def fuzz_campaign(count: int, seed: int, n: int = 256) -> FuzzReport:
     specs = [_fuzz_spec(seed, i, n) for i in range(count)]
     report = FuzzReport(count=count, seed=seed)
     lutwak = report.checks["lutwak_residual_rel"] = {"max": -np.inf, "argmax_seed": -1}
-    reference = disk(1.0, n)
     prev = None
     for spec in specs:
         body = random_body(spec)
-        v = area(body)
-        rep = deficit_report(body)
-        lo, hi = affine_support_bracket(body)
-        gaps = {"bp_deficit": rep.bp_deficit,
-                "santalo_gap": rep.santalo_gap / np.pi ** 2,
-                "petty_gap": rep.petty_gap / (np.pi / 2.0) ** 2,
-                "groemer_vs_disk": rep.groemer_gap,
-                "lambda_area_drop": rep.lambda_gap,
-                "affine_bracket_low": 1.0 - lo,
-                "affine_bracket_high": hi - 1.0}
-        for other, tag in ((reference, "minkowski_vs_disk"), (prev, "minkowski_vs_prev")):
-            if other is not None:
-                vkl = ops.mixed_volume(body, other)
-                gaps[tag] = (vkl * vkl - v * area(other)) / (v * area(other))
+        gaps, residual = deficit_report(body)
         if prev is not None:
+            gaps["minkowski_vs_prev"] = _minkowski_gap(body, prev)
             gaps["groemer_vs_prev"] = groemer_gap(body, prev)
         for name, gap in gaps.items():
             worst = report.checks.setdefault(name, {"min_gap": gap, "argmin_seed": spec.seed})
             if gap < worst["min_gap"]:
                 worst.update(min_gap=gap, argmin_seed=spec.seed)
-        if rep.lutwak_residual_rel > lutwak["max"]:
-            lutwak.update(max=rep.lutwak_residual_rel, argmax_seed=spec.seed)
+        if residual > lutwak["max"]:
+            lutwak.update(max=residual, argmax_seed=spec.seed)
         prev = body
     return report

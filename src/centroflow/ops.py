@@ -171,11 +171,9 @@ class PolarChain:
         return 32.0 * (self.v_lambda_star - self.v_star) / (3.0 * v_body * v_body * self.v_star)
 
 
-def polar_chain(h: SupportFn | np.ndarray) -> PolarChain:
-    """Polar body, its area, and the area of its curvature image, of one body
-    or of each row of stacked origin-symmetric support samples (R, n)."""
-    if isinstance(h, SupportFn):
-        h = h.samples
+def polar_chain(h: np.ndarray) -> PolarChain:
+    """Polar body, its area, and the area of its curvature image, from the
+    support samples of one origin-symmetric body (n,) or of a stack (R, n)."""
     rho3, p = radial_powers(h, [3, -1])
     v_star = _polar_area(h)
     # Lambda K* has surface density (V(K*) / V(K**)) h_{K*}^-3, and V(K**) = V(K)

@@ -526,3 +526,13 @@ class TestCampaignCommands:
         assert float(first[1]) == eps and first[4] == "nan"
         summary = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
         assert np.isfinite(summary["gamma"]) and summary["fit_count"] >= 2
+
+    def test_stability_without_small_deficits_has_no_fit(self, workdir, monkeypatch):
+        # every sample lands above the fit's 1e-2 window: no slope is fitted
+        monkeypatch.setattr(lab, "_deficit_targeted_body", lambda base, target: (base, 0.02, 1))
+        out = workdir / "stab"
+        assert main(["stability", "--samples", "10", "--seed", "1", "--n", "64",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+        assert summary["fit_count"] == 0 and summary["fit_exponent"] is None
+        assert np.isfinite(summary["gamma"])

@@ -311,6 +311,21 @@ class TestStepperIntegrity:
         with pytest.raises(ValueError):
             FlowConfig(cfl="0.1")
 
+    @pytest.mark.parametrize("body, stop_area", [
+        (disk(1.0, 64), 1e-3),
+        (random_body(BodySpec(seed=1, n=64, mode_count=3, decay=1.6, amplitude=0.5)), 0.3),
+    ], ids=["disk", "seeded"])
+    def test_scaled_body_flows_as_the_original(self, body, stop_area):
+        # h -> lam h takes t to lam^4 t and areas to lam^2 areas; the step
+        # floor scales with the body, so a small body runs the same steps
+        lam = 1e-3
+        tr = flow_run(body, FlowConfig(t_stop_area=stop_area))
+        small = flow_run(SupportFn(lam * body.samples), FlowConfig(t_stop_area=stop_area * lam ** 2))
+        assert (small.steps, small.rows) == (tr.steps, tr.rows)
+        assert small.stop_reason == tr.stop_reason == "area_threshold"
+        assert small.t / lam ** 4 == pytest.approx(tr.t, rel=1e-11)
+        assert np.max(np.abs(small.h_rows / lam - tr.h_rows)) <= 1e-12 * np.max(tr.h_rows)
+
     def test_step_cap_stops_the_run(self, monkeypatch):
         monkeypatch.setattr(flow, "MAX_STEPS", 3)
         tr = flow_run(disk(1.0, 64), FlowConfig(renormalize_every=2))

@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,7 @@ from centroflow import (
 )
 from centroflow import lab
 from centroflow.lab import (DEFICIT_RTOL, MIN_CURVATURE, _deficit_targeted_body,
-                            _stability_base, affine_support_bracket)
+                            _stability_base)
 from centroflow.ops import polar_chain
 from centroflow.spectral import angles, deriv, resample
 from centroflow.support import curvature_samples
@@ -35,7 +33,7 @@ import oracles
 
 def ratio_rhs(h):
     """Closed-form time derivative of V(Gamma K)/V(K) at ``h``."""
-    return polar_chain(h).ratio_derivative(area(h))
+    return polar_chain(h.samples).ratio_derivative(area(h))
 
 
 class TestGenerator:
@@ -75,6 +73,8 @@ class TestGenerator:
             BodySpec(seed=1, mode_count=40, n=256)
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             BodySpec(seed=-1)
+        with pytest.raises(ValueError, match="amplitude must be non-negative"):
+            BodySpec(seed=1, amplitude=-0.1)
 
 
 class TestDeficits:
@@ -128,9 +128,9 @@ class TestDeficits:
 
     def test_affine_bracket_straddles_one(self, mild_bodies):
         for b in mild_bodies:
-            lo, hi = affine_support_bracket(b)
-            assert lo <= 1.0 + 1e-8
-            assert hi >= 1.0 - 2e-8
+            gaps = deficit_report(b)[0]
+            assert gaps["affine_bracket_low"] >= -1e-8  # min h S^(1/3) <= 1 + 1e-8
+            assert gaps["affine_bracket_high"] >= -2e-8  # max h S^(1/3) >= 1 - 2e-8
 
 
 class TestGlInvariance:
@@ -157,23 +157,19 @@ class TestGlInvariance:
 
 class TestReports:
     def test_deficit_report_fields(self, wobble):
-        rep = deficit_report(wobble)
-        assert rep.bp_deficit >= -1e-9
-        assert rep.santalo_gap >= -1e-9
-        assert rep.petty_gap >= -1e-9
-        assert rep.groemer_gap >= -1e-9
-        assert rep.lambda_gap >= -1e-9
-        assert rep.lutwak_residual_rel <= 1e-5
-        assert set(asdict(rep)) == {
-            "bp_deficit", "santalo_gap", "petty_gap",
-            "groemer_gap", "lambda_gap", "lutwak_residual_rel"}
+        gaps, residual = deficit_report(wobble)
+        assert set(gaps) == {
+            "bp_deficit", "santalo_gap", "petty_gap", "groemer_vs_disk", "lambda_area_drop",
+            "affine_bracket_low", "affine_bracket_high", "minkowski_vs_disk"}
+        assert all(gap >= -1e-9 for gap in gaps.values()), gaps
+        assert residual <= 1e-5
 
     def test_identity_residual_matches_ops(self, wobble):
         from centroflow import centroid_body
         for body in (wobble, random_body(BodySpec(seed=5))):
             gamma = centroid_body(body).samples
-            want = polar_chain(body).identity_residual(gamma) / np.max(gamma)
-            assert deficit_report(body).lutwak_residual_rel == pytest.approx(
+            want = polar_chain(body.samples).identity_residual(gamma) / np.max(gamma)
+            assert deficit_report(body)[1] == pytest.approx(
                 want, rel=1e-12, abs=1e-300)
 
 
@@ -183,6 +179,20 @@ class TestFuzz:
         assert rep.worst() >= -1e-9
         assert rep.checks["lutwak_residual_rel"]["max"] <= 1e-5
         assert rep.count == 40
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_campaign_reports_the_body_audit(self, seed):
+        # one body: every check is that body's own gap, bit for bit
+        report = fuzz_campaign(1, seed, 64)
+        gaps, residual = deficit_report(random_body(lab._fuzz_spec(seed, 0, 64)))
+        assert {name: c["min_gap"] for name, c in report.checks.items() if "min_gap" in c} == gaps
+        assert report.checks["lutwak_residual_rel"] == {"max": residual, "argmax_seed": seed}
+
+    def test_campaign_check_names(self):
+        assert set(fuzz_campaign(2, seed=5, n=64).checks) == {
+            "bp_deficit", "santalo_gap", "petty_gap", "groemer_vs_disk", "groemer_vs_prev",
+            "minkowski_vs_disk", "minkowski_vs_prev", "lambda_area_drop",
+            "affine_bracket_low", "affine_bracket_high", "lutwak_residual_rel"}
 
     def test_campaign_deterministic(self):
         a = fuzz_campaign(10, seed=9)

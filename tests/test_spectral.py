@@ -40,7 +40,7 @@ def test_trig_eval_matches_closed_form():
     assert np.max(np.abs(spectral.trig_eval(f, pts) - want)) < 1e-13
 
 
-@pytest.mark.parametrize("m", [128, 512])
+@pytest.mark.parametrize("m", [128, 256, 512])
 def test_resample_bandlimited_exact(m):
     n = 256
     th = spectral.angles(n)

@@ -46,6 +46,10 @@ class TestConstructor:
     def test_nonpositive_rejected(self):
         with pytest.raises(NonPositive):
             SupportFn(np.cos(TH) - 2.0)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            disk(0.0, 64)
+        with pytest.raises(ValueError, match="semi-axes must be positive"):
+            ellipse(1.0, -1.0)
 
     def test_symmetry_is_measured(self):
         base = 1 + 0.2 * np.cos(2 * TH)
@@ -62,6 +66,8 @@ class TestConstructor:
             SupportFn(np.ones(17))
         with pytest.raises(ValueError):
             SupportFn(np.ones(65538))
+        with pytest.raises(ValueError, match="1-D"):
+            SupportFn(np.ones((2, 64)))
 
     def test_one_grid_size_rule(self):
         for n in (16, 18, 65536, np.int64(64)):
