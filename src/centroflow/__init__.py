@@ -14,7 +14,6 @@ from .errors import (
     StepUnderflow,
 )
 from .support import (
-    LinearMap2,
     SupportFn,
     apply_linear_map,
     area,

@@ -79,7 +79,11 @@ def body_from_dict(data: dict) -> SupportFn:
 
 def load_body(path) -> SupportFn:
     with open(path, "r", encoding="utf-8") as fh:
-        return body_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:  # from the parser only: a program bug still surfaces
+            raise ValueError("body JSON nests too deeply") from None
+    return body_from_dict(data)
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -161,12 +161,12 @@ def cmd_op(args, argv) -> int:
     elif args.name == "normalize":
         normalized, witness = sl2_normalize(body)
         result = bodyio.body_to_dict(normalized)
-        print(f"witness: {witness.as_array().tolist()}", file=sys.stderr)
+        print(f"witness: {witness.tolist()}", file=sys.stderr)
     else:  # "bm"; argparse restricts the choices
         cert = banach_mazur_to_disk(body)
         result = {
             "distance": cert.distance,
-            "witness": cert.witness.as_array().tolist(),
+            "witness": cert.witness.tolist(),
             "inner_radius": cert.inner_radius,
             "outer_radius": cert.outer_radius,
             "pinching_bound": pinching_to_bm_bound(body),
@@ -256,11 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; the one error boundary.  An I/O error exits 3, bad
-    input or an operator failure 2, each with one ``error:`` line, prefixed
-    by the ``args.error_context`` a command sets while it reads its inputs or
-    runs an operator.
-    numpy's floating-point warnings are silenced: a body whose scale
-    overflows is reported by that line alone."""
+    input or an operator failure 2 (an ArithmeticError too), each with one
+    ``error:`` line, prefixed by the ``args.error_context`` a command sets
+    while it reads its inputs or runs an operator.  numpy's floating-point
+    warnings are silenced: a body whose scale overflows is reported by that
+    line alone."""
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     args.error_context = None
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (CentroflowError, ValueError) as exc:
+    except (CentroflowError, ValueError, ArithmeticError) as exc:
         prefix = f"{args.error_context}: " if args.error_context else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return EXIT_OPERATOR

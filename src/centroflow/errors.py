@@ -31,5 +31,5 @@ class ConvexityLost(CentroflowError):
 
 
 class StepUnderflow(CentroflowError):
-    """Step size below 1e-16 max(t, tau), tau = min(h^3 S) the body's own time
-    scale: the floor is scale-free, so a scaled body flows as the original."""
+    """Step size not above 1e-16 max(t, tau), tau = min(h^3 S) the body's own
+    time scale (a scale-free floor: a scaled body flows as the original), or inf."""

@@ -173,7 +173,7 @@ def _half_grid(coef: np.ndarray, synth: np.ndarray, t: float) -> np.ndarray:
     """Half-grid samples of h and S (rows of one array) from the kept-mode
     coefficients ``coef``; raises ConvexityLost(t) unless all are positive."""
     hs = synth @ coef
-    if hs.min() <= 0.0:
+    if not hs.min() > 0.0:  # NaN fails too
         raise ConvexityLost(t)
     return hs.reshape(2, -1)
 
@@ -245,7 +245,8 @@ def _monitor_rows(t: np.ndarray, h: np.ndarray, s: np.ndarray,
 
 
 def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
-    """Run the flow from ``h0`` until the area threshold, time cap, or step cap."""
+    """Run the flow from ``h0`` until the area threshold, time cap, or step cap;
+    StepUnderflow when a step is infinite or not above its floor."""
     cfg = cfg or FlowConfig()
     n = h0.n
     if n > FLOW_MAX_N:
@@ -281,7 +282,7 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
 
         tau = float((h ** 3 * s).min())  # the body's own time scale, h / |dh/dt|
         dt = cfg.cfl * min(dth * dth * float(((h * s) ** 2).min()), tau)
-        if dt < 1e-16 * max(t, tau):
+        if not 1e-16 * max(t, tau) < dt < np.inf:  # a scale that over- or underflows
             raise StepUnderflow(f"dt={dt:.3g} at t={t:.9g}")
         if cfg.t_stop is not None:
             dt = min(dt, cfg.t_stop - t)

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .support import (LinearMap2, SupportFn, affine_support, apply_linear_map, area,
+from .support import (SupportFn, affine_support, apply_linear_map, area,
                       curvature_samples, scaled)
 
 __all__ = [
@@ -52,19 +52,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BMCertificate:
-    """Banach-Mazur distance to the disk with its witnessing map, and the
-    lower end of the search's bracket (the cut model's minimum)."""
+    """Banach-Mazur distance to the disk, its witnessing map as a 2x2 array,
+    and the lower end of the search's bracket (the cut model's minimum)."""
 
     distance: float
-    witness: LinearMap2
+    witness: np.ndarray
     inner_radius: float
     outer_radius: float
     lower_bound: float
 
 
-def family_map(s: float, phi: float) -> LinearMap2:
-    """diag(s, 1/s) . R(phi), an SL(2) element."""
-    return LinearMap2.diagonal(s, 1.0 / s) @ LinearMap2.rotation(phi)
+def family_map(s: float, phi: float) -> np.ndarray:
+    """diag(s, 1/s) . R(phi), an SL(2) element, as a 2x2 array."""
+    c, t = np.cos(phi), np.sin(phi)
+    return np.diag([s, 1.0 / s]) @ np.array([[c, -t], [t, c]])
 
 
 SEARCH_OVERSAMPLE = 8  # boundary samples per grid node of the body
@@ -366,11 +367,11 @@ def _certificates(res: _Minimum) -> list[BMCertificate]:
             for (inner, outer), x, lower in zip(_radii(res.x, res.maxima), res.x, res.lower)]
 
 
-def sl2_normalize(h: SupportFn) -> tuple[SupportFn, LinearMap2]:
+def sl2_normalize(h: SupportFn) -> tuple[SupportFn, np.ndarray]:
     """Perimeter-minimizing SL(2) image, rescaled to area pi.
 
-    Returns the normalized body and the SL(2) witness map (the area rescale
-    is applied after the map and is not part of the witness).
+    Returns the normalized body and the SL(2) witness, a 2x2 array (the area
+    rescale is applied after the map and is not part of the witness).
     """
     v = _perimeter_minimum(_BoundaryForms(h.samples[None]))[0]
     witness = family_map(*_family_params(v))

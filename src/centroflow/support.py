@@ -24,7 +24,6 @@ from .errors import AsymmetricData, GridMismatch, NonConvex, NonPositive
 
 __all__ = [
     "SupportFn",
-    "LinearMap2",
     "curvature_samples",
     "area_quadrature",
     "area",
@@ -83,44 +82,6 @@ class SupportFn:
         return self.samples.size
 
 
-@dataclass(frozen=True)
-class LinearMap2:
-    """Invertible 2x2 matrix [[a, b], [c, d]] acting on bodies."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        if abs(self.det) <= 1e-12:
-            raise ValueError(f"map is numerically singular (det={self.det:.3g})")
-
-    @property
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
-
-    @classmethod
-    def from_array(cls, m) -> "LinearMap2":
-        m = np.asarray(m, dtype=float)
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-    @classmethod
-    def rotation(cls, phi: float) -> "LinearMap2":
-        c, s = np.cos(phi), np.sin(phi)
-        return cls(c, -s, s, c)
-
-    @classmethod
-    def diagonal(cls, sx: float, sy: float) -> "LinearMap2":
-        return cls(sx, 0.0, 0.0, sy)
-
-    def __matmul__(self, other: "LinearMap2") -> "LinearMap2":
-        return LinearMap2.from_array(self.as_array() @ other.as_array())
-
-
 def check_grid_size(n) -> None:
     """Raise ValueError unless ``n`` is an even integer from 16 to 65536.
     A grid size from outside passes here before anything of that size is
@@ -171,19 +132,25 @@ def scaled(h: SupportFn, factor: float) -> SupportFn:
 MAP_OVERSAMPLE = 4  # output-grid refinement factor of apply_linear_map
 
 
-def apply_linear_map(h: SupportFn, phi: LinearMap2) -> SupportFn:
-    """Image body under an invertible linear map.
+def apply_linear_map(h: SupportFn, phi) -> SupportFn:
+    """Image body under an invertible linear map ``phi``, a 2x2 array-like;
+    ValueError unless it is a finite (2, 2) matrix with |det| > 1e-12.
 
     Uses h_{Phi K}(u) = |Phi^T u| * h(angle(Phi^T u)), evaluated through the
     trigonometric interpolant on a ``MAP_OVERSAMPLE`` times finer output grid
     and spectrally truncated back to n samples to control aliasing from
     anisotropic maps.
     """
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (2, 2) or not np.isfinite(phi).all():
+        raise ValueError("map must be a finite 2x2 matrix")
+    if abs(phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]) <= 1e-12:
+        raise ValueError(f"map is numerically singular (det={np.linalg.det(phi):.3g})")
     n = h.n
     m = MAP_OVERSAMPLE * n
     th = spectral.angles(m)
     u = np.vstack([np.cos(th), np.sin(th)])
-    w = phi.as_array().T @ u
+    w = phi.T @ u
     r = np.hypot(w[0], w[1])
     psi = np.arctan2(w[1], w[0])
     vals = r * spectral.trig_eval(h.samples, psi)

@@ -15,7 +15,6 @@ import pytest
 from centroflow import (
     BodySpec,
     FlowConfig,
-    LinearMap2,
     apply_linear_map,
     area,
     banach_mazur_to_disk,
@@ -34,6 +33,7 @@ from centroflow import (
     stability_experiment,
 )
 from centroflow.flow import gated_central_difference
+from centroflow.normalize import family_map
 
 import oracles
 
@@ -229,8 +229,8 @@ def test_criterion_9_numerical_integrity(mild_bodies):
         inv = max(inv, float(np.max(np.abs(back.samples - b.samples))
                              / np.max(b.samples)))
 
-    phi = LinearMap2.diagonal(1.4, 1 / 1.4) @ LinearMap2.rotation(0.6)
-    phi_inv_t = LinearMap2.from_array(np.linalg.inv(phi.as_array()).T)
+    phi = np.diag([1.4, 1 / 1.4]) @ family_map(1.0, 0.6)
+    phi_inv_t = np.linalg.inv(phi).T
     worst_eq = 0.0
     for b in mild_bodies[:5]:
         img = apply_linear_map(b, phi)

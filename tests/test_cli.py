@@ -274,6 +274,15 @@ class TestFlowCommand:
         assert err.startswith("error: dt=") and err.endswith(" at t=0\n"), err
         assert err.count("\n") == 1 and not out.exists()
 
+    def test_overflowed_time_scale_is_exit_2_at_once(self, workdir, capsys):
+        # tau = min h^3 S overflows to inf, so the first dt is inf: refused at
+        # t = 0, not stepped as NaN states up to the step cap
+        (workdir / "big.json").write_text(json.dumps({"n": 64, "h": [1e100] * 64}))
+        out = workdir / "big"
+        assert main(["flow", "--body", str(workdir / "big.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: dt=inf at t=0\n"
+        assert not out.exists()
+
     def test_grid_above_cap_says_regrid(self, workdir, capsys):
         save_body(disk(1.0, 1024), workdir / "disk1024.json")
         for argv in (["--body", str(workdir / "disk1024.json")],
@@ -372,11 +381,19 @@ BAD_INPUTS = {
         d / "b.json", json.dumps({"h": [1e-160] * 16}))],
     "body-underflow-polar": lambda d: ["op", "polar", "--body", _write(
         d / "b.json", json.dumps({"h": [1e-300] * 16}))],
+    # a Python float division by an area that over- or underflowed to 0
+    "body-overflow-lambda-area": lambda d: ["op", "lambda", "--body", _write(
+        d / "b.json", json.dumps({"h": [1e200] * 16}))],
+    "body-underflow-normalize": lambda d: ["op", "normalize", "--body", _write(
+        d / "b.json", json.dumps({"h": [1e-200] * 16}))],
+    # deeper than the JSON parser's recursion limit
+    "body-deeply-nested": lambda d: ["op", "polar", "--body", _write(d / "b.json", "[" * 100_000)],
 }
 # bodies that load but whose operator fails: the message names the operator,
 # not the input
 OPERATOR_FAILURES = {"body-underflow-bm", "body-underflow-lambda",
-                     "body-underflow-centroid", "body-underflow-polar"}
+                     "body-underflow-centroid", "body-underflow-polar",
+                     "body-overflow-lambda-area", "body-underflow-normalize"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

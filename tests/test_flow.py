@@ -9,7 +9,7 @@ from centroflow import (
     BodySpec,
     ConvexityLost,
     FlowConfig,
-    LinearMap2,
+    StepUnderflow,
     SupportFn,
     apply_linear_map,
     area,
@@ -25,6 +25,7 @@ from centroflow import (
 from centroflow import flow
 from centroflow.flow import (TRACE_CSV_COLUMNS, _half_grid, _kept_mode_tables,
                              gated_central_difference)
+from centroflow.normalize import family_map
 from centroflow.spectral import angles
 
 import oracles
@@ -71,7 +72,7 @@ class TestDiskRun:
 class TestEquivarianceOracle:
     def test_sl2_ellipse_follows_scaled_solution(self):
         # for det-1 maps the ellipse solution is the scaled initial ellipse
-        phi = LinearMap2.diagonal(1.5, 1 / 1.5) @ LinearMap2.rotation(0.5)
+        phi = np.diag([1.5, 1 / 1.5]) @ family_map(1.0, 0.5)
         e0 = apply_linear_map(disk(1.0, 128), phi)
         cfg = FlowConfig(cfl=0.1, t_stop=0.12, renormalize_every=50)
         tr = flow_run(e0, cfg)
@@ -80,7 +81,7 @@ class TestEquivarianceOracle:
             assert np.max(np.abs(tr.h_rows[i] - want)) < 1e-5
 
     def test_normalized_rows_of_ellipse_run_are_disk(self):
-        phi = LinearMap2.diagonal(1.4, 1 / 1.4)
+        phi = np.diag([1.4, 1 / 1.4])
         e0 = apply_linear_map(disk(1.0, 128), phi)
         cfg = FlowConfig(cfl=0.1, t_stop=0.1, renormalize_every=100)
         tr = flow_run(e0, cfg)
@@ -94,7 +95,7 @@ class TestSl2Row:
         # the radii are read at the perimeter-minimal map, the normalization's
         tr = seeded_trace
         for i in range(tr.rows):
-            witness = sl2_normalize(tr.row_body(i))[1].as_array()
+            witness = sl2_normalize(tr.row_body(i))[1]
             inner, outer = oracles.polygon_radii(tr.row_body(i), witness, m=1 << 14)
             assert tr.r_minus[i] == pytest.approx(inner, rel=1e-6)
             assert tr.r_plus[i] == pytest.approx(outer, rel=1e-6)
@@ -270,6 +271,10 @@ class TestStepperIntegrity:
         with pytest.raises(ConvexityLost) as err:
             _half_grid(coef, synth, 0.25)
         assert err.value.t == 0.25
+        # a NaN stage (an overflowed state) fails the same check
+        coef[1] = np.nan
+        with pytest.raises(ConvexityLost):
+            _half_grid(coef, synth, 0.5)
 
     def test_kept_mode_tables(self):
         # projection inverts synthesis on the kept modes (even k <= n/3), and
@@ -325,6 +330,16 @@ class TestStepperIntegrity:
         assert small.stop_reason == tr.stop_reason == "area_threshold"
         assert small.t / lam ** 4 == pytest.approx(tr.t, rel=1e-11)
         assert np.max(np.abs(small.h_rows / lam - tr.h_rows)) <= 1e-12 * np.max(tr.h_rows)
+
+    @pytest.mark.parametrize("scale, dt", [(1e100, "inf"), (1e-100, "0")])
+    def test_time_scale_out_of_range_raises_at_once(self, scale, dt):
+        # tau = min h^3 S over- or underflows: the infinite first step, or the
+        # zero one, is refused instead of repeated until MAX_STEPS
+        started = time.perf_counter()
+        with np.errstate(over="ignore", under="ignore"), \
+                pytest.raises(StepUnderflow, match=f"^dt={dt} at t=0$"):
+            flow_run(SupportFn(np.full(64, scale)), FlowConfig(t_stop_area=1e-300))
+        assert time.perf_counter() - started < 5.0
 
     def test_step_cap_stops_the_run(self, monkeypatch):
         monkeypatch.setattr(flow, "MAX_STEPS", 3)

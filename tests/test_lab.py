@@ -4,7 +4,6 @@ import pytest
 from centroflow import (
     BP_CONSTANT,
     BodySpec,
-    LinearMap2,
     SupportFn,
     apply_linear_map,
     area,
@@ -24,6 +23,7 @@ from centroflow import (
 from centroflow import lab
 from centroflow.lab import (DEFICIT_RTOL, MIN_CURVATURE, _deficit_targeted_body,
                             _stability_base)
+from centroflow.normalize import family_map
 from centroflow.ops import polar_chain
 from centroflow.spectral import angles, deriv, resample
 from centroflow.support import curvature_samples
@@ -144,8 +144,8 @@ class TestGlInvariance:
         }
         for _ in range(3):
             s = rng.uniform(1.1, 2.0)
-            phi = LinearMap2.diagonal(s, 1 / s) @ LinearMap2.rotation(
-                rng.uniform(0, np.pi))
+            phi = np.diag([s, 1 / s]) @ family_map(
+                1.0, rng.uniform(0, np.pi))
             img = apply_linear_map(wobble, phi)
             assert bp_deficit(img) == pytest.approx(base["bp"], rel=1e-5, abs=1e-9)
             assert santalo_product(img) == pytest.approx(base["santalo"], rel=1e-5)

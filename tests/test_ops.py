@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from centroflow import (
     BodySpec,
-    LinearMap2,
     NonConvex,
     apply_linear_map,
     area,
@@ -26,6 +25,7 @@ from centroflow import (
 )
 from centroflow.errors import GridMismatch
 from centroflow.lab import deficit_report, groemer_gap, petty_projection_product
+from centroflow.normalize import family_map
 from centroflow.ops import _solve_curvature, polar_chain
 from centroflow.spectral import angles
 from centroflow.support import curvature_samples
@@ -62,9 +62,9 @@ class TestPolar:
                 1e-6 * np.max(b.samples)
 
     def test_gl2_equivariance(self, wobble):
-        phi = LinearMap2.diagonal(1.4, 1 / 1.4) @ LinearMap2.rotation(0.6)
+        phi = np.diag([1.4, 1 / 1.4]) @ family_map(1.0, 0.6)
         lhs = polar_body(apply_linear_map(wobble, phi))
-        phi_inv_t = LinearMap2.from_array(np.linalg.inv(phi.as_array()).T)
+        phi_inv_t = np.linalg.inv(phi).T
         rhs = apply_linear_map(polar_body(wobble), phi_inv_t)
         assert np.max(np.abs(lhs.samples - rhs.samples)) < 1e-6 * np.max(rhs.samples)
 
@@ -80,7 +80,7 @@ class TestCentroid:
         assert np.max(np.abs(g.samples - (4 / (3 * np.pi)) * e.samples)) < 1e-9
 
     def test_gl2_equivariance(self, wobble):
-        phi = LinearMap2(1.2, 0.3, 0.1, 0.9)
+        phi = np.array([[1.2, 0.3], [0.1, 0.9]])
         lhs = centroid_body(apply_linear_map(wobble, phi))
         rhs = apply_linear_map(centroid_body(wobble), phi)
         assert np.max(np.abs(lhs.samples - rhs.samples)) < 1e-6 * np.max(rhs.samples)
@@ -201,7 +201,7 @@ class TestCurvatureImage:
         assert area(curvature_image(wobble)) < area(wobble) * (1 - 1e-5)
 
     def test_sl2_equivariance(self, wobble):
-        phi = LinearMap2.diagonal(1.3, 1 / 1.3) @ LinearMap2.rotation(0.3)
+        phi = np.diag([1.3, 1 / 1.3]) @ family_map(1.0, 0.3)
         lhs = curvature_image(apply_linear_map(wobble, phi))
         rhs = apply_linear_map(curvature_image(wobble), phi)
         assert np.max(np.abs(lhs.samples - rhs.samples)) < 1e-6 * np.max(rhs.samples)
