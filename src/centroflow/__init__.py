@@ -53,10 +53,7 @@ from .lab import (
     bp_deficit,
     deficit_report,
     fuzz_campaign,
-    groemer_gap,
-    petty_projection_product,
     random_body,
-    santalo_product,
     stability_experiment,
 )
 from .bodyio import load_body, save_body

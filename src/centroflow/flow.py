@@ -227,7 +227,7 @@ def _monitor_rows(t: np.ndarray, h: np.ndarray, s: np.ndarray,
         radii, certs = sl2_searches(arr[block])
         blocks.append((chain.v_star, area_quadrature(gamma, curvature_samples(gamma)),
                        chain.ratio_derivative(v[block]), chain.polar[:, probe_idx],
-                       chain.polar_curvature[:, probe_idx], radii,
+                       curvature_samples(chain.polar)[:, probe_idx], radii,
                        [cert.distance for cert in certs]))
     v_star, bp_area, bp_rhs, probe, probe_s, radii, d_bm = (
         np.concatenate(col) for col in zip(*blocks))
@@ -311,6 +311,12 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
         raise ValueError("trace areas are not strictly decreasing")
     started = time.perf_counter()
     cols = _monitor_rows(t, h, s, v)
+    for name, col in cols.items():
+        bad = ~np.isfinite(col)
+        if bad.any():
+            row = int(np.argwhere(bad)[0][0])
+            raise ValueError(f"the monitor column {name} is not finite at t={t[row]:.9g}: "
+                             "the body's scale overflows or underflows")
     return FlowTrace(**cols, estimated_T=_estimate_extinction(t, v), stop_reason=stop_reason,
                      steps=steps, config=cfg, stepper_s=stepper_s,
                      monitor_s=time.perf_counter() - started)

@@ -1,7 +1,8 @@
-"""Deficit functionals, a seeded body generator, fuzzing campaigns, and the
-stability experiment relating the centroid-ratio deficit to the
-Banach-Mazur distance from the disk.  ``deficit_report`` returns one body's
-gaps under their ``fuzz.json`` names; ``fuzz_campaign`` keeps their minima."""
+"""The centroid-ratio deficit, a seeded body generator, fuzzing campaigns, and
+the stability experiment relating that deficit to the Banach-Mazur distance
+from the disk.  ``deficit_report`` is the one home of the other gaps: it
+returns one body's gaps under their ``fuzz.json`` names; ``fuzz_campaign``
+keeps their minima."""
 
 from __future__ import annotations
 
@@ -12,17 +13,13 @@ import numpy as np
 
 from . import ops, spectral
 from .normalize import pinching_to_bm_bound, sl2_searches
-from .support import (SupportFn, affine_support, area, check_grid_size, check_same_grid,
-                      curvature_samples, disk)
+from .support import SupportFn, affine_support, area, check_grid_size, curvature_samples, disk
 
 __all__ = [
     "BP_CONSTANT",
     "BodySpec",
     "random_body",
     "bp_deficit",
-    "santalo_product",
-    "petty_projection_product",
-    "groemer_gap",
     "deficit_report",
     "StabilitySample",
     "StabilityResult",
@@ -97,39 +94,21 @@ def bp_deficit(h: SupportFn) -> float:
     return float(area(gamma) / area(h) / BP_CONSTANT - 1.0)
 
 
-def santalo_product(h: SupportFn) -> float:
-    """Volume product V(K) V(K*); at most pi^2, equality on ellipses."""
-    return float(area(h) * ops.polar_area(h))
-
-
-def petty_projection_product(h: SupportFn) -> float:
-    """V(K) V((Pi K)*); at most (pi/2)^2, equality on ellipses."""
-    pi_k = ops.projection_body(h)
-    return float(area(h) * ops.polar_area(pi_k))
-
-
-def groemer_gap(h_k: SupportFn, h_l: SupportFn) -> float:
-    """Slack in the strengthened mixed-volume inequality.
-
-    Returns [V(K,L)^2 / (V(K)V(L)) - 1] minus the support-difference term
-    (V(K) / 4 D(K)^2) max |h_K / sqrt(V(K)) - h_L / sqrt(V(L))|^2, which is
-    non-negative for origin-symmetric bodies.
-    """
-    check_same_grid(h_k, h_l)
+def _mixed_volume_gaps(h_k: SupportFn, h_l: SupportFn) -> tuple[float, float]:
+    """Slacks of the mixed-volume inequality, (V(K,L)^2 - V(K)V(L)) /
+    (V(K)V(L)), and of its strengthened form, [V(K,L)^2 / (V(K)V(L)) - 1]
+    minus (V(K) / 4 D(K)^2) max |h_K / sqrt(V(K)) - h_L / sqrt(V(L))|^2,
+    which is non-negative for origin-symmetric bodies.  The two differ in
+    roundoff; merging them would move the fuzz bytes.  GridMismatch comes
+    from ``ops.mixed_volume``."""
     vk, vl = area(h_k), area(h_l)
     vkl = ops.mixed_volume(h_k, h_l)
+    vk_vl = vk * vl
     lhs = vkl * vkl / (vk * vl) - 1.0
     diam = 2.0 * float(np.max(h_k.samples))
     diff = h_k.samples / np.sqrt(vk) - h_l.samples / np.sqrt(vl)
     rhs = vk / (4.0 * diam * diam) * float(np.max(np.abs(diff)) ** 2)
-    return float(lhs - rhs)
-
-
-def _minkowski_gap(h_k: SupportFn, h_l: SupportFn) -> float:
-    """Slack in the mixed-volume inequality, (V(K,L)^2 - V(K)V(L)) / (V(K)V(L))."""
-    vkl = ops.mixed_volume(h_k, h_l)
-    vk_vl = area(h_k) * area(h_l)
-    return (vkl * vkl - vk_vl) / vk_vl
+    return (vkl * vkl - vk_vl) / vk_vl, float(lhs - rhs)
 
 
 def deficit_report(h: SupportFn) -> tuple[dict[str, float], float]:
@@ -137,24 +116,27 @@ def deficit_report(h: SupportFn) -> tuple[dict[str, float], float]:
     and divided by their sharp constants (each >= 0 up to roundoff), and the
     centroid/projection identity residual relative to max h_{Gamma K}.
 
-    The affine-bracket gaps read min and max of h S^(1/3) at area pi, which
-    straddle 1.  The centroid body and the residual share one polar pass.
+    V(K) V(K*) <= pi^2 and V(K) V((Pi K)*) <= (pi/2)^2, with equality on
+    ellipses.  The affine-bracket gaps read min and max of h S^(1/3) at area
+    pi, which straddle 1.  The centroid body, V(K*) and the residual share
+    one polar pass.
     """
     v = area(h)
     chain = ops.polar_chain(h.samples)
     gamma = SupportFn(chain.centroid_samples(v))
     residual = chain.identity_residual(gamma.samples) / float(np.max(gamma.samples))
-    unit = disk(1.0, h.n)
-    q = affine_support(h.samples, np.sqrt(np.pi / v))
+    minkowski, groemer = _mixed_volume_gaps(h, disk(1.0, h.n))
+    pi_k = ops.projection_body(h)
+    q = affine_support(h, np.sqrt(np.pi / v))
     gaps = {
         "bp_deficit": float(area(gamma) / v / BP_CONSTANT - 1.0),
-        "santalo_gap": (np.pi ** 2 - santalo_product(h)) / np.pi ** 2,
-        "petty_gap": ((np.pi / 2.0) ** 2 - petty_projection_product(h)) / (np.pi / 2.0) ** 2,
-        "groemer_vs_disk": groemer_gap(h, unit),
+        "santalo_gap": (np.pi ** 2 - float(v * chain.v_star)) / np.pi ** 2,
+        "petty_gap": ((np.pi / 2.0) ** 2 - float(v * ops.polar_area(pi_k))) / (np.pi / 2.0) ** 2,
+        "groemer_vs_disk": groemer,
         "lambda_area_drop": float((v - area(ops.curvature_image(h))) / v),
         "affine_bracket_low": 1.0 - float(np.min(q)),
         "affine_bracket_high": float(np.max(q)) - 1.0,
-        "minkowski_vs_disk": _minkowski_gap(h, unit),
+        "minkowski_vs_disk": minkowski,
     }
     return gaps, residual
 
@@ -353,8 +335,7 @@ def fuzz_campaign(count: int, seed: int, n: int = 256) -> FuzzReport:
         body = random_body(spec)
         gaps, residual = deficit_report(body)
         if prev is not None:
-            gaps["minkowski_vs_prev"] = _minkowski_gap(body, prev)
-            gaps["groemer_vs_prev"] = groemer_gap(body, prev)
+            gaps["minkowski_vs_prev"], gaps["groemer_vs_prev"] = _mixed_volume_gaps(body, prev)
         for name, gap in gaps.items():
             worst = report.checks.setdefault(name, {"min_gap": gap, "argmin_seed": spec.seed})
             if gap < worst["min_gap"]:

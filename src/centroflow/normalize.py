@@ -376,7 +376,11 @@ def sl2_normalize(h: SupportFn) -> tuple[SupportFn, np.ndarray]:
     v = _perimeter_minimum(_BoundaryForms(h.samples[None]))[0]
     witness = family_map(*_family_params(v))
     image = apply_linear_map(h, witness)
-    return scaled(image, np.sqrt(np.pi / area(image))), witness
+    image_area = area(image)
+    if not 0.0 < image_area < np.inf:
+        raise ValueError(f"the area of the SL(2) image is {image_area:.6g}, not positive and "
+                         "finite: the body's scale overflows or underflows")
+    return scaled(image, np.sqrt(np.pi / image_area)), witness
 
 
 def sl2_searches(samples: np.ndarray) -> tuple[np.ndarray, list[BMCertificate]]:
@@ -417,7 +421,7 @@ def pinching_to_bm_bound(h: SupportFn) -> float:
     """Banach-Mazur bound (max q / min q)^(3/2) from the pinching of the
     affine support function q = h * S^(1/3) (constant exactly on
     origin-centered ellipses)."""
-    q = affine_support(h.samples)
+    q = affine_support(h)
     qmax, qmin = _parabola_peak(q, np.argmax(q)), _parabola_peak(q, np.argmin(q))
     if qmin <= 0.0:
         return float("inf")

@@ -1,7 +1,7 @@
 """Affinely associated bodies and functionals.
 
 Polar, centroid, projection and curvature-image bodies and the mixed
-volume.
+volume.  Projection bodies and mixed volumes read ``SupportFn.curvature``.
 
 Every polar quantity comes from powers of the radial function rho, read
 off the body's own n grid by a change of variables to the normal angle
@@ -101,15 +101,13 @@ def projection_body(h: SupportFn) -> SupportFn:
     It equals the body rotated a quarter turn and doubled, which the
     multiplier reproduces exactly.
     """
-    s = curvature_samples(h.samples)
-    out = 0.5 * _abs_cos_transform(s)
-    return SupportFn(out)
+    return SupportFn(0.5 * _abs_cos_transform(h.curvature))
 
 
 def mixed_volume(h_k: SupportFn, h_l: SupportFn) -> float:
     """V(K, L) = (1/2) * integral of h_L dS_K; symmetric in its arguments."""
     check_same_grid(h_k, h_l)
-    return area_quadrature(h_l.samples, curvature_samples(h_k.samples))
+    return area_quadrature(h_l.samples, h_k.curvature)
 
 
 def _solve_curvature(f: np.ndarray) -> np.ndarray:
@@ -142,7 +140,6 @@ class PolarChain:
     """
 
     polar: np.ndarray            # support of K*, 1/rho
-    polar_curvature: np.ndarray  # S* = h_{K*} + h_{K*}''
     rho_cubed: np.ndarray        # rho^3, density of the centroid body
     v_star: float | np.ndarray          # V(K*)
     v_lambda_star: float | np.ndarray   # V(Lambda K*)
@@ -178,6 +175,6 @@ def polar_chain(h: np.ndarray) -> PolarChain:
     v_star = _polar_area(h)
     # Lambda K* has surface density (V(K*) / V(K**)) h_{K*}^-3, and V(K**) = V(K)
     lam = _solve_curvature((v_star / area_quadrature(h, curvature_samples(h)))[..., None] * rho3)
-    return PolarChain(polar=p, polar_curvature=curvature_samples(p), rho_cubed=rho3, v_star=v_star,
+    return PolarChain(polar=p, rho_cubed=rho3, v_star=v_star,
                       v_lambda_star=area_quadrature(lam, curvature_samples(lam)))
 

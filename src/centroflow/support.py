@@ -4,8 +4,9 @@ A body K is stored through n uniform samples of its support function
 h(theta) = max_{x in K} <x, u(theta)>, u(theta) = (cos theta, sin theta).
 Strict convexity is equivalent to positivity of the curvature function
 S = h'' + h (the reciprocal curvature of the boundary as a function of the
-outer normal angle), which is evaluated spectrally.  Bodies are immutable and
-origin-symmetric, h(theta + pi) = h(theta); every operation returns a new body.
+outer normal angle), evaluated spectrally and kept on the body.  Bodies are
+immutable and origin-symmetric, h(theta + pi) = h(theta); every operation
+returns a new body.
 
 Powers of the radial function rho, the polar side of the representation,
 come from a change of variables to the normal angle (``radial_powers``):
@@ -15,7 +16,7 @@ an integral over the boundary parametrization, not a root solve.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +54,7 @@ class SupportFn:
     """
 
     samples: np.ndarray
+    curvature: np.ndarray = field(init=False, repr=False, compare=False)  # the S checked, read-only
 
     def __post_init__(self):
         x = np.array(self.samples, dtype=float)
@@ -75,7 +77,9 @@ class SupportFn:
             raise AsymmetricData(f"not origin-symmetric: antipodal samples differ by "
                                  f"{mismatch:.6g}, more than {SYMMETRY_TOL:g} * max h")
         x.setflags(write=False)
+        curv.setflags(write=False)
         object.__setattr__(self, "samples", x)
+        object.__setattr__(self, "curvature", curv)
 
     @property
     def n(self) -> int:
@@ -96,10 +100,10 @@ def curvature_samples(samples: np.ndarray) -> np.ndarray:
     return samples + spectral.deriv(samples, 2)
 
 
-def affine_support(samples: np.ndarray, factor: float = 1.0) -> np.ndarray:
+def affine_support(h: SupportFn, factor: float = 1.0) -> np.ndarray:
     """The affine support function q = h S^(1/3) of the body dilated by
     ``factor`` (constant exactly on origin-centered ellipses)."""
-    return factor * samples * np.cbrt(factor * curvature_samples(samples))
+    return factor * h.samples * np.cbrt(factor * h.curvature)
 
 
 def area_quadrature(h: np.ndarray, s: np.ndarray):
@@ -114,7 +118,7 @@ def area_quadrature(h: np.ndarray, s: np.ndarray):
 
 def area(h: SupportFn) -> float:
     """Enclosed area, (1/2) * integral of h * (h'' + h) d theta."""
-    return area_quadrature(h.samples, curvature_samples(h.samples))
+    return area_quadrature(h.samples, h.curvature)
 
 
 def perimeter(h: SupportFn) -> float:

@@ -2,12 +2,17 @@
 
 These deliberately avoid the spectral pipeline under test: polygon-based
 moment integrals with exact per-triangle formulas, classical closed forms,
-and spline interpolation of the boundary parametrization.
+and spline interpolation of the boundary parametrization.  The lab's
+inequality functionals at the end are the exception: they pin bytes, not
+values.
 """
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import ellipe
+
+from centroflow.ops import _abs_cos_transform, polar_area
+from centroflow.support import SupportFn, area_quadrature, check_same_grid, curvature_samples
 
 
 def dense_boundary(body, m):
@@ -168,3 +173,59 @@ def brute_force_bm_to_disk(body, n_s=160, n_phi=160):
         inner, outer = polygon_radii(body, maps)
         best = min(best, float(np.min(outer / inner)))
     return best
+
+
+# --- reference forms of the lab's inequality functionals -------------------
+# References that pin the bytes of ``lab.deficit_report`` and
+# ``lab._mixed_volume_gaps``: the four expressions verbatim, over areas and a
+# mixed volume that take the curvature from the samples by spectral.deriv
+# rather than from the body.
+
+def _area(h):
+    return area_quadrature(h.samples, curvature_samples(h.samples))
+
+
+def _mixed_volume(h_k, h_l):
+    check_same_grid(h_k, h_l)
+    return area_quadrature(h_l.samples, curvature_samples(h_k.samples))
+
+
+def _projection_body(h):
+    s = curvature_samples(h.samples)
+    out = 0.5 * _abs_cos_transform(s)
+    return SupportFn(out)
+
+
+def santalo_product(h):
+    """Volume product V(K) V(K*); at most pi^2, equality on ellipses."""
+    return float(_area(h) * polar_area(h))
+
+
+def petty_projection_product(h):
+    """V(K) V((Pi K)*); at most (pi/2)^2, equality on ellipses."""
+    pi_k = _projection_body(h)
+    return float(_area(h) * polar_area(pi_k))
+
+
+def groemer_gap(h_k, h_l):
+    """Slack in the strengthened mixed-volume inequality.
+
+    Returns [V(K,L)^2 / (V(K)V(L)) - 1] minus the support-difference term
+    (V(K) / 4 D(K)^2) max |h_K / sqrt(V(K)) - h_L / sqrt(V(L))|^2, which is
+    non-negative for origin-symmetric bodies.
+    """
+    check_same_grid(h_k, h_l)
+    vk, vl = _area(h_k), _area(h_l)
+    vkl = _mixed_volume(h_k, h_l)
+    lhs = vkl * vkl / (vk * vl) - 1.0
+    diam = 2.0 * float(np.max(h_k.samples))
+    diff = h_k.samples / np.sqrt(vk) - h_l.samples / np.sqrt(vl)
+    rhs = vk / (4.0 * diam * diam) * float(np.max(np.abs(diff)) ** 2)
+    return float(lhs - rhs)
+
+
+def minkowski_gap(h_k, h_l):
+    """Slack in the mixed-volume inequality, (V(K,L)^2 - V(K)V(L)) / (V(K)V(L))."""
+    vkl = _mixed_volume(h_k, h_l)
+    vk_vl = _area(h_k) * _area(h_l)
+    return (vkl * vkl - vk_vl) / vk_vl

@@ -22,6 +22,7 @@ from centroflow import (
     centroid_body,
     conservation_checks,
     curvature_image,
+    deficit_report,
     disk,
     ellipse,
     flow_run,
@@ -29,7 +30,6 @@ from centroflow import (
     harnack_and_bounds_monitor,
     polar_body,
     random_body,
-    santalo_product,
     stability_experiment,
 )
 from centroflow.flow import gated_central_difference
@@ -135,8 +135,7 @@ def test_criterion_4_equality_cases():
         b = rng.uniform(0.7, a)
         e = ellipse(a, b, rng.uniform(0.0, np.pi), 256)
         worst["bp"] = max(worst["bp"], abs(bp_deficit(e)))
-        worst["santalo"] = max(worst["santalo"],
-                               abs(santalo_product(e) - np.pi ** 2) / np.pi ** 2)
+        worst["santalo"] = max(worst["santalo"], abs(deficit_report(e)[0]["santalo_gap"]))
         lam = curvature_image(e)
         worst["lambda"] = max(worst["lambda"],
                               float(np.max(np.abs(lam.samples - e.samples))))

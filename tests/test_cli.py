@@ -283,6 +283,17 @@ class TestFlowCommand:
         assert capsys.readouterr().err == "error: dt=inf at t=0\n"
         assert not out.exists()
 
+    def test_underflowed_disk_monitors_are_exit_2(self, workdir, capsys):
+        # a valid disk already below the stop area: its one row's max_ca3
+        # overflows to inf, which the trace must not record
+        (workdir / "tiny.json").write_text(json.dumps({"n": 64, "h": [1e-100] * 64}))
+        out = workdir / "tiny"
+        assert main(["flow", "--body", str(workdir / "tiny.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the monitor column ") and err.count("\n") == 1, err
+        assert "max_ca3" in err and "t=0" in err
+        assert not out.exists()
+
     def test_grid_above_cap_says_regrid(self, workdir, capsys):
         save_body(disk(1.0, 1024), workdir / "disk1024.json")
         for argv in (["--body", str(workdir / "disk1024.json")],
@@ -386,6 +397,8 @@ BAD_INPUTS = {
         d / "b.json", json.dumps({"h": [1e200] * 16}))],
     "body-underflow-normalize": lambda d: ["op", "normalize", "--body", _write(
         d / "b.json", json.dumps({"h": [1e-200] * 16}))],
+    "body-overflow-normalize": lambda d: ["op", "normalize", "--body", _write(
+        d / "b.json", json.dumps({"h": [1e200] * 16}))],
     # deeper than the JSON parser's recursion limit
     "body-deeply-nested": lambda d: ["op", "polar", "--body", _write(d / "b.json", "[" * 100_000)],
 }
@@ -393,7 +406,8 @@ BAD_INPUTS = {
 # not the input
 OPERATOR_FAILURES = {"body-underflow-bm", "body-underflow-lambda",
                      "body-underflow-centroid", "body-underflow-polar",
-                     "body-overflow-lambda-area", "body-underflow-normalize"}
+                     "body-overflow-lambda-area", "body-underflow-normalize",
+                     "body-overflow-normalize"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -412,6 +426,14 @@ def test_bad_input_is_exit_2_without_traceback(case, workdir, capsys):
     # a warning would print more lines on stderr outside the test
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (workdir / "run").exists()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_normalize_of_an_overflowed_scale_names_the_area(scale, workdir, capsys):
+    assert main(["op", "normalize", "--body", _write(
+        workdir / "b.json", json.dumps({"h": [scale] * 16}))]) == 2
+    err = capsys.readouterr().err
+    assert "area" in err and "scale factor" not in err, err
 
 
 def test_removed_minkowski_command_is_exit_2(workdir, capsys):

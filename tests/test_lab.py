@@ -12,17 +12,14 @@ from centroflow import (
     disk,
     ellipse,
     fuzz_campaign,
-    groemer_gap,
-    petty_projection_product,
     random_body,
-    santalo_product,
     scaled,
     sl2_normalize,
     stability_experiment,
 )
 from centroflow import lab
 from centroflow.lab import (DEFICIT_RTOL, MIN_CURVATURE, _deficit_targeted_body,
-                            _stability_base)
+                            _mixed_volume_gaps, _stability_base)
 from centroflow.normalize import family_map
 from centroflow.ops import polar_chain
 from centroflow.spectral import angles, deriv, resample
@@ -97,29 +94,44 @@ class TestDeficits:
         assert np.max(np.abs(sub - gamma_oracle) / gamma_oracle) < 1e-5
 
     def test_santalo(self, wobble):
-        assert santalo_product(disk(2.0, 128)) == pytest.approx(
-            np.pi ** 2, rel=1e-10)
-        assert santalo_product(ellipse(1.5, 0.7, 0.2, 256)) == pytest.approx(
-            np.pi ** 2, rel=1e-9)
-        assert santalo_product(wobble) < np.pi ** 2
+        # the gap is (pi^2 - V(K) V(K*)) / pi^2
+        assert abs(deficit_report(disk(2.0, 128))[0]["santalo_gap"]) <= 1e-10
+        assert abs(deficit_report(ellipse(1.5, 0.7, 0.2, 256))[0]["santalo_gap"]) <= 1e-9
+        assert deficit_report(wobble)[0]["santalo_gap"] > 0
 
     def test_petty(self, wobble):
-        assert petty_projection_product(disk(1.0, 128)) == pytest.approx(
-            (np.pi / 2) ** 2, rel=1e-12)
-        assert petty_projection_product(ellipse(1.5, 0.9, 0.1, 256)) == \
-            pytest.approx((np.pi / 2) ** 2, rel=1e-9)
-        assert petty_projection_product(wobble) < (np.pi / 2) ** 2
+        # the gap is ((pi/2)^2 - V(K) V((Pi K)*)) / (pi/2)^2
+        assert abs(deficit_report(disk(1.0, 128))[0]["petty_gap"]) <= 1e-12
+        assert abs(deficit_report(ellipse(1.5, 0.9, 0.1, 256))[0]["petty_gap"]) <= 1e-9
+        assert deficit_report(wobble)[0]["petty_gap"] > 0
 
     def test_groemer_trivial_cases(self, wobble):
-        assert groemer_gap(wobble, wobble) == pytest.approx(0.0, abs=1e-12)
-        assert groemer_gap(wobble, scaled(wobble, 2.3)) == pytest.approx(
-            0.0, abs=1e-10)
+        assert abs(_mixed_volume_gaps(wobble, wobble)[1]) <= 1e-12
+        assert abs(_mixed_volume_gaps(wobble, scaled(wobble, 2.3))[1]) <= 1e-10
 
     def test_groemer_disk_vs_wobble_regression(self, wobble):
-        gap = groemer_gap(disk(1.0, 256), wobble)
+        gap = _mixed_volume_gaps(disk(1.0, 256), wobble)[1]
         assert gap >= -1e-9
         # frozen regression anchor of the mixed-volume slack
         assert gap == pytest.approx(0.060298293321797716, rel=1e-9)
+
+    def test_gaps_keep_their_reference_expressions(self, fuzz_bodies):
+        # bit for bit the functionals of tests/oracles.py, on the fuzz bodies
+        # and on each body against the one before it, as the campaign pairs them
+        prev = None
+        for body in fuzz_bodies:
+            gaps = deficit_report(body)[0]
+            unit = disk(1.0, body.n)
+            assert gaps["santalo_gap"] == (
+                np.pi ** 2 - oracles.santalo_product(body)) / np.pi ** 2
+            assert gaps["petty_gap"] == (
+                (np.pi / 2.0) ** 2 - oracles.petty_projection_product(body)) / (np.pi / 2.0) ** 2
+            assert gaps["groemer_vs_disk"] == oracles.groemer_gap(body, unit)
+            assert gaps["minkowski_vs_disk"] == oracles.minkowski_gap(body, unit)
+            if prev is not None:
+                assert _mixed_volume_gaps(body, prev) == (
+                    oracles.minkowski_gap(body, prev), oracles.groemer_gap(body, prev))
+            prev = body
 
     def test_ratio_rhs_signs(self, wobble):
         assert ratio_rhs(disk(1.0, 128)) == pytest.approx(0.0, abs=1e-12)
@@ -136,10 +148,11 @@ class TestDeficits:
 class TestGlInvariance:
     def test_deficits_invariant(self, wobble):
         rng = np.random.default_rng(3)
+        gaps = deficit_report(wobble)[0]
         base = {
             "bp": bp_deficit(wobble),
-            "santalo": santalo_product(wobble),
-            "petty": petty_projection_product(wobble),
+            "santalo": gaps["santalo_gap"],
+            "petty": gaps["petty_gap"],
             "rhs": ratio_rhs(wobble),
         }
         for _ in range(3):
@@ -148,9 +161,12 @@ class TestGlInvariance:
                 1.0, rng.uniform(0, np.pi))
             img = apply_linear_map(wobble, phi)
             assert bp_deficit(img) == pytest.approx(base["bp"], rel=1e-5, abs=1e-9)
-            assert santalo_product(img) == pytest.approx(base["santalo"], rel=1e-5)
-            assert petty_projection_product(img) == pytest.approx(
-                base["petty"], rel=1e-5)
+            # a product P = c (1 - g) within 1e-5 P of its base: the gaps
+            # within 1e-5 (1 - g)
+            img_gaps = deficit_report(img)[0]
+            for key in ("santalo", "petty"):
+                g = base[key]
+                assert abs(img_gaps[f"{key}_gap"] - g) <= 1e-5 * (1.0 - g)
             assert ratio_rhs(img) == pytest.approx(
                 base["rhs"], rel=1e-5, abs=1e-10)
 

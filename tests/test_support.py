@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,16 @@ class TestConstructor:
         b = disk(1.0, 64)
         with pytest.raises(ValueError):
             b.samples[0] = 2.0
+
+    def test_curvature_is_kept_and_immutable(self):
+        for b in (disk(1.0, 64), SupportFn(1 + 0.2 * np.cos(2 * TH)), ellipse(2.0, 1.0, 0.3, 128)):
+            assert b.curvature.tobytes() == curvature_samples(b.samples).tobytes()
+            with pytest.raises(ValueError):
+                b.curvature[0] = 2.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                b.curvature = b.samples
+        with pytest.raises(TypeError):
+            SupportFn(np.ones(64), curvature=np.ones(64))  # not a constructor argument
 
 
 class TestCurvature:
