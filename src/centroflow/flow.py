@@ -222,7 +222,7 @@ def _monitor_rows(t: np.ndarray, h: np.ndarray, s: np.ndarray,
     blocks = []
     for lo in range(0, t.size, ROW_BLOCK):
         block = slice(lo, lo + ROW_BLOCK)
-        chain = ops.polar_chain(arr[block])
+        chain = ops.polar_chain(arr[block], v[block])
         gamma = chain.centroid_samples(v[block])
         radii, certs = sl2_searches(arr[block])
         blocks.append((chain.v_star, area_quadrature(gamma, curvature_samples(gamma)),

@@ -122,7 +122,7 @@ def deficit_report(h: SupportFn) -> tuple[dict[str, float], float]:
     one polar pass.
     """
     v = area(h)
-    chain = ops.polar_chain(h.samples)
+    chain = ops.polar_chain(h.samples, v)
     gamma = SupportFn(chain.centroid_samples(v))
     residual = chain.identity_residual(gamma.samples) / float(np.max(gamma.samples))
     minkowski, groemer = _mixed_volume_gaps(h, disk(1.0, h.n))

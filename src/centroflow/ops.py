@@ -8,7 +8,9 @@ off the body's own n grid by a change of variables to the normal angle
 (``support.radial_powers``): the polar body K* has support 1/rho, the
 centroid body integrates rho^3, and the curvature image of the polar has
 surface density proportional to rho^3.  ``PolarChain`` holds all of them
-from one pass.
+from one pass.  That pass sums only the even modes, over half the period
+in the normal angle, from the body's even spectrum; so every polar and
+centroid sample is exactly origin-symmetric, antipodal samples equal.
 
 The centroid and projection bodies integrate |<u, v>| against a density on
 the circle.  That kernel has kinks, so a plain Riemann sum is only
@@ -168,13 +170,14 @@ class PolarChain:
         return 32.0 * (self.v_lambda_star - self.v_star) / (3.0 * v_body * v_body * self.v_star)
 
 
-def polar_chain(h: np.ndarray) -> PolarChain:
+def polar_chain(h: np.ndarray, v_body) -> PolarChain:
     """Polar body, its area, and the area of its curvature image, from the
-    support samples of one origin-symmetric body (n,) or of a stack (R, n)."""
+    support samples of one origin-symmetric body (n,) or of a stack (R, n),
+    and its area V(K), a value a row."""
     rho3, p = radial_powers(h, [3, -1])
     v_star = _polar_area(h)
     # Lambda K* has surface density (V(K*) / V(K**)) h_{K*}^-3, and V(K**) = V(K)
-    lam = _solve_curvature((v_star / area_quadrature(h, curvature_samples(h)))[..., None] * rho3)
+    lam = _solve_curvature((v_star / v_body)[..., None] * rho3)
     return PolarChain(polar=p, rho_cubed=rho3, v_star=v_star,
                       v_lambda_star=area_quadrature(lam, curvature_samples(lam)))
 

@@ -95,15 +95,24 @@ def resample(samples: np.ndarray, m: int) -> np.ndarray:
     n = x.shape[-1]
     if m == n:
         return x.copy()
-    f = np.fft.rfft(x)
     if m > n:
-        g = np.zeros(f.shape[:-1] + (m // 2 + 1,), dtype=complex)
-        g[..., : n // 2 + 1] = f
-        g[..., n // 2] = 0.5 * f[..., n // 2]  # source Nyquist becomes an interior cosine mode
-    else:
-        g = f[..., : m // 2 + 1].copy()
-        g[..., -1] = 0.0
+        return np.fft.irfft(_padded_rfft(x, m), m)
+    g = np.fft.rfft(x)[..., : m // 2 + 1]
+    g[..., -1] = 0.0
     return np.fft.irfft(g * (m / n), m)
+
+
+def _padded_rfft(x: np.ndarray, m: int) -> np.ndarray:
+    """The rfft of the m-point resample of the samples x (..., n), m > n:
+    the spectrum zero-padded and scaled by m/n.  An even n's Nyquist mode
+    becomes an interior cosine mode at half weight."""
+    n = x.shape[-1]
+    f = np.fft.rfft(x)
+    g = np.zeros(f.shape[:-1] + (m // 2 + 1,), dtype=complex)
+    g[..., : f.shape[-1]] = f * (m / n)
+    if n % 2 == 0:
+        g[..., n // 2] *= 0.5
+    return g
 
 
 def project_even(samples: np.ndarray) -> np.ndarray:

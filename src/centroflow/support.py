@@ -166,7 +166,8 @@ RADIAL_OVERSAMPLE = 16  # t-grid refinement of the change of variables in radial
 
 def radial_powers(samples: np.ndarray, powers) -> np.ndarray:
     """Samples of rho^p on the body's n grid, one row (..., n) per power p
-    for samples (..., n), each band-limited to the modes k < n/2.
+    for samples (..., n), each band-limited to the even modes k < n/2, so
+    antipodal output samples are equal.
 
     The boundary point with outer normal u(t) is x(t) = h u(t) + h' u_perp(t),
     at direction angle alpha(t) = t + atan2(h', h) with d alpha/dt = h S/|x|^2.
@@ -174,35 +175,44 @@ def radial_powers(samples: np.ndarray, powers) -> np.ndarray:
 
         (1/2 pi) int |x(t)|^p e^{-i k alpha(t)} h S/|x|^2 dt,
 
-    an integrand that is smooth and periodic in t, so the trapezoid rule on a
-    uniform ``RADIAL_OVERSAMPLE * n`` grid is spectrally accurate.  No root is
-    solved and no branch is picked: this is an identity of the interpolant,
-    whether or not it is convex between the nodes.  The sum over k runs by the
-    recurrence e^{-i k alpha} = e^{-i alpha} e^{-i (k-1) alpha}, in O(n) memory
-    a body, summing along the last axis.  Modes at and above n/2 are dropped
-    rather than folded back: the powers of rho of a mildly convex body decay
-    slowly, and their aliased tail would spoil the areas computed from them.
+    an integrand that is smooth and periodic in t, so the trapezoid rule is
+    spectrally accurate.  The body is origin-symmetric, x(t + pi) = -x(t), so
+    odd k integrate to zero and even k to twice the integral over [0, pi).
+    The sum runs on ``RADIAL_OVERSAMPLE * n / 2`` points of that half period,
+    where h, h' and S come from the zero-padded even spectrum of the samples,
+    not from derivatives of fine samples (which multiply roundoff by k^2).
+    No root is solved and no branch is picked: this is an identity of the
+    interpolant, whether or not it is convex between the nodes.  The sum over
+    even k runs by the recurrence e^{-i k alpha} = e^{-2i alpha} e^{-i (k-2)
+    alpha}, in O(n) memory a body.  Modes at and above n/2 are dropped rather
+    than folded back: the powers of rho of a mildly convex body decay slowly,
+    and their aliased tail would spoil the areas computed from them.
     """
     n = samples.shape[-1]
-    m = RADIAL_OVERSAMPLE * n
-    h = spectral.resample(samples, m)
-    hp = spectral.deriv(h, 1)
+    half = n // 2
+    m = RADIAL_OVERSAMPLE * half
+    # h is 2pi-periodic in s = 2t; its n/2 samples there hold the even modes
+    g = spectral._padded_rfft(0.5 * (samples[..., :half] + samples[..., half:]), m)
+    k = 2.0 * np.arange(g.shape[-1])
+    h = np.fft.irfft(g, m)
+    hp = np.fft.irfft(g * (1j * k), m)
     r2 = h * h + hp * hp
-    weight = h * curvature_samples(h) / (m * r2)
-    step = h + 0j  # e^{-i alpha} = e^{-i t} (h - i h') / |x|, built in place
+    weight = h * np.fft.irfft(g * (1.0 - k * k), m) / (m * r2)
+    step = h + 0j  # e^{-2i alpha} = e^{-2i t} (h - i h')^2 / |x|^2, built in place
     step.imag = -hp
-    step *= np.exp(-1j * spectral.angles(m))
-    step /= np.sqrt(r2)
+    step *= step
+    step *= np.exp(-1j * spectral.angles(m))  # e^{-2it} = e^{-is}
+    step /= r2
     del h, hp
     out = []
-    for half in 0.5 * np.asarray(powers, dtype=float)[:, None]:  # one power at a time
-        vals = (r2 ** half * weight).astype(complex)
-        coef = np.zeros(vals.shape[:-1] + (n // 2 + 1,), dtype=complex)
-        for k in range(n // 2):
-            coef[..., k] = vals.sum(axis=-1)
+    for p_half in 0.5 * np.asarray(powers, dtype=float)[:, None]:  # one power at a time
+        vals = (r2 ** p_half * weight).astype(complex)
+        coef = np.zeros(vals.shape[:-1] + (half // 2 + 1,), dtype=complex)
+        for j in range((half + 1) // 2):  # the even k = 2j < n/2
+            coef[..., j] = vals.sum(axis=-1)
             vals *= step
-        out.append(np.fft.irfft(n * coef, n))
-    return np.array(out)
+        out.append(np.fft.irfft(half * coef, half))
+    return np.tile(np.array(out), 2)
 
 
 def disk(radius: float = 1.0, n: int = 256) -> SupportFn:

@@ -86,6 +86,36 @@ def radial_by_boundary(body, u_angles, m=2048):
     return vals if np.ndim(u_angles) else float(vals[0])
 
 
+def radial_powers_direct(samples, powers, oversample=64):
+    """rho^p on the n grid of an origin-symmetric body, one row per power,
+    band-limited to the even modes k < n/2: the change of variables to the
+    normal angle t summed directly, each e^{-i k alpha} from alpha itself
+    (no recurrence), on an ``oversample * n`` grid over the full period.
+    There h, h' and h + h'' are synthesized from the zero-padded even
+    spectrum of the samples, an even Nyquist mode at half weight."""
+    x = np.asarray(samples, dtype=float)
+    n = x.size
+    m = oversample * n
+    k = np.arange(m // 2 + 1)
+    f = np.zeros(m // 2 + 1, dtype=complex)
+    f[: n // 2 + 1] = np.fft.rfft(x) * (m / n)
+    f[1::2] = 0.0
+    f[n // 2] *= 0.5
+    h = np.fft.irfft(f, m)
+    hp = np.fft.irfft(1j * k * f, m)
+    s = np.fft.irfft((1.0 - k * k) * f, m)
+    r2 = h * h + hp * hp
+    alpha = 2.0 * np.pi * np.arange(m) / m + np.arctan2(hp, h)
+    modes = np.arange(0, n // 2, 2)
+    phase = np.exp(-1j * np.outer(modes, alpha))
+    out = []
+    for p in powers:
+        coef = np.zeros(n // 2 + 1, dtype=complex)
+        coef[modes] = phase @ (r2 ** (0.5 * p) * h * s / r2) / m
+        out.append(np.fft.irfft(n * coef, n))
+    return np.array(out)
+
+
 def disk_flow_radius(t):
     """Exact radius of a unit disk evolving under dh/dt = -1/(h^2 S)."""
     return (1.0 - 4.0 * np.asarray(t)) ** 0.25

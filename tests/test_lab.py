@@ -30,7 +30,7 @@ import oracles
 
 def ratio_rhs(h):
     """Closed-form time derivative of V(Gamma K)/V(K) at ``h``."""
-    return polar_chain(h.samples).ratio_derivative(area(h))
+    return polar_chain(h.samples, area(h)).ratio_derivative(area(h))
 
 
 class TestGenerator:
@@ -184,7 +184,7 @@ class TestReports:
         from centroflow import centroid_body
         for body in (wobble, random_body(BodySpec(seed=5))):
             gamma = centroid_body(body).samples
-            want = polar_chain(body.samples).identity_residual(gamma) / np.max(gamma)
+            want = polar_chain(body.samples, area(body)).identity_residual(gamma) / np.max(gamma)
             assert deficit_report(body)[1] == pytest.approx(
                 want, rel=1e-12, abs=1e-300)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from centroflow import (
     BodySpec,
     NonConvex,
+    SupportFn,
     apply_linear_map,
     area,
     banach_mazur_to_disk,
@@ -27,7 +28,7 @@ from centroflow.errors import GridMismatch
 from centroflow.lab import _mixed_volume_gaps, deficit_report
 from centroflow.normalize import family_map
 from centroflow.ops import _solve_curvature, polar_chain
-from centroflow.spectral import angles
+from centroflow.spectral import angles, resample
 from centroflow.support import curvature_samples
 
 from conftest import near_floor_body
@@ -60,6 +61,16 @@ class TestPolar:
             back = polar_body(polar_body(b))
             assert np.max(np.abs(back.samples - b.samples)) <= \
                 1e-6 * np.max(b.samples)
+
+    def test_polar_of_regridded_stability_bases_is_symmetric(self):
+        # n=256 stability bases regridded to n=1024: differentiating the
+        # fine resample for h' and h + h'' left their polar samples
+        # antipodally unequal by up to 1.2e-11 (AsymmetricData)
+        from centroflow.lab import _stability_base
+        for seed in (4, 9, 10, 13, 14, 17):
+            body = SupportFn(resample(_stability_base(seed, 256).samples, 1024))
+            p = polar_body(body)
+            assert p.n == 1024 and np.array_equal(p.samples[:512], p.samples[512:])
 
     def test_gl2_equivariance(self, wobble):
         phi = np.diag([1.4, 1 / 1.4]) @ family_map(1.0, 0.6)
@@ -209,7 +220,7 @@ class TestCurvatureImage:
 
 def identity_residual(h):
     """Sup-norm residual of h_{Gamma K} = (2 / (3 V(K*))) * h_{Pi Lambda K*}."""
-    chain = polar_chain(h.samples)
+    chain = polar_chain(h.samples, area(h))
     return chain.identity_residual(chain.centroid_samples(area(h)))
 
 
@@ -228,7 +239,7 @@ class TestLutwakIdentity:
 
     def test_perturbed_polar_row_is_detected(self, wobble):
         # the right-hand side is built from the polar row alone
-        chain = polar_chain(wobble.samples)
+        chain = polar_chain(wobble.samples, area(wobble))
         gamma = chain.centroid_samples(area(wobble))
         bent = dataclasses.replace(chain, polar=chain.polar + 1e-4)
         assert chain.identity_residual(gamma) <= 1e-5 * np.max(gamma)
@@ -250,7 +261,7 @@ class TestPolarChain:
         # the two areas come from different quadratures, so check it
         from centroflow.lab import _stability_base
         for b in [_stability_base(seed, 128) for seed in range(10)] + fuzz_bodies:
-            chain = polar_chain(b.samples)
+            chain = polar_chain(b.samples, area(b))
             assert chain.v_lambda_star <= chain.v_star
 
 

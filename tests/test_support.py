@@ -220,6 +220,26 @@ class TestRadial:
         assert np.max(np.abs(rho3 - rho ** 3)) < 1e-10
         assert np.max(np.abs(inv * rho - 1.0)) < 1e-10
 
+    @pytest.mark.parametrize("corpus", ["fuzz_256", "stability_128", "stability_256",
+                                        "ellipses_2_mod_4"])
+    def test_matches_direct_sum_on_fine_grid(self, corpus, fuzz_bodies):
+        # against e^{-ik alpha} summed directly on a 64x grid, to 1e-13
+        # relative; the output holds only even modes, so antipodal samples
+        # are equal
+        from centroflow.lab import _stability_base
+        bodies = {
+            "fuzz_256": lambda: fuzz_bodies,
+            "stability_128": lambda: [_stability_base(s, 128) for s in range(20)],
+            "stability_256": lambda: [_stability_base(s, 256) for s in range(20)],
+            "ellipses_2_mod_4": lambda: [ellipse(1.6, 1.0, 0.3, n) for n in (18, 66, 130)],
+        }[corpus]()
+        for body in bodies:
+            got = radial_powers(body.samples, [3, -1])
+            want = oracles.radial_powers_direct(body.samples, [3, -1])
+            err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+            assert np.all(err <= 1e-13), (body.n, err)
+            assert np.array_equal(got[:, : body.n // 2], got[:, body.n // 2:])
+
     def test_interpolant_nonconvex_between_nodes(self):
         # this body is convex at its 128 nodes, but its interpolant has
         # h + h'' < 0 between some of them; the change of variables must
