@@ -8,11 +8,16 @@ coefficients of h on the kept modes only: the even modes up to n/3.  The
 modes above n/3 are dealiased away (the nonlinearity feeds energy into the
 tail, which would otherwise trigger spurious convexity loss) and the odd
 modes vanish on origin-symmetric data; the initial body is projected onto
-the kept modes.  A stage takes h and S = h + h'' to the half grid [0, pi) by
-one product with a precomputed table, checks that both are positive, and
-brings the speed back onto the kept modes by one more; the first stage
-reuses the (h, S) of the step's start.  Every stage lives in the kept space,
-so the scheme is fourth order in dt.  The tables cost O(n^2) a stage, so
+the kept modes.  A step starts from Y = [h; S], S = h + h'', on the half
+grid [0, pi), one product of the coefficients with a precomputed table;
+that is stage 1.  Each later stage is one (n x (n/2 + 1)) product, the
+table [P | Y] times [c phi; 1], where P = synth @ project takes the
+half-grid speed back through the kept modes and c phi = -c / (h^2 S) is
+the previous stage's speed scaled by its RK4 factor.  Every stage checks
+that h and S are positive.  The coefficients take one product with the
+four scaled speeds and the RK4 weights, so the state stays on the kept
+modes (half-grid (h, S) as the state would drift off them by roundoff)
+and the scheme is fourth order in dt.  The tables cost O(n^2) a stage, so
 the flow runs on the body's own grid, of at most ``FLOW_MAX_N`` points
 (``spectral.resample`` regrids a body).
 
@@ -169,19 +174,16 @@ def _kept_mode_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return synth, basis.T * weight[:, None]
 
 
-def _half_grid(coef: np.ndarray, synth: np.ndarray, t: float) -> np.ndarray:
-    """Half-grid samples of h and S (rows of one array) from the kept-mode
-    coefficients ``coef``; raises ConvexityLost(t) unless all are positive."""
-    hs = synth @ coef
+RK4_WEIGHTS = (1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)  # of c phi, c = dt/2, dt/2, dt, dt
+
+
+def _stage(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """The stacked half-grid samples [h; S] of a stage, the product a @ b;
+    raises ConvexityLost(t) unless all are positive."""
+    hs = a.dot(b)
     if not hs.min() > 0.0:  # NaN fails too
         raise ConvexityLost(t)
-    return hs.reshape(2, -1)
-
-
-def _speed(hs: np.ndarray, project: np.ndarray) -> np.ndarray:
-    """Kept-mode coefficients of the speed -1/(h^2 S) from the rows (h, S)."""
-    h, s = hs
-    return project @ (-1.0 / (h * h * s))
+    return hs
 
 
 def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
@@ -256,6 +258,13 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     dth = 2.0 * np.pi / n
     synth, project = _kept_mode_tables(n)
     coef = project @ (0.5 * (h0.samples[:m] + h0.samples[m:]))  # the kept part of h0
+    # a later stage is [c phi; 1] @ [P | Y]^T: P = synth @ project takes the
+    # half-grid speed phi to (h, S), and the last row holds the step's Y
+    table = np.vstack([(synth @ project).T, np.empty(n)])
+    slopes = np.ones((4, m + 1))  # c phi of each stage, then the 1 that adds Y
+    # the RK4 increment of the coefficients is update @ slopes.ravel()
+    update = np.hstack([np.pad(w * project, ((0, 0), (0, 1))) for w in RK4_WEIGHTS])
+    scales = np.empty((2, m))  # h^3 S and (h S)^2, for dt
 
     rows = []  # (t, h, S, V) of each trace row, on the half grid
     t = 0.0
@@ -264,8 +273,8 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     started = time.perf_counter()
 
     while True:
-        hs = _half_grid(coef, synth, t)
-        h, s = hs
+        y = table[m] = _stage(synth, coef, t)  # stage 1
+        h, s = y[:m], y[m:]
         v = area_quadrature(h, s)
 
         if v <= cfg.t_stop_area:
@@ -280,19 +289,23 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
         if stop_reason:
             break
 
-        tau = float((h ** 3 * s).min())  # the body's own time scale, h / |dh/dt|
-        dt = cfg.cfl * min(dth * dth * float(((h * s) ** 2).min()), tau)
+        hs = h * s
+        h2s = h * hs
+        np.multiply(h, h2s, out=scales[0])
+        np.multiply(hs, hs, out=scales[1])
+        tau, grid = scales.min(axis=1).tolist()  # tau: the body's own time scale, h / |dh/dt|
+        dt = cfg.cfl * min(dth * dth * grid, tau)
         if not 1e-16 * max(t, tau) < dt < np.inf:  # a scale that over- or underflows
             raise StepUnderflow(f"dt={dt:.3g} at t={t:.9g}")
         if cfg.t_stop is not None:
             dt = min(dt, cfg.t_stop - t)
 
-        # RK4 on the kept-mode coefficients; stage 1 is the loop-top (h, S)
-        k1 = _speed(hs, project)
-        k2 = _speed(_half_grid(coef + 0.5 * dt * k1, synth, t), project)
-        k3 = _speed(_half_grid(coef + 0.5 * dt * k2, synth, t), project)
-        k4 = _speed(_half_grid(coef + dt * k3, synth, t), project)
-        coef = coef + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # RK4 on the kept-mode coefficients, c phi = -c / (h^2 S) of each stage
+        np.divide(-0.5 * dt, h2s, out=slopes[0, :m])
+        for i, c in enumerate((0.5 * dt, dt, dt)):
+            y = _stage(slopes[i], table, t)
+            np.divide(-c, y[:m] * y[:m] * y[m:], out=slopes[i + 1, :m])
+        coef = coef + update.dot(slopes.reshape(-1))
 
         t += dt
         steps += 1

@@ -133,7 +133,7 @@ def deficit_report(h: SupportFn) -> tuple[dict[str, float], float]:
         "santalo_gap": (np.pi ** 2 - float(v * chain.v_star)) / np.pi ** 2,
         "petty_gap": ((np.pi / 2.0) ** 2 - float(v * ops.polar_area(pi_k))) / (np.pi / 2.0) ** 2,
         "groemer_vs_disk": groemer,
-        "lambda_area_drop": float((v - area(ops.curvature_image(h))) / v),
+        "lambda_area_drop": float((v - area(ops._curvature_image(h, v, chain.v_star))) / v),
         "affine_bracket_low": 1.0 - float(np.min(q)),
         "affine_bracket_high": float(np.max(q)) - 1.0,
         "minkowski_vs_disk": minkowski,

@@ -11,17 +11,18 @@ the cut row (|z|^2, Re z^2, Im z^2) of z; negating the last two entries
 gives Phi^-T.  (s, phi) is read off v only to build the witness map.
 
 Every quantity is read off the curves of one boundary sampling of the body
-(``_BoundaryForms``).  The perimeter minimum comes from a majorize-minimize
-fixed-point iteration in v started at v = 0.  The squared radii ratio is
-A(v) B(v) / (1 - |v|^2), A and B maxima over the boundary and the polar
-boundary of affine functions of v, so every point of the interpolant is an
-affine cut below A or B and the ratio of any set of cuts bounds the distance
-from below.  The Banach-Mazur search (``minimize``) is an exchange method
-started at the perimeter minimum: each round evaluates the body at one point
-(the upper end of the bracket), adds the maxima found there as cuts, and
-minimizes the cut model in closed form (the lower end).  It stops once the
-bracket is closed to ``SEARCH_RTOL`` and returns the best point it
-evaluated, so it ends no higher than its start.
+(``_BoundaryForms``).  The perimeter minimum comes from safeguarded Newton
+steps in v started at v = 0, majorize-minimize steps where Newton's is not
+safe.  The squared radii ratio is A(v) B(v) / (1 - |v|^2), A and B maxima
+over the boundary and the polar boundary of affine functions of v, so every
+point of the interpolant is an affine cut below A or B and the ratio of any
+set of cuts bounds the distance from below.  The Banach-Mazur search
+(``minimize``) is an exchange method started at the perimeter minimum: each
+round evaluates the body at one point (the upper end of the bracket), adds
+the maxima found there as cuts, and minimizes the cut model in closed form
+(the lower end).  It stops once the bracket is closed to ``SEARCH_RTOL``
+and returns the best point it evaluated, so it ends no higher than its
+start.
 
 The searches run on a stack of bodies (R, n), one row a body; a row that has
 converged stops while the others go on.  Every step is elementwise, a sum
@@ -183,23 +184,58 @@ class _BoundaryForms:
         return _at(cuts, v[:, None, None]).max(axis=-1), cuts, angles
 
 
+NEWTON_RADIUS = 1e-2  # largest majorize-minimize move that lets a Newton step go instead
+
+
+def _perimeter_step(v: np.ndarray, rows: np.ndarray, curv: np.ndarray) -> np.ndarray:
+    """The next point from the Klein coordinates v (R', 2) toward the least
+    perimeter, for the tangent cut rows r and their products r1 r1, r1 r2,
+    r2 r2 (``rows``, six rows) and the curvatures ``curv`` (R', M).
+
+    log P(v) = log F - (1/4) log(1 - |v|^2) up to a constant, F = sum S sqrt q,
+    q = (1, v) . r.  Its gradient and Hessian come from a = sum S r / sqrt q
+    (F = (1, v) . a) and B = sum S r r^T / q^(3/2) over the last two entries
+    of r.  As sqrt is concave, P at v lies below a constant plus a positive
+    multiple of (1, v) . a / sqrt(1 - |v|^2), which is least at the
+    majorize-minimize point -(a1, a2) / a0, a step that never raises P.  The
+    Newton step of log P is taken instead where that point lies within
+    NEWTON_RADIUS of v, the Hessian is positive definite and the Newton
+    point lies inside the unit disk."""
+    q = rows[0] + v[:, :1] * rows[1] + v[:, 1:] * rows[2]
+    weight = curv / np.sqrt(q)
+    a0, a1, a2 = np.sum(rows[:3, None] * weight, axis=-1)
+    b11, b12, b22 = np.sum(rows[3:, None] * (weight / q), axis=-1)
+    mm = -np.stack([a1, a2], axis=-1) / a0[:, None]
+    f = a0 + v[:, 0] * a1 + v[:, 1] * a2
+    room = 1.0 - np.sum(v * v, axis=-1)
+    # 4 F times the gradient and the Hessian of log P
+    c, e = 2.0 * f / room, 4.0 * f / (room * room)
+    g1, g2 = 2.0 * a1 + c * v[:, 0], 2.0 * a2 + c * v[:, 1]
+    h11 = c + e * v[:, 0] * v[:, 0] - b11 - a1 * a1 / f
+    h12 = e * v[:, 0] * v[:, 1] - b12 - a1 * a2 / f
+    h22 = c + e * v[:, 1] * v[:, 1] - b22 - a2 * a2 / f
+    det = h11 * h22 - h12 * h12
+    newton = v - np.stack([h22 * g1 - h12 * g2, h11 * g2 - h12 * g1], axis=-1) / det[:, None]
+    near = ((np.max(np.abs(mm - v), axis=-1) <= NEWTON_RADIUS) & (h11 > 0.0) & (det > 0.0)
+            & (np.sum(newton * newton, axis=-1) < 1.0))
+    return np.where(near[:, None], newton, mm)
+
+
 def _perimeter_minimum(forms: _BoundaryForms) -> np.ndarray:
     """Klein coordinates v (R, 2) of the Phi minimizing the perimeter of Phi K.
 
     The perimeter is the integral of S |Phi z| dt over the tangents z, with
-    |Phi z|^2 = (1, v) . r / sqrt(1 - |v|^2) for their cut rows r.  As sqrt
-    is concave, at v0 it lies below a constant plus a positive multiple of
-    (1, v) . a / sqrt(1 - |v|^2), a = sum S r / sqrt((1, v0) . r), which is
-    least at v = -(a1, a2) / a0; repeating that step from v = 0 never raises
-    the perimeter and converges to its one minimum.
+    |Phi z|^2 = (1, v) . r / sqrt(1 - |v|^2) for their cut rows r.  Steps of
+    ``_perimeter_step`` from v = 0 settle to 1e-15 in at most 6 on flow rows
+    and stability bases and 9 on a 30:1 ellipse; a row stops once its step
+    is below that.
     """
-    rows, curv = forms.tangent_rows, forms.curv
+    r, curv = forms.tangent_rows, forms.curv
+    rows = np.vstack([r, r[1] * r[1:], r[2:] * r[2]])
     v = np.zeros((len(curv), 2))
     active = np.arange(len(v))
-    for _ in range(200):  # it settles in 24-38 steps
-        weight = curv / np.sqrt(rows[0] + v[active, :1] * rows[1] + v[active, 1:] * rows[2])
-        a = np.sum(rows[:, None] * weight, axis=-1)
-        step = -a[1:].T / a[0][:, None]
+    for _ in range(200):
+        step = _perimeter_step(v[active], rows, curv)
         moving = np.max(np.abs(step - v[active]), axis=-1) > 1e-15
         v[active] = step
         active, curv = active[moving], curv[moving]

@@ -123,8 +123,12 @@ def _solve_curvature(f: np.ndarray) -> np.ndarray:
 def curvature_image(h: SupportFn) -> SupportFn:
     """Curvature-image body: the body whose surface density is
     (V(K)/V(K*)) * h^-3."""
-    weight = area(h) / polar_area(h)
-    return SupportFn(_solve_curvature(weight * h.samples ** -3))
+    return _curvature_image(h, area(h), polar_area(h))
+
+
+def _curvature_image(h: SupportFn, v_body, v_star) -> SupportFn:
+    """``curvature_image`` of a body whose V(K) and V(K*) are known."""
+    return SupportFn(_solve_curvature((v_body / v_star) * h.samples ** -3))
 
 
 @dataclass(frozen=True)

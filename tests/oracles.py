@@ -187,6 +187,33 @@ def polygon_perimeter(body, maps, m=4096):
     return np.sqrt(coef @ np.array([dx * dx, dx * dy, dy * dy])).sum(axis=-1)
 
 
+def perimeter_minimum_mm(forms):
+    """Klein coordinates (R, 2) of the least perimeter of each row of a
+    search's boundary sampling ``forms``, by majorize-minimize steps from
+    v = 0 until a step is below 1e-15.
+
+    The perimeter is the integral of S |Phi z| dt over the tangents z, with
+    |Phi z|^2 = (1, v) . r / sqrt(1 - |v|^2) for their cut rows r.  As sqrt
+    is concave, at v0 it lies below a constant plus a positive multiple of
+    (1, v) . a / sqrt(1 - |v|^2), a = sum S r / sqrt((1, v0) . r), which is
+    least at v = -(a1, a2) / a0; the step never raises the perimeter and
+    converges to its one minimum, linearly (24-40 steps on stability bases).
+    """
+    rows, curv = forms.tangent_rows, forms.curv
+    v = np.zeros((len(curv), 2))
+    active = np.arange(len(v))
+    for _ in range(200):
+        weight = curv / np.sqrt(rows[0] + v[active, :1] * rows[1] + v[active, 1:] * rows[2])
+        a = np.sum(rows[:, None] * weight, axis=-1)
+        step = -a[1:].T / a[0][:, None]
+        moving = np.max(np.abs(step - v[active]), axis=-1) > 1e-15
+        v[active] = step
+        active, curv = active[moving], curv[moving]
+        if not active.size:
+            break
+    return v
+
+
 def family_grid(n_s=160, n_phi=160):
     """diag(s,1/s).R(phi) on a dense grid, s in [1, 4] and phi in [0, pi):
     one (n_phi, 2, 2) stack per s."""

@@ -23,7 +23,7 @@ from centroflow import (
     sl2_normalize,
 )
 from centroflow import flow
-from centroflow.flow import (TRACE_CSV_COLUMNS, _half_grid, _kept_mode_tables,
+from centroflow.flow import (TRACE_CSV_COLUMNS, _kept_mode_tables, _stage,
                              gated_central_difference)
 from centroflow.normalize import family_map
 from centroflow.spectral import angles
@@ -264,17 +264,39 @@ class TestStepperIntegrity:
         assert tr.t == pytest.approx(t, rel=1e-10)
 
     def test_stage_convexity_check(self):
-        # the stage values come from coefficients: a non-convex stage body
-        # stops the run at the time of the step it falls in
+        # a later stage is [c phi; 1] @ [P | Y]^T, P = synth @ project: a
+        # non-convex stage body stops the run at the time of the step it falls in
         synth, project = _kept_mode_tables(64)
-        coef = project @ (1.0 + 0.4 * np.cos(2.0 * angles(64)[:32]))
+        th = angles(64)[:32]
+        coef = project @ (1.0 + 0.1 * np.cos(2.0 * th))
+        table = np.vstack([(synth @ project).T, _stage(synth, coef, 0.0)])
+        convex = np.append(0.1 * np.cos(2.0 * th), 1.0)  # the stage is 1 + 0.2 cos 2 theta
+        assert np.max(np.abs(_stage(convex, table, 0.25)
+                             - synth @ (coef + project @ convex[:-1]))) <= 1e-12
+        slope = np.append(0.3 * np.cos(2.0 * th), 1.0)  # the stage is 1 + 0.4 cos 2 theta
         with pytest.raises(ConvexityLost) as err:
-            _half_grid(coef, synth, 0.25)
+            _stage(slope, table, 0.25)
         assert err.value.t == 0.25
         # a NaN stage (an overflowed state) fails the same check
-        coef[1] = np.nan
+        convex[1] = np.nan
         with pytest.raises(ConvexityLost):
-            _half_grid(coef, synth, 0.5)
+            _stage(convex, table, 0.5)
+
+    def test_state_stays_on_kept_modes(self):
+        # the state is the kept-mode coefficients, so deep into extinction
+        # the rows carry no odd modes and no even modes above n/3, and the
+        # normalized body is the disk to roundoff.  Carrying the half-grid
+        # (h, S) as the state instead drifts out of the kept space: on this
+        # run it left 2.1e-14 above n/3 and a distance of 1.9e-13, against
+        # 5.6e-17 and 3.1e-15 here
+        body = random_body(BodySpec(seed=1, n=64, mode_count=3, decay=1.6, amplitude=0.5))
+        tr = flow_run(body, FlowConfig(cfl=0.1, t_stop_area=1e-3, renormalize_every=25))
+        h = tr.h_rows[-1]
+        spectrum = np.abs(np.fft.rfft(h)) / (h.size * h.max())
+        k = np.arange(spectrum.size)
+        assert spectrum[k % 2 == 1].max() <= 5e-16
+        assert spectrum[(k % 2 == 0) & (3 * k > h.size)].max() <= 5e-16
+        assert tr.norm_disk_dist[-1] <= 3e-14
 
     def test_kept_mode_tables(self):
         # projection inverts synthesis on the kept modes (even k <= n/3), and
@@ -286,7 +308,7 @@ class TestStepperIntegrity:
         th = angles(n)[: n // 2]
         h = 1.0 + 0.1 * np.cos(2.0 * th) + 0.005 * np.sin(8.0 * th) + 2e-4 * np.cos(32.0 * th)
         s = 1.0 - 0.3 * np.cos(2.0 * th) - 0.315 * np.sin(8.0 * th) - 0.2046 * np.cos(32.0 * th)
-        h_half, s_half = _half_grid(project @ h, synth, 0.0)
+        h_half, s_half = _stage(synth, project @ h, 0.0).reshape(2, -1)
         assert np.max(np.abs(h_half - h)) < 1e-14
         assert np.max(np.abs(s_half - s)) < 1e-11  # 1 - k^2 scales rounding up to 1e3
 

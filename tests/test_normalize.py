@@ -14,6 +14,7 @@ from centroflow import (
     random_body,
     sl2_normalize,
 )
+from centroflow import flow, normalize
 from centroflow.lab import _deficit_targeted_body, _stability_base
 from centroflow.normalize import (SEARCH_RTOL, _at, _BoundaryForms, _certificates,
                                   _parabola_peak, _perimeter_minimum, _radii, family_map, minimize,
@@ -203,6 +204,47 @@ class TestGlobalMinima:
                 for start in self.STARTS:
                     cert = search(forms, klein(*start))[1]
                     assert cert.distance == pytest.approx(distance, abs=1e-9)
+
+
+class TestPerimeterMinimum:
+    """The safeguarded Newton minimum against the majorize-minimize oracle."""
+
+    step = staticmethod(normalize._perimeter_step)  # unpatched
+
+    def check(self, monkeypatch, samples, max_steps=None):
+        # a stack of bodies; the loop stops with its slowest row
+        calls = []
+        monkeypatch.setattr(normalize, "_perimeter_step",
+                            lambda *args: (calls.append(1), self.step(*args))[1])
+        forms = _BoundaryForms(np.asarray(samples))
+        v = _perimeter_minimum(forms)
+        assert np.max(np.abs(v - oracles.perimeter_minimum_mm(forms))) <= 2e-15
+        assert max_steps is None or len(calls) <= max_steps
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_stability_bases(self, monkeypatch, n):
+        self.check(monkeypatch, [_stability_base(seed, n).samples for seed in range(20)], 8)
+
+    def test_flow_rows(self, monkeypatch, seeded_trace):
+        for lo in range(0, seeded_trace.rows, flow.ROW_BLOCK):
+            self.check(monkeypatch, seeded_trace.h_rows[lo:lo + flow.ROW_BLOCK], 8)
+
+    def test_fuzz_bodies(self, monkeypatch, fuzz_bodies):
+        self.check(monkeypatch, [body.samples for body in fuzz_bodies])
+
+    def test_ellipses(self, monkeypatch):
+        # far from the minimum the Hessian in v need not be positive
+        # definite, nor the Newton point inside the disk; pure Newton from
+        # v = 0 gives NaN at ratios 5, 10 and 30
+        self.check(monkeypatch, [ellipse(ratio, 1.0, 0.3, 256).samples
+                                 for ratio in (1.2, 2.0, 5.0, 10.0, 30.0)], 12)
+
+    def test_newton_stays_in_the_disk(self, monkeypatch):
+        # with every Newton step allowed, the unit-disk test alone keeps the
+        # elongated ellipses from stepping out of the Klein model into NaN
+        monkeypatch.setattr(normalize, "NEWTON_RADIUS", np.inf)
+        self.check(monkeypatch, [ellipse(ratio, 1.0, 0.3, 256).samples
+                                 for ratio in (5.0, 10.0, 30.0)])
 
 
 class TestExchangeSearch:
