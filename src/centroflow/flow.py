@@ -13,12 +13,13 @@ grid [0, pi), one product of the coefficients with a precomputed table;
 that is stage 1.  Each later stage is one (n x (n/2 + 1)) product, the
 table [P | Y] times [c phi; 1], where P = synth @ project takes the
 half-grid speed back through the kept modes and c phi = -c / (h^2 S) is
-the previous stage's speed scaled by its RK4 factor.  Every stage checks
-that h and S are positive.  The coefficients take one product with the
-four scaled speeds and the RK4 weights, so the state stays on the kept
-modes (half-grid (h, S) as the state would drift off them by roundoff)
-and the scheme is fourth order in dt.  The tables cost O(n^2) a stage, so
-the flow runs on the body's own grid, of at most ``FLOW_MAX_N`` points
+the previous stage's speed scaled by its RK4 factor.  Every stage's h and
+S must be positive: stage 1 is checked in the one min that gives dt, stages
+2 to 4 in one min after the last.  The coefficients take one product with
+the four scaled speeds and the RK4 weights, so the state stays on the kept
+modes (half-grid (h, S) as the state would drift off them by roundoff) and
+the scheme is fourth order in dt.  The tables cost O(n^2) a stage, so the
+flow runs on the body's own grid, of at most ``FLOW_MAX_N`` points
 (``spectral.resample`` regrids a body).
 
 A trace row is recorded every ``renormalize_every`` accepted steps: the run
@@ -177,13 +178,19 @@ def _kept_mode_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 RK4_WEIGHTS = (1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)  # of c phi, c = dt/2, dt/2, dt, dt
 
 
-def _stage(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """The stacked half-grid samples [h; S] of a stage, the product a @ b;
-    raises ConvexityLost(t) unless all are positive."""
-    hs = a.dot(b)
-    if not hs.min() > 0.0:  # NaN fails too
-        raise ConvexityLost(t)
-    return hs
+def _later_stages(table: np.ndarray, slopes: np.ndarray, stages: np.ndarray):
+    """Stages 2 to 4 of a step as run(dt, t): slopes[i] @ table into stages[i]
+    and its speed into slopes[i + 1]; ConvexityLost(t) unless all are positive."""
+    views = [(slopes[i], y, *np.split(y, 2), slopes[i + 1, :-1]) for i, y in enumerate(stages)]
+
+    def run(dt: float, t: float) -> None:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # until the check
+            for (slope, y, h, s, speed), c in zip(views, (0.5 * dt, dt, dt)):
+                np.dot(slope, table, out=y)
+                np.divide(-c, h * h * s, out=speed)
+        if not np.minimum.reduce(stages, axis=None) > 0.0:  # NaN fails too
+            raise ConvexityLost(t)
+    return run
 
 
 def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
@@ -207,15 +214,15 @@ def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
     return float(-intercept / slope)
 
 
-ROW_BLOCK = 12  # trace rows whose monitors are computed together
+ROW_BLOCK = 24  # trace rows whose monitors are computed together
 
 
 def _monitor_rows(t: np.ndarray, h: np.ndarray, s: np.ndarray,
                   v: np.ndarray) -> dict[str, np.ndarray]:
     """Every ``FlowTrace`` array column of the stored rows: times ``t``,
     half-grid samples ``h`` and ``s`` (R, n/2) and areas ``v``.  The polar
-    chain and SL(2) search run once a block of ``ROW_BLOCK`` rows, and each
-    row's columns are the ones it gives alone."""
+    chain and SL(2) search run once a block of ``ROW_BLOCK`` rows (fewer calls
+    for more peak memory), and each row's columns are the ones it gives alone."""
     arr = np.tile(h, 2)
     n = arr.shape[1]
     probe_idx = [0, n // 3, (2 * n) // 3]
@@ -264,7 +271,9 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     slopes = np.ones((4, m + 1))  # c phi of each stage, then the 1 that adds Y
     # the RK4 increment of the coefficients is update @ slopes.ravel()
     update = np.hstack([np.pad(w * project, ((0, 0), (0, 1))) for w in RK4_WEIGHTS])
-    scales = np.empty((2, m))  # h^3 S and (h S)^2, for dt
+    scales = np.empty((4, m))  # h^3 S, (h S)^2, h and S
+    y, (h, s) = scales[2:].reshape(-1), scales[2:]  # stage 1, [h; S]
+    later = _later_stages(table, slopes, np.empty((3, n)))  # views made once a run
 
     rows = []  # (t, h, S, V) of each trace row, on the half grid
     t = 0.0
@@ -273,8 +282,15 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     started = time.perf_counter()
 
     while True:
-        y = table[m] = _stage(synth, coef, t)  # stage 1
-        h, s = y[:m], y[m:]
+        np.dot(synth, coef, out=y)  # stage 1
+        hs = h * s
+        h2s = h * hs
+        np.multiply(h, h2s, out=scales[0])
+        np.multiply(hs, hs, out=scales[1])
+        tau, grid, min_h, min_s = np.minimum.reduce(scales, axis=1).tolist()  # tau: h / |dh/dt|
+        if not (min_h > 0.0 and min_s > 0.0):  # NaN fails; h^3 S > 0 would underflow
+            raise ConvexityLost(t)
+        table[m] = y
         v = area_quadrature(h, s)
 
         if v <= cfg.t_stop_area:
@@ -285,15 +301,10 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
             stop_reason = "max_steps"
 
         if stop_reason or steps % cfg.renormalize_every == 0:
-            rows.append((t, h, s, v))
+            rows.append((t, h.copy(), s.copy(), v))
         if stop_reason:
             break
 
-        hs = h * s
-        h2s = h * hs
-        np.multiply(h, h2s, out=scales[0])
-        np.multiply(hs, hs, out=scales[1])
-        tau, grid = scales.min(axis=1).tolist()  # tau: the body's own time scale, h / |dh/dt|
         dt = cfg.cfl * min(dth * dth * grid, tau)
         if not 1e-16 * max(t, tau) < dt < np.inf:  # a scale that over- or underflows
             raise StepUnderflow(f"dt={dt:.3g} at t={t:.9g}")
@@ -302,9 +313,7 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
 
         # RK4 on the kept-mode coefficients, c phi = -c / (h^2 S) of each stage
         np.divide(-0.5 * dt, h2s, out=slopes[0, :m])
-        for i, c in enumerate((0.5 * dt, dt, dt)):
-            y = _stage(slopes[i], table, t)
-            np.divide(-c, y[:m] * y[:m] * y[m:], out=slopes[i + 1, :m])
+        later(dt, t)
         coef = coef + update.dot(slopes.reshape(-1))
 
         t += dt

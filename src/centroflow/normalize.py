@@ -25,13 +25,14 @@ and returns the best point it evaluated, so it ends no higher than its
 start.
 
 The searches run on a stack of bodies (R, n), one row a body; a row that has
-converged stops while the others go on.  Every step is elementwise, a sum
-along the last axis or an FFT, so a row's results are those it gives alone,
-and the one-body functions are the one-row case.
+converged stops while the others go on.  Every step is elementwise (a fold
+over slices is too), a sum along the last axis or an FFT, so a row's
+results are those it gives alone; the one-body functions are one-row stacks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -82,10 +83,15 @@ def _family_params(v: np.ndarray) -> tuple[float, float]:
     return float(s), float(0.5 * np.arctan2(-v[1], v[0]) % np.pi)
 
 
+def _fold(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded over the last axis' slices: cheaper than a reduction."""
+    return functools.reduce(ufunc, (x[..., k] for k in range(x.shape[-1])))
+
+
 def _radii(v: np.ndarray, maxima: np.ndarray) -> np.ndarray:
     """(inradius, circumradius) of Phi K, a pair a row, from the Klein
     coordinates v and the maxima (A, B) there, both (R, 2)."""
-    scale = 1.0 / np.sqrt(1.0 - np.sum(v * v, axis=-1))
+    scale = 1.0 / np.sqrt(1.0 - _fold(np.add, v * v))
     return np.stack([1.0 / np.sqrt(scale * maxima[:, 1]), np.sqrt(scale * maxima[:, 0])], axis=-1)
 
 
@@ -136,8 +142,8 @@ class _BoundaryForms:
         angles t (a row of angles for each of ``rows``), shape
         (2, 3) + t.shape, from h through h''' of the interpolant."""
         phase = np.exp(1j * (t[..., None] * self.modes))
-        derivs = self.derivs[rows].swapaxes(0, 1)  # one derivative at a time
-        h0, h1, h2, h3 = (np.sum(c[:, None] * phase, axis=-1).real for c in derivs)
+        sums = np.sum(self.derivs[rows][:, :, None] * phase[:, None], axis=-1)
+        h0, h1, h2, h3 = sums.real.swapaxes(0, 1)  # one derivative at a time
         e, s0, s1 = np.exp(1j * t), h0 + h2, h1 + h3
         g0 = 1.0 / h0  # the polar curve is g e^{it}, g = 1/h
         g1, g2 = -h1 * g0 * g0, (2.0 * h1 * h1 * g0 - h2) * g0 * g0
@@ -181,7 +187,7 @@ class _BoundaryForms:
         higher = _at(new, v[:, None]) >= _at(old, v[:, None])
         cuts = np.where(higher[..., None], new, old).reshape(count, 2, 2, 3)
         angles = np.where(higher, t, start).reshape(count, 2, 2)
-        return _at(cuts, v[:, None, None]).max(axis=-1), cuts, angles
+        return _fold(np.maximum, _at(cuts, v[:, None, None])), cuts, angles
 
 
 NEWTON_RADIUS = 1e-2  # largest majorize-minimize move that lets a Newton step go instead
@@ -207,7 +213,7 @@ def _perimeter_step(v: np.ndarray, rows: np.ndarray, curv: np.ndarray) -> np.nda
     b11, b12, b22 = np.sum(rows[3:, None] * (weight / q), axis=-1)
     mm = -np.stack([a1, a2], axis=-1) / a0[:, None]
     f = a0 + v[:, 0] * a1 + v[:, 1] * a2
-    room = 1.0 - np.sum(v * v, axis=-1)
+    room = 1.0 - _fold(np.add, v * v)
     # 4 F times the gradient and the Hessian of log P
     c, e = 2.0 * f / room, 4.0 * f / (room * room)
     g1, g2 = 2.0 * a1 + c * v[:, 0], 2.0 * a2 + c * v[:, 1]
@@ -216,8 +222,8 @@ def _perimeter_step(v: np.ndarray, rows: np.ndarray, curv: np.ndarray) -> np.nda
     h22 = c + e * v[:, 1] * v[:, 1] - b22 - a2 * a2 / f
     det = h11 * h22 - h12 * h12
     newton = v - np.stack([h22 * g1 - h12 * g2, h11 * g2 - h12 * g1], axis=-1) / det[:, None]
-    near = ((np.max(np.abs(mm - v), axis=-1) <= NEWTON_RADIUS) & (h11 > 0.0) & (det > 0.0)
-            & (np.sum(newton * newton, axis=-1) < 1.0))
+    near = ((_fold(np.maximum, np.abs(mm - v)) <= NEWTON_RADIUS) & (h11 > 0.0) & (det > 0.0)
+            & (_fold(np.add, newton * newton) < 1.0))
     return np.where(near[:, None], newton, mm)
 
 
@@ -236,7 +242,7 @@ def _perimeter_minimum(forms: _BoundaryForms) -> np.ndarray:
     active = np.arange(len(v))
     for _ in range(200):
         step = _perimeter_step(v[active], rows, curv)
-        moving = np.max(np.abs(step - v[active]), axis=-1) > 1e-15
+        moving = _fold(np.maximum, np.abs(step - v[active])) > 1e-15
         v[active] = step
         active, curv = active[moving], curv[moving]
         if not active.size:
@@ -291,7 +297,7 @@ def _model_minimum(cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         norm2 = g[..., 1] * g[..., 1] + g[..., 2] * g[..., 2]
         p = g[..., 1:] * (-g[..., :1] / norm2[..., None])
         e = np.stack([-g[..., 2], g[..., 1]], axis=-1) / np.sqrt(norm2)[..., None]
-        d0 = 1.0 - np.sum(p * p, axis=-1, keepdims=True)
+        d0 = 1.0 - _fold(np.add, p * p)[..., None]
         # every cut at p, and its slope along e, on every line
         at = _at(cuts[:, None], p[:, :, None])
         along = e[..., :1] * cuts[:, None, :, 1] + e[..., 1:] * cuts[:, None, :, 2]
@@ -305,22 +311,22 @@ def _model_minimum(cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                             np.stack([g[:, lk, 0] * g[:, li, 2] - g[:, li, 0] * g[:, lk, 2],
                                       g[:, li, 0] * g[:, lk, 1] - g[:, lk, 0] * g[:, li, 1]],
                                      axis=-1) / det[..., None]], axis=1)
-        outer, polar = (_at(side[:, None], v[:, :, None]).max(axis=-1)
+        outer, polar = (_fold(np.maximum, _at(side[:, None], v[:, :, None]))
                         for side in (cuts[:, :split], cuts[:, split:]))
-        room = 1.0 - np.sum(v * v, axis=-1)
+        room = 1.0 - _fold(np.add, v * v)
         values = np.where(room > 0.0, outer * polar / room, np.inf)
-        # chords v = start + tau span, tau in [0, 1], along which a and b
-        # stay the largest of their sides while c + d tau >= 0 for each rival
+        # chords v = start + tau span, tau in [0, 1], on which a and b stay the
+        # largest of their sides: c + d tau >= 0 for each cut (0 for a and b)
         start = -cuts[:, a, 1:] / cuts[:, a, :1]
         span = -cuts[:, b, 1:] / cuts[:, b, :1] - start
         gap = cuts[:, own] - cuts[:, None]
         c = _at(gap, start[:, :, None])
         d = gap[..., 1] * span[..., :1] + gap[..., 2] * span[..., 1:]
         bound = -c / d
-    lo = np.max(np.where(d > 0.0, bound, 0.0), axis=-1, initial=0.0)
-    hi = np.min(np.where(d < 0.0, bound, 1.0), axis=-1, initial=1.0)
+    lo = _fold(np.maximum, np.where(d > 0.0, bound, 0.0))
+    hi = _fold(np.minimum, np.where(d < 0.0, bound, 1.0))
     ca, cb = cuts[:, a], cuts[:, b]
-    chord = np.where((lo <= hi) & np.all((d != 0.0) | (c >= 0.0), axis=-1),
+    chord = np.where((lo <= hi) & _fold(np.logical_and, (d != 0.0) | (c >= 0.0)),
                      0.5 * (ca[..., 0] * cb[..., 0] - ca[..., 1] * cb[..., 1]
                             - ca[..., 2] * cb[..., 2]), np.inf)
     pair, best = np.argmin(chord, axis=-1), np.argmin(values, axis=-1)
@@ -375,7 +381,7 @@ def minimize(forms: _BoundaryForms, start: np.ndarray) -> _Minimum:
     cuts, angles = np.empty((count, 2, CUTS_PER_SIDE, 3)), np.empty((count, 2, CUTS_PER_SIDE))
     for rounds in range(MAX_ROUNDS):
         found, new, new_angles = forms.evaluate(v, rows)
-        value = found[:, 0] * found[:, 1] / (1.0 - np.sum(v[rows] * v[rows], axis=-1))
+        value = found[:, 0] * found[:, 1] / (1.0 - _fold(np.add, v[rows] * v[rows]))
         nfev += rows.size
         if not rounds:
             if not np.all(np.isfinite(value)):

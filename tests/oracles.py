@@ -11,6 +11,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import ellipe
 
+from centroflow.normalize import _LAYOUT, CUTS_PER_SIDE, _at
 from centroflow.ops import _abs_cos_transform, polar_area
 from centroflow.support import SupportFn, area_quadrature, check_same_grid, curvature_samples
 
@@ -212,6 +213,81 @@ def perimeter_minimum_mm(forms):
         if not active.size:
             break
     return v
+
+
+# The exchange search's cut-model minimum as it was written with NumPy
+# reductions over the short trailing axes (the 2 to 8 cuts, the 2 entries of
+# a point); normalize._model_minimum folds elementwise calls over the same
+# slices instead and must give the same bits, NaN for NaN.
+def model_minimum_reduced(cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum over |v| < 1 of the cut model max(outer . (1, v))
+    max(polar . (1, v)) / (1 - |v|^2) for each row of ``cuts`` (R', side,
+    CUTS_PER_SIDE, 3), and a point attaining it.
+
+    The minimum lies at a vertex (two cuts of each side tie, or three of one
+    side), on a tie line where two cuts of one side tie against one of the
+    other, or on a chord where one cut of each side is the largest (a
+    repeated cut adds no candidate).
+    - On a tie line v = p + tau e, 1 - |v|^2 = d0 - tau^2, the model is
+      (a0 + a1 tau)(b0 + b1 tau) / (d0 - tau^2) = (n0 + n1 tau + n2 tau^2) /
+      (d0 - tau^2), stationary where n1 tau^2 + 2 (n0 + n2 d0) tau + n1 d0
+      = 0; the roots multiply to d0, so the smaller one is the one inside.
+    - The cuts a of x and b of y are null vectors, and the product of the two
+      has its least value (x . y)^2 = (a0 b0 - a1 b1 - a2 b2) / 2 on the
+      chord between their ideal points -(a1, a2)/a0 and -(b1, b2)/b0.  That
+      is a model value where the chord crosses the cell in which a and b are
+      the largest cuts of their sides.  It is reached at an ideal point only
+      when that cell holds no more of the chord; a point just inside the
+      disk stands in for it.
+    """
+    count, split = len(cuts), CUTS_PER_SIDE
+    cuts = cuts.reshape(count, 2 * split, 3)
+    i, k, (li, lk), a, b, own = _LAYOUT
+    line, row = np.arange(i.size), np.arange(count)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = cuts[:, i] - cuts[:, k]  # g . (1, v) = 0 on the tie line
+        norm2 = g[..., 1] * g[..., 1] + g[..., 2] * g[..., 2]
+        p = g[..., 1:] * (-g[..., :1] / norm2[..., None])
+        e = np.stack([-g[..., 2], g[..., 1]], axis=-1) / np.sqrt(norm2)[..., None]
+        d0 = 1.0 - np.sum(p * p, axis=-1, keepdims=True)
+        # every cut at p, and its slope along e, on every line
+        at = _at(cuts[:, None], p[:, :, None])
+        along = e[..., :1] * cuts[:, None, :, 1] + e[..., 1:] * cuts[:, None, :, 2]
+        a0, a1 = at[:, line, i][..., None], along[:, line, i][..., None]
+        n0, n1, n2 = a0 * at, a0 * along + a1 * at, a1 * along
+        q = n0 + n2 * d0
+        tau = np.where(n1 == 0.0, 0.0,
+                       -n1 * d0 / (q + np.copysign(np.sqrt(q * q - n1 * n1 * d0), q)))
+        det = g[:, li, 1] * g[:, lk, 2] - g[:, li, 2] * g[:, lk, 1]
+        v = np.concatenate([(p[:, :, None] + tau[..., None] * e[:, :, None]).reshape(count, -1, 2),
+                            np.stack([g[:, lk, 0] * g[:, li, 2] - g[:, li, 0] * g[:, lk, 2],
+                                      g[:, li, 0] * g[:, lk, 1] - g[:, lk, 0] * g[:, li, 1]],
+                                     axis=-1) / det[..., None]], axis=1)
+        outer, polar = (_at(side[:, None], v[:, :, None]).max(axis=-1)
+                        for side in (cuts[:, :split], cuts[:, split:]))
+        room = 1.0 - np.sum(v * v, axis=-1)
+        values = np.where(room > 0.0, outer * polar / room, np.inf)
+        # chords v = start + tau span, tau in [0, 1], along which a and b
+        # stay the largest of their sides while c + d tau >= 0 for each rival
+        start = -cuts[:, a, 1:] / cuts[:, a, :1]
+        span = -cuts[:, b, 1:] / cuts[:, b, :1] - start
+        gap = cuts[:, own] - cuts[:, None]
+        c = _at(gap, start[:, :, None])
+        d = gap[..., 1] * span[..., :1] + gap[..., 2] * span[..., 1:]
+        bound = -c / d
+    lo = np.max(np.where(d > 0.0, bound, 0.0), axis=-1, initial=0.0)
+    hi = np.min(np.where(d < 0.0, bound, 1.0), axis=-1, initial=1.0)
+    ca, cb = cuts[:, a], cuts[:, b]
+    chord = np.where((lo <= hi) & np.all((d != 0.0) | (c >= 0.0), axis=-1),
+                     0.5 * (ca[..., 0] * cb[..., 0] - ca[..., 1] * cb[..., 1]
+                            - ca[..., 2] * cb[..., 2]), np.inf)
+    pair, best = np.argmin(chord, axis=-1), np.argmin(values, axis=-1)
+    vertex = values[row, best] <= chord[row, pair]
+    point = start[row, pair] + (0.5 * (lo[row, pair] + hi[row, pair]))[:, None] * span[row, pair]
+    radius = np.hypot(point[:, 0], point[:, 1])
+    point = point * np.minimum(1.0, (1.0 - 1e-6) / np.maximum(radius, 1e-300))[:, None]
+    return (np.where(vertex, values[row, best], chord[row, pair]),
+            np.where(vertex[:, None], v[row, best], point))
 
 
 def family_grid(n_s=160, n_phi=160):

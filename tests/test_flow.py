@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -23,11 +24,12 @@ from centroflow import (
     sl2_normalize,
 )
 from centroflow import flow
-from centroflow.flow import (TRACE_CSV_COLUMNS, _kept_mode_tables, _stage,
+from centroflow.flow import (TRACE_CSV_COLUMNS, _kept_mode_tables, _later_stages,
                              gated_central_difference)
 from centroflow.normalize import family_map
 from centroflow.spectral import angles
 
+from conftest import near_floor_body
 import oracles
 
 
@@ -264,23 +266,52 @@ class TestStepperIntegrity:
         assert tr.t == pytest.approx(t, rel=1e-10)
 
     def test_stage_convexity_check(self):
-        # a later stage is [c phi; 1] @ [P | Y]^T, P = synth @ project: a
-        # non-convex stage body stops the run at the time of the step it falls in
+        # a later stage is [c phi; 1] @ [P | Y]^T, P = synth @ project: each
+        # is Y moved by the previous stage's scaled speed through the kept
+        # modes, and that speed is -c / (h^2 S) of the stage
         synth, project = _kept_mode_tables(64)
         th = angles(64)[:32]
         coef = project @ (1.0 + 0.1 * np.cos(2.0 * th))
-        table = np.vstack([(synth @ project).T, _stage(synth, coef, 0.0)])
-        convex = np.append(0.1 * np.cos(2.0 * th), 1.0)  # the stage is 1 + 0.2 cos 2 theta
-        assert np.max(np.abs(_stage(convex, table, 0.25)
-                             - synth @ (coef + project @ convex[:-1]))) <= 1e-12
-        slope = np.append(0.3 * np.cos(2.0 * th), 1.0)  # the stage is 1 + 0.4 cos 2 theta
+        table = np.vstack([(synth @ project).T, synth @ coef])
+        slopes, stages = np.ones((4, 33)), np.empty((3, 64))
+        slopes[0, :-1] = 0.1 * np.cos(2.0 * th)  # stage 2 is 1 + 0.2 cos 2 theta
+        dt = 1e-3
+        _later_stages(table, slopes, stages)(dt, 0.25)
+        for i, c in enumerate((0.5 * dt, dt, dt)):
+            assert np.max(np.abs(stages[i] - synth @ (coef + project @ slopes[i, :-1]))) <= 1e-12
+            h, s = stages[i].reshape(2, -1)
+            assert np.array_equal(slopes[i + 1, :-1], -c / (h * h * s))
+
+    @pytest.mark.parametrize("stop_area", [1e-3, 1e3])
+    def test_first_stage_is_checked_before_the_stop_tests(self, stop_area):
+        # the body at the convexity floor loads (its S = -3e-12 is roundoff),
+        # but its stage 1 is not convex: the run stops at t = 0, also when
+        # its area is already below the stop area
         with pytest.raises(ConvexityLost) as err:
-            _stage(slope, table, 0.25)
-        assert err.value.t == 0.25
-        # a NaN stage (an overflowed state) fails the same check
-        convex[1] = np.nan
-        with pytest.raises(ConvexityLost):
-            _stage(convex, table, 0.5)
+            flow_run(near_floor_body(), FlowConfig(t_stop_area=stop_area))
+        assert err.value.t == 0.0
+
+    # one point a side (n = 2): the table moves h alone or S alone from
+    # Y = (1, 1) by each slope; stage 1's c phi and dt make the named stage
+    # the first that is not positive, and the only one unless it is 0, which
+    # divides by zero, or NaN, which runs on into the later stages
+    @pytest.mark.parametrize("moves, slope, dt, bad, alone", [
+        ("h", -2.0, 0.1, 2, True), ("h", 0.0, 8.0, 3, True), ("h", 0.0, 1.0, 4, True),
+        ("S", -2.0, 1.0, 2, True), ("S", 0.0, 4.0, 3, True), ("S", 0.0, 1.0, 4, True),
+        ("h", -1.0, 0.1, 2, False), ("S", np.nan, 1.0, 2, False),
+    ], ids=["h2", "h3", "h4", "S2", "S3", "S4", "zero", "nan"])
+    def test_every_later_stage_is_checked(self, moves, slope, dt, bad, alone):
+        table = np.array([[1.0, 0.0] if moves == "h" else [0.0, 1.0], [1.0, 1.0]])
+        slopes, stages = np.ones((4, 2)), np.empty((3, 2))
+        slopes[0, 0] = slope
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # none may escape
+            with pytest.raises(ConvexityLost) as err:
+                _later_stages(table, slopes, stages)(dt, 0.5)
+        assert err.value.t == 0.5
+        positive = [bool(stage.min() > 0.0) for stage in stages]
+        assert positive[:bad - 1] == [True] * (bad - 2) + [False]
+        assert all(positive[bad - 1:]) == alone
 
     def test_state_stays_on_kept_modes(self):
         # the state is the kept-mode coefficients, so deep into extinction
@@ -308,7 +339,7 @@ class TestStepperIntegrity:
         th = angles(n)[: n // 2]
         h = 1.0 + 0.1 * np.cos(2.0 * th) + 0.005 * np.sin(8.0 * th) + 2e-4 * np.cos(32.0 * th)
         s = 1.0 - 0.3 * np.cos(2.0 * th) - 0.315 * np.sin(8.0 * th) - 0.2046 * np.cos(32.0 * th)
-        h_half, s_half = _stage(synth, project @ h, 0.0).reshape(2, -1)
+        h_half, s_half = (synth @ (project @ h)).reshape(2, -1)
         assert np.max(np.abs(h_half - h)) < 1e-14
         assert np.max(np.abs(s_half - s)) < 1e-11  # 1 - k^2 scales rounding up to 1e3
 

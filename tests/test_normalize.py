@@ -3,20 +3,23 @@ import pytest
 
 from centroflow import (
     BodySpec,
+    FlowConfig,
     SupportFn,
     apply_linear_map,
     area,
     banach_mazur_to_disk,
     disk,
     ellipse,
+    flow_run,
     perimeter,
     pinching_to_bm_bound,
     random_body,
     sl2_normalize,
+    stability_experiment,
 )
 from centroflow import flow, normalize
 from centroflow.lab import _deficit_targeted_body, _stability_base
-from centroflow.normalize import (SEARCH_RTOL, _at, _BoundaryForms, _certificates,
+from centroflow.normalize import (CUTS_PER_SIDE, SEARCH_RTOL, _at, _BoundaryForms, _certificates,
                                   _parabola_peak, _perimeter_minimum, _radii, family_map, minimize,
                                   sl2_searches)
 from centroflow.spectral import angles
@@ -316,3 +319,60 @@ class TestExchangeSearch:
             start = _perimeter_minimum(forms)[0]
             inner, outer = radii(forms, start)
             assert search(forms, start)[1].distance <= outer / inner * (1.0 + 1e-14)
+
+
+class TestModelMinimumBits:
+    """The cut model's minimum folds np.maximum, np.minimum and
+    np.logical_and over the slices of its short axes and adds two-entry
+    sums as a + b; the oracle reduces over those axes.  Both are exact, so
+    they agree bit for bit, NaN for NaN, on the stacks the searches build."""
+
+    @staticmethod
+    def recorded(monkeypatch, run):
+        stacks, model_minimum = [], normalize._model_minimum
+        monkeypatch.setattr(normalize, "_model_minimum",
+                            lambda cuts: (stacks.append(cuts.copy()), model_minimum(cuts))[1])
+        run()
+        monkeypatch.undo()
+        assert stacks
+        return stacks
+
+    @staticmethod
+    def check(stacks):
+        for cuts in stacks:
+            for got, want in zip(normalize._model_minimum(cuts),
+                                 oracles.model_minimum_reduced(cuts)):
+                assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.fixture(scope="class")
+    def flow_stacks(self):
+        # the row blocks of the four seed-1 bodies of the flow benchmark
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            return self.recorded(monkeypatch, lambda: [
+                flow_run(random_body(BodySpec(seed=1 + 1000 * j, n=64, mode_count=3, decay=1.6,
+                                              amplitude=0.5)),
+                         FlowConfig(cfl=0.1, t_stop_area=0.3, renormalize_every=25))
+                for j in range(4)])
+
+    def test_flow_row_blocks(self, flow_stacks):
+        self.check(flow_stacks)
+
+    def test_stability_stack(self, monkeypatch):
+        # 20 samples and the disk control in one stack of 21 bodies
+        stacks = self.recorded(monkeypatch, lambda: stability_experiment(20, seed=1, n=128))
+        assert len(stacks[0]) == 21
+        self.check(stacks)
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["copies", "shifted"])
+    @pytest.mark.parametrize("distinct", [1, 2, 3])
+    def test_cut_sets_padded_with_copies(self, flow_stacks, distinct, shifted):
+        # a side's cuts past the first ``distinct`` copy its first: two
+        # copies have no tie line (NaN candidates), and copies whose constant
+        # entries are raised apart give parallel tie lines, which cross at
+        # infinity
+        padded = [cuts.copy() for cuts in flow_stacks[::5]]
+        for cuts in padded:
+            cuts[..., distinct:, :] = cuts[..., :1, :]
+            if shifted:
+                cuts[..., distinct:, 0] *= 1.0 + 0.01 * np.arange(1, CUTS_PER_SIDE + 1 - distinct)
+        self.check(padded)
