@@ -12,6 +12,7 @@ from .errors import (
     NonConvex,
     NonPositive,
     StepUnderflow,
+    UnderResolved,
 )
 from .support import (
     SupportFn,

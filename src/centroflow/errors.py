@@ -17,6 +17,10 @@ class AsymmetricData(CentroflowError):
     """Antipodal support samples differ: every body must be origin-symmetric."""
 
 
+class UnderResolved(CentroflowError):
+    """An operator's result is not a valid body on any grid it may use."""
+
+
 class GridMismatch(CentroflowError):
     """Binary operation applied to bodies with different grid sizes."""
 

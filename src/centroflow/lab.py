@@ -6,6 +6,7 @@ keeps their minima."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,6 +112,13 @@ def _mixed_volume_gaps(h_k: SupportFn, h_l: SupportFn) -> tuple[float, float]:
     return (vkl * vkl - vk_vl) / vk_vl, float(lhs - rhs)
 
 
+@functools.lru_cache(maxsize=32)
+def _unit_disk(n: int) -> SupportFn:
+    """The unit disk on the n grid, built once a grid size (a body is
+    immutable and its arrays write-protected, so one can be shared)."""
+    return disk(1.0, n)
+
+
 def deficit_report(h: SupportFn) -> tuple[dict[str, float], float]:
     """One body's gaps against the unit disk, under their ``fuzz.json`` names
     and divided by their sharp constants (each >= 0 up to roundoff), and the
@@ -125,7 +133,7 @@ def deficit_report(h: SupportFn) -> tuple[dict[str, float], float]:
     chain = ops.polar_chain(h.samples, v)
     gamma = SupportFn(chain.centroid_samples(v))
     residual = chain.identity_residual(gamma.samples) / float(np.max(gamma.samples))
-    minkowski, groemer = _mixed_volume_gaps(h, disk(1.0, h.n))
+    minkowski, groemer = _mixed_volume_gaps(h, _unit_disk(h.n))
     pi_k = ops.projection_body(h)
     q = affine_support(h, np.sqrt(np.pi / v))
     gaps = {

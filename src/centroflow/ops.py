@@ -9,8 +9,12 @@ off the body's own n grid by a change of variables to the normal angle
 centroid body integrates rho^3, and the curvature image of the polar has
 surface density proportional to rho^3.  ``PolarChain`` holds all of them
 from one pass.  That pass sums only the even modes, over half the period
-in the normal angle, from the body's even spectrum; so every polar and
-centroid sample is exactly origin-symmetric, antipodal samples equal.
+in the normal angle, from the body's even spectrum, on a grid sized by the
+body's own stretch (2 to 16 times n/2 points); so every polar and centroid
+sample is exactly origin-symmetric, antipodal samples equal.  The polar
+body alone may leave the body's grid: when 1/rho, band-limited to the
+modes below n/2, is not convex at the nodes, ``polar_body`` returns it on
+the smallest finer grid 2^j n (j <= 3) on which it is.
 
 The centroid and projection bodies integrate |<u, v>| against a density on
 the circle.  That kernel has kinks, so a plain Riemann sum is only
@@ -27,12 +31,15 @@ with value 4 at k = 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
+from .errors import NonConvex, UnderResolved
 from .support import (
+    MAX_GRID,
     SupportFn,
     area,
     area_quadrature,
@@ -62,20 +69,39 @@ def _polar_area(samples: np.ndarray):
     return 0.5 * (2.0 * np.pi / samples.shape[-1]) * np.sum(samples ** -2, axis=-1)
 
 
+POLAR_REFINEMENTS = 3  # polar_body tries the grids n, 2n, ..., 2^3 n
+
+
 def polar_body(h: SupportFn) -> SupportFn:
     """Polar (dual) body K* = {x : <x, y> <= 1 for all y in K}, with support
-    1/rho_K."""
-    return SupportFn(radial_powers(h.samples, [-1])[0])
+    1/rho_K, on the smallest grid 2^j n, j <= ``POLAR_REFINEMENTS``, on which
+    it is convex.  Band-limiting 1/rho to the modes below n/2 can make its
+    curvature negative at nodes of a body that stretches far (sigma of
+    ``radial_powers`` about 4 and up at n = 64); the body's interpolant on a
+    finer grid keeps more of the polar's modes.  UnderResolved names the
+    finest grid tried when none is."""
+    for j in range(POLAR_REFINEMENTS + 1):
+        m = h.n << j
+        if m > MAX_GRID:
+            break
+        try:
+            return SupportFn(radial_powers(spectral.resample(h.samples, m), [-1])[0])
+        except NonConvex as exc:
+            failure, finest = exc, m
+    raise UnderResolved(f"the polar is not convex on the grids {h.n} to {finest}; "
+                        f"on {finest} points: {failure}")
 
 
 # --- |cos| kernel as a Fourier multiplier -----------------------------------
 
+@functools.lru_cache(maxsize=32)
 def _abs_cos_multipliers(num_modes: int) -> np.ndarray:
     k = np.arange(num_modes)
     lam = np.zeros(num_modes)
     lam[0] = 4.0
     even = k[2::2]
     lam[2::2] = 4.0 * (-1.0) ** (even // 2 + 1) / (even ** 2 - 1.0)
+    lam.setflags(write=False)
     return lam
 
 

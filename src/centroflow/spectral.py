@@ -96,18 +96,16 @@ def resample(samples: np.ndarray, m: int) -> np.ndarray:
     if m == n:
         return x.copy()
     if m > n:
-        return np.fft.irfft(_padded_rfft(x, m), m)
+        return np.fft.irfft(_padded_spectrum(np.fft.rfft(x), n, m), m)
     g = np.fft.rfft(x)[..., : m // 2 + 1]
     g[..., -1] = 0.0
     return np.fft.irfft(g * (m / n), m)
 
 
-def _padded_rfft(x: np.ndarray, m: int) -> np.ndarray:
-    """The rfft of the m-point resample of the samples x (..., n), m > n:
-    the spectrum zero-padded and scaled by m/n.  An even n's Nyquist mode
-    becomes an interior cosine mode at half weight."""
-    n = x.shape[-1]
-    f = np.fft.rfft(x)
+def _padded_spectrum(f: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The rfft of the m-point resample of n samples whose rfft is f
+    (..., n//2 + 1), m > n: the spectrum zero-padded and scaled by m/n.  An
+    even n's Nyquist mode becomes an interior cosine mode at half weight."""
     g = np.zeros(f.shape[:-1] + (m // 2 + 1,), dtype=complex)
     g[..., : f.shape[-1]] = f * (m / n)
     if n % 2 == 0:

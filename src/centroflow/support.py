@@ -15,6 +15,7 @@ an integral over the boundary parametrization, not a root solve.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -41,6 +42,7 @@ __all__ = [
 # relative floors: strict positivity with roundoff headroom
 CONVEXITY_FLOOR = 1e-10
 SYMMETRY_TOL = 1e-12
+MAX_GRID = 65536  # largest grid size n
 
 
 @dataclass(frozen=True)
@@ -87,12 +89,12 @@ class SupportFn:
 
 
 def check_grid_size(n) -> None:
-    """Raise ValueError unless ``n`` is an even integer from 16 to 65536.
+    """Raise ValueError unless ``n`` is an even integer from 16 to ``MAX_GRID``.
     A grid size from outside passes here before anything of that size is
     allocated."""
     if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
-            or not 16 <= n <= 65536 or n % 2):
-        raise ValueError("grid size n must be an even integer from 16 to 65536")
+            or not 16 <= n <= MAX_GRID or n % 2):
+        raise ValueError(f"grid size n must be an even integer from 16 to {MAX_GRID}")
 
 
 def curvature_samples(samples: np.ndarray) -> np.ndarray:
@@ -161,7 +163,9 @@ def apply_linear_map(h: SupportFn, phi) -> SupportFn:
     return SupportFn(spectral.project_even(spectral.resample(vals, n)))
 
 
-RADIAL_OVERSAMPLE = 16  # t-grid refinement of the change of variables in radial_powers
+RADIAL_OVERSAMPLE = 16  # cap of the t-grid refinement q of radial_powers
+MODE_BLOCK = 4  # even modes radial_powers sums in one matrix product
+_STRETCH_EDGES = 2.0 ** np.arange(1, RADIAL_OVERSAMPLE.bit_length() - 1)  # 2, 4, 8: q's steps
 
 
 def radial_powers(samples: np.ndarray, powers) -> np.ndarray:
@@ -178,21 +182,65 @@ def radial_powers(samples: np.ndarray, powers) -> np.ndarray:
     an integrand that is smooth and periodic in t, so the trapezoid rule is
     spectrally accurate.  The body is origin-symmetric, x(t + pi) = -x(t), so
     odd k integrate to zero and even k to twice the integral over [0, pi).
-    The sum runs on ``RADIAL_OVERSAMPLE * n / 2`` points of that half period,
-    where h, h' and S come from the zero-padded even spectrum of the samples,
-    not from derivatives of fine samples (which multiply roundoff by k^2).
-    No root is solved and no branch is picked: this is an identity of the
-    interpolant, whether or not it is convex between the nodes.  The sum over
-    even k runs by the recurrence e^{-i k alpha} = e^{-2i alpha} e^{-i (k-2)
-    alpha}, in O(n) memory a body.  Modes at and above n/2 are dropped rather
-    than folded back: the powers of rho of a mildly convex body decay slowly,
-    and their aliased tail would spoil the areas computed from them.
+    The integrand's bandwidth grows with the stretch sigma = max d alpha/dt,
+    which is 1 on a disk and free of scale; it is read off the n/2 nodes of
+    that half period.  Each body sums on q n/2 points of it, q the least
+    power of two at or above 2 sigma, capped at ``RADIAL_OVERSAMPLE`` (1.5
+    sigma leaves errors of 6e-11 on bodies near the disk).  A stack groups
+    its rows by q, so each row gives what it gives alone.  There h, h' and
+    S come from the zero-padded even spectrum of the samples, not from
+    derivatives of fine samples (which multiply roundoff by k^2).  No root
+    is solved and no branch is picked: this is an identity of the
+    interpolant, whether or not it is convex between the nodes.  The sum
+    over even k takes ``MODE_BLOCK`` modes at a time, one matrix product
+    against the powers e^{-2i j alpha}, j < ``MODE_BLOCK``, then steps on by
+    the recurrence e^{-i k alpha} = e^{-2i MODE_BLOCK alpha} e^{-i (k - 2
+    MODE_BLOCK) alpha}, in O(n) memory a body.  Modes at and above n/2 are
+    dropped rather than folded back: the powers of rho of a mildly convex
+    body decay slowly, and their aliased tail would spoil the areas
+    computed from them.
     """
     n = samples.shape[-1]
     half = n // 2
-    m = RADIAL_OVERSAMPLE * half
     # h is 2pi-periodic in s = 2t; its n/2 samples there hold the even modes
-    g = spectral._padded_rfft(0.5 * (samples[..., :half] + samples[..., half:]), m)
+    fold = 0.5 * (samples[..., :half] + samples[..., half:]).reshape(-1, half)
+    f = np.fft.rfft(fold)
+    hp_s = np.fft.irfft(f[:, None, :] * _node_multipliers(half), half)
+    hp, s = hp_s[:, 0], hp_s[:, 1]
+    sigma = (fold * s / (fold * fold + hp * hp)).max(axis=1)
+    # q = 2, 4, 8 or 16, the least power of two at or above 2 sigma; NaN takes the cap
+    grids = [2 << i for i in np.searchsorted(_STRETCH_EDGES, 2.0 * sigma).tolist()]
+    p_halves = 0.5 * np.asarray(powers, dtype=float)
+    out = np.empty((p_halves.size, len(grids), half))
+    for q in set(grids):
+        rows = [i for i, g in enumerate(grids) if g == q]
+        out[:, rows] = _radial_sums(f[rows], half, q * half, p_halves)
+    return np.tile(out.reshape(p_halves.shape + samples.shape[:-1] + (half,)), 2)
+
+
+@functools.lru_cache(maxsize=32)
+def _node_multipliers(half: int) -> np.ndarray:
+    """rfft multipliers of d/dt and 1 + d^2/dt^2 on the half period's
+    ``half`` nodes (s = 2t, so mode j is k = 2j), a (2, half//2 + 1) array."""
+    k = 2.0 * np.arange(half // 2 + 1)
+    mult = np.array([1j * k, 1.0 - k * k])
+    mult.setflags(write=False)
+    return mult
+
+
+@functools.lru_cache(maxsize=32)
+def _half_turn_phase(m: int) -> np.ndarray:
+    """e^{-2it} = e^{-is} on the m points of the half period, read-only."""
+    phase = np.exp(-1j * spectral.angles(m))
+    phase.setflags(write=False)
+    return phase
+
+
+def _radial_sums(f: np.ndarray, half: int, m: int, p_halves: np.ndarray) -> np.ndarray:
+    """The sums of ``radial_powers`` on m points of the half period for the
+    spectra f (R, half//2 + 1) of R folded bodies, rho^(2 p/2) for each p/2
+    in ``p_halves``: an array (P, R, half) on the half period's nodes."""
+    g = spectral._padded_spectrum(f, half, m)
     k = 2.0 * np.arange(g.shape[-1])
     h = np.fft.irfft(g, m)
     hp = np.fft.irfft(g * (1j * k), m)
@@ -201,18 +249,23 @@ def radial_powers(samples: np.ndarray, powers) -> np.ndarray:
     step = h + 0j  # e^{-2i alpha} = e^{-2i t} (h - i h')^2 / |x|^2, built in place
     step.imag = -hp
     step *= step
-    step *= np.exp(-1j * spectral.angles(m))  # e^{-2it} = e^{-is}
+    step *= _half_turn_phase(m)
     step /= r2
     del h, hp
-    out = []
-    for p_half in 0.5 * np.asarray(powers, dtype=float)[:, None]:  # one power at a time
-        vals = (r2 ** p_half * weight).astype(complex)
-        coef = np.zeros(vals.shape[:-1] + (half // 2 + 1,), dtype=complex)
-        for j in range((half + 1) // 2):  # the even k = 2j < n/2
-            coef[..., j] = vals.sum(axis=-1)
-            vals *= step
-        out.append(np.fft.irfft(half * coef, half))
-    return np.tile(np.array(out), 2)
+    vals = (r2 ** p_halves[:, None, None] * weight).astype(complex)[..., None]  # (P, R, m, 1)
+    modes = (half + 1) // 2  # the even k = 2j < n/2
+    block = min(MODE_BLOCK, modes)
+    powers = np.empty((len(f), block, m), dtype=complex)  # step^0 .. step^(block - 1)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = step[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    jump = (powers[:, -1] * step)[..., None]  # step^block
+    coef = np.zeros((p_halves.size, len(f), half // 2 + 1), dtype=complex)
+    for j in range(0, modes, block):
+        top = min(j + block, modes)
+        coef[..., j:top] = np.matmul(powers, vals)[..., : top - j, 0]
+        vals *= jump
+    return np.fft.irfft(half * coef, half)
 
 
 def disk(radius: float = 1.0, n: int = 256) -> SupportFn:

@@ -56,6 +56,20 @@ def fuzz_bodies():
     return [random_body(_fuzz_spec(1, i, 256)) for i in range(20)]
 
 
+@pytest.fixture(scope="session")
+def flow_row_blocks():
+    """The row blocks (R, 64) the monitor pass of the seed-1 flow benchmark
+    stacks: ``ROW_BLOCK`` consecutive rows of each of its four bodies."""
+    from centroflow.flow import ROW_BLOCK
+    blocks = []
+    for j in range(4):
+        body = random_body(BodySpec(seed=1 + 1000 * j, n=64, mode_count=3, decay=1.6,
+                                    amplitude=0.5))
+        rows = flow_run(body, FlowConfig(cfl=0.1, t_stop_area=0.3, renormalize_every=25)).h_rows
+        blocks += [rows[lo:lo + ROW_BLOCK] for lo in range(0, len(rows), ROW_BLOCK)]
+    return blocks
+
+
 def near_floor_body(n=64):
     """1 + (1/3 + 1e-12) cos 2 theta: min S = -3.0e-12, inside SupportFn's
     roundoff floor of -1e-10 max h, so it loads as a valid body."""

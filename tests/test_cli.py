@@ -172,6 +172,14 @@ class TestOpCommand:
         rc = main(["op", "polar", "--body", str(workdir / "nope.json")])
         assert rc == 3
 
+    def test_polar_of_a_stretched_body_is_written_on_a_finer_grid(self, tmp_path, capsys):
+        # convex at 64 nodes, its polar only at 256
+        save_body(lab._stability_base(4, 64), tmp_path / "base.json")
+        assert main(["op", "polar", "--body", str(tmp_path / "base.json")]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["n"] == len(data["h"]) == 256
+        SupportFn(np.array(data["h"]))
+
     def test_out_file(self, workdir):
         out = workdir / "polar.json"
         rc = main(["op", "polar", "--body", str(workdir / "disk.json"),

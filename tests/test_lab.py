@@ -133,6 +133,15 @@ class TestDeficits:
                     oracles.minkowski_gap(body, prev), oracles.groemer_gap(body, prev))
             prev = body
 
+    def test_unit_disk_is_built_once_a_grid_size(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(lab, "disk", lambda r, n: (built.append(n), disk(r, n))[1])
+        lab._unit_disk.cache_clear()
+        for n in (64, 128, 64, 128, 64):
+            deficit_report(random_body(BodySpec(seed=n, n=n)))
+        assert built == [64, 128]
+        assert not lab._unit_disk(64).samples.flags.writeable
+
     def test_ratio_rhs_signs(self, wobble):
         assert ratio_rhs(disk(1.0, 128)) == pytest.approx(0.0, abs=1e-12)
         assert abs(ratio_rhs(ellipse(1.4, 0.9, 0.3, 256))) < 1e-6

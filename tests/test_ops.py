@@ -24,12 +24,13 @@ from centroflow import (
     projection_body,
     random_body,
 )
-from centroflow.errors import GridMismatch
+from centroflow import ops
+from centroflow.errors import GridMismatch, UnderResolved
 from centroflow.lab import _mixed_volume_gaps, deficit_report
 from centroflow.normalize import family_map
 from centroflow.ops import _solve_curvature, polar_chain
 from centroflow.spectral import angles, resample
-from centroflow.support import curvature_samples
+from centroflow.support import curvature_samples, radial_powers
 
 from conftest import near_floor_body
 import oracles
@@ -71,6 +72,36 @@ class TestPolar:
             body = SupportFn(resample(_stability_base(seed, 256).samples, 1024))
             p = polar_body(body)
             assert p.n == 1024 and np.array_equal(p.samples[:512], p.samples[512:])
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_stretched_stability_bases_have_a_polar_on_a_finer_grid(self, n):
+        # band-limited to the modes below n/2, the polar of 6, 7 and 9 of the
+        # 20 bases is not convex at the nodes; it is a body on the smallest
+        # grid 2^j n where it is, and its own polar comes back to the base.
+        # The others keep their grid.
+        from centroflow.lab import _stability_base
+        refined = []
+        for seed in range(20):
+            base = _stability_base(seed, n)
+            p = polar_body(base)
+            if p.n == n:
+                continue
+            refined.append(seed)
+            assert p.n in (2 * n, 4 * n, 8 * n)
+            with pytest.raises(NonConvex):
+                SupportFn(radial_powers(resample(base.samples, p.n // 2), [-1])[0])
+            back = polar_body(p)
+            want = resample(base.samples, back.n)
+            assert np.max(np.abs(back.samples - want)) <= 1e-3 * np.max(want), seed
+        assert len(refined) == {64: 6, 128: 7, 256: 9}[n], refined
+
+    @pytest.mark.parametrize("refinements", [0, 1])
+    def test_polar_on_no_grid_names_the_finest(self, monkeypatch, refinements):
+        # the n = 64 base of seed 4 needs the 256 grid
+        from centroflow.lab import _stability_base
+        monkeypatch.setattr(ops, "POLAR_REFINEMENTS", refinements)
+        with pytest.raises(UnderResolved, match=f"grids 64 to {64 << refinements};"):
+            polar_body(_stability_base(4, 64))
 
     def test_gl2_equivariance(self, wobble):
         phi = np.diag([1.4, 1 / 1.4]) @ family_map(1.0, 0.6)

@@ -20,6 +20,7 @@ from centroflow import (
     scaled,
 )
 from centroflow.normalize import family_map
+from centroflow import support
 from centroflow.spectral import angles, fourier_coeffs, resample
 from centroflow.support import (RADIAL_OVERSAMPLE, SYMMETRY_TOL, check_grid_size,
                                 check_same_grid, curvature_samples, radial_powers)
@@ -221,24 +222,61 @@ class TestRadial:
         assert np.max(np.abs(inv * rho - 1.0)) < 1e-10
 
     @pytest.mark.parametrize("corpus", ["fuzz_256", "stability_128", "stability_256",
-                                        "ellipses_2_mod_4"])
-    def test_matches_direct_sum_on_fine_grid(self, corpus, fuzz_bodies):
+                                        "ellipses_2_mod_4", "bisection_64", "bisection_128",
+                                        "bisection_256", "flow_rows"])
+    def test_matches_direct_sum_on_fine_grid(self, corpus, fuzz_bodies, flow_row_blocks):
         # against e^{-ik alpha} summed directly on a 64x grid, to 1e-13
         # relative; the output holds only even modes, so antipodal samples
-        # are equal
-        from centroflow.lab import _stability_base
-        bodies = {
+        # are equal.  The bisection bodies (1 - lam) disk + lam K of the
+        # stability bases hold the stretches just above 1 where a grid of
+        # 1.5 sigma instead of 2 sigma misses by up to 6e-11; at n = 256 only
+        # the lam where it misses and one near the base are kept, for time.
+        # The flow rows come as the stacks the monitor pass makes.
+        from centroflow.lab import _interpolate_to_disk, _stability_base
+
+        def bisection(n, lams=(0.01, 0.03, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95)):
+            return [_interpolate_to_disk(_stability_base(s, n), lam)
+                    for s in range(20) for lam in lams]
+        stacks = {
             "fuzz_256": lambda: fuzz_bodies,
             "stability_128": lambda: [_stability_base(s, 128) for s in range(20)],
             "stability_256": lambda: [_stability_base(s, 256) for s in range(20)],
             "ellipses_2_mod_4": lambda: [ellipse(1.6, 1.0, 0.3, n) for n in (18, 66, 130)],
+            "bisection_64": lambda: bisection(64),
+            "bisection_128": lambda: bisection(128),
+            "bisection_256": lambda: bisection(256, (0.03, 0.1, 0.95)),
+            "flow_rows": lambda: flow_row_blocks,
         }[corpus]()
-        for body in bodies:
-            got = radial_powers(body.samples, [3, -1])
-            want = oracles.radial_powers_direct(body.samples, [3, -1])
-            err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
-            assert np.all(err <= 1e-13), (body.n, err)
-            assert np.array_equal(got[:, : body.n // 2], got[:, body.n // 2:])
+        for stack in stacks:
+            samples = getattr(stack, "samples", stack)
+            n = samples.shape[-1]
+            got = radial_powers(samples, [3, -1]).reshape(2, -1, n)
+            for row, got_row in zip(samples.reshape(-1, n), got.transpose(1, 0, 2)):
+                want = oracles.radial_powers_direct(row, [3, -1])
+                err = np.max(np.abs(got_row - want), axis=1) / np.max(np.abs(want), axis=1)
+                assert np.all(err <= 1e-13), (n, err)
+                assert np.array_equal(got_row[:, : n // 2], got_row[:, n // 2:])
+
+    def test_stack_mixing_grids_gives_each_row_alone(self, monkeypatch):
+        # stretches sigma = 1, 1.44, 3.24 and 9 take q = 2, 4, 8 and 16
+        bodies = [ellipse(1.8, 1.0, 0.7, 128), disk(1.0, 128), ellipse(3.0, 1.0, 1.1, 128),
+                  ellipse(1.2, 1.0, 0.2, 128), ellipse(1.2, 1.0, 0.9, 128), disk(0.5, 128)]
+        grids = []
+        sums = support._radial_sums
+        monkeypatch.setattr(support, "_radial_sums",
+                            lambda f, half, m, p: (grids.append(m // half), sums(f, half, m, p))[1])
+        got = radial_powers(np.array([b.samples for b in bodies]), [3, -1])
+        assert sorted(grids) == [2, 4, 8, 16]
+        for i, body in enumerate(bodies):
+            assert np.array_equal(got[:, i], radial_powers(body.samples, [3, -1])), i
+
+    def test_cached_tables_are_read_only(self):
+        from centroflow.ops import _abs_cos_multipliers
+        for table in (support._half_turn_phase(64), support._node_multipliers(32),
+                      _abs_cos_multipliers(33)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
     def test_interpolant_nonconvex_between_nodes(self):
         # this body is convex at its 128 nodes, but its interpolant has
