@@ -142,7 +142,8 @@ def cmd_flow(args, argv) -> int:
                               "report.json": _json_text(reports, indent=2, sort_keys=True)},
                    argv, overrides, started, args.body, frames,
                    {"rows": trace.rows, "steps": trace.steps, "stepper_s": trace.stepper_s,
-                    "monitor_s": trace.monitor_s})
+                    "monitor_s": trace.monitor_s, "search_rounds": trace.search_rounds,
+                    "search_evaluations": trace.search_evaluations})
     return EXIT_OK
 
 

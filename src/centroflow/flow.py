@@ -20,7 +20,10 @@ the four scaled speeds and the RK4 weights, so the state stays on the kept
 modes (half-grid (h, S) as the state would drift off them by roundoff) and
 the scheme is fourth order in dt.  The tables cost O(n^2) a stage, so the
 flow runs on the body's own grid, of at most ``FLOW_MAX_N`` points
-(``spectral.resample`` regrids a body).
+(``spectral.resample`` regrids a body).  At that size a step's cost is the
+fixed cost of its NumPy calls, so every buffer and view of the loop is made
+once a run, each call writes into its buffer, and the floating-point errors
+that the checks report are silenced once around the loop.
 
 A trace row is recorded every ``renormalize_every`` accepted steps: the run
 stores its time, area and half-grid (h, S), and after the run one pass
@@ -30,7 +33,9 @@ functionals, the radii at the SL(2) position of least perimeter, the
 Banach-Mazur distance (the search of ``banach_mazur_to_disk``, started at that
 position) and the quantities needed to verify the evolution laws after the
 run.  The pass runs one stacked polar chain and SL(2) search a block of
-``ROW_BLOCK`` rows, and each row's columns are the ones it gives alone.
+``BLOCK_SAMPLES`` support samples (48 rows at n = 64, 24 at n = 128), and
+each row's columns are the ones it gives alone.  The trace counts the rounds
+and body evaluations of those searches.
 """
 
 from __future__ import annotations
@@ -141,6 +146,8 @@ class FlowTrace:
     config: FlowConfig
     stepper_s: float  # seconds of the stepping loop
     monitor_s: float  # seconds of the pass that computes the row monitors
+    search_rounds: int  # rounds of the rows' Banach-Mazur searches, summed over the blocks
+    search_evaluations: int  # body evaluations of those searches, summed over the rows
 
     @property
     def rows(self) -> int:
@@ -182,13 +189,17 @@ def _later_stages(table: np.ndarray, slopes: np.ndarray, stages: np.ndarray):
     """Stages 2 to 4 of a step as run(dt, t): slopes[i] @ table into stages[i]
     and its speed into slopes[i + 1]; ConvexityLost(t) unless all are positive."""
     views = [(slopes[i], y, *np.split(y, 2), slopes[i + 1, :-1]) for i, y in enumerate(stages)]
+    h2s = np.empty(stages.shape[1] // 2)
+    dot, multiply, divide, least = np.dot, np.multiply, np.divide, np.minimum.reduce
 
     def run(dt: float, t: float) -> None:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # until the check
             for (slope, y, h, s, speed), c in zip(views, (0.5 * dt, dt, dt)):
-                np.dot(slope, table, out=y)
-                np.divide(-c, h * h * s, out=speed)
-        if not np.minimum.reduce(stages, axis=None) > 0.0:  # NaN fails too
+                dot(slope, table, y)  # every out argument is positional
+                multiply(h, h, h2s)
+                multiply(h2s, s, h2s)
+                divide(-c, h2s, speed)
+        if not least(stages, None) > 0.0:  # NaN fails too
             raise ConvexityLost(t)
     return run
 
@@ -214,30 +225,33 @@ def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
     return float(-intercept / slope)
 
 
-ROW_BLOCK = 24  # trace rows whose monitors are computed together
+BLOCK_SAMPLES = 3072  # support samples (rows x n) whose monitors are computed together
 
 
 def _monitor_rows(t: np.ndarray, h: np.ndarray, s: np.ndarray,
-                  v: np.ndarray) -> dict[str, np.ndarray]:
+                  v: np.ndarray) -> tuple[dict[str, np.ndarray], int, int]:
     """Every ``FlowTrace`` array column of the stored rows: times ``t``,
-    half-grid samples ``h`` and ``s`` (R, n/2) and areas ``v``.  The polar
-    chain and SL(2) search run once a block of ``ROW_BLOCK`` rows (fewer calls
-    for more peak memory), and each row's columns are the ones it gives alone."""
+    half-grid samples ``h`` and ``s`` (R, n/2) and areas ``v``; and the
+    rounds and body evaluations of their SL(2) searches.  The polar chain
+    and SL(2) search run once a block of ``BLOCK_SAMPLES // n`` rows (fewer
+    calls for more peak memory, which stays the same at every n), and each
+    row's columns are the ones it gives alone."""
     arr = np.tile(h, 2)
     n = arr.shape[1]
     probe_idx = [0, n // 3, (2 * n) // 3]
     ca2 = 1.0 / (s * h ** 2)
     ca3 = ca2 / h
-    blocks = []
-    for lo in range(0, t.size, ROW_BLOCK):
-        block = slice(lo, lo + ROW_BLOCK)
+    blocks, rounds, evaluations, size = [], 0, 0, BLOCK_SAMPLES // n
+    for lo in range(0, t.size, size):
+        block = slice(lo, lo + size)
         chain = ops.polar_chain(arr[block], v[block])
         gamma = chain.centroid_samples(v[block])
-        radii, certs = sl2_searches(arr[block])
+        radii, search = sl2_searches(arr[block])
+        rounds, evaluations = rounds + search.rounds, evaluations + search.nfev
         blocks.append((chain.v_star, area_quadrature(gamma, curvature_samples(gamma)),
                        chain.ratio_derivative(v[block]), chain.polar[:, probe_idx],
                        curvature_samples(chain.polar)[:, probe_idx], radii,
-                       [cert.distance for cert in certs]))
+                       search.distances))
     v_star, bp_area, bp_rhs, probe, probe_s, radii, d_bm = (
         np.concatenate(col) for col in zip(*blocks))
     r_minus, r_plus = radii.T
@@ -250,7 +264,7 @@ def _monitor_rows(t: np.ndarray, h: np.ndarray, s: np.ndarray,
         "norm_disk_dist": np.maximum(r_plus * scale - 1.0, 1.0 - r_minus * scale),
         "r_plus": r_plus, "r_minus": r_minus, "h_rows": arr, "ca2_rows": np.tile(ca2, 2),
         "polar_probe": probe, "polar_probe_rate": probe ** 4 * probe_s,
-    }
+    }, rounds, evaluations
 
 
 def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
@@ -272,8 +286,15 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     # the RK4 increment of the coefficients is update @ slopes.ravel()
     update = np.hstack([np.pad(w * project, ((0, 0), (0, 1))) for w in RK4_WEIGHTS])
     scales = np.empty((4, m))  # h^3 S, (h S)^2, h and S
-    y, (h, s) = scales[2:].reshape(-1), scales[2:]  # stage 1, [h; S]
-    later = _later_stages(table, slopes, np.empty((3, n)))  # views made once a run
+    h3s, hs2, h, s = scales
+    y = scales[2:].reshape(-1)  # stage 1, [h; S]
+    # the loop's views, buffers and functions are made once a run
+    later = _later_stages(table, slopes, np.empty((3, n)))
+    speed, flat_slopes = slopes[0, :m], slopes.reshape(-1)
+    hs, h2s, increment = np.empty(m), np.empty(m), np.empty(coef.size)
+    area_weight = 0.5 * (2.0 * np.pi / m)  # area_quadrature's, on the half grid
+    dot, multiply, divide, least = np.dot, np.multiply, np.divide, np.minimum.reduce
+    stop_area, t_stop, every, cfl = cfg.t_stop_area, cfg.t_stop, cfg.renormalize_every, cfg.cfl
 
     rows = []  # (t, h, S, V) of each trace row, on the half grid
     t = 0.0
@@ -281,43 +302,45 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     stop_reason = None
     started = time.perf_counter()
 
-    while True:
-        np.dot(synth, coef, out=y)  # stage 1
-        hs = h * s
-        h2s = h * hs
-        np.multiply(h, h2s, out=scales[0])
-        np.multiply(hs, hs, out=scales[1])
-        tau, grid, min_h, min_s = np.minimum.reduce(scales, axis=1).tolist()  # tau: h / |dh/dt|
-        if not (min_h > 0.0 and min_s > 0.0):  # NaN fails; h^3 S > 0 would underflow
-            raise ConvexityLost(t)
-        table[m] = y
-        v = area_quadrature(h, s)
+    # a scale that over- or underflows is refused by the checks below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            dot(synth, coef, y)  # stage 1; every out argument is positional
+            multiply(h, s, hs)
+            multiply(h, hs, h2s)
+            multiply(h, h2s, h3s)
+            multiply(hs, hs, hs2)
+            tau, grid, min_h, min_s = least(scales, 1).tolist()  # tau: h / |dh/dt|
+            if not (min_h > 0.0 and min_s > 0.0):  # NaN fails; h^3 S > 0 would underflow
+                raise ConvexityLost(t)
+            table[m] = y
+            v = float(area_weight * dot(h, s))
 
-        if v <= cfg.t_stop_area:
-            stop_reason = "area_threshold"
-        elif cfg.t_stop is not None and t >= cfg.t_stop * (1.0 - 1e-14):
-            stop_reason = "t_stop"
-        elif steps >= MAX_STEPS:
-            stop_reason = "max_steps"
+            if v <= stop_area:
+                stop_reason = "area_threshold"
+            elif t_stop is not None and t >= t_stop * (1.0 - 1e-14):
+                stop_reason = "t_stop"
+            elif steps >= MAX_STEPS:
+                stop_reason = "max_steps"
 
-        if stop_reason or steps % cfg.renormalize_every == 0:
-            rows.append((t, h.copy(), s.copy(), v))
-        if stop_reason:
-            break
+            if stop_reason or steps % every == 0:
+                rows.append((t, h.copy(), s.copy(), v))
+            if stop_reason:
+                break
 
-        dt = cfg.cfl * min(dth * dth * grid, tau)
-        if not 1e-16 * max(t, tau) < dt < np.inf:  # a scale that over- or underflows
-            raise StepUnderflow(f"dt={dt:.3g} at t={t:.9g}")
-        if cfg.t_stop is not None:
-            dt = min(dt, cfg.t_stop - t)
+            dt = cfl * min(dth * dth * grid, tau)
+            if not 1e-16 * max(t, tau) < dt < np.inf:  # a scale that over- or underflows
+                raise StepUnderflow(f"dt={dt:.3g} at t={t:.9g}")
+            if t_stop is not None:
+                dt = min(dt, t_stop - t)
 
-        # RK4 on the kept-mode coefficients, c phi = -c / (h^2 S) of each stage
-        np.divide(-0.5 * dt, h2s, out=slopes[0, :m])
-        later(dt, t)
-        coef = coef + update.dot(slopes.reshape(-1))
+            # RK4 on the kept-mode coefficients, c phi = -c / (h^2 S) of each stage
+            divide(-0.5 * dt, h2s, speed)
+            later(dt, t)
+            coef += dot(update, flat_slopes, increment)
 
-        t += dt
-        steps += 1
+            t += dt
+            steps += 1
 
     stepper_s = time.perf_counter() - started
 
@@ -332,7 +355,8 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     if not np.all(np.diff(v) < 0):
         raise ValueError("trace areas are not strictly decreasing")
     started = time.perf_counter()
-    cols = _monitor_rows(t, h, s, v)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # refused below
+        cols, rounds, evaluations = _monitor_rows(t, h, s, v)
     for name, col in cols.items():
         bad = ~np.isfinite(col)
         if bad.any():
@@ -341,7 +365,8 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
                              "the body's scale overflows or underflows")
     return FlowTrace(**cols, estimated_T=_estimate_extinction(t, v), stop_reason=stop_reason,
                      steps=steps, config=cfg, stepper_s=stepper_s,
-                     monitor_s=time.perf_counter() - started)
+                     monitor_s=time.perf_counter() - started, search_rounds=rounds,
+                     search_evaluations=evaluations)
 
 
 def _central_diff(t: np.ndarray, y: np.ndarray, stride: int) -> np.ndarray:

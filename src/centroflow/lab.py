@@ -277,11 +277,11 @@ def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult
         found.append(best)
     control = disk(1.0, n)
     # one search over the stack of every sample body and the control
-    *certs, control_cert = sl2_searches(np.array([body.samples for _, body, _ in found]
-                                                 + [control.samples]))[1]
+    *distances, control_distance = sl2_searches(np.array([body.samples for _, body, _ in found]
+                                                         + [control.samples]))[1].distances
     samples = []
-    for (base_seed, body, eps), cert in zip(found, certs):
-        d1 = cert.distance - 1.0
+    for (base_seed, body, eps), distance in zip(found, distances):
+        d1 = float(distance) - 1.0
         samples.append(StabilitySample(
             seed=base_seed, eps=eps, d_bm_minus_1=d1, pinch_bound=pinching_to_bm_bound(body),
             gamma_witness=d1 / eps ** 0.25 if eps > 0 else float("nan")))
@@ -294,7 +294,7 @@ def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult
     else:
         slope = float("nan")
     control_eps = bp_deficit(control)
-    control_d = control_cert.distance - 1.0
+    control_d = float(control_distance) - 1.0
     return StabilityResult(samples=samples, gamma=gamma, fit_exponent=slope,
                            fit_count=len(small), control_eps=control_eps,
                            control_d_minus_1=control_d, deficit_evaluations=evaluations)

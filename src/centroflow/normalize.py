@@ -95,12 +95,16 @@ def _radii(v: np.ndarray, maxima: np.ndarray) -> np.ndarray:
     return np.stack([1.0 / np.sqrt(scale * maxima[:, 1]), np.sqrt(scale * maxima[:, 0])], axis=-1)
 
 
-def _cut_rows(z: np.ndarray, sign) -> np.ndarray:
+def _cut_rows(z: np.ndarray, sign, out: np.ndarray | None = None) -> np.ndarray:
     """Cut rows (|z|^2, sign Re z^2, sign Im z^2) of the points z of a curve,
-    along a new last axis: (1, v) . row is |Phi z|^2 sqrt(1 - |v|^2) for
-    sign +1, and the same with Phi^-T for sign -1."""
+    along a new last axis, written into ``out`` if given: (1, v) . row is
+    |Phi z|^2 sqrt(1 - |v|^2) for sign +1, and the same with Phi^-T for
+    sign -1."""
     z2 = sign * z * z
-    return np.stack([z.real * z.real + z.imag * z.imag, z2.real, z2.imag], axis=-1)
+    out = np.empty(z.shape + (3,)) if out is None else out
+    np.add(z.real * z.real, z.imag * z.imag, out=out[..., 0])
+    out[..., 1], out[..., 2] = z2.real, z2.imag
+    return out
 
 
 def _at(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -130,25 +134,36 @@ class _BoundaryForms:
         self.curv = curvature_samples(fine)[:, : m // 2].copy()
         self.tangent_rows = np.ascontiguousarray(_cut_rows(1j * e, 1.0).T)  # one row a component
         # blocks [boundary | polar] of m / 2 points a row
-        self.rows = np.concatenate([_cut_rows((hv + 1j * hp) * e, 1.0),
-                                    _cut_rows(e / hv, -1.0)], axis=1)
+        self.rows = np.empty((len(fine), m, 3))
+        z = 1j * hp  # the boundary points (h + i h') e^{it}, then the polar e^{it} / h
+        z += hv
+        z *= e
+        _cut_rows(z, 1.0, self.rows[:, : m // 2])
+        _cut_rows(np.divide(e, hv, out=z), -1.0, self.rows[:, m // 2:])
         a, b = spectral.fourier_coeffs(samples)
         self.modes = np.arange(a.shape[-1])
         # h, h', h'' and h''' are the real parts of these times exp(i k t)
         self.derivs = (1j * self.modes) ** np.arange(4)[:, None] * (a - 1j * b)[:, None, :]
 
-    def _curves(self, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """z, z' and z'' of the boundary curve and of the polar curve at the
-        angles t (a row of angles for each of ``rows``), shape
-        (2, 3) + t.shape, from h through h''' of the interpolant."""
+    def _curves(self, t: np.ndarray, rows: np.ndarray, order: int = 2) -> np.ndarray:
+        """z and its t-derivatives up to ``order`` (0 or 2) of the boundary
+        curve at the angles t[:, 0] and of the polar curve at t[:, 1] (angles
+        (R', 2, k) for ``rows``), shape (order + 1,) + t.shape, from h
+        through its (order + 1)-th derivative of the interpolant."""
         phase = np.exp(1j * (t[..., None] * self.modes))
-        sums = np.sum(self.derivs[rows][:, :, None] * phase[:, None], axis=-1)
-        h0, h1, h2, h3 = sums.real.swapaxes(0, 1)  # one derivative at a time
-        e, s0, s1 = np.exp(1j * t), h0 + h2, h1 + h3
-        g0 = 1.0 / h0  # the polar curve is g e^{it}, g = 1/h
-        g1, g2 = -h1 * g0 * g0, (2.0 * h1 * h1 * g0 - h2) * g0 * g0
-        return np.array([[(h0 + 1j * h1) * e, 1j * s0 * e, (1j * s1 - s0) * e],
-                         [g0 * e, (g1 + 1j * g0) * e, (g2 - g0 + 2j * g1) * e]])
+        sums = np.sum(self.derivs[rows, : order + 2, None, None] * phase[:, None], axis=-1).real
+        # one derivative at a time, at the boundary angles (h) and the polar ones (g)
+        h, g = sums[:, :, 0].swapaxes(0, 1), sums[:, :, 1].swapaxes(0, 1)
+        e = np.exp(1j * t)
+        out = np.empty((order + 1,) + t.shape, dtype=complex)
+        g0 = 1.0 / g[0]  # the polar curve is (1/h) e^{it}
+        out[0, :, 0], out[0, :, 1] = (h[0] + 1j * h[1]) * e[:, 0], g0 * e[:, 1]
+        if order:
+            s0, s1 = h[0] + h[2], h[1] + h[3]
+            g1, g2 = -g[1] * g0 * g0, (2.0 * g[1] * g[1] * g0 - g[2]) * g0 * g0
+            out[1, :, 0], out[1, :, 1] = 1j * s0 * e[:, 0], (g1 + 1j * g0) * e[:, 1]
+            out[2, :, 0], out[2, :, 1] = (1j * s1 - s0) * e[:, 0], (g2 - g0 + 2j * g1) * e[:, 1]
+        return out
 
     def evaluate(self, v: np.ndarray, rows: np.ndarray):
         """The maxima (A, B) of ``rows`` at their points in v (a point a row
@@ -171,22 +186,21 @@ class _BoundaryForms:
         top = np.where(peak.any(axis=-1), np.argmax(score, axis=-1), np.argmax(vals, axis=-1))
         np.put_along_axis(score, top[..., None], -np.inf, axis=-1)
         second = np.where(score.max(axis=-1) > -np.inf, np.argmax(score, axis=-1), top)
-        idx = np.stack([second, top], axis=-1).reshape(count, 4)
-        boundary = np.arange(4) < 2
-        sign, start = np.where(boundary, 1.0, -1.0), idx * self.dt
-        w, t = (v[:, 0] - 1j * v[:, 1])[:, None], start
+        idx = np.stack([second, top], axis=-1)  # (count, side, 2)
+        sign, start = np.array([[1.0], [-1.0]]), idx * self.dt  # of each side
+        w, t = (v[:, 0] - 1j * v[:, 1])[:, None, None], start
         for _ in range(NEWTON_STEPS):
-            z, z1, z2 = np.where(boundary, *self._curves(t, rows))
+            z, z1, z2 = self._curves(t, rows)
             # f = |z|^2 + sign Re(w z^2) and its first two t-derivatives
             f1 = 2.0 * (z.conj() * z1 + sign * w * z * z1).real
             f2 = 2.0 * (z1.conj() * z1 + z.conj() * z2 + sign * w * (z1 * z1 + z * z2)).real
             offset = t - start - f1 / np.where(f2 < 0.0, f2, -np.inf)
             t = start + np.maximum(-self.dt, np.minimum(self.dt, offset))
-        old = self.rows[rows[:, None], idx + ~boundary * vals.shape[-1]]
-        new = _cut_rows(np.where(boundary, *self._curves(t, rows)[:, 0]), sign)
-        higher = _at(new, v[:, None]) >= _at(old, v[:, None])
-        cuts = np.where(higher[..., None], new, old).reshape(count, 2, 2, 3)
-        angles = np.where(higher, t, start).reshape(count, 2, 2)
+        old = self.rows[rows[:, None, None], idx + np.array([[0], [vals.shape[-1]]])]
+        new = _cut_rows(self._curves(t, rows, 0)[0], sign)
+        higher = _at(new, v[:, None, None]) >= _at(old, v[:, None, None])
+        cuts = np.where(higher[..., None], new, old)
+        angles = np.where(higher, t, start)
         return _fold(np.maximum, _at(cuts, v[:, None, None])), cuts, angles
 
 
@@ -289,53 +303,57 @@ def _model_minimum(cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       disk stands in for it.
     """
     count, split = len(cuts), CUTS_PER_SIDE
-    cuts = cuts.reshape(count, 2 * split, 3)
+    # one contiguous (R', 2 CUTS_PER_SIDE) array a component of the cuts
+    x0, x1, x2 = x = np.ascontiguousarray(np.moveaxis(cuts.reshape(count, 2 * split, 3), -1, 0))
     i, k, (li, lk), a, b, own = _LAYOUT
     line, row = np.arange(i.size), np.arange(count)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = cuts[:, i] - cuts[:, k]  # g . (1, v) = 0 on the tie line
-        norm2 = g[..., 1] * g[..., 1] + g[..., 2] * g[..., 2]
-        p = g[..., 1:] * (-g[..., :1] / norm2[..., None])
-        e = np.stack([-g[..., 2], g[..., 1]], axis=-1) / np.sqrt(norm2)[..., None]
-        d0 = 1.0 - _fold(np.add, p * p)[..., None]
+        g0, g1, g2 = x[:, :, i] - x[:, :, k]  # g . (1, v) = 0 on the tie line
+        norm2 = g1 * g1 + g2 * g2
+        foot, root = -g0 / norm2, np.sqrt(norm2)
+        p0, p1, e0, e1 = g1 * foot, g2 * foot, -g2 / root, g1 / root
+        d0 = (1.0 - (p0 * p0 + p1 * p1))[..., None]
         # every cut at p, and its slope along e, on every line
-        at = _at(cuts[:, None], p[:, :, None])
-        along = e[..., :1] * cuts[:, None, :, 1] + e[..., 1:] * cuts[:, None, :, 2]
+        at = x0[:, None] + p0[..., None] * x1[:, None] + p1[..., None] * x2[:, None]
+        along = e0[..., None] * x1[:, None] + e1[..., None] * x2[:, None]
         a0, a1 = at[:, line, i][..., None], along[:, line, i][..., None]
         n0, n1, n2 = a0 * at, a0 * along + a1 * at, a1 * along
         q = n0 + n2 * d0
         tau = np.where(n1 == 0.0, 0.0,
                        -n1 * d0 / (q + np.copysign(np.sqrt(q * q - n1 * n1 * d0), q)))
-        det = g[:, li, 1] * g[:, lk, 2] - g[:, li, 2] * g[:, lk, 1]
-        v = np.concatenate([(p[:, :, None] + tau[..., None] * e[:, :, None]).reshape(count, -1, 2),
-                            np.stack([g[:, lk, 0] * g[:, li, 2] - g[:, li, 0] * g[:, lk, 2],
-                                      g[:, li, 0] * g[:, lk, 1] - g[:, lk, 0] * g[:, li, 1]],
-                                     axis=-1) / det[..., None]], axis=1)
-        outer, polar = (_fold(np.maximum, _at(side[:, None], v[:, :, None]))
-                        for side in (cuts[:, :split], cuts[:, split:]))
-        room = 1.0 - _fold(np.add, v * v)
+        det = g1[:, li] * g2[:, lk] - g2[:, li] * g1[:, lk]
+        v0, v1 = (np.concatenate([(pj[..., None] + tau * ej[..., None]).reshape(count, -1),
+                                  cross / det], axis=1)
+                  for pj, ej, cross in ((p0, e0, g0[:, lk] * g2[:, li] - g0[:, li] * g2[:, lk]),
+                                        (p1, e1, g0[:, li] * g1[:, lk] - g0[:, lk] * g1[:, li])))
+        # every cut of a side at every candidate, one (R', candidates) slice a cut
+        y0, y1, y2 = x.transpose(0, 2, 1)[..., None]
+        outer, polar = (functools.reduce(np.maximum, y0[side] + v0 * y1[side] + v1 * y2[side])
+                        for side in (slice(split), slice(split, None)))
+        room = 1.0 - (v0 * v0 + v1 * v1)
         values = np.where(room > 0.0, outer * polar / room, np.inf)
         # chords v = start + tau span, tau in [0, 1], on which a and b stay the
         # largest of their sides: c + d tau >= 0 for each cut (0 for a and b)
-        start = -cuts[:, a, 1:] / cuts[:, a, :1]
-        span = -cuts[:, b, 1:] / cuts[:, b, :1] - start
-        gap = cuts[:, own] - cuts[:, None]
-        c = _at(gap, start[:, :, None])
-        d = gap[..., 1] * span[..., :1] + gap[..., 2] * span[..., 1:]
+        start0, start1 = -x1[:, a] / x0[:, a], -x2[:, a] / x0[:, a]
+        span0, span1 = -x1[:, b] / x0[:, b] - start0, -x2[:, b] / x0[:, b] - start1
+        gap0, gap1, gap2 = x[:, :, own] - x[:, :, None]
+        c = gap0 + start0[..., None] * gap1 + start1[..., None] * gap2
+        d = gap1 * span0[..., None] + gap2 * span1[..., None]
         bound = -c / d
     lo = _fold(np.maximum, np.where(d > 0.0, bound, 0.0))
     hi = _fold(np.minimum, np.where(d < 0.0, bound, 1.0))
-    ca, cb = cuts[:, a], cuts[:, b]
     chord = np.where((lo <= hi) & _fold(np.logical_and, (d != 0.0) | (c >= 0.0)),
-                     0.5 * (ca[..., 0] * cb[..., 0] - ca[..., 1] * cb[..., 1]
-                            - ca[..., 2] * cb[..., 2]), np.inf)
+                     0.5 * (x0[:, a] * x0[:, b] - x1[:, a] * x1[:, b] - x2[:, a] * x2[:, b]),
+                     np.inf)
     pair, best = np.argmin(chord, axis=-1), np.argmin(values, axis=-1)
     vertex = values[row, best] <= chord[row, pair]
-    point = start[row, pair] + (0.5 * (lo[row, pair] + hi[row, pair]))[:, None] * span[row, pair]
-    radius = np.hypot(point[:, 0], point[:, 1])
-    point = point * np.minimum(1.0, (1.0 - 1e-6) / np.maximum(radius, 1e-300))[:, None]
+    half = 0.5 * (lo[row, pair] + hi[row, pair])
+    point0 = start0[row, pair] + half * span0[row, pair]
+    point1 = start1[row, pair] + half * span1[row, pair]
+    shrink = np.minimum(1.0, (1.0 - 1e-6) / np.maximum(np.hypot(point0, point1), 1e-300))
     return (np.where(vertex, values[row, best], chord[row, pair]),
-            np.where(vertex[:, None], v[row, best], point))
+            np.where(vertex[:, None], np.stack([v0[row, best], v1[row, best]], axis=-1),
+                     np.stack([point0 * shrink, point1 * shrink], axis=-1)))
 
 
 def _merge(cuts: np.ndarray, angles: np.ndarray, new: np.ndarray, new_angles: np.ndarray,
@@ -362,6 +380,13 @@ class _Minimum(NamedTuple):
     lower: np.ndarray  # the largest cut-model minimum of each row's ratio
     start: np.ndarray  # (A, B) at the start, (R, 2)
     nfev: int  # body evaluations, summed over the rows
+    rounds: int  # rounds of the stack, each evaluating the rows not yet converged
+
+    @property
+    def distances(self) -> np.ndarray:
+        """The Banach-Mazur distance of each row, circumradius / inradius at x."""
+        inner, outer = _radii(self.x, self.maxima).T
+        return outer / inner
 
 
 def minimize(forms: _BoundaryForms, start: np.ndarray) -> _Minimum:
@@ -399,7 +424,8 @@ def minimize(forms: _BoundaryForms, start: np.ndarray) -> _Minimum:
         rows = rows[np.sqrt(best[rows]) - np.sqrt(lower[rows]) > SEARCH_RTOL * np.sqrt(best[rows])]
         if not rows.size:
             break
-    return _Minimum(x=x, maxima=maxima, lower=np.sqrt(lower), start=first, nfev=nfev)
+    return _Minimum(x=x, maxima=maxima, lower=np.sqrt(lower), start=first, nfev=nfev,
+                    rounds=rounds + 1)
 
 
 def _certificates(res: _Minimum) -> list[BMCertificate]:
@@ -425,16 +451,17 @@ def sl2_normalize(h: SupportFn) -> tuple[SupportFn, np.ndarray]:
     return scaled(image, np.sqrt(np.pi / image_area)), witness
 
 
-def sl2_searches(samples: np.ndarray) -> tuple[np.ndarray, list[BMCertificate]]:
+def sl2_searches(samples: np.ndarray) -> tuple[np.ndarray, _Minimum]:
     """The SL(2) quantities a flow trace row monitors, for each row of
     stacked origin-symmetric support samples (R, n): the (inradius,
     circumradius) of Phi K at the perimeter-minimal Phi (the witness of
     ``sl2_normalize``), read off the first evaluation of the Banach-Mazur
-    search started there, as (R, 2), and the certificate of that search."""
+    search started there, as (R, 2), and that search's result, whose
+    ``distances`` are the rows' Banach-Mazur distances to the disk."""
     forms = _BoundaryForms(samples)
     start = _perimeter_minimum(forms)
     res = minimize(forms, start)
-    return _radii(start, res.start), _certificates(res)
+    return _radii(start, res.start), res
 
 
 def banach_mazur_to_disk(h: SupportFn) -> BMCertificate:
@@ -446,7 +473,7 @@ def banach_mazur_to_disk(h: SupportFn) -> BMCertificate:
     ``lower_bound`` is within SEARCH_RTOL of the distance unless the search
     ran out of rounds.
     """
-    return sl2_searches(h.samples[None])[1][0]
+    return _certificates(sl2_searches(h.samples[None])[1])[0]
 
 
 def _parabola_peak(values: np.ndarray, j: int) -> float:

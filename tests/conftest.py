@@ -59,14 +59,15 @@ def fuzz_bodies():
 @pytest.fixture(scope="session")
 def flow_row_blocks():
     """The row blocks (R, 64) the monitor pass of the seed-1 flow benchmark
-    stacks: ``ROW_BLOCK`` consecutive rows of each of its four bodies."""
-    from centroflow.flow import ROW_BLOCK
-    blocks = []
+    stacks: ``BLOCK_SAMPLES // 64`` consecutive rows of each of its four
+    bodies."""
+    from centroflow.flow import BLOCK_SAMPLES
+    block, blocks = BLOCK_SAMPLES // 64, []
     for j in range(4):
         body = random_body(BodySpec(seed=1 + 1000 * j, n=64, mode_count=3, decay=1.6,
                                     amplitude=0.5))
         rows = flow_run(body, FlowConfig(cfl=0.1, t_stop_area=0.3, renormalize_every=25)).h_rows
-        blocks += [rows[lo:lo + ROW_BLOCK] for lo in range(0, len(rows), ROW_BLOCK)]
+        blocks += [rows[lo:lo + block] for lo in range(0, len(rows), block)]
     return blocks
 
 

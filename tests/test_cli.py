@@ -208,6 +208,9 @@ class TestFlowCommand:
         timings = manifest["timings"]
         assert timings["rows"] == len(lines) - 1 and timings["steps"] == report["steps"]
         assert timings["stepper_s"] > 0.0 and timings["monitor_s"] > 0.0
+        # each row is evaluated at least once, in at least one search round
+        assert timings["search_evaluations"] >= timings["rows"]
+        assert 1 <= timings["search_rounds"] <= timings["search_evaluations"]
 
     def test_frames_emitted(self, workdir):
         out = workdir / "run_frames"

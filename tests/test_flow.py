@@ -123,38 +123,53 @@ class TestRowBlocks:
                     if f.type == "np.ndarray"]
     monitor_rows = staticmethod(flow._monitor_rows)  # the pass, unpatched
 
-    def run(self, monkeypatch, cfg):
-        """A run of the seed-1 flow-seeded body, the stored rows (t, h, S, V)
-        its monitor pass received, and the number of rows each search block
-        held."""
-        received, blocks = [], []
-        searches = flow.sl2_searches
+    def run(self, monkeypatch, cfg, n=64):
+        """A run of the seed-1 flow-seeded body (on n points), the stored rows
+        (t, h, S, V) its monitor pass received, and the number of rows each
+        search block held."""
+        received, blocks, found = [], [], []
+        search = flow.sl2_searches
+
+        def searches(h):
+            blocks.append(len(h))
+            found.append(search(h))
+            return found[-1]
         monkeypatch.setattr(flow, "_monitor_rows",
                             lambda *rows: (received.extend(rows), self.monitor_rows(*rows))[1])
-        monkeypatch.setattr(flow, "sl2_searches",
-                            lambda h: (blocks.append(len(h)), searches(h))[1])
-        body = random_body(BodySpec(seed=1, n=64, mode_count=3, decay=1.6, amplitude=0.5))
+        monkeypatch.setattr(flow, "sl2_searches", searches)
+        body = random_body(BodySpec(seed=1, n=n, mode_count=3, decay=1.6, amplitude=0.5))
         started = time.perf_counter()
         trace = flow_run(body, cfg)
         wall = time.perf_counter() - started
         assert 0.0 < trace.stepper_s and 0.0 < trace.monitor_s
         assert trace.stepper_s + trace.monitor_s <= wall
+        # the trace counts the rounds and evaluations of every block's search
+        assert trace.search_rounds == sum(search.rounds for _, search in found)
+        assert trace.search_evaluations == sum(search.nfev for _, search in found)
         return trace, received, blocks
 
     def check_rows_alone(self, trace, received):
         for i in range(trace.rows):
-            one = self.monitor_rows(*(col[i:i + 1] for col in received))
+            one = self.monitor_rows(*(col[i:i + 1] for col in received))[0]
             for name in self.ARRAY_FIELDS:
                 assert np.array_equal(one[name][0], getattr(trace, name)[i]), (i, name)
 
-    @pytest.mark.parametrize("rows", [1, flow.ROW_BLOCK - 1, flow.ROW_BLOCK,
-                                      flow.ROW_BLOCK + 1])
+    BLOCK_64 = flow.BLOCK_SAMPLES // 64  # rows a block holds at n = 64
+
+    @pytest.mark.parametrize("rows", [1, BLOCK_64 - 1, BLOCK_64, BLOCK_64 + 1])
     def test_columns_equal_each_row_alone(self, monkeypatch, rows):
         # one row a step, stopped by the step cap after rows - 1 steps
         monkeypatch.setattr(flow, "MAX_STEPS", rows - 1)
         trace, received, blocks = self.run(monkeypatch, FlowConfig(renormalize_every=1))
         assert trace.rows == rows and trace.stop_reason == "max_steps"
-        assert max(blocks) <= flow.ROW_BLOCK and sum(blocks) == rows
+        assert max(blocks) <= self.BLOCK_64 and sum(blocks) == rows
+        self.check_rows_alone(trace, received)
+
+    def test_blocks_hold_the_same_samples_at_every_grid(self, monkeypatch):
+        # a block holds BLOCK_SAMPLES support samples: 24 rows at n = 128
+        monkeypatch.setattr(flow, "MAX_STEPS", 24)
+        trace, received, blocks = self.run(monkeypatch, FlowConfig(renormalize_every=1), n=128)
+        assert trace.rows == 25 and blocks == [24, 1]
         self.check_rows_alone(trace, received)
 
     def test_dropped_t_stop_row_is_never_monitored(self, monkeypatch):
@@ -393,6 +408,23 @@ class TestStepperIntegrity:
                 pytest.raises(StepUnderflow, match=f"^dt={dt} at t=0$"):
             flow_run(SupportFn(np.full(64, scale)), FlowConfig(t_stop_area=1e-300))
         assert time.perf_counter() - started < 5.0
+
+    @pytest.mark.parametrize("scale, cfg, error", [
+        (None, FlowConfig(), ConvexityLost),
+        (1e100, FlowConfig(t_stop_area=1e-300), StepUnderflow),
+        (1e-100, FlowConfig(), ValueError),
+    ], ids=["convexity", "first-step", "monitor"])
+    def test_refusal_leaves_the_error_state_alone(self, scale, cfg, error):
+        # the run silences the floating-point errors its own checks report:
+        # a stage that is not convex, a first step that overflows (h^3 S of
+        # 1e100), the monitors of a 1e-100 disk that overflow (max_ca3)
+        body = near_floor_body() if scale is None else SupportFn(np.full(64, scale))
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # none may escape
+            with pytest.raises(error):
+                flow_run(body, cfg)
+        assert np.geterr() == before
 
     def test_step_cap_stops_the_run(self, monkeypatch):
         monkeypatch.setattr(flow, "MAX_STEPS", 3)

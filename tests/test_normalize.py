@@ -229,8 +229,9 @@ class TestPerimeterMinimum:
         self.check(monkeypatch, [_stability_base(seed, n).samples for seed in range(20)], 8)
 
     def test_flow_rows(self, monkeypatch, seeded_trace):
-        for lo in range(0, seeded_trace.rows, flow.ROW_BLOCK):
-            self.check(monkeypatch, seeded_trace.h_rows[lo:lo + flow.ROW_BLOCK], 8)
+        block = flow.BLOCK_SAMPLES // seeded_trace.h_rows.shape[1]
+        for lo in range(0, seeded_trace.rows, block):
+            self.check(monkeypatch, seeded_trace.h_rows[lo:lo + block], 8)
 
     def test_fuzz_bodies(self, monkeypatch, fuzz_bodies):
         self.check(monkeypatch, [body.samples for body in fuzz_bodies])
@@ -303,14 +304,26 @@ class TestExchangeSearch:
     def test_stacked_search_equals_each_body_alone(self):
         # bodies that close in different rounds, and a disk, in one stack
         bodies = [_stability_base(seed, 128) for seed in range(6)] + [disk(1.0, 128)]
-        radii, certs = sl2_searches(np.array([b.samples for b in bodies]))
-        for body, pair, cert in zip(bodies, radii, certs):
+        radii, res = sl2_searches(np.array([b.samples for b in bodies]))
+        for body, pair, cert in zip(bodies, radii, _certificates(res)):
             alone = sl2_searches(body.samples[None])
             assert np.array_equal(alone[0][0], pair)
             # field by field: dataclass == cannot compare the witness arrays
-            assert np.array_equal(alone[1][0].witness, cert.witness)
-            assert all(getattr(alone[1][0], name) == getattr(cert, name) for name in
+            alone_cert = _certificates(alone[1])[0]
+            assert np.array_equal(alone_cert.witness, cert.witness)
+            assert all(getattr(alone_cert, name) == getattr(cert, name) for name in
                        ("distance", "inner_radius", "outer_radius", "lower_bound"))
+
+    def test_rounds_and_evaluations_are_counted(self, monkeypatch):
+        # a round evaluates the rows of the stack not yet converged, once each
+        calls, evaluate_ = [], _BoundaryForms.evaluate
+        monkeypatch.setattr(_BoundaryForms, "evaluate",
+                            lambda forms, v, rows: (calls.append(rows.size),
+                                                    evaluate_(forms, v, rows))[1])
+        bodies = [_stability_base(seed, 128) for seed in range(6)] + [disk(1.0, 128)]
+        res = sl2_searches(np.array([b.samples for b in bodies]))[1]
+        assert res.rounds == len(calls) >= 2 and res.nfev == sum(calls)
+        assert calls[0] == len(bodies)
 
     def test_search_ends_no_higher_than_its_start(self, seeded_trace):
         # the best point evaluated is returned, and the first is the start

@@ -311,7 +311,8 @@ def test_boundary_curves_off_grid_match_coefficients():
     e = np.exp(1j * np.outer(t, k))
     h = (e * f * w).real.sum(axis=1)
     hp = (1j * k * e * f * w).real.sum(axis=1)
-    boundary, polar = _BoundaryForms(body.samples[None])._curves(t[None], np.arange(1))[:, 0, 0]
+    boundary, polar = _BoundaryForms(body.samples[None])._curves(np.array([[t, t]]),
+                                                                 np.arange(1))[0, 0]
     assert n // 2 * abs(f[-1]) > 1e-3  # the Nyquist term is not negligible
     assert np.max(np.abs(boundary.real - (h * np.cos(t) - hp * np.sin(t)))) < 1e-12
     assert np.max(np.abs(boundary.imag - (h * np.sin(t) + hp * np.cos(t)))) < 1e-12
