@@ -187,18 +187,18 @@ RK4_WEIGHTS = (1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)  # of c phi, c = dt/2
 
 def _later_stages(table: np.ndarray, slopes: np.ndarray, stages: np.ndarray):
     """Stages 2 to 4 of a step as run(dt, t): slopes[i] @ table into stages[i]
-    and its speed into slopes[i + 1]; ConvexityLost(t) unless all are positive."""
+    and its speed into slopes[i + 1]; ConvexityLost(t) unless all are positive.
+    ``flow_run``'s np.errstate silences the stages' warnings until the check."""
     views = [(slopes[i], y, *np.split(y, 2), slopes[i + 1, :-1]) for i, y in enumerate(stages)]
     h2s = np.empty(stages.shape[1] // 2)
     dot, multiply, divide, least = np.dot, np.multiply, np.divide, np.minimum.reduce
 
     def run(dt: float, t: float) -> None:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # until the check
-            for (slope, y, h, s, speed), c in zip(views, (0.5 * dt, dt, dt)):
-                dot(slope, table, y)  # every out argument is positional
-                multiply(h, h, h2s)
-                multiply(h2s, s, h2s)
-                divide(-c, h2s, speed)
+        for (slope, y, h, s, speed), c in zip(views, (0.5 * dt, dt, dt)):
+            dot(slope, table, y)  # every out argument is positional
+            multiply(h, h, h2s)
+            multiply(h2s, s, h2s)
+            divide(-c, h2s, speed)
         if not least(stages, None) > 0.0:  # NaN fails too
             raise ConvexityLost(t)
     return run
@@ -244,14 +244,13 @@ def _monitor_rows(t: np.ndarray, h: np.ndarray, s: np.ndarray,
     blocks, rounds, evaluations, size = [], 0, 0, BLOCK_SAMPLES // n
     for lo in range(0, t.size, size):
         block = slice(lo, lo + size)
-        chain = ops.polar_chain(arr[block], v[block])
-        gamma = chain.centroid_samples(v[block])
+        polar, rho3, v_star = ops.polar_chain(arr[block])
+        gamma = ops._centroid_support(rho3, v[block])
         radii, search = sl2_searches(arr[block])
         rounds, evaluations = rounds + search.rounds, evaluations + search.nfev
-        blocks.append((chain.v_star, area_quadrature(gamma, curvature_samples(gamma)),
-                       chain.ratio_derivative(v[block]), chain.polar[:, probe_idx],
-                       curvature_samples(chain.polar)[:, probe_idx], radii,
-                       search.distances))
+        blocks.append((v_star, area_quadrature(gamma, curvature_samples(gamma)),
+                       ops._ratio_derivative(rho3, v_star, v[block]), polar[:, probe_idx],
+                       curvature_samples(polar)[:, probe_idx], radii, search.distances))
     v_star, bp_area, bp_rhs, probe, probe_s, radii, d_bm = (
         np.concatenate(col) for col in zip(*blocks))
     r_minus, r_plus = radii.T

@@ -130,18 +130,18 @@ def deficit_report(h: SupportFn) -> tuple[dict[str, float], float]:
     one polar pass.
     """
     v = area(h)
-    chain = ops.polar_chain(h.samples, v)
-    gamma = SupportFn(chain.centroid_samples(v))
-    residual = chain.identity_residual(gamma.samples) / float(np.max(gamma.samples))
+    polar, rho3, v_star = ops.polar_chain(h.samples)
+    gamma = SupportFn(ops._centroid_support(rho3, v))
+    residual = ops._identity_residual(polar, v_star, gamma.samples) / float(np.max(gamma.samples))
     minkowski, groemer = _mixed_volume_gaps(h, _unit_disk(h.n))
     pi_k = ops.projection_body(h)
     q = affine_support(h, np.sqrt(np.pi / v))
     gaps = {
         "bp_deficit": float(area(gamma) / v / BP_CONSTANT - 1.0),
-        "santalo_gap": (np.pi ** 2 - float(v * chain.v_star)) / np.pi ** 2,
+        "santalo_gap": (np.pi ** 2 - float(v * v_star)) / np.pi ** 2,
         "petty_gap": ((np.pi / 2.0) ** 2 - float(v * ops.polar_area(pi_k))) / (np.pi / 2.0) ** 2,
         "groemer_vs_disk": groemer,
-        "lambda_area_drop": float((v - area(ops._curvature_image(h, v, chain.v_star))) / v),
+        "lambda_area_drop": float((v - area(ops._curvature_image(h, v, v_star))) / v),
         "affine_bracket_low": 1.0 - float(np.min(q)),
         "affine_bracket_high": float(np.max(q)) - 1.0,
         "minkowski_vs_disk": minkowski,

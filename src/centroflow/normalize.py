@@ -178,8 +178,8 @@ class _BoundaryForms:
         (R', side, 2, 3) and their angles (R', side, 2).
         """
         count = len(rows)
-        vals = _at(self.rows, v[:, None])[rows].reshape(count, 2, -1)
         v = v[rows]
+        vals = _at(self.rows[rows], v[:, None]).reshape(count, 2, -1)
         ring = np.concatenate([vals[..., -1:], vals, vals[..., :1]], axis=-1)
         peak = (vals > ring[..., :-2]) & (vals >= ring[..., 2:])
         score = np.where(peak, vals, -np.inf)

@@ -7,8 +7,8 @@ Every polar quantity comes from powers of the radial function rho, read
 off the body's own n grid by a change of variables to the normal angle
 (``support.radial_powers``): the polar body K* has support 1/rho, the
 centroid body integrates rho^3, and the curvature image of the polar has
-surface density proportional to rho^3.  ``PolarChain`` holds all of them
-from one pass.  That pass sums only the even modes, over half the period
+surface density proportional to rho^3.  ``polar_chain`` reads 1/rho and
+rho^3 off one pass.  That pass sums only the even modes, over half the period
 in the normal angle, from the body's even spectrum, on a grid sized by the
 body's own stretch (2 to 16 times n/2 points); so every polar and centroid
 sample is exactly origin-symmetric, antipodal samples equal.  The polar
@@ -32,7 +32,6 @@ with value 4 at k = 0.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +54,6 @@ __all__ = [
     "projection_body",
     "mixed_volume",
     "curvature_image",
-    "PolarChain",
     "polar_chain",
 ]
 
@@ -157,57 +155,42 @@ def _curvature_image(h: SupportFn, v_body, v_star) -> SupportFn:
     return SupportFn(_solve_curvature((v_body / v_star) * h.samples ** -3))
 
 
-@dataclass(frozen=True)
-class PolarChain:
-    """The polar body, its area and the area of its curvature image, on the
-    body's n grid from one pass of ``radial_powers``; stacked bodies stack.
+def _identity_residual(polar: np.ndarray, v_star, gamma: np.ndarray) -> float:
+    """Sup-norm residual of the identity relating the centroid body to the
+    projection of the curvature image of the polar body,
 
-    V(K*) is ``polar_area`` of the body and V(K**) is V(K).  The two areas
-    of ``v_lambda_star - v_star`` come from different quadratures (the modes
-    of rho^3 against the samples of h^-2), so nothing forces its sign to be
-    that of the mixed-volume inequality.  Measured, V(Lambda K*) <= V(K*)
-    holds with a relative margin of at least 2.8e-4 on the n=128 stability
-    base bodies of seeds 0-9 and the 20 bodies of the n=256 fuzz campaign
-    with seed 1.
+        h_{Gamma K} = (2 / (3 V(K*))) * h_{Pi Lambda K*},
+
+    for centroid-body samples ``gamma`` (from rho^3), the polar's support
+    ``polar`` and V(K*).  The right-hand side comes from the ``polar`` row
+    alone: Lambda K* has surface density (V(K*) / V(K**)) h_{K*}^-3 with
+    V(K**) = (1/2) integral of h_{K*}^-2, and Pi of a body is half the |cos|
+    transform of its surface density."""
+    v_bipolar = _polar_area(polar)
+    pi_lam = 0.5 * (v_star / v_bipolar) * _abs_cos_transform(polar ** -3)
+    return float(np.max(np.abs(gamma - (2.0 / (3.0 * v_star)) * pi_lam)))
+
+
+def _ratio_derivative(rho3: np.ndarray, v_star, v_body):
+    """Time derivative of V(Gamma K)/V(K) along the flow, from rho^3, V(K*)
+    and V(K), a row each: 32 (V(Lambda K*) - V(K*)) / (3 V(K)^2 V(K*)).
+
+    The two areas of V(Lambda K*) - V(K*) come from different quadratures
+    (the modes of rho^3 against the samples of h^-2), so nothing forces its
+    sign to be that of the mixed-volume inequality.  Measured, V(Lambda K*)
+    <= V(K*) holds with a relative margin of at least 2.8e-4 on the n=128
+    stability base bodies of seeds 0-9 and the 20 bodies of the n=256 fuzz
+    campaign with seed 1.
     """
-
-    polar: np.ndarray            # support of K*, 1/rho
-    rho_cubed: np.ndarray        # rho^3, density of the centroid body
-    v_star: float | np.ndarray          # V(K*)
-    v_lambda_star: float | np.ndarray   # V(Lambda K*)
-
-    def centroid_samples(self, v_body: float) -> np.ndarray:
-        """Support of the centroid body, given V(K)."""
-        return _centroid_support(self.rho_cubed, v_body)
-
-    def identity_residual(self, gamma: np.ndarray) -> float:
-        """Sup-norm residual of the identity relating the centroid body to the
-        projection of the curvature image of the polar body,
-
-            h_{Gamma K} = (2 / (3 V(K*))) * h_{Pi Lambda K*},
-
-        for centroid-body samples ``gamma`` (from rho^3).  The right-hand side
-        comes from the ``polar`` row alone: Lambda K* has surface density
-        (V(K*) / V(K**)) h_{K*}^-3 with V(K**) = (1/2) integral of h_{K*}^-2,
-        and Pi of a body is half the |cos| transform of its surface density."""
-        v_bipolar = _polar_area(self.polar)
-        pi_lam = 0.5 * (self.v_star / v_bipolar) * _abs_cos_transform(self.polar ** -3)
-        return float(np.max(np.abs(gamma - (2.0 / (3.0 * self.v_star)) * pi_lam)))
-
-    def ratio_derivative(self, v_body):
-        """Time derivative of V(Gamma K)/V(K) along the flow, given V(K):
-        32 (V(Lambda K*) - V(K*)) / (3 V(K)^2 V(K*))."""
-        return 32.0 * (self.v_lambda_star - self.v_star) / (3.0 * v_body * v_body * self.v_star)
-
-
-def polar_chain(h: np.ndarray, v_body) -> PolarChain:
-    """Polar body, its area, and the area of its curvature image, from the
-    support samples of one origin-symmetric body (n,) or of a stack (R, n),
-    and its area V(K), a value a row."""
-    rho3, p = radial_powers(h, [3, -1])
-    v_star = _polar_area(h)
     # Lambda K* has surface density (V(K*) / V(K**)) h_{K*}^-3, and V(K**) = V(K)
     lam = _solve_curvature((v_star / v_body)[..., None] * rho3)
-    return PolarChain(polar=p, rho_cubed=rho3, v_star=v_star,
-                      v_lambda_star=area_quadrature(lam, curvature_samples(lam)))
+    v_lambda_star = area_quadrature(lam, curvature_samples(lam))
+    return 32.0 * (v_lambda_star - v_star) / (3.0 * v_body * v_body * v_star)
 
+
+def polar_chain(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """The polar's support 1/rho, rho^3 and V(K*) of one origin-symmetric
+    body (n,) or of a stack (R, n), from one pass of ``radial_powers`` on
+    the body's n grid."""
+    rho3, p = radial_powers(h, [3, -1])
+    return p, rho3, _polar_area(h)

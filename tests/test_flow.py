@@ -321,7 +321,9 @@ class TestStepperIntegrity:
         slopes[0, 0] = slope
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # none may escape
-            with pytest.raises(ConvexityLost) as err:
+            # the error state flow_run holds around its loop
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"), \
+                    pytest.raises(ConvexityLost) as err:
                 _later_stages(table, slopes, stages)(dt, 0.5)
         assert err.value.t == 0.5
         positive = [bool(stage.min() > 0.0) for stage in stages]
@@ -424,6 +426,29 @@ class TestStepperIntegrity:
             warnings.simplefilter("error", RuntimeWarning)  # none may escape
             with pytest.raises(error):
                 flow_run(body, cfg)
+        assert np.geterr() == before
+
+    def test_later_stage_refusal_leaves_the_error_state_alone(self, monkeypatch):
+        # stage 2 of the third step is all zero, so it divides by zero (a NaN
+        # stage would warn of nothing); the run's own error state silences
+        # that until the check
+        def later_stages(table, slopes, stages):
+            run, calls = _later_stages(table, slopes, stages), []
+
+            def zeroed(dt, t):
+                calls.append(t)
+                if len(calls) == 3:
+                    table.fill(0.0)
+                run(dt, t)
+            return zeroed
+
+        monkeypatch.setattr(flow, "_later_stages", later_stages)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # none may escape
+            with pytest.raises(ConvexityLost) as err:
+                flow_run(ellipse(1.3, 0.8, 0.2, 64))
+        assert err.value.t > 0.0
         assert np.geterr() == before
 
     def test_step_cap_stops_the_run(self, monkeypatch):

@@ -17,11 +17,11 @@ from centroflow import (
     sl2_normalize,
     stability_experiment,
 )
-from centroflow import lab
+from centroflow import lab, ops
 from centroflow.lab import (DEFICIT_RTOL, MIN_CURVATURE, _deficit_targeted_body,
                             _mixed_volume_gaps, _stability_base)
 from centroflow.normalize import family_map
-from centroflow.ops import polar_chain
+from centroflow.ops import _identity_residual, _ratio_derivative, polar_chain
 from centroflow.spectral import angles, deriv, resample
 from centroflow.support import curvature_samples
 
@@ -30,7 +30,8 @@ import oracles
 
 def ratio_rhs(h):
     """Closed-form time derivative of V(Gamma K)/V(K) at ``h``."""
-    return polar_chain(h.samples, area(h)).ratio_derivative(area(h))
+    _, rho3, v_star = polar_chain(h.samples)
+    return _ratio_derivative(rho3, v_star, area(h))
 
 
 class TestGenerator:
@@ -193,9 +194,19 @@ class TestReports:
         from centroflow import centroid_body
         for body in (wobble, random_body(BodySpec(seed=5))):
             gamma = centroid_body(body).samples
-            want = polar_chain(body.samples, area(body)).identity_residual(gamma) / np.max(gamma)
+            polar, _, v_star = polar_chain(body.samples)
+            want = _identity_residual(polar, v_star, gamma) / np.max(gamma)
             assert deficit_report(body)[1] == pytest.approx(
                 want, rel=1e-12, abs=1e-300)
+
+    def test_one_curvature_solve_a_body(self, wobble, monkeypatch):
+        # the one solve is Lambda K's, for lambda_area_drop; the audit reads
+        # no area of Lambda K*
+        solves = []
+        solve = ops._solve_curvature
+        monkeypatch.setattr(ops, "_solve_curvature", lambda f: solves.append(f) or solve(f))
+        deficit_report(wobble)
+        assert len(solves) == 1
 
 
 class TestFuzz:
