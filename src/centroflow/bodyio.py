@@ -71,7 +71,7 @@ def body_from_dict(data: dict) -> SupportFn:
                 raise ValueError(f"fourier {name} has at most {limit} entries when n = {n}")
         a = np.pad(a_in, (0, n // 2 + 1 - a_in.size))
         b = np.pad(b_in, (1, n // 2 - b_in.size))  # b starts at the first harmonic
-        samples = spectral.from_coeffs(a, b, n)
+        samples = spectral.from_coeffs(a - 1j * b, n)
     else:
         raise ValueError("body JSON needs an 'h' or 'fourier' field")
     return SupportFn(samples)

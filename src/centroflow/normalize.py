@@ -140,10 +140,10 @@ class _BoundaryForms:
         z *= e
         _cut_rows(z, 1.0, self.rows[:, : m // 2])
         _cut_rows(np.divide(e, hv, out=z), -1.0, self.rows[:, m // 2:])
-        a, b = spectral.fourier_coeffs(samples)
-        self.modes = np.arange(a.shape[-1])
+        coef = spectral.fourier_coeffs(samples)
+        self.modes = np.arange(coef.shape[-1])
         # h, h', h'' and h''' are the real parts of these times exp(i k t)
-        self.derivs = (1j * self.modes) ** np.arange(4)[:, None] * (a - 1j * b)[:, None, :]
+        self.derivs = (1j * self.modes) ** np.arange(4)[:, None] * coef[:, None, :]
 
     def _curves(self, t: np.ndarray, rows: np.ndarray, order: int = 2) -> np.ndarray:
         """z and its t-derivatives up to ``order`` (0 or 2) of the boundary

@@ -23,10 +23,10 @@ trigonometric interpolant of the density, which makes it a diagonal
 multiplier in Fourier space:
 
     integral |cos(psi - phi)| e^{i k psi} d psi
-        = e^{i k phi} * 4 (-1)^(k/2 + 1) / (k^2 - 1)     (k even)
-        = 0                                              (k odd)
+        = e^{i k phi} * 4 (-1)^(k/2) / (1 - k^2)     (k even)
+        = 0                                          (k odd),
 
-with value 4 at k = 0.
+whose denominator is the curvature multiplier of h -> h + h''.
 """
 
 from __future__ import annotations
@@ -94,11 +94,9 @@ def polar_body(h: SupportFn) -> SupportFn:
 
 @functools.lru_cache(maxsize=32)
 def _abs_cos_multipliers(num_modes: int) -> np.ndarray:
-    k = np.arange(num_modes)
     lam = np.zeros(num_modes)
-    lam[0] = 4.0
-    even = k[2::2]
-    lam[2::2] = 4.0 * (-1.0) ** (even // 2 + 1) / (even ** 2 - 1.0)
+    lam[::2] = 4.0 / spectral.curvature_multiplier(2 * num_modes - 2)[::2]
+    lam[2::4] *= -1.0  # (-1)^(k/2)
     lam.setflags(write=False)
     return lam
 

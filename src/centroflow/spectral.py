@@ -48,39 +48,34 @@ def curvature_multiplier(n: int) -> np.ndarray:
     return 1.0 - np.arange(n // 2 + 1, dtype=float) ** 2
 
 
-def fourier_coeffs(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real coefficients (a, b) of the interpolant, each of length n//2 + 1.
-
-    The interpolant is ``a[0] + sum_k a[k] cos(k t) + b[k] sin(k t)``;
-    ``b[0]`` and ``b[n//2]`` are identically zero.
-    """
+def fourier_coeffs(samples: np.ndarray) -> np.ndarray:
+    """Complex coefficients c_k = a_k - i b_k, k = 0..n//2, of the interpolant
+    ``a_0 + sum_k a_k cos(k t) + b_k sin(k t)``, the real part of
+    ``sum_k c_k exp(i k t)``: 2 rfft / n, with the constant and Nyquist
+    entries taken real over n."""
     x = np.asarray(samples, dtype=float)
     n = x.shape[-1]
     f = np.fft.rfft(x)
-    a = 2.0 * f.real / n
-    b = -2.0 * f.imag / n
-    a[..., 0] = f[..., 0].real / n
-    a[..., -1] = f[..., -1].real / n
-    b[..., 0] = 0.0
-    b[..., -1] = 0.0
-    return a, b
+    # scaled as floats, part by part: a complex division by n rounds differently
+    c = (2.0 * f.view(float) / n).view(complex)
+    c[..., 0] = f[..., 0].real / n
+    c[..., -1] = f[..., -1].real / n
+    return c
 
 
-def from_coeffs(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Synthesize n grid samples from the n//2 + 1 real coefficients of each
-    kind (inverse of fourier_coeffs)."""
-    a = np.asarray(a, dtype=float)
-    f = (n / 2.0) * (a - 1j * np.asarray(b, dtype=float))
-    f[0] = n * a[0]
-    f[-1] = n * a[-1]
+def from_coeffs(c: np.ndarray, n: int) -> np.ndarray:
+    """Synthesize n grid samples from the n//2 + 1 coefficients c, inverting
+    fourier_coeffs; the constant and Nyquist entries are read real."""
+    f = (n / 2.0) * np.asarray(c)
+    f[0] = n * c[0].real
+    f[-1] = n * c[-1].real
     return np.fft.irfft(f, n)
 
 
 def trig_eval(samples: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant at arbitrary angles: Horner's
-    rule in z = exp(i theta) for the real part of sum_k (a_k - i b_k) z^k."""
-    a, b = fourier_coeffs(samples)
-    coef = a - 1j * b
+    rule in z = exp(i theta) for the real part of sum_k c_k z^k."""
+    coef = fourier_coeffs(samples)
     z = np.exp(1j * np.asarray(theta, dtype=float))
     out = np.full(z.shape, coef[-1])
     for c in coef[-2::-1]:

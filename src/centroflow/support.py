@@ -205,8 +205,7 @@ def radial_powers(samples: np.ndarray, powers) -> np.ndarray:
     # h is 2pi-periodic in s = 2t; its n/2 samples there hold the even modes
     fold = 0.5 * (samples[..., :half] + samples[..., half:]).reshape(-1, half)
     f = np.fft.rfft(fold)
-    hp_s = np.fft.irfft(f[:, None, :] * _node_multipliers(half), half)
-    hp, s = hp_s[:, 0], hp_s[:, 1]
+    hp, s = np.fft.irfft(f[:, None] * _node_multipliers(half), half).swapaxes(0, 1)
     sigma = (fold * s / (fold * fold + hp * hp)).max(axis=1)
     # q = 2, 4, 8 or 16, the least power of two at or above 2 sigma; NaN takes the cap
     grids = [2 << i for i in np.searchsorted(_STRETCH_EDGES, 2.0 * sigma).tolist()]
@@ -219,11 +218,10 @@ def radial_powers(samples: np.ndarray, powers) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _node_multipliers(half: int) -> np.ndarray:
-    """rfft multipliers of d/dt and 1 + d^2/dt^2 on the half period's
-    ``half`` nodes (s = 2t, so mode j is k = 2j), a (2, half//2 + 1) array."""
-    k = 2.0 * np.arange(half // 2 + 1)
-    mult = np.array([1j * k, 1.0 - k * k])
+def _node_multipliers(m: int) -> np.ndarray:
+    """rfft multipliers of d/dt and 1 + d^2/dt^2 on m points of the half
+    period (s = 2t, so mode j is k = 2j), a (2, m//2 + 1) array."""
+    mult = np.array([2j * np.arange(m // 2 + 1), spectral.curvature_multiplier(2 * m)[::2]])
     mult.setflags(write=False)
     return mult
 
@@ -241,17 +239,16 @@ def _radial_sums(f: np.ndarray, half: int, m: int, p_halves: np.ndarray) -> np.n
     spectra f (R, half//2 + 1) of R folded bodies, rho^(2 p/2) for each p/2
     in ``p_halves``: an array (P, R, half) on the half period's nodes."""
     g = spectral._padded_spectrum(f, half, m)
-    k = 2.0 * np.arange(g.shape[-1])
     h = np.fft.irfft(g, m)
-    hp = np.fft.irfft(g * (1j * k), m)
+    hp, s = np.fft.irfft(g[:, None] * _node_multipliers(m), m).swapaxes(0, 1)
     r2 = h * h + hp * hp
-    weight = h * np.fft.irfft(g * (1.0 - k * k), m) / (m * r2)
+    weight = h * s / (m * r2)
     step = h + 0j  # e^{-2i alpha} = e^{-2i t} (h - i h')^2 / |x|^2, built in place
     step.imag = -hp
     step *= step
     step *= _half_turn_phase(m)
     step /= r2
-    del h, hp
+    del h, hp, s
     vals = (r2 ** p_halves[:, None, None] * weight).astype(complex)[..., None]  # (P, R, m, 1)
     modes = (half + 1) // 2  # the even k = 2j < n/2
     block = min(MODE_BLOCK, modes)

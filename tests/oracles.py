@@ -3,8 +3,8 @@
 These deliberately avoid the spectral pipeline under test: polygon-based
 moment integrals with exact per-triangle formulas, classical closed forms,
 and spline interpolation of the boundary parametrization.  The lab's
-inequality functionals at the end are the exception: they pin bytes, not
-values.
+inequality functionals and the spectral tables at the end are the
+exception: they pin bytes, not values.
 """
 
 import numpy as np
@@ -362,3 +362,47 @@ def minkowski_gap(h_k, h_l):
     vkl = _mixed_volume(h_k, h_l)
     vk_vl = _area(h_k) * _area(h_l)
     return (vkl * vkl - vk_vl) / vk_vl
+
+
+# --- earlier spellings of the spectral tables -------------------------------
+# References that pin the bytes of ``ops._abs_cos_multipliers``,
+# ``support._node_multipliers`` and ``spectral.fourier_coeffs`` /
+# ``spectral.from_coeffs``: each written out with its own k and 1 - k^2, and
+# the coefficients as the real pair (a, b) with c = a - i b.
+
+def abs_cos_multipliers(num_modes):
+    """4 (-1)^(k/2 + 1) / (k^2 - 1) at even k < num_modes, 4 at k = 0."""
+    k = np.arange(num_modes)
+    lam = np.zeros(num_modes)
+    lam[0] = 4.0
+    even = k[2::2]
+    lam[2::2] = 4.0 * (-1.0) ** (even // 2 + 1) / (even ** 2 - 1.0)
+    return lam
+
+
+def node_multipliers(m):
+    """ik and 1 - k^2 at k = 2j, j = 0..m//2."""
+    k = 2.0 * np.arange(m // 2 + 1)
+    return np.array([1j * k, 1.0 - k * k])
+
+
+def fourier_pair(samples):
+    """Real coefficients (a, b) of ``a[0] + sum_k a[k] cos(k t) + b[k] sin(k t)``."""
+    x = np.asarray(samples, dtype=float)
+    n = x.shape[-1]
+    f = np.fft.rfft(x)
+    a = 2.0 * f.real / n
+    b = -2.0 * f.imag / n
+    a[..., 0] = f[..., 0].real / n
+    a[..., -1] = f[..., -1].real / n
+    b[..., 0] = 0.0
+    b[..., -1] = 0.0
+    return a, b
+
+
+def from_pair(a, b, n):
+    """n grid samples from the real coefficients (a, b) of ``fourier_pair``."""
+    f = (n / 2.0) * (a - 1j * b)
+    f[0] = n * a[0]
+    f[-1] = n * a[-1]
+    return np.fft.irfft(f, n)

@@ -67,6 +67,15 @@ class TestBodyJson:
         want = 1.0 + 0.2 * np.cos(2 * th) + 0.05 * np.sin(2 * th)
         assert np.max(np.abs(body.samples - want)) < 1e-13
 
+    def test_fourier_form_keeps_the_nyquist_cosine(self):
+        # a[8] is the Nyquist cosine of n = 16 and b[5] the sine of mode 6:
+        # both ends of from_coeffs read the constant and Nyquist entries real
+        body = body_from_dict({"n": 16, "fourier": {"a": [1.0] + [0.0] * 7 + [1e-3],
+                                                    "b": [0.0] * 5 + [1e-3]}})
+        th = angles(16)
+        want = 1.0 + 1e-3 * np.cos(8 * th) + 1e-3 * np.sin(6 * th)
+        assert np.max(np.abs(body.samples - want)) <= 1e-15
+
     def test_writer_emits_grid_form(self, wobble):
         data = body_to_dict(wobble)
         assert set(data) == {"n", "h", "symmetric"}

@@ -21,10 +21,11 @@ from centroflow import (
     polar_body,
     projection_body,
     random_body,
+    sl2_normalize,
 )
-from centroflow import ops
+from centroflow import cli, ops
 from centroflow.errors import GridMismatch, UnderResolved
-from centroflow.lab import _mixed_volume_gaps, deficit_report
+from centroflow.lab import _fuzz_spec, _mixed_volume_gaps, _stability_base, deficit_report
 from centroflow.normalize import family_map
 from centroflow.ops import (_centroid_support, _identity_residual, _ratio_derivative,
                             _solve_curvature, polar_chain)
@@ -292,6 +293,27 @@ class TestPolarChain:
         for b in [_stability_base(seed, 128) for seed in range(10)] + fuzz_bodies:
             _, rho3, v_star = polar_chain(b.samples)
             assert _ratio_derivative(rho3, v_star, area(b)) <= 0.0
+
+
+def test_every_op_takes_the_generated_bodies():
+    # what `centroflow op` runs, on the 20 stability bases and the first 200
+    # fuzz bodies of seed 1 at each grid; one refusal is known and pinned:
+    # normalize maps fuzz body 146 at n = 64, convex at its nodes only, to a
+    # grid body that is not convex.  A new failure or that one's fix lands here.
+    ops_run = {**cli._BODY_OPS, "normalize": sl2_normalize,
+               "bm": lambda b: (banach_mazur_to_disk(b), pinching_to_bm_bound(b))}
+    assert set(ops_run) == set(cli._OP_NAMES)
+    failures = set()
+    for n in (64, 128, 256):
+        bodies = [("stability", s, _stability_base(s, n)) for s in range(20)]
+        bodies += [("fuzz", i, random_body(_fuzz_spec(1, i, n))) for i in range(200)]
+        for family, i, body in bodies:
+            for name, op in ops_run.items():
+                try:
+                    op(body)
+                except Exception as exc:
+                    failures.add((n, family, i, name, type(exc).__name__))
+    assert failures == {(64, "fuzz", 146, "normalize", "NonConvex")}
 
 
 class TestConvexityFloor:

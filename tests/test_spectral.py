@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from centroflow import spectral
+from centroflow.ops import _abs_cos_multipliers
+from centroflow.support import _node_multipliers
+
+import oracles
 
 
 def test_derivative_exact_on_modes():
@@ -26,9 +30,28 @@ def test_odd_derivative_kills_nyquist():
 def test_coeff_roundtrip():
     rng = np.random.default_rng(5)
     f = rng.normal(size=128)
-    a, b = spectral.fourier_coeffs(f)
-    back = spectral.from_coeffs(a, b, 128)
+    back = spectral.from_coeffs(spectral.fourier_coeffs(f), 128)
     assert np.max(np.abs(back - f)) < 1e-12
+
+
+def test_tables_and_coefficients_keep_their_bytes():
+    # 1 - k^2 now comes from curvature_multiplier and the coefficients are
+    # one complex array; every byte equals the earlier spellings
+    for m in range(2, 4098):
+        assert _abs_cos_multipliers.__wrapped__(m).tobytes() == \
+            oracles.abs_cos_multipliers(m).tobytes(), m
+    for m in range(1, 4097):
+        assert _node_multipliers.__wrapped__(m).tobytes() == \
+            oracles.node_multipliers(m).tobytes(), m
+    rng = np.random.default_rng(11)
+    for n in range(16, 1025):
+        for x in (rng.normal(size=n), rng.normal(size=(3, n))):
+            a, b = oracles.fourier_pair(x)
+            c = spectral.fourier_coeffs(x)
+            assert c.tobytes() == (a - 1j * b).tobytes(), (n, x.shape)
+            if x.ndim == 1:
+                assert spectral.from_coeffs(c, n).tobytes() == \
+                    oracles.from_pair(a, b, n).tobytes(), n
 
 
 def test_trig_eval_matches_closed_form():

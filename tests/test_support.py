@@ -142,10 +142,10 @@ class TestAreaPerimeter:
         b = SupportFn(
             1 + 0.15 * np.cos(2 * TH) + 0.02 * np.sin(4 * TH)
             + 0.003 * np.cos(6 * TH))
-        a, bb = fourier_coeffs(b.samples)
-        k = np.arange(a.size)
-        parseval = np.pi * a[0] ** 2 + (np.pi / 2) * np.sum(
-            (1 - k[1:] ** 2) * (a[1:] ** 2 + bb[1:] ** 2))
+        c = fourier_coeffs(b.samples)
+        k = np.arange(c.size)
+        parseval = np.pi * c[0].real ** 2 + (np.pi / 2) * np.sum(
+            (1 - k[1:] ** 2) * np.abs(c[1:]) ** 2)
         assert area(b) == pytest.approx(parseval, rel=1e-12)
 
 
