@@ -49,7 +49,7 @@ import numpy as np
 from . import ops, spectral
 from .errors import ConvexityLost, StepUnderflow
 from .normalize import sl2_searches
-from .support import SupportFn, area_quadrature, curvature_samples
+from .support import SupportFn, _folded, area_quadrature, curvature_samples
 
 __all__ = [
     "FlowConfig",
@@ -277,7 +277,7 @@ def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     m = n // 2
     dth = 2.0 * np.pi / n
     synth, project = _kept_mode_tables(n)
-    coef = project @ (0.5 * (h0.samples[:m] + h0.samples[m:]))  # the kept part of h0
+    coef = project @ _folded(h0.samples)  # the kept part of h0
     # a later stage is [c phi; 1] @ [P | Y]^T: P = synth @ project takes the
     # half-grid speed phi to (h, S), and the last row holds the step's Y
     table = np.vstack([(synth @ project).T, np.empty(n)])

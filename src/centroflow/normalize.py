@@ -40,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .support import (SupportFn, affine_support, apply_linear_map, area,
-                      curvature_samples, scaled)
+from .support import (SupportFn, _folded, _half_period_curves, affine_support,
+                      apply_linear_map, area, scaled)
 
 __all__ = [
     "BMCertificate",
@@ -114,8 +114,9 @@ def _at(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 class _BoundaryForms:
     """Symmetric bodies (R, n), each sampled at SEARCH_OVERSAMPLE * n / 2
-    normal angles t in [0, pi) as the cut rows of its curves, and their
-    Fourier coefficients; the methods act on the rows they are given.
+    normal angles t in [0, pi) as the cut rows of its curves, and the Fourier
+    coefficients of its fold (as in ``radial_powers``); the methods act on
+    the rows they are given.
 
     For Phi in the family, the circumradius of Phi K is max |Phi z(t)| over
     the boundary points z = (h + i h') e^{it} (z' = i S e^{it}, S = h + h''),
@@ -126,22 +127,21 @@ class _BoundaryForms:
     """
 
     def __init__(self, samples: np.ndarray):
-        m = SEARCH_OVERSAMPLE * samples.shape[-1]
-        self.dt = 2.0 * np.pi / m
-        e = np.exp(1j * spectral.angles(m)[: m // 2])
-        fine = spectral.resample(samples, m)
-        hv, hp = fine[:, : m // 2], spectral.deriv(fine)[:, : m // 2]
-        self.curv = curvature_samples(fine)[:, : m // 2].copy()
+        fold = _folded(samples)
+        m = SEARCH_OVERSAMPLE * fold.shape[-1]
+        self.dt = np.pi / m
+        e = np.exp(1j * spectral.angles(2 * m)[:m])
+        hv, hp, self.curv = _half_period_curves(np.fft.rfft(fold), fold.shape[-1], m)
         self.tangent_rows = np.ascontiguousarray(_cut_rows(1j * e, 1.0).T)  # one row a component
-        # blocks [boundary | polar] of m / 2 points a row
-        self.rows = np.empty((len(fine), m, 3))
+        # blocks [boundary | polar] of m points a row
+        self.rows = np.empty((len(fold), 2 * m, 3))
         z = 1j * hp  # the boundary points (h + i h') e^{it}, then the polar e^{it} / h
         z += hv
         z *= e
-        _cut_rows(z, 1.0, self.rows[:, : m // 2])
-        _cut_rows(np.divide(e, hv, out=z), -1.0, self.rows[:, m // 2:])
-        coef = spectral.fourier_coeffs(samples)
-        self.modes = np.arange(coef.shape[-1])
+        _cut_rows(z, 1.0, self.rows[:, :m])
+        _cut_rows(np.divide(e, hv, out=z), -1.0, self.rows[:, m:])
+        coef = spectral.fourier_coeffs(fold)
+        self.modes = 2 * np.arange(coef.shape[-1])  # the even modes the body has
         # h, h', h'' and h''' are the real parts of these times exp(i k t)
         self.derivs = (1j * self.modes) ** np.arange(4)[:, None] * coef[:, None, :]
 

@@ -6,7 +6,8 @@ row, and every function acts on the last axis.  Differentiation, resampling and
 pointwise evaluation are exact for bandlimited data (all spectral mass
 strictly below the Nyquist wavenumber n/2), and the
 derivative of the Nyquist mode follows the usual convention: zeroed for odd
-orders, kept with multiplier (-1)^(order/2) * k^order for even orders.
+orders, kept with multiplier (-1)^(order/2) * k^order for even orders.  An
+odd n has no Nyquist mode: its top entry k = n//2 is an ordinary complex one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "from_coeffs",
     "trig_eval",
     "resample",
-    "project_even",
 ]
 
 
@@ -51,24 +51,26 @@ def curvature_multiplier(n: int) -> np.ndarray:
 def fourier_coeffs(samples: np.ndarray) -> np.ndarray:
     """Complex coefficients c_k = a_k - i b_k, k = 0..n//2, of the interpolant
     ``a_0 + sum_k a_k cos(k t) + b_k sin(k t)``, the real part of
-    ``sum_k c_k exp(i k t)``: 2 rfft / n, with the constant and Nyquist
-    entries taken real over n."""
+    ``sum_k c_k exp(i k t)``: 2 rfft / n, with the constant and (n even)
+    Nyquist entries taken real over n."""
     x = np.asarray(samples, dtype=float)
     n = x.shape[-1]
     f = np.fft.rfft(x)
     # scaled as floats, part by part: a complex division by n rounds differently
     c = (2.0 * f.view(float) / n).view(complex)
     c[..., 0] = f[..., 0].real / n
-    c[..., -1] = f[..., -1].real / n
+    if n % 2 == 0:
+        c[..., -1] = f[..., -1].real / n
     return c
 
 
 def from_coeffs(c: np.ndarray, n: int) -> np.ndarray:
-    """Synthesize n grid samples from the n//2 + 1 coefficients c, inverting
-    fourier_coeffs; the constant and Nyquist entries are read real."""
+    """Synthesize n grid samples from the coefficients c (..., n//2 + 1), inverting
+    fourier_coeffs; the constant and (n even) Nyquist entries are read real."""
     f = (n / 2.0) * np.asarray(c)
-    f[0] = n * c[0].real
-    f[-1] = n * c[-1].real
+    f[..., 0] = 2.0 * f[..., 0].real
+    if n % 2 == 0:
+        f[..., -1] = 2.0 * f[..., -1].real
     return np.fft.irfft(f, n)
 
 
@@ -92,26 +94,17 @@ def resample(samples: np.ndarray, m: int) -> np.ndarray:
         return x.copy()
     if m > n:
         return np.fft.irfft(_padded_spectrum(np.fft.rfft(x), n, m), m)
-    g = np.fft.rfft(x)[..., : m // 2 + 1]
-    g[..., -1] = 0.0
-    return np.fft.irfft(g * (m / n), m)
+    # the modes k < m/2; irfft pads an even m's Nyquist entry with zero
+    return np.fft.irfft(np.fft.rfft(x)[..., : (m + 1) // 2] * (m / n), m)
 
 
 def _padded_spectrum(f: np.ndarray, n: int, m: int) -> np.ndarray:
     """The rfft of the m-point resample of n samples whose rfft is f
-    (..., n//2 + 1), m > n: the spectrum zero-padded and scaled by m/n.  An
-    even n's Nyquist mode becomes an interior cosine mode at half weight."""
+    (..., n//2 + 1), m >= n: the spectrum zero-padded and scaled by m/n; for
+    m > n an even n's Nyquist mode becomes an interior cosine at half weight."""
     g = np.zeros(f.shape[:-1] + (m // 2 + 1,), dtype=complex)
     g[..., : f.shape[-1]] = f * (m / n)
-    if n % 2 == 0:
+    if n % 2 == 0 and m > n:
         g[..., n // 2] *= 0.5
     return g
-
-
-def project_even(samples: np.ndarray) -> np.ndarray:
-    """Project onto pi-periodic (origin-symmetric) functions: zero odd modes."""
-    x = np.asarray(samples, dtype=float)
-    f = np.fft.rfft(x)
-    f[1::2] = 0.0
-    return np.fft.irfft(f, x.size)
 

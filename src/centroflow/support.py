@@ -142,25 +142,28 @@ def apply_linear_map(h: SupportFn, phi) -> SupportFn:
     """Image body under an invertible linear map ``phi``, a 2x2 array-like;
     ValueError unless it is a finite (2, 2) matrix with |det| > 1e-12.
 
-    Uses h_{Phi K}(u) = |Phi^T u| * h(angle(Phi^T u)), evaluated through the
-    trigonometric interpolant on a ``MAP_OVERSAMPLE`` times finer output grid
-    and spectrally truncated back to n samples to control aliasing from
-    anisotropic maps.
+    Uses h_{Phi K}(u) = |Phi^T u| * h(angle(Phi^T u)) on ``MAP_OVERSAMPLE`` n/2
+    angles of the half period, through the interpolant of h's fold, truncated
+    to its n/2 nodes to control aliasing from anisotropic maps and tiled, so
+    antipodal output samples are equal.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (2, 2) or not np.isfinite(phi).all():
         raise ValueError("map must be a finite 2x2 matrix")
     if abs(phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]) <= 1e-12:
         raise ValueError(f"map is numerically singular (det={np.linalg.det(phi):.3g})")
-    n = h.n
-    m = MAP_OVERSAMPLE * n
-    th = spectral.angles(m)
-    u = np.vstack([np.cos(th), np.sin(th)])
-    w = phi.T @ u
-    r = np.hypot(w[0], w[1])
-    psi = np.arctan2(w[1], w[0])
-    vals = r * spectral.trig_eval(h.samples, psi)
-    return SupportFn(spectral.project_even(spectral.resample(vals, n)))
+    half = h.n // 2
+    m = MAP_OVERSAMPLE * half
+    th = spectral.angles(2 * m)[:m]
+    w = phi.T @ np.vstack([np.cos(th), np.sin(th)])
+    vals = np.hypot(*w) * spectral.trig_eval(_folded(h.samples), 2.0 * np.arctan2(w[1], w[0]))
+    return SupportFn(np.tile(spectral.resample(vals, half), 2))
+
+
+def _folded(samples: np.ndarray) -> np.ndarray:
+    """0.5 (h(t) + h(t + pi)) on the n/2 nodes of [0, pi): the even modes of h, in s = 2t."""
+    half = samples.shape[-1] // 2
+    return 0.5 * (samples[..., :half] + samples[..., half:])
 
 
 RADIAL_OVERSAMPLE = 16  # cap of the t-grid refinement q of radial_powers
@@ -188,10 +191,9 @@ def radial_powers(samples: np.ndarray, powers) -> np.ndarray:
     power of two at or above 2 sigma, capped at ``RADIAL_OVERSAMPLE`` (1.5
     sigma leaves errors of 6e-11 on bodies near the disk).  A stack groups
     its rows by q, so each row gives what it gives alone.  There h, h' and
-    S come from the zero-padded even spectrum of the samples, not from
-    derivatives of fine samples (which multiply roundoff by k^2).  No root
-    is solved and no branch is picked: this is an identity of the
-    interpolant, whether or not it is convex between the nodes.  The sum
+    S come from the even spectrum (``_half_period_curves``).  No root is
+    solved and no branch is picked: this is an identity of the interpolant,
+    whether or not it is convex between the nodes.  The sum
     over even k takes ``MODE_BLOCK`` modes at a time, one matrix product
     against the powers e^{-2i j alpha}, j < ``MODE_BLOCK``, then steps on by
     the recurrence e^{-i k alpha} = e^{-2i MODE_BLOCK alpha} e^{-i (k - 2
@@ -200,12 +202,10 @@ def radial_powers(samples: np.ndarray, powers) -> np.ndarray:
     body decay slowly, and their aliased tail would spoil the areas
     computed from them.
     """
-    n = samples.shape[-1]
-    half = n // 2
-    # h is 2pi-periodic in s = 2t; its n/2 samples there hold the even modes
-    fold = 0.5 * (samples[..., :half] + samples[..., half:]).reshape(-1, half)
+    half = samples.shape[-1] // 2
+    fold = _folded(samples).reshape(-1, half)
     f = np.fft.rfft(fold)
-    hp, s = np.fft.irfft(f[:, None] * _node_multipliers(half), half).swapaxes(0, 1)
+    _, hp, s = _half_period_curves(f, half, half)
     sigma = (fold * s / (fold * fold + hp * hp)).max(axis=1)
     # q = 2, 4, 8 or 16, the least power of two at or above 2 sigma; NaN takes the cap
     grids = [2 << i for i in np.searchsorted(_STRETCH_EDGES, 2.0 * sigma).tolist()]
@@ -234,13 +234,19 @@ def _half_turn_phase(m: int) -> np.ndarray:
     return phase
 
 
+def _half_period_curves(f: np.ndarray, half: int, m: int):
+    """h, dh/dt and S = h + h'' (R, m) on m >= half points of [0, pi) from the spectra
+    f of R folds, zero-padded (derivatives of fine samples amplify roundoff by k^2)."""
+    g = spectral._padded_spectrum(f, half, m)
+    hp, s = np.fft.irfft(g[:, None] * _node_multipliers(m), m).swapaxes(0, 1)
+    return np.fft.irfft(g, m), hp, s
+
+
 def _radial_sums(f: np.ndarray, half: int, m: int, p_halves: np.ndarray) -> np.ndarray:
     """The sums of ``radial_powers`` on m points of the half period for the
     spectra f (R, half//2 + 1) of R folded bodies, rho^(2 p/2) for each p/2
     in ``p_halves``: an array (P, R, half) on the half period's nodes."""
-    g = spectral._padded_spectrum(f, half, m)
-    h = np.fft.irfft(g, m)
-    hp, s = np.fft.irfft(g[:, None] * _node_multipliers(m), m).swapaxes(0, 1)
+    h, hp, s = _half_period_curves(f, half, m)
     r2 = h * h + hp * hp
     weight = h * s / (m * r2)
     step = h + 0j  # e^{-2i alpha} = e^{-2i t} (h - i h')^2 / |x|^2, built in place

@@ -4,15 +4,18 @@ These deliberately avoid the spectral pipeline under test: polygon-based
 moment integrals with exact per-triangle formulas, classical closed forms,
 and spline interpolation of the boundary parametrization.  The lab's
 inequality functionals and the spectral tables at the end are the
-exception: they pin bytes, not values.
+exception: they pin bytes, not values.  So is the SL(2) search's
+full-period synthesis, the construction the folded one replaced, which
+pins values to the roundoff of its own derivatives.
 """
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import ellipe
 
-from centroflow.normalize import _LAYOUT, CUTS_PER_SIDE, _at
+from centroflow.normalize import _LAYOUT, CUTS_PER_SIDE, SEARCH_OVERSAMPLE, _at
 from centroflow.ops import _abs_cos_transform, polar_area
+from centroflow.spectral import angles, deriv, fourier_coeffs, resample
 from centroflow.support import SupportFn, area_quadrature, check_same_grid, curvature_samples
 
 
@@ -219,6 +222,48 @@ def perimeter_minimum_mm(forms):
 # reductions over the short trailing axes (the 2 to 8 cuts, the 2 entries of
 # a point); normalize._model_minimum folds elementwise calls over the same
 # slices instead and must give the same bits, NaN for NaN.
+# --- the SL(2) search's full-period synthesis ---------------------------------
+# The construction ``normalize._BoundaryForms`` made before it read the body's
+# fold: the samples resampled to SEARCH_OVERSAMPLE n points over the whole
+# period, h' and S = h + h'' as spectral derivatives of those fine samples,
+# and the curves off the samples summed over every mode 0..n/2.
+
+def _cut_rows(z, sign):
+    """(|z|^2, sign Re z^2, sign Im z^2) along a new last axis."""
+    return np.stack([np.abs(z) ** 2, sign * (z * z).real, sign * (z * z).imag], axis=-1)
+
+
+def search_forms_full_period(samples):
+    """The cut rows (R, SEARCH_OVERSAMPLE n, 3), boundary then polar block,
+    and the curvatures S (R, SEARCH_OVERSAMPLE n / 2) of stacked samples
+    (R, n) at the SEARCH_OVERSAMPLE n / 2 normal angles of [0, pi)."""
+    m = SEARCH_OVERSAMPLE * samples.shape[-1]
+    fine = resample(samples, m)
+    h, hp = fine[:, : m // 2], deriv(fine)[:, : m // 2]
+    e = np.exp(1j * angles(m)[: m // 2])
+    rows = np.concatenate([_cut_rows((h + 1j * hp) * e, 1.0), _cut_rows(e / h, -1.0)], axis=1)
+    return rows, curvature_samples(fine)[:, : m // 2]
+
+
+def search_curves_full_period(samples, t):
+    """z, z' and z'' (3,) + t.shape of the boundary curve (h + i h') e^{it}
+    at the angles t[:, 0] and of the polar curve e^{it} / h at t[:, 1], for
+    stacked samples (R, n) and angles t (R, 2, k), from the full spectrum."""
+    coef = fourier_coeffs(samples)
+    k = np.arange(coef.shape[-1])
+    phase = np.exp(1j * t[..., None] * k)
+    h0, h1, h2, h3 = ((coef[:, None, None] * (1j * k) ** d * phase).sum(axis=-1).real
+                      for d in range(4))
+    e = np.exp(1j * t)
+    s0, s1 = h0 + h2, h1 + h3
+    g0 = 1.0 / h0
+    g1 = -h1 * g0 * g0
+    g2 = 2.0 * h1 * h1 * g0 ** 3 - h2 * g0 * g0
+    boundary = [(h0 + 1j * h1) * e, 1j * s0 * e, (1j * s1 - s0) * e]
+    polar = [g0 * e, (g1 + 1j * g0) * e, (g2 + 2j * g1 - g0) * e]
+    return np.stack([np.stack([b[:, 0], p[:, 1]], axis=1) for b, p in zip(boundary, polar)])
+
+
 def model_minimum_reduced(cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum over |v| < 1 of the cut model max(outer . (1, v))
     max(polar . (1, v)) / (1 - |v|^2) for each row of ``cuts`` (R', side,
@@ -387,22 +432,26 @@ def node_multipliers(m):
 
 
 def fourier_pair(samples):
-    """Real coefficients (a, b) of ``a[0] + sum_k a[k] cos(k t) + b[k] sin(k t)``."""
+    """Real coefficients (a, b) of ``a[0] + sum_k a[k] cos(k t) + b[k] sin(k t)``;
+    only an even n has a Nyquist entry, taken real over n."""
     x = np.asarray(samples, dtype=float)
     n = x.shape[-1]
     f = np.fft.rfft(x)
     a = 2.0 * f.real / n
     b = -2.0 * f.imag / n
     a[..., 0] = f[..., 0].real / n
-    a[..., -1] = f[..., -1].real / n
     b[..., 0] = 0.0
-    b[..., -1] = 0.0
+    if n % 2 == 0:
+        a[..., -1] = f[..., -1].real / n
+        b[..., -1] = 0.0
     return a, b
 
 
 def from_pair(a, b, n):
-    """n grid samples from the real coefficients (a, b) of ``fourier_pair``."""
+    """n grid samples from the real coefficients (a, b) of ``fourier_pair``,
+    one body or a stack."""
     f = (n / 2.0) * (a - 1j * b)
-    f[0] = n * a[0]
-    f[-1] = n * a[-1]
+    f[..., 0] = n * a[..., 0]
+    if n % 2 == 0:
+        f[..., -1] = n * a[..., -1]
     return np.fft.irfft(f, n)

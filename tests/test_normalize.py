@@ -22,7 +22,7 @@ from centroflow.lab import _deficit_targeted_body, _stability_base
 from centroflow.normalize import (CUTS_PER_SIDE, SEARCH_RTOL, _at, _BoundaryForms, _certificates,
                                   _parabola_peak, _perimeter_minimum, _radii, family_map, minimize,
                                   sl2_searches)
-from centroflow.spectral import angles
+from centroflow.spectral import angles, resample
 
 from conftest import off_node_nonconvex_body, smoothed_square
 import oracles
@@ -91,6 +91,23 @@ class TestBanachMazur:
             cert = banach_mazur_to_disk(ellipse(a, b, rot, 256))
             assert cert.distance <= 1.0 + 1e-4
             assert cert.distance >= 1.0
+        # n = 2 mod 4: the folded half period has odd length and no Nyquist
+        # mode (d - 1 reads 7.4e-13 at n = 66, 1.3e-15 at n = 130)
+        for n in (66, 130):
+            cert = banach_mazur_to_disk(ellipse(1.6, 1.0, 0.3, n))
+            assert 1.0 <= cert.distance <= 1.0 + 1e-12, n
+
+    def test_top_mode_of_an_odd_half_period(self):
+        # at n = 2 mod 4 the fold's top mode, k = n/2 - 1, is an ordinary
+        # complex mode: a sine there changes the Newton refinements, so the
+        # distance must equal that of the same interpolant on 2n points
+        # (6.7e-16 apart; 6e-7 if the top entry is read as a real Nyquist one)
+        for n in (66, 130):
+            t = angles(n)
+            body = SupportFn(1.0 + 0.2 * np.cos(2.0 * t) + 1e-5 * np.sin((n // 2 - 1) * t))
+            regridded = SupportFn(resample(body.samples, 2 * n))
+            assert banach_mazur_to_disk(body).distance == pytest.approx(
+                banach_mazur_to_disk(regridded).distance, abs=1e-13), n
 
     def test_certificate_consistency(self, wobble):
         cert = banach_mazur_to_disk(wobble)
@@ -207,6 +224,51 @@ class TestGlobalMinima:
                 for start in self.STARTS:
                     cert = search(forms, klein(*start))[1]
                     assert cert.distance == pytest.approx(distance, abs=1e-9)
+
+
+class TestFoldedForms:
+    """The search's sampling, synthesized from the body's fold on the half
+    period, against the full-period construction it replaced (samples
+    resampled to SEARCH_OVERSAMPLE n points, h' and S as derivatives of
+    those, the curves off the samples summed over every mode 0..n/2).
+
+    Each quantity is held relative to its row's largest entry, to the
+    roundoff of the reference: the derivatives of fine samples multiply it
+    by the fine grid's wavenumbers, so the boundary cut rows (h') and S
+    (h'') of the reference are the less accurate ones (against the exact
+    1.6:1 ellipse at n = 130, S is 4.4e-11 off there and 3.7e-13 here), and
+    the curves' derivatives multiply the coefficients' roundoff by k^2 and
+    k^3.  Largest deviations seen: polar rows 1.6e-15, boundary rows
+    3.3e-13, S 4.4e-11, z 1.0e-14, z' 3.2e-13, z'' 1.2e-11."""
+
+    @staticmethod
+    def check(stack, seed=0):
+        forms = _BoundaryForms(stack)
+        rows, curv = oracles.search_forms_full_period(stack)
+        half = rows.shape[1] // 2
+        for block, bound in ((slice(None, half), 1e-12), (slice(half, None), 1e-13)):
+            want = rows[:, block]
+            scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+            assert np.max(np.abs(forms.rows[:, block] - want) / scale) <= bound
+        assert np.max(np.abs(forms.curv - curv) / np.abs(curv).max(axis=1)[:, None]) <= 1e-10
+        # off-grid angles, the boundary's and the polar's drawn apart
+        t = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(len(stack), 2, 7))
+        got = forms._curves(t, np.arange(len(stack)))
+        want = oracles.search_curves_full_period(stack, t)
+        for order, bound in enumerate((1e-13, 1e-12, 5e-11)):
+            scale = np.abs(want[order]).max(axis=(1, 2))[:, None, None]
+            assert np.max(np.abs(got[order] - want[order]) / scale) <= bound, order
+
+    def test_flow_row_blocks(self, flow_row_blocks):
+        for i, stack in enumerate(flow_row_blocks):
+            self.check(stack, i)
+
+    def test_stability_bases(self):
+        self.check(np.array([_stability_base(seed, 128).samples for seed in range(20)]))
+
+    @pytest.mark.parametrize("n", [66, 130])
+    def test_ellipses(self, n):
+        self.check(ellipse(1.6, 1.0, 0.3, n).samples[None])
 
 
 class TestPerimeterMinimum:

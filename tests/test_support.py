@@ -160,25 +160,41 @@ class TestLinearMap:
             apply_linear_map(disk(1.0, 64), phi)
 
     def test_scaling_on_disk(self):
-        img = apply_linear_map(disk(1.0, 64), np.diag([3.0, 3.0]))
-        assert np.max(np.abs(img.samples - 3.0)) < 1e-12
+        for n in (64, 66, 130):
+            img = apply_linear_map(disk(1.0, n), np.diag([3.0, 3.0]))
+            assert np.max(np.abs(img.samples - 3.0)) < 1e-12, n
 
     def test_rotation_shifts_samples(self):
         b = SupportFn(1 + 0.2 * np.cos(2 * TH))
         img = apply_linear_map(b, family_map(1.0, 0.5))
         want = 1 + 0.2 * np.cos(2 * (TH - 0.5))
         assert np.max(np.abs(img.samples - want)) < 1e-12
+        # n = 2 mod 4: the fold's top mode k = n/2 - 1 is an ordinary complex
+        # mode, kept by the evaluation and the truncation (a sine there is
+        # lost, 1e-5 off, if the top entry is read as a real Nyquist one)
+        for n in (66, 130):
+            th, k = angles(n), n // 2 - 1
+            b = SupportFn(1 + 0.2 * np.cos(2 * th) + 1e-5 * np.sin(k * th))
+            img = apply_linear_map(b, family_map(1.0, 0.5))
+            want = 1 + 0.2 * np.cos(2 * (th - 0.5)) + 1e-5 * np.sin(k * (th - 0.5))
+            assert np.max(np.abs(img.samples - want)) < 1e-12, n
 
     def test_diag_on_disk_gives_ellipse(self):
-        img = apply_linear_map(disk(1.0, 256), np.diag([2.0, 1.0]))
-        want = np.sqrt(4 * np.cos(TH) ** 2 + np.sin(TH) ** 2)
-        assert np.max(np.abs(img.samples - want)) < 1e-12
+        # at n = 66 the 2:1 ellipse is truncated at k = 32: its spectrum
+        # decays like exp(-k atanh(1/2)), and the samples read 7.7e-11 off
+        for n, bound in ((256, 1e-12), (66, 1e-9), (130, 1e-12)):
+            th = angles(n)
+            img = apply_linear_map(disk(1.0, n), np.diag([2.0, 1.0]))
+            want = np.sqrt(4 * np.cos(th) ** 2 + np.sin(th) ** 2)
+            assert np.max(np.abs(img.samples - want)) < bound, n
 
     def test_symmetric_flag_preserved(self):
-        b = ellipse(1.5, 1.0)
-        img = apply_linear_map(b, np.array([[1.0, 0.3], [-0.2, 1.1]]))
-        half = img.n // 2
-        assert np.max(np.abs(img.samples - np.roll(img.samples, half))) < 1e-13
+        # the image is built on the half period and tiled: antipodal samples
+        # are equal bit for bit, on an odd half period too
+        for n in (256, 66, 130):
+            img = apply_linear_map(ellipse(1.5, 1.0, 0.0, n), np.array([[1.0, 0.3], [-0.2, 1.1]]))
+            half = img.n // 2
+            assert img.samples[:half].tobytes() == img.samples[half:].tobytes(), n
 
     def test_sl2_image_area_vs_polygon_oracle(self):
         b = SupportFn(
@@ -198,15 +214,18 @@ class TestLinearMap:
         # anisotropy kept inside the resolvable envelope: an ellipse-like
         # body's spectrum decays like exp(-k atanh(b/a)), so stacked
         # stretches must leave the intermediate body bandlimited at n
-        b = ellipse(1.3, 0.9, 0.2, 256)
+        # (n = 130 is the smallest n = 2 mod 4 grid inside it: at n = 66 the
+        # one- and two-step images differ by 1.6e-6 where they are truncated)
         phi = np.array([[d1, sh], [0.0, 1.0 / d1]])
         psi = family_map(1.0, rot) @ np.diag([d2, 1.1])
-        two_steps = apply_linear_map(apply_linear_map(b, phi), psi)
-        one_step = apply_linear_map(b, psi @ phi)
-        scalefree = np.max(np.abs(two_steps.samples - one_step.samples))
-        assert scalefree < 1e-8 * np.max(one_step.samples)
-        assert area(two_steps) == pytest.approx(
-            abs(np.linalg.det(psi @ phi)) * area(b), rel=1e-8)
+        for n in (256, 130):
+            b = ellipse(1.3, 0.9, 0.2, n)
+            two_steps = apply_linear_map(apply_linear_map(b, phi), psi)
+            one_step = apply_linear_map(b, psi @ phi)
+            scalefree = np.max(np.abs(two_steps.samples - one_step.samples))
+            assert scalefree < 1e-8 * np.max(one_step.samples), n
+            assert area(two_steps) == pytest.approx(
+                abs(np.linalg.det(psi @ phi)) * area(b), rel=1e-8), n
 
 
 class TestRadial:
