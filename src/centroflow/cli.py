@@ -208,7 +208,10 @@ def cmd_stability(args, argv) -> int:
     summary_text = _json_text(summary, indent=2, sort_keys=True)
     if args.out:
         _write_run_dir(args.out, {"scatter.csv": _csv_text(result), "summary.json": summary_text},
-                       argv, {"samples": args.samples, "seed": args.seed, "n": args.n}, started)
+                       argv, {"samples": args.samples, "seed": args.seed, "n": args.n}, started,
+                       timings={k: getattr(result, k) for k in (
+                           "bases", "bases_s", "deficit_rounds", "deficit_evaluations",
+                           "deficits_s", "search_s")})
     else:
         sys.stdout.write(summary_text)
     if summary["eps_min"] < GAP_FLOOR:

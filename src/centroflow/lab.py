@@ -1,20 +1,25 @@
 """The centroid-ratio deficit, a seeded body generator, fuzzing campaigns, and
 the stability experiment relating that deficit to the Banach-Mazur distance
-from the disk.  ``deficit_report`` is the one home of the other gaps: it
-returns one body's gaps under their ``fuzz.json`` names; ``fuzz_campaign``
-keeps their minima."""
+from the disk.  ``deficit_report`` is the one home of the other gaps, under
+their ``fuzz.json`` names; ``fuzz_campaign`` keeps their minima.  Bodies and
+deficits are made as stacks, a row a body (``random_body`` and ``bp_deficit``
+are one-row calls): the stability experiment builds each retry's bases as
+one wave and takes each root-finding round as one stacked deficit, whose
+rows pass the ``SupportFn`` checks."""
 
 from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ops, spectral
 from .normalize import pinching_to_bm_bound, sl2_searches
-from .support import SupportFn, affine_support, area, check_grid_size, curvature_samples, disk
+from .support import (SupportFn, _checked_curvature, affine_support, area, area_quadrature,
+                      check_grid_size, curvature_samples, disk, radial_powers)
 
 __all__ = [
     "BP_CONSTANT",
@@ -67,32 +72,42 @@ class BodySpec:
                              f"n/4 = {self.n // 4}")
 
 
-def _floored_body(pert: np.ndarray) -> SupportFn:
-    """Symmetric body 1 + scale * pert, with the largest scale <= 1 that keeps
-    min S at ``MIN_CURVATURE``; curvature is affine in the scale, so the
-    scale is solved for instead of iterated."""
-    low = float(np.min(curvature_samples(pert)))
-    scale = 1.0
-    if 1.0 + low < MIN_CURVATURE:
-        scale = (1.0 - MIN_CURVATURE) / (-low)
-    return SupportFn(1.0 + scale * pert)
+def _floored_rows(pert: np.ndarray) -> np.ndarray:
+    """Bodies 1 + scale * pert, a row of pert (R, n) each, with the largest
+    scale <= 1 that keeps min S at ``MIN_CURVATURE``; curvature is affine in
+    the scale, so the scale is solved for instead of iterated."""
+    low = np.min(curvature_samples(pert), axis=-1)
+    scale = (1.0 - MIN_CURVATURE) / np.maximum(-low, 1.0 - MIN_CURVATURE)  # exactly 1 unfloored
+    return 1.0 + scale[:, None] * pert
+
+
+def _random_rows(spec: BodySpec, seeds: list[int]) -> np.ndarray:
+    """Samples (R, n) of the recipe ``spec`` drawn under each of ``seeds``."""
+    draws = np.array([np.random.default_rng(s).uniform(-1.0, 1.0, (spec.mode_count, 2))
+                      for s in seeds])
+    th, pert = spectral.angles(spec.n), np.zeros((len(seeds), spec.n))
+    for j, k in enumerate(range(2, 2 * spec.mode_count + 1, 2)):
+        coef = spec.amplitude * spec.decay ** (-k) * draws[:, j]
+        pert += coef[:, :1] * np.cos(k * th) + coef[:, 1:] * np.sin(k * th)
+    return _floored_rows(pert)
 
 
 def random_body(spec: BodySpec) -> SupportFn:
     """Deterministic random body; identical output for identical specs."""
-    rng = np.random.default_rng(spec.seed)
-    th = spectral.angles(spec.n)
-    pert = np.zeros(spec.n)
-    for k in range(2, 2 * spec.mode_count + 1, 2):
-        ca, cb = spec.amplitude * spec.decay ** (-k) * rng.uniform(-1.0, 1.0, 2)
-        pert += ca * np.cos(k * th) + cb * np.sin(k * th)
-    return _floored_body(pert)
+    return SupportFn(_random_rows(spec, [spec.seed])[0])
+
+
+def _bp_deficits(rows: np.ndarray) -> np.ndarray:
+    """``bp_deficit`` of each row of a stack (R, n), every row checked as a
+    body, from one radial pass and one centroid support of the stack."""
+    v = area_quadrature(rows, _checked_curvature(rows))
+    gamma = ops._centroid_support(radial_powers(rows, [3])[0], v)
+    return area_quadrature(gamma, _checked_curvature(gamma)) / v / BP_CONSTANT - 1.0
 
 
 def bp_deficit(h: SupportFn) -> float:
     """Normalized centroid-ratio deficit: V(Gamma K)/V(K) / (4/3pi)^2 - 1."""
-    gamma = ops.centroid_body(h)
-    return float(area(gamma) / area(h) / BP_CONSTANT - 1.0)
+    return float(_bp_deficits(h.samples[None])[0])
 
 
 def _mixed_volume_gaps(h_k: SupportFn, h_l: SupportFn) -> tuple[float, float]:
@@ -168,7 +183,12 @@ class StabilityResult:
     fit_count: int
     control_eps: float       # deficit of the disk control body
     control_d_minus_1: float
-    deficit_evaluations: int  # bp_deficit calls of the campaign, the control's included
+    deficit_evaluations: int  # bodies whose deficit the campaign computed, the control included
+    bases: int               # base bodies built, retries included, in bases_s seconds
+    bases_s: float
+    deficit_rounds: int      # stacked deficits computed, the control's included
+    deficits_s: float        # seconds root-finding the samples' targets
+    search_s: float          # seconds of the stacked Banach-Mazur search
 
     def to_csv(self, target) -> None:
         """Write the scatter, one sample a line, to an open text stream."""
@@ -176,11 +196,6 @@ class StabilityResult:
         target.writelines(f"{s.seed},{s.eps:.17g},{s.d_bm_minus_1:.17g},"
                           f"{s.pinch_bound:.17g},{s.gamma_witness:.17g}\n"
                           for s in self.samples)
-
-
-def _interpolate_to_disk(h: SupportFn, lam: float) -> SupportFn:
-    """Support-function interpolation (1 - lam) disk + lam K."""
-    return SupportFn(1.0 + lam * (h.samples - 1.0))
 
 
 def _square_perturbation(n: int) -> np.ndarray:
@@ -196,45 +211,39 @@ def _square_perturbation(n: int) -> np.ndarray:
     return hs - hs.mean()
 
 
+def _stability_bases(seeds: list[int], n: int) -> np.ndarray:
+    """Random bodies (R, n) blended with the square direction, curvature
+    floored, one row a seed."""
+    spec = BodySpec(seed=min(seeds), n=n, mode_count=4, decay=1.4, amplitude=0.8)  # all seeds >= 0
+    mix = np.array([[np.random.default_rng(s).uniform(0.0, 1.0)] for s in seeds])
+    wob = _random_rows(spec, seeds)
+    return _floored_rows((1.0 - mix) * (wob - 1.0) + mix * _square_perturbation(n))
+
+
 def _stability_base(seed: int, n: int) -> SupportFn:
-    """Random body blended with the square direction, curvature floored."""
-    spec = BodySpec(seed=seed, n=n, mode_count=4, decay=1.4, amplitude=0.8)
-    mix = np.random.default_rng(seed).uniform(0.0, 1.0)
-    wob = random_body(spec)
-    pert = (1.0 - mix) * (wob.samples - 1.0) + mix * _square_perturbation(n)
-    return _floored_body(pert)
+    """The stability base body of one seed."""
+    return SupportFn(_stability_bases([seed], n)[0])
 
 
-def _deficit_targeted_body(base: SupportFn, target: float) -> tuple[SupportFn, float, int]:
-    """Root-find the disk-interpolation weight lam at which the deficit hits
-    target; returns the body, its deficit and the number of deficits computed.
-
-    The deficit of (1 - lam) disk + lam K grows like c lam^2 near the disk,
-    so log f is close to linear in log lam: the search starts at
-    lam = (target / f(1))^(1/2) and takes secant steps on (log lam, log f).
-    Every iterate stays strictly inside the bracket [lo, hi] found so far;
-    a secant step that would leave it, or a deficit <= 0, falls back to the
-    bracket's midpoint.  When the base body cannot reach the target, the
-    base itself is returned with its actual deficit (the target is clamped)."""
-    f_hi = bp_deficit(base)
-    if f_hi < target:
-        return base, f_hi, 1
+def _secant(f_base: float, target: float):
+    """One lane of ``_deficit_targeted_bodies``: a generator that yields each
+    weight lam whose deficit it needs, is sent that deficit, and yields None
+    once within 1% of the target or after 80 steps.  The deficit of (1 - lam)
+    disk + lam K grows like c lam^2 near the disk, so log f is close to
+    linear in log lam: the search starts at lam = (target / f(1))^(1/2) and
+    takes secant steps on (log lam, log f).  Every iterate stays strictly
+    inside the bracket [lo, hi] found so far; a secant step that would leave
+    it, or a deficit <= 0, falls back to the bracket's midpoint."""
     lo, hi = 0.0, 1.0
-    x_prev, g_prev = 0.0, math.log(f_hi / target)  # the base, lam = 1
-    lam = math.sqrt(target / f_hi)
-    evaluations = 1
+    x_prev, g_prev = 0.0, math.log(f_base / target)  # the base, lam = 1
+    lam = math.sqrt(target / f_base)
     for _ in range(80):
         if not lo < lam < hi:
             lam = 0.5 * (lo + hi)
-        body = _interpolate_to_disk(base, lam)
-        f = bp_deficit(body)
-        evaluations += 1
+        f = yield lam
         if abs(f - target) <= DEFICIT_RTOL * target:
             break
-        if f < target:
-            lo = lam
-        else:
-            hi = lam
+        lo, hi = (lam, hi) if f < target else (lo, lam)
         lam_next = 0.5 * (lo + hi)
         if f > 0.0:
             x, g = math.log(lam), math.log(f / target)
@@ -242,7 +251,25 @@ def _deficit_targeted_body(base: SupportFn, target: float) -> tuple[SupportFn, f
                 lam_next = math.exp(min(x - g * (x - x_prev) / (g - g_prev), 0.0))
             x_prev, g_prev = x, g
         lam = lam_next
-    return body, f, evaluations
+    yield None
+
+
+def _deficit_targeted_bodies(bases: np.ndarray, targets) -> tuple:
+    """Root-find, for each base row (R, n), the lam at which 1 + lam (h - 1)
+    hits the row's target: the bodies, their deficits and the deficits each
+    row computed; a base short of its target keeps its own deficit.  A round
+    is one ``_bp_deficits`` of every open lane's body, the first the bases'."""
+    eps = _bp_deficits(bases)
+    bodies, evaluations = bases.copy(), np.ones(len(bases), dtype=int)
+    lanes = {i: _secant(f, t) for i, (f, t) in enumerate(zip(eps.tolist(), targets)) if not f < t}
+    lams = {i: next(lane) for i, lane in lanes.items()}
+    while lams:
+        rows = list(lams)
+        bodies[rows] = 1.0 + np.array(list(lams.values()))[:, None] * (bases[rows] - 1.0)
+        eps[rows] = _bp_deficits(bodies[rows])
+        evaluations[rows] += 1
+        lams = {i: lam for i in rows if (lam := lanes[i].send(float(eps[i]))) is not None}
+    return bodies, eps, evaluations
 
 
 def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult:
@@ -252,8 +279,10 @@ def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult
     square for the high-deficit end) and pulled toward the disk, by a
     root-finder on the interpolation weight, until the deficit lands on a
     log-spaced target (1% relative); targets beyond the symmetric-class
-    maximum are clamped to the body's own deficit.  The bodies' distances
-    and the disk control's come from one stacked search.
+    maximum are clamped to the body's own deficit.  A sample that falls
+    short draws up to five more bases and keeps its highest deficit; retry
+    j is one wave of the open samples, built and root-found as one stack,
+    and one stacked search gives every body's distance and the control's.
     Reports the least admissible witness gamma for the quarter-power bound
     and the log-log slope fitted on the samples with 0 < deficit <= 1e-2; a
     sample whose deficit is not positive has a NaN witness.
@@ -261,29 +290,37 @@ def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult
     if count < 10:
         raise ValueError("need at least 10 samples")
     targets = np.geomspace(EPS_LOW, EPS_HIGH, count)
-    found = []
-    evaluations = 1  # the disk control's deficit
-    for i, target in enumerate(targets):
-        best: tuple[int, SupportFn, float] | None = None
-        for retry in range(6):
-            base_seed = seed + 1000 * i + retry
-            base = _stability_base(base_seed, n)
-            body, eps, calls = _deficit_targeted_body(base, float(target))
-            evaluations += calls
-            if best is None or eps > best[2]:
-                best = (base_seed, body, eps)
-            if eps >= target * 0.99:
-                break
-        found.append(best)
+    found: list = [None] * count  # (base seed, body, eps) of each sample's best base
+    open_samples, clock = list(range(count)), time.perf_counter
+    bases = rounds = evaluations = bases_s = deficits_s = 0
+    for retry in range(6):
+        seeds = [seed + 1000 * i + retry for i in open_samples]
+        started = clock()
+        wave = _stability_bases(seeds, n)
+        built = clock()
+        bodies, eps, calls = _deficit_targeted_bodies(wave, targets[open_samples])
+        bases_s, deficits_s = bases_s + built - started, deficits_s + clock() - built
+        bases, rounds, evaluations = (bases + len(seeds), rounds + calls.max(),
+                                      evaluations + calls.sum())
+        for i, base_seed, body, e in zip(open_samples, seeds, bodies, eps.tolist()):
+            if found[i] is None or e > found[i][2]:
+                found[i] = (base_seed, body, e)
+        open_samples = [i for i, e in zip(open_samples, eps) if not e >= targets[i] * 0.99]
+        if not open_samples:
+            break
     control = disk(1.0, n)
+    control_eps = bp_deficit(control)
+    started = clock()
     # one search over the stack of every sample body and the control
-    *distances, control_distance = sl2_searches(np.array([body.samples for _, body, _ in found]
+    *distances, control_distance = sl2_searches(np.array([body for _, body, _ in found]
                                                          + [control.samples]))[1].distances
+    search_s = clock() - started
     samples = []
     for (base_seed, body, eps), distance in zip(found, distances):
         d1 = float(distance) - 1.0
         samples.append(StabilitySample(
-            seed=base_seed, eps=eps, d_bm_minus_1=d1, pinch_bound=pinching_to_bm_bound(body),
+            seed=base_seed, eps=eps, d_bm_minus_1=d1,
+            pinch_bound=pinching_to_bm_bound(SupportFn(body)),
             gamma_witness=d1 / eps ** 0.25 if eps > 0 else float("nan")))
     gamma = max((s.gamma_witness for s in samples if s.eps > 0), default=float("nan"))
     small = [s for s in samples if 0 < s.eps <= 1e-2 and s.d_bm_minus_1 > 0]
@@ -293,11 +330,10 @@ def stability_experiment(count: int, seed: int, n: int = 256) -> StabilityResult
         slope = float(np.polyfit(logs_e, logs_d, 1)[0])
     else:
         slope = float("nan")
-    control_eps = bp_deficit(control)
-    control_d = float(control_distance) - 1.0
-    return StabilityResult(samples=samples, gamma=gamma, fit_exponent=slope,
-                           fit_count=len(small), control_eps=control_eps,
-                           control_d_minus_1=control_d, deficit_evaluations=evaluations)
+    return StabilityResult(samples=samples, gamma=gamma, fit_exponent=slope, fit_count=len(small),
+                           control_eps=control_eps, control_d_minus_1=float(control_distance) - 1.0,
+                           deficit_evaluations=int(evaluations) + 1, bases=bases, bases_s=bases_s,
+                           deficit_rounds=int(rounds) + 1, deficits_s=deficits_s, search_s=search_s)
 
 
 # --- fuzzing -------------------------------------------------------------------

@@ -76,13 +76,14 @@ def from_coeffs(c: np.ndarray, n: int) -> np.ndarray:
 
 def trig_eval(samples: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant at arbitrary angles: Horner's
-    rule in z = exp(i theta) for the real part of sum_k c_k z^k."""
-    coef = fourier_coeffs(samples)
+    rule in z = exp(i theta) for the real part of sum_k c_k z^k.  A stack
+    (..., n) gives each row at every angle, an array (...,) + theta.shape."""
     z = np.exp(1j * np.asarray(theta, dtype=float))
-    out = np.full(z.shape, coef[-1])
-    for c in coef[-2::-1]:
+    coef = np.expand_dims(fourier_coeffs(samples), tuple(range(-1 - z.ndim, -1)))
+    out = np.full(coef.shape[:-z.ndim - 1] + z.shape, coef[..., -1])
+    for k in range(coef.shape[-1] - 2, -1, -1):
         out *= z
-        out += c
+        out += coef[..., k]
     return out.real
 
 

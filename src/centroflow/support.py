@@ -65,19 +65,7 @@ class SupportFn:
         check_grid_size(x.size)
         if not np.all(np.isfinite(x)):
             raise ValueError("support samples must be finite")
-        hmax = float(np.max(x))
-        if np.min(x) <= 0.0:
-            raise NonPositive(f"min support sample {np.min(x):.6g} <= 0")
-        curv = curvature_samples(x)
-        if not np.min(curv) > -CONVEXITY_FLOOR * hmax:  # NaN when the scale overflows
-            raise NonConvex(
-                f"min curvature {np.min(curv):.6g} at grid node "
-                f"{int(np.argmin(curv))}"
-            )
-        mismatch = np.abs(x[: x.size // 2] - x[x.size // 2:]).max()  # antipodal pairs
-        if mismatch > SYMMETRY_TOL * hmax:
-            raise AsymmetricData(f"not origin-symmetric: antipodal samples differ by "
-                                 f"{mismatch:.6g}, more than {SYMMETRY_TOL:g} * max h")
+        curv = _checked_curvature(x)
         x.setflags(write=False)
         curv.setflags(write=False)
         object.__setattr__(self, "samples", x)
@@ -100,6 +88,26 @@ def check_grid_size(n) -> None:
 def curvature_samples(samples: np.ndarray) -> np.ndarray:
     """h + h'' of grid samples, computed spectrally (no positivity check)."""
     return samples + spectral.deriv(samples, 2)
+
+
+def _checked_curvature(x: np.ndarray) -> np.ndarray:
+    """S of samples (n,) or of each row of (R, n), once every row passes the
+    ``SupportFn`` checks (a NaN S fails); an error names a stack's row."""
+    half = x.shape[-1] // 2
+    hmax, low, curv = x.max(axis=-1), x.min(axis=-1), curvature_samples(x)
+    smin, mismatch = curv.min(axis=-1), np.abs(x[..., :half] - x[..., half:]).max(axis=-1)
+    bad = np.array([low <= 0.0, ~(smin > -CONVEXITY_FLOOR * hmax), mismatch > SYMMETRY_TOL * hmax])
+    if bad.any():  # the first failing check, and its first failing row
+        check, r = divmod(int(np.argmax(bad)), bad[0].size)
+        low, smin, mismatch = (np.reshape(v, -1)[r] for v in (low, smin, mismatch))
+        message = (f"min support sample {low:.6g} <= 0",
+                   f"min curvature {smin:.6g} at grid node "
+                   f"{int(np.argmin(curv.reshape(-1, 2 * half)[r]))}",
+                   f"not origin-symmetric: antipodal samples differ by {mismatch:.6g}, "
+                   f"more than {SYMMETRY_TOL:g} * max h")[check]
+        raise (NonPositive, NonConvex, AsymmetricData)[check](
+            message if x.ndim == 1 else f"row {r}: {message}")
+    return curv
 
 
 def affine_support(h: SupportFn, factor: float = 1.0) -> np.ndarray:

@@ -92,5 +92,5 @@ def off_node_nonconvex_body():
     """The n=256 mollified square on every other node, floored to S = 0.05:
     convex at its 128 nodes, but its interpolant has h + h'' < 0 (down to
     -0.09) between some of them."""
-    from centroflow.lab import _floored_body, _square_perturbation
-    return _floored_body(_square_perturbation(256)[::2])
+    from centroflow.lab import _floored_rows, _square_perturbation
+    return SupportFn(_floored_rows(_square_perturbation(256)[None, ::2])[0])

@@ -6,17 +6,26 @@ and spline interpolation of the boundary parametrization.  The lab's
 inequality functionals and the spectral tables at the end are the
 exception: they pin bytes, not values.  So is the SL(2) search's
 full-period synthesis, the construction the folded one replaced, which
-pins values to the roundoff of its own derivatives.
+pins values to the roundoff of its own derivatives, and so is the stability
+campaign one sample and one body at a time, which the lockstep campaign
+must reproduce bit for bit.
 """
+
+import math
+
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import ellipe
 
-from centroflow.normalize import _LAYOUT, CUTS_PER_SIDE, SEARCH_OVERSAMPLE, _at
-from centroflow.ops import _abs_cos_transform, polar_area
+from centroflow.lab import (BP_CONSTANT, DEFICIT_RTOL, EPS_HIGH, EPS_LOW, MIN_CURVATURE,
+                            BodySpec, StabilitySample, _square_perturbation)
+from centroflow.normalize import (_LAYOUT, CUTS_PER_SIDE, SEARCH_OVERSAMPLE, _at,
+                                  pinching_to_bm_bound, sl2_searches)
+from centroflow.ops import _abs_cos_transform, centroid_body, polar_area
 from centroflow.spectral import angles, deriv, fourier_coeffs, resample
-from centroflow.support import SupportFn, area_quadrature, check_same_grid, curvature_samples
+from centroflow.support import (SupportFn, area, area_quadrature, check_same_grid,
+                                curvature_samples, disk)
 
 
 def dense_boundary(body, m):
@@ -455,3 +464,99 @@ def from_pair(a, b, n):
     if n % 2 == 0:
         f[..., -1] = n * a[..., -1]
     return np.fft.irfft(f, n)
+
+
+# --- the stability campaign one sample at a time ------------------------------
+# The scalar generator, deficit, root-finder and per-sample loop that the
+# stacked base waves and the lockstep root-finding replaced.
+
+def _floored_body(pert):
+    """1 + scale * pert with the largest scale <= 1 keeping min S at MIN_CURVATURE."""
+    low = float(np.min(curvature_samples(pert)))
+    scale = 1.0
+    if 1.0 + low < MIN_CURVATURE:
+        scale = (1.0 - MIN_CURVATURE) / (-low)
+    return SupportFn(1.0 + scale * pert)
+
+
+def random_body(spec):
+    """The seeded body of a ``BodySpec``, one harmonic at a time."""
+    rng = np.random.default_rng(spec.seed)
+    th = angles(spec.n)
+    pert = np.zeros(spec.n)
+    for k in range(2, 2 * spec.mode_count + 1, 2):
+        ca, cb = spec.amplitude * spec.decay ** (-k) * rng.uniform(-1.0, 1.0, 2)
+        pert += ca * np.cos(k * th) + cb * np.sin(k * th)
+    return _floored_body(pert)
+
+
+def stability_base(seed, n):
+    """Random body blended with the square direction, curvature floored."""
+    wob = random_body(BodySpec(seed=seed, n=n, mode_count=4, decay=1.4, amplitude=0.8))
+    mix = np.random.default_rng(seed).uniform(0.0, 1.0)
+    return _floored_body((1.0 - mix) * (wob.samples - 1.0) + mix * _square_perturbation(n))
+
+
+def bp_deficit(h):
+    """V(Gamma K)/V(K) / (4/3pi)^2 - 1 through the centroid body."""
+    return float(area(centroid_body(h)) / area(h) / BP_CONSTANT - 1.0)
+
+
+def deficit_targeted_body(base, target):
+    """Secant steps on (log lam, log f), kept inside the bracket: the body
+    (1 - lam) disk + lam K whose deficit lands within 1% of target, its
+    deficit and the deficits computed; the base when it falls short."""
+    f_hi = bp_deficit(base)
+    if f_hi < target:
+        return base, f_hi, 1
+    lo, hi = 0.0, 1.0
+    x_prev, g_prev = 0.0, math.log(f_hi / target)
+    lam = math.sqrt(target / f_hi)
+    evaluations = 1
+    for _ in range(80):
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+        body = SupportFn(1.0 + lam * (base.samples - 1.0))
+        f = bp_deficit(body)
+        evaluations += 1
+        if abs(f - target) <= DEFICIT_RTOL * target:
+            break
+        if f < target:
+            lo = lam
+        else:
+            hi = lam
+        lam_next = 0.5 * (lo + hi)
+        if f > 0.0:
+            x, g = math.log(lam), math.log(f / target)
+            if g != g_prev:
+                lam_next = math.exp(min(x - g * (x - x_prev) / (g - g_prev), 0.0))
+            x_prev, g_prev = x, g
+        lam = lam_next
+    return body, f, evaluations
+
+
+def stability_samples(count, seed, n):
+    """The scatter of ``stability_experiment``, each sample's retries run
+    to the end before the next sample starts, and the deficits computed,
+    the disk control's included."""
+    found = []
+    evaluations = 1
+    for i, target in enumerate(np.geomspace(EPS_LOW, EPS_HIGH, count)):
+        best = None
+        for retry in range(6):
+            base_seed = seed + 1000 * i + retry
+            body, eps, calls = deficit_targeted_body(stability_base(base_seed, n), float(target))
+            evaluations += calls
+            if best is None or eps > best[2]:
+                best = (base_seed, body, eps)
+            if eps >= target * 0.99:
+                break
+        found.append(best)
+    stack = np.array([body.samples for _, body, _ in found] + [disk(1.0, n).samples])
+    samples = []
+    for (base_seed, body, eps), distance in zip(found, sl2_searches(stack)[1].distances):
+        d1 = float(distance) - 1.0
+        samples.append(StabilitySample(
+            seed=base_seed, eps=eps, d_bm_minus_1=d1, pinch_bound=pinching_to_bm_bound(body),
+            gamma_witness=d1 / eps ** 0.25 if eps > 0 else float("nan")))
+    return samples, evaluations

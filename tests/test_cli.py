@@ -512,6 +512,14 @@ class TestCampaignCommands:
         # each sample computes at least two deficits, and the control one
         assert isinstance(summary["deficit_evaluations"], int)
         assert summary["deficit_evaluations"] >= 2 * 10 + 1
+        timings = json.loads((out / "manifest.json").read_text())["timings"]
+        assert set(timings) == {"bases", "bases_s", "deficit_rounds", "deficit_evaluations",
+                                "deficits_s", "search_s"}
+        assert timings["deficit_evaluations"] == summary["deficit_evaluations"]
+        assert timings["bases"] >= 10
+        assert 2 <= timings["deficit_rounds"] < timings["deficit_evaluations"]
+        assert all(np.isfinite(timings[k]) and timings[k] > 0.0
+                   for k in ("bases_s", "deficits_s", "search_s"))
 
     def test_stability_without_out_prints_the_summary(self, workdir, capsys):
         assert main(["stability", "--samples", "10", "--seed", "1", "--n", "64"]) == 0
@@ -555,7 +563,9 @@ class TestCampaignCommands:
         samples = [StabilitySample(seed=i, eps=eps, d_bm_minus_1=0.01, pinch_bound=1.1,
                                    gamma_witness=0.1) for i, eps in enumerate([1e-3, -1e-6])]
         result = StabilityResult(samples=samples, gamma=0.1, fit_exponent=0.5, fit_count=1,
-                                 control_eps=0.0, control_d_minus_1=0.0, deficit_evaluations=3)
+                                 control_eps=0.0, control_d_minus_1=0.0, deficit_evaluations=3,
+                                 bases=2, bases_s=0.0, deficit_rounds=2, deficits_s=0.0,
+                                 search_s=0.0)
         monkeypatch.setattr(cli, "stability_experiment", lambda count, seed, n: result)
         out = workdir / "stab"
         assert main(["stability", "--samples", "10", "--out", str(out)]) == 1
@@ -568,13 +578,13 @@ class TestCampaignCommands:
                                                         eps, rc):
         # the lowest target's body lands on a deficit that is not positive:
         # its witness is NaN, and gamma and the fit skip it
-        targeted = lab._deficit_targeted_body
+        targeted = lab._deficit_targeted_bodies
 
-        def fake(base, target):
-            body, found, calls = targeted(base, target)
-            return (body, eps, calls) if target == lab.EPS_LOW else (body, found, calls)
+        def fake(bases, targets):
+            bodies, found, calls = targeted(bases, targets)
+            return bodies, np.where(np.asarray(targets) == lab.EPS_LOW, eps, found), calls
 
-        monkeypatch.setattr(lab, "_deficit_targeted_body", fake)
+        monkeypatch.setattr(lab, "_deficit_targeted_bodies", fake)
         out = workdir / "stab"
         assert main(["stability", "--samples", "10", "--seed", "1", "--n", "64",
                      "--out", str(out)]) == rc
@@ -588,7 +598,8 @@ class TestCampaignCommands:
 
     def test_stability_without_small_deficits_has_no_fit(self, workdir, monkeypatch):
         # every sample lands above the fit's 1e-2 window: no slope is fitted
-        monkeypatch.setattr(lab, "_deficit_targeted_body", lambda base, target: (base, 0.02, 1))
+        monkeypatch.setattr(lab, "_deficit_targeted_bodies", lambda bases, targets: (
+            bases, np.full(len(bases), 0.02), np.ones(len(bases), dtype=int)))
         out = workdir / "stab"
         assert main(["stability", "--samples", "10", "--seed", "1", "--n", "64",
                      "--out", str(out)]) == 0

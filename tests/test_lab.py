@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ from centroflow import (
     sl2_normalize,
     stability_experiment,
 )
-from centroflow import lab, ops
-from centroflow.lab import (DEFICIT_RTOL, MIN_CURVATURE, _deficit_targeted_body,
+from centroflow import lab, ops, support
+from centroflow.errors import NonConvex
+from centroflow.lab import (DEFICIT_RTOL, MIN_CURVATURE, _deficit_targeted_bodies,
                             _mixed_volume_gaps, _stability_base)
 from centroflow.normalize import family_map
 from centroflow.ops import _identity_residual, _ratio_derivative, polar_chain
@@ -61,6 +64,17 @@ class TestGenerator:
             fine = curvature_samples(resample(body.samples, 16 * n))
             assert np.min(fine) >= 0.0, (seed, np.min(fine))
             sl2_normalize(body)
+
+    def test_rows_keep_the_scalar_generator(self):
+        # bit for bit the one-harmonic-at-a-time generator, on the fuzz recipes
+        # and on the stability bases, whose waves stack the rows of many seeds
+        for i in range(20):
+            spec = lab._fuzz_spec(1, i, 256)
+            assert random_body(spec).samples.tobytes() == \
+                oracles.random_body(spec).samples.tobytes(), i
+        seeds = [1 + 1000 * i for i in range(20)]
+        for seed, row in zip(seeds, lab._stability_bases(seeds, 128)):
+            assert row.tobytes() == oracles.stability_base(seed, 128).samples.tobytes(), seed
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -248,16 +262,23 @@ class TestFuzz:
 
 @pytest.fixture()
 def deficit_calls(monkeypatch):
-    """A list whose length counts the ``lab.bp_deficit`` calls from here on."""
+    """A list whose length counts the rows ``lab._bp_deficits`` evaluates from here on."""
     calls = []
-    original = lab.bp_deficit
+    original = lab._bp_deficits
 
-    def counted(h):
-        calls.append(None)
-        return original(h)
+    def counted(rows):
+        calls.extend([None] * len(rows))
+        return original(rows)
 
-    monkeypatch.setattr(lab, "bp_deficit", counted)
+    monkeypatch.setattr(lab, "_bp_deficits", counted)
     return calls
+
+
+def targeted(base, target):
+    """The one lane of ``_deficit_targeted_bodies`` for ``base``: its body's
+    samples, deficit and deficit count."""
+    bodies, eps, evaluations = _deficit_targeted_bodies(base.samples[None], [target])
+    return bodies[0], float(eps[0]), int(evaluations[0])
 
 
 class TestDeficitTarget:
@@ -268,15 +289,15 @@ class TestDeficitTarget:
             base_eps = bp_deficit(base)
             for target in np.geomspace(1e-6, 1e-1, 12):
                 deficit_calls.clear()
-                body, eps, evaluations = _deficit_targeted_body(base, float(target))
+                body, eps, evaluations = targeted(base, float(target))
                 assert evaluations == len(deficit_calls)
                 if base_eps < target:  # unreachable: the base, with its own deficit
-                    assert body is base and eps == base_eps
+                    assert np.array_equal(body, base.samples) and eps == base_eps
                     continue
                 # the base's deficit and at most five steps (the bisection takes up to 15)
                 assert len(deficit_calls) <= 6, (seed, target, len(deficit_calls))
                 assert abs(eps - target) <= DEFICIT_RTOL * target, (seed, target)
-                assert eps == bp_deficit(body)
+                assert eps == bp_deficit(SupportFn(body))
 
     def test_secant_steps_stay_inside_the_bracket(self, monkeypatch):
         # a deficit whose slope jumps at lam = 0.05 throws secant steps out of
@@ -286,14 +307,14 @@ class TestDeficitTarget:
 
         lams = []
 
-        def deficit(h):  # lam read back from the body (1 - lam) disk + lam base
-            lams.append((h.samples[0] - 1.0) / 0.2)
-            return deficit_of(lams[-1])
+        def deficit(rows):  # lam read back from the body (1 - lam) disk + lam base
+            lams.append((rows[0, 0] - 1.0) / 0.2)
+            return np.array([deficit_of(lams[-1])])
 
-        monkeypatch.setattr(lab, "bp_deficit", deficit)
+        monkeypatch.setattr(lab, "_bp_deficits", deficit)
         base = SupportFn(1.0 + 0.2 * np.cos(2.0 * angles(64)))
         target = 0.01
-        _, eps, evaluations = _deficit_targeted_body(base, target)
+        _, eps, evaluations = targeted(base, target)
         assert abs(eps - target) <= DEFICIT_RTOL * target
         assert evaluations == len(lams) <= 12  # 25 without the guard
         lo, hi = 0.0, 1.0
@@ -316,7 +337,53 @@ class TestDeficitTarget:
         targets = np.geomspace(lab.EPS_LOW, lab.EPS_HIGH, 20)
         for sample, target in zip(res.samples, targets):
             base = _stability_base(sample.seed, 128)
-            assert _deficit_targeted_body(base, float(target))[1] == sample.eps, sample
+            assert targeted(base, float(target))[1] == sample.eps, sample
+
+
+class TestLockstep:
+    """The stacked deficit and the lockstep root-finder against one body and
+    one sample at a time (``oracles``), bit for bit."""
+
+    def test_stacked_deficit_rows_equal_each_body_alone(self, monkeypatch):
+        # stretches sigma = 1, 1.44, 3.24 and 9 take the radial grids q = 2,
+        # 4, 8 and 16; the stability bases bring deficits far from zero
+        bodies = [ellipse(1.8, 1.0, 0.7, 128), disk(1.0, 128), ellipse(3.0, 1.0, 1.1, 128),
+                  ellipse(1.2, 1.0, 0.2, 128)] + [_stability_base(s, 128) for s in range(4)]
+        grids = []
+        sums = support._radial_sums
+        monkeypatch.setattr(support, "_radial_sums",
+                            lambda f, half, m, p: (grids.append(m // half), sums(f, half, m, p))[1])
+        got = lab._bp_deficits(np.array([b.samples for b in bodies]))
+        assert sorted(set(grids)) == [2, 4, 8, 16]
+        for i, body in enumerate(bodies):
+            assert got[i] == bp_deficit(body) == oracles.bp_deficit(body), i
+
+    def test_stacked_deficit_checks_every_row(self):
+        rows = np.array([_stability_base(s, 64).samples for s in range(3)])
+        rows[2] = 1.0 + 0.5 * np.cos(2.0 * angles(64))
+        with pytest.raises(NonConvex, match="^row 2: min curvature"):
+            lab._bp_deficits(rows)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_every_lane_gives_the_scalar_root_finder(self, n):
+        bases = [_stability_base(seed, n) for seed in range(10)]
+        lanes = [(base, float(t)) for base in bases for t in np.geomspace(1e-6, 1e-1, 12)]
+        bodies, eps, evaluations = _deficit_targeted_bodies(
+            np.array([base.samples for base, _ in lanes]), [t for _, t in lanes])
+        for (base, target), body, e, calls in zip(lanes, bodies, eps, evaluations):
+            want_body, want_eps, want_calls = oracles.deficit_targeted_body(base, target)
+            assert body.tobytes() == want_body.samples.tobytes(), target
+            assert (e, calls) == (want_eps, want_calls), target
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_campaign_gives_the_per_sample_loop(self, seed):
+        res = stability_experiment(20, seed=seed, n=128)
+        samples, evaluations = oracles.stability_samples(20, seed, 128)
+        assert res.deficit_evaluations == evaluations
+        np.testing.assert_array_equal([astuple(s) for s in res.samples],
+                                      [astuple(s) for s in samples])
+        # a wave's rounds are its busiest lane's deficits: fewer than all of them
+        assert res.bases >= 20 and res.deficit_rounds < res.deficit_evaluations
 
 
 class TestStability:

@@ -18,7 +18,7 @@ from centroflow import (
     stability_experiment,
 )
 from centroflow import flow, normalize
-from centroflow.lab import _deficit_targeted_body, _stability_base
+from centroflow.lab import _deficit_targeted_bodies, _stability_base
 from centroflow.normalize import (CUTS_PER_SIDE, SEARCH_RTOL, _at, _BoundaryForms, _certificates,
                                   _parabola_peak, _perimeter_minimum, _radii, family_map, minimize,
                                   sl2_searches)
@@ -218,7 +218,7 @@ class TestGlobalMinima:
         for seed in range(3):
             base = _stability_base(seed, 128)
             for target in (1e-4, 1e-2):
-                body, _, _ = _deficit_targeted_body(base, target)
+                body = SupportFn(_deficit_targeted_bodies(base.samples[None], [target])[0][0])
                 distance = banach_mazur_to_disk(body).distance
                 forms = forms_of(body)
                 for start in self.STARTS:

@@ -65,6 +65,19 @@ def test_trig_eval_matches_closed_form():
     assert np.max(np.abs(spectral.trig_eval(f, pts) - want)) < 1e-13
 
 
+@pytest.mark.parametrize("n", [16, 17])
+def test_trig_eval_of_a_stack_gives_each_row_alone(n):
+    # a (3, n) stack gives each row at every angle, bit for bit the row alone
+    th = spectral.angles(n)
+    rows = np.array([1.0 + 0.2 * np.cos(2 * th), 2.0 - 0.1 * np.sin(3 * th) + 0.3 * np.cos(6 * th),
+                     np.exp(np.cos(th))])
+    pts = np.array([[0.1, 1.7, 3.9], [6.0, 7.5, -2.2]])
+    got = spectral.trig_eval(rows, pts)
+    assert got.shape == (3, 2, 3)
+    for row, want in zip(rows, got):
+        assert want.tobytes() == spectral.trig_eval(row, pts).tobytes()
+
+
 @pytest.mark.parametrize("m", [128, 256, 512, 19])
 def test_resample_bandlimited_exact(m):
     # m = 19 is odd: its top mode, k = 9, is an ordinary mode and is kept

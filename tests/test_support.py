@@ -62,6 +62,23 @@ class TestConstructor:
         with pytest.raises(AsymmetricData):
             SupportFn(base + 2.0 * odd)
 
+    @pytest.mark.parametrize("bad, error", [
+        (np.cos(TH) - 2.0, NonPositive),
+        (1 + 0.5 * np.cos(2 * TH), NonConvex),
+        (1 + 0.2 * np.cos(2 * TH) + 1e-9 * np.cos(3 * TH), AsymmetricData),
+    ])
+    def test_row_check_names_the_failing_row(self, bad, error):
+        # a stack fails on the body check of its one bad row, and says which
+        good = 1 + 0.2 * np.cos(2 * TH)
+        with pytest.raises(error) as alone:
+            SupportFn(bad)
+        with pytest.raises(error) as stacked:
+            support._checked_curvature(np.array([good, bad, good]))
+        assert str(stacked.value) == f"row 1: {alone.value}"
+        rows = np.array([good, ellipse(2.0, 1.0, 0.3, 256).samples])
+        for row, curv in zip(rows, support._checked_curvature(rows)):
+            assert curv.tobytes() == SupportFn(row).curvature.tobytes()
+
     def test_small_or_odd_grid_rejected(self):
         with pytest.raises(ValueError):
             SupportFn(np.ones(8))
@@ -251,10 +268,10 @@ class TestRadial:
         # 1.5 sigma instead of 2 sigma misses by up to 6e-11; at n = 256 only
         # the lam where it misses and one near the base are kept, for time.
         # The flow rows come as the stacks the monitor pass makes.
-        from centroflow.lab import _interpolate_to_disk, _stability_base
+        from centroflow.lab import _stability_base
 
         def bisection(n, lams=(0.01, 0.03, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95)):
-            return [_interpolate_to_disk(_stability_base(s, n), lam)
+            return [SupportFn(1.0 + lam * (_stability_base(s, n).samples - 1.0))
                     for s in range(20) for lam in lams]
         stacks = {
             "fuzz_256": lambda: fuzz_bodies,
