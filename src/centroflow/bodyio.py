@@ -22,13 +22,14 @@ import tempfile
 import numpy as np
 
 from . import spectral
-from .support import SupportFn, check_grid_size
+from .support import SupportFn, _one_body, check_grid_size
 
 __all__ = ["body_to_dict", "body_from_dict", "load_body", "save_body",
            "sha256_of_file", "atomic_write_text"]
 
 
 def body_to_dict(h: SupportFn) -> dict:
+    _one_body(h)
     return {
         "n": int(h.n),
         "h": [float(v) for v in h.samples],

@@ -49,7 +49,8 @@ import numpy as np
 from . import ops, spectral
 from .errors import ConvexityLost, StepUnderflow
 from .normalize import sl2_searches
-from .support import SupportFn, _folded, area_quadrature, curvature_samples
+from .support import (BLOCK_SAMPLES, SupportFn, _folded, _one_body, area_quadrature,
+                      curvature_samples)
 
 __all__ = [
     "FlowConfig",
@@ -225,9 +226,6 @@ def _estimate_extinction(t: np.ndarray, v: np.ndarray) -> float:
     return float(-intercept / slope)
 
 
-BLOCK_SAMPLES = 3072  # support samples (rows x n) whose monitors are computed together
-
-
 def _monitor_rows(t: np.ndarray, h: np.ndarray, s: np.ndarray,
                   v: np.ndarray) -> tuple[dict[str, np.ndarray], int, int]:
     """Every ``FlowTrace`` array column of the stored rows: times ``t``,
@@ -269,6 +267,7 @@ def _monitor_rows(t: np.ndarray, h: np.ndarray, s: np.ndarray,
 def flow_run(h0: SupportFn, cfg: FlowConfig | None = None) -> FlowTrace:
     """Run the flow from ``h0`` until the area threshold, time cap, or step cap;
     StepUnderflow when a step is infinite or not above its floor."""
+    _one_body(h0)
     cfg = cfg or FlowConfig()
     n = h0.n
     if n > FLOW_MAX_N:

@@ -1,15 +1,13 @@
 """The centroid-ratio deficit, a seeded body generator, fuzzing campaigns, and
 the stability experiment relating that deficit to the Banach-Mazur distance
 from the disk.  ``deficit_report`` is the one home of the other gaps, under
-their ``fuzz.json`` names; ``fuzz_campaign`` keeps their minima.  Bodies and
-deficits are made as stacks, a row a body (``random_body`` and ``bp_deficit``
-are one-row calls): the stability experiment builds each retry's bases as
-one wave and takes each root-finding round as one stacked deficit, whose
-rows pass the ``SupportFn`` checks."""
+their ``fuzz.json`` names; ``fuzz_campaign`` keeps their minima.  Bodies are
+drawn as stacks, a row a body, and the deficits give a value a row: the
+stability experiment takes each retry's bases and each root-finding round
+as one stack, and the fuzz campaign audits blocks of ``BLOCK_SAMPLES``."""
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -18,8 +16,8 @@ import numpy as np
 
 from . import ops, spectral
 from .normalize import pinching_to_bm_bound, sl2_searches
-from .support import (SupportFn, _checked_curvature, affine_support, area, area_quadrature,
-                      check_grid_size, curvature_samples, disk, radial_powers)
+from .support import (BLOCK_SAMPLES, SupportFn, affine_support, area, check_grid_size,
+                      curvature_samples, disk)
 
 __all__ = [
     "BP_CONSTANT",
@@ -81,63 +79,50 @@ def _floored_rows(pert: np.ndarray) -> np.ndarray:
     return 1.0 + scale[:, None] * pert
 
 
-def _random_rows(spec: BodySpec, seeds: list[int]) -> np.ndarray:
-    """Samples (R, n) of the recipe ``spec`` drawn under each of ``seeds``."""
-    draws = np.array([np.random.default_rng(s).uniform(-1.0, 1.0, (spec.mode_count, 2))
-                      for s in seeds])
-    th, pert = spectral.angles(spec.n), np.zeros((len(seeds), spec.n))
-    for j, k in enumerate(range(2, 2 * spec.mode_count + 1, 2)):
-        coef = spec.amplitude * spec.decay ** (-k) * draws[:, j]
-        pert += coef[:, :1] * np.cos(k * th) + coef[:, 1:] * np.sin(k * th)
-    return _floored_rows(pert)
+def _random_rows(specs: list[BodySpec]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Samples (R, n) of the recipes ``specs`` (of one n), a row each, and the
+    coefficient draws (mode_count, 2) of each, in [-1, 1)."""
+    draws = [np.random.default_rng(s.seed).uniform(-1.0, 1.0, (s.mode_count, 2)) for s in specs]
+    th, pert = spectral.angles(specs[0].n), np.zeros((len(specs), specs[0].n))
+    for j, k in enumerate(range(2, 2 * max(s.mode_count for s in specs) + 1, 2)):
+        rows = [i for i, s in enumerate(specs) if j < s.mode_count]
+        coef = np.array([specs[i].amplitude * specs[i].decay ** (-k) * draws[i][j] for i in rows])
+        pert[rows] += coef[:, :1] * np.cos(k * th) + coef[:, 1:] * np.sin(k * th)
+    return _floored_rows(pert), draws
 
 
 def random_body(spec: BodySpec) -> SupportFn:
     """Deterministic random body; identical output for identical specs."""
-    return SupportFn(_random_rows(spec, [spec.seed])[0])
+    return SupportFn(_random_rows([spec])[0][0])
 
 
-def _bp_deficits(rows: np.ndarray) -> np.ndarray:
-    """``bp_deficit`` of each row of a stack (R, n), every row checked as a
-    body, from one radial pass and one centroid support of the stack."""
-    v = area_quadrature(rows, _checked_curvature(rows))
-    gamma = ops._centroid_support(radial_powers(rows, [3])[0], v)
-    return area_quadrature(gamma, _checked_curvature(gamma)) / v / BP_CONSTANT - 1.0
+def bp_deficit(h: SupportFn):
+    """Normalized centroid-ratio deficit, V(Gamma K)/V(K) / (4/3pi)^2 - 1, a value a row."""
+    return area(ops.centroid_body(h)) / area(h) / BP_CONSTANT - 1.0
 
 
-def bp_deficit(h: SupportFn) -> float:
-    """Normalized centroid-ratio deficit: V(Gamma K)/V(K) / (4/3pi)^2 - 1."""
-    return float(_bp_deficits(h.samples[None])[0])
-
-
-def _mixed_volume_gaps(h_k: SupportFn, h_l: SupportFn) -> tuple[float, float]:
+def _mixed_volume_gaps(h_k: SupportFn, h_l: SupportFn):
     """Slacks of the mixed-volume inequality, (V(K,L)^2 - V(K)V(L)) /
     (V(K)V(L)), and of its strengthened form, [V(K,L)^2 / (V(K)V(L)) - 1]
     minus (V(K) / 4 D(K)^2) max |h_K / sqrt(V(K)) - h_L / sqrt(V(L))|^2,
-    which is non-negative for origin-symmetric bodies.  The two differ in
-    roundoff; merging them would move the fuzz bytes.  GridMismatch comes
-    from ``ops.mixed_volume``."""
+    which is non-negative for origin-symmetric bodies; a value a row.  The
+    two differ in roundoff; merging them would move the fuzz bytes.
+    GridMismatch comes from ``ops.mixed_volume``."""
     vk, vl = area(h_k), area(h_l)
     vkl = ops.mixed_volume(h_k, h_l)
     vk_vl = vk * vl
     lhs = vkl * vkl / (vk * vl) - 1.0
-    diam = 2.0 * float(np.max(h_k.samples))
-    diff = h_k.samples / np.sqrt(vk) - h_l.samples / np.sqrt(vl)
-    rhs = vk / (4.0 * diam * diam) * float(np.max(np.abs(diff)) ** 2)
-    return (vkl * vkl - vk_vl) / vk_vl, float(lhs - rhs)
+    diam = 2.0 * np.max(h_k.samples, axis=-1)
+    diff = h_k.samples / np.sqrt(vk)[..., None] - h_l.samples / np.sqrt(vl)[..., None]
+    # the scalar power, pow(x, 2), which an array's square x * x differs from in the last bit
+    rhs = vk / (4.0 * diam * diam) * np.vectorize(pow)(np.max(np.abs(diff), axis=-1), 2)
+    return (vkl * vkl - vk_vl) / vk_vl, lhs - rhs
 
 
-@functools.lru_cache(maxsize=32)
-def _unit_disk(n: int) -> SupportFn:
-    """The unit disk on the n grid, built once a grid size (a body is
-    immutable and its arrays write-protected, so one can be shared)."""
-    return disk(1.0, n)
-
-
-def deficit_report(h: SupportFn) -> tuple[dict[str, float], float]:
-    """One body's gaps against the unit disk, under their ``fuzz.json`` names
+def deficit_report(h: SupportFn):
+    """A body's gaps against the unit disk, under their ``fuzz.json`` names
     and divided by their sharp constants (each >= 0 up to roundoff), and the
-    centroid/projection identity residual relative to max h_{Gamma K}.
+    centroid/projection identity residual relative to max h_{Gamma K}, a row each.
 
     V(K) V(K*) <= pi^2 and V(K) V((Pi K)*) <= (pi/2)^2, with equality on
     ellipses.  The affine-bracket gaps read min and max of h S^(1/3) at area
@@ -147,18 +132,18 @@ def deficit_report(h: SupportFn) -> tuple[dict[str, float], float]:
     v = area(h)
     polar, rho3, v_star = ops.polar_chain(h.samples)
     gamma = SupportFn(ops._centroid_support(rho3, v))
-    residual = ops._identity_residual(polar, v_star, gamma.samples) / float(np.max(gamma.samples))
-    minkowski, groemer = _mixed_volume_gaps(h, _unit_disk(h.n))
-    pi_k = ops.projection_body(h)
-    q = affine_support(h, np.sqrt(np.pi / v))
+    residual = ops._identity_residual(polar, v_star, gamma.samples) / np.max(gamma.samples, axis=-1)
+    minkowski, groemer = _mixed_volume_gaps(h, disk(1.0, h.n))
+    q = affine_support(h, np.sqrt(np.pi / v)[..., None])
     gaps = {
-        "bp_deficit": float(area(gamma) / v / BP_CONSTANT - 1.0),
-        "santalo_gap": (np.pi ** 2 - float(v * v_star)) / np.pi ** 2,
-        "petty_gap": ((np.pi / 2.0) ** 2 - float(v * ops.polar_area(pi_k))) / (np.pi / 2.0) ** 2,
+        "bp_deficit": area(gamma) / v / BP_CONSTANT - 1.0,
+        "santalo_gap": (np.pi ** 2 - v * v_star) / np.pi ** 2,
+        "petty_gap": ((np.pi / 2.0) ** 2 - v * ops.polar_area(ops.projection_body(h)))
+                     / (np.pi / 2.0) ** 2,
         "groemer_vs_disk": groemer,
-        "lambda_area_drop": float((v - area(ops._curvature_image(h, v, v_star))) / v),
-        "affine_bracket_low": 1.0 - float(np.min(q)),
-        "affine_bracket_high": float(np.max(q)) - 1.0,
+        "lambda_area_drop": (v - area(ops.curvature_image(h))) / v,
+        "affine_bracket_low": 1.0 - np.min(q, axis=-1),
+        "affine_bracket_high": np.max(q, axis=-1) - 1.0,
         "minkowski_vs_disk": minkowski,
     }
     return gaps, residual
@@ -213,10 +198,10 @@ def _square_perturbation(n: int) -> np.ndarray:
 
 def _stability_bases(seeds: list[int], n: int) -> np.ndarray:
     """Random bodies (R, n) blended with the square direction, curvature
-    floored, one row a seed."""
-    spec = BodySpec(seed=min(seeds), n=n, mode_count=4, decay=1.4, amplitude=0.8)  # all seeds >= 0
-    mix = np.array([[np.random.default_rng(s).uniform(0.0, 1.0)] for s in seeds])
-    wob = _random_rows(spec, seeds)
+    floored, one row a seed; the blend weight is the generator's first draw."""
+    wob, draws = _random_rows([BodySpec(seed=s, n=n, mode_count=4, decay=1.4, amplitude=0.8)
+                               for s in seeds])
+    mix = 0.5 * (np.array(draws)[:, :1, 0] + 1.0)
     return _floored_rows((1.0 - mix) * (wob - 1.0) + mix * _square_perturbation(n))
 
 
@@ -258,15 +243,15 @@ def _deficit_targeted_bodies(bases: np.ndarray, targets) -> tuple:
     """Root-find, for each base row (R, n), the lam at which 1 + lam (h - 1)
     hits the row's target: the bodies, their deficits and the deficits each
     row computed; a base short of its target keeps its own deficit.  A round
-    is one ``_bp_deficits`` of every open lane's body, the first the bases'."""
-    eps = _bp_deficits(bases)
+    is one ``bp_deficit`` of every open lane's body, the first the bases'."""
+    eps = bp_deficit(SupportFn(bases))
     bodies, evaluations = bases.copy(), np.ones(len(bases), dtype=int)
     lanes = {i: _secant(f, t) for i, (f, t) in enumerate(zip(eps.tolist(), targets)) if not f < t}
     lams = {i: next(lane) for i, lane in lanes.items()}
     while lams:
         rows = list(lams)
         bodies[rows] = 1.0 + np.array(list(lams.values()))[:, None] * (bases[rows] - 1.0)
-        eps[rows] = _bp_deficits(bodies[rows])
+        eps[rows] = bp_deficit(SupportFn(bodies[rows]))
         evaluations[rows] += 1
         lams = {i: lam for i in rows if (lam := lanes[i].send(float(eps[i]))) is not None}
     return bodies, eps, evaluations
@@ -366,7 +351,8 @@ def fuzz_campaign(count: int, seed: int, n: int = 256) -> FuzzReport:
 
     Each body's ``deficit_report`` gaps, plus the plain and the strengthened
     mixed-volume gaps against the previous body, keep their least value and
-    its seed; the identity residual keeps its largest.
+    its seed; the identity residual keeps its largest.  The audit takes
+    stacked blocks of ``max(1, BLOCK_SAMPLES // n)`` rows.
     """
     if count < 1:
         raise ValueError("need at least one body")
@@ -374,17 +360,22 @@ def fuzz_campaign(count: int, seed: int, n: int = 256) -> FuzzReport:
     specs = [_fuzz_spec(seed, i, n) for i in range(count)]
     report = FuzzReport(count=count, seed=seed)
     lutwak = report.checks["lutwak_residual_rel"] = {"max": -np.inf, "argmax_seed": -1}
-    prev = None
-    for spec in specs:
-        body = random_body(spec)
-        gaps, residual = deficit_report(body)
-        if prev is not None:
-            gaps["minkowski_vs_prev"], gaps["groemer_vs_prev"] = _mixed_volume_gaps(body, prev)
-        for name, gap in gaps.items():
-            worst = report.checks.setdefault(name, {"min_gap": gap, "argmin_seed": spec.seed})
-            if gap < worst["min_gap"]:
-                worst.update(min_gap=gap, argmin_seed=spec.seed)
-        if residual > lutwak["max"]:
-            lutwak.update(max=residual, argmax_seed=spec.seed)
-        prev = body
+    size, prev = max(1, BLOCK_SAMPLES // n), None
+    for lo in range(0, count, size):
+        block = specs[lo:lo + size]
+        rows = _random_rows(block)[0]
+        gaps, residuals = deficit_report(SupportFn(rows))
+        pairs = rows if prev is None else np.concatenate([prev, rows])
+        if len(pairs) > 1:  # each body after the campaign's first, against the one before it
+            gaps["minkowski_vs_prev"], gaps["groemer_vs_prev"] = _mixed_volume_gaps(
+                SupportFn(pairs[1:]), SupportFn(pairs[:-1]))
+        for name, column in gaps.items():  # a column of fewer rows ends at the block's end
+            for gap, spec in zip(column.tolist(), block[-len(column):]):
+                worst = report.checks.setdefault(name, {"min_gap": gap, "argmin_seed": spec.seed})
+                if gap < worst["min_gap"]:
+                    worst.update(min_gap=gap, argmin_seed=spec.seed)
+        for residual, spec in zip(residuals.tolist(), block):
+            if residual > lutwak["max"]:
+                lutwak.update(max=residual, argmax_seed=spec.seed)
+        prev = rows[-1:]
     return report

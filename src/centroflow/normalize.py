@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .support import (SupportFn, _folded, _half_period_curves, affine_support,
+from .support import (SupportFn, _folded, _half_period_curves, _one_body, affine_support,
                       apply_linear_map, area, scaled)
 
 __all__ = [
@@ -441,6 +441,7 @@ def sl2_normalize(h: SupportFn) -> tuple[SupportFn, np.ndarray]:
     Returns the normalized body and the SL(2) witness, a 2x2 array (the area
     rescale is applied after the map and is not part of the witness).
     """
+    _one_body(h)
     v = _perimeter_minimum(_BoundaryForms(h.samples[None]))[0]
     witness = family_map(*_family_params(v))
     image = apply_linear_map(h, witness)
@@ -473,6 +474,7 @@ def banach_mazur_to_disk(h: SupportFn) -> BMCertificate:
     ``lower_bound`` is within SEARCH_RTOL of the distance unless the search
     ran out of rounds.
     """
+    _one_body(h)
     return _certificates(sl2_searches(h.samples[None])[1])[0]
 
 
@@ -490,6 +492,7 @@ def pinching_to_bm_bound(h: SupportFn) -> float:
     """Banach-Mazur bound (max q / min q)^(3/2) from the pinching of the
     affine support function q = h * S^(1/3) (constant exactly on
     origin-centered ellipses)."""
+    _one_body(h)
     q = affine_support(h)
     qmax, qmin = _parabola_peak(q, np.argmax(q)), _parabola_peak(q, np.argmin(q))
     if qmin <= 0.0:

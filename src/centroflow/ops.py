@@ -1,7 +1,8 @@
 """Affinely associated bodies and functionals.
 
 Polar, centroid, projection and curvature-image bodies and the mixed
-volume.  Projection bodies and mixed volumes read ``SupportFn.curvature``.
+volume, all but ``polar_body`` row by row on a stack of bodies (R, n).
+Projection bodies and mixed volumes read ``SupportFn.curvature``.
 
 Every polar quantity comes from powers of the radial function rho, read
 off the body's own n grid by a change of variables to the normal angle
@@ -37,15 +38,8 @@ import numpy as np
 
 from . import spectral
 from .errors import NonConvex, UnderResolved
-from .support import (
-    MAX_GRID,
-    SupportFn,
-    area,
-    area_quadrature,
-    check_same_grid,
-    curvature_samples,
-    radial_powers,
-)
+from .support import (MAX_GRID, SupportFn, _one_body, area, area_quadrature, check_same_grid,
+                      curvature_samples, radial_powers)
 
 __all__ = [
     "polar_area",
@@ -58,9 +52,9 @@ __all__ = [
 ]
 
 
-def polar_area(h: SupportFn) -> float:
-    """Area of the polar body, (1/2) * integral of h^-2 d theta."""
-    return float(_polar_area(h.samples))
+def polar_area(h: SupportFn):
+    """Area of the polar body, (1/2) * integral of h^-2 d theta, a value a row."""
+    return _polar_area(h.samples)
 
 
 def _polar_area(samples: np.ndarray):
@@ -78,6 +72,7 @@ def polar_body(h: SupportFn) -> SupportFn:
     ``radial_powers`` about 4 and up at n = 64); the body's interpolant on a
     finer grid keeps more of the polar's modes.  UnderResolved names the
     finest grid tried when none is."""
+    _one_body(h)
     for j in range(POLAR_REFINEMENTS + 1):
         m = h.n << j
         if m > MAX_GRID:
@@ -128,8 +123,8 @@ def projection_body(h: SupportFn) -> SupportFn:
     return SupportFn(0.5 * _abs_cos_transform(h.curvature))
 
 
-def mixed_volume(h_k: SupportFn, h_l: SupportFn) -> float:
-    """V(K, L) = (1/2) * integral of h_L dS_K; symmetric in its arguments."""
+def mixed_volume(h_k: SupportFn, h_l: SupportFn):
+    """V(K, L) = (1/2) * integral of h_L dS_K, symmetric; a value a row of a stack."""
     check_same_grid(h_k, h_l)
     return area_quadrature(h_l.samples, h_k.curvature)
 
@@ -145,15 +140,11 @@ def _solve_curvature(f: np.ndarray) -> np.ndarray:
 def curvature_image(h: SupportFn) -> SupportFn:
     """Curvature-image body: the body whose surface density is
     (V(K)/V(K*)) * h^-3."""
-    return _curvature_image(h, area(h), polar_area(h))
+    ratio = np.asarray(area(h) / polar_area(h))[..., None]
+    return SupportFn(_solve_curvature(ratio * h.samples ** -3))
 
 
-def _curvature_image(h: SupportFn, v_body, v_star) -> SupportFn:
-    """``curvature_image`` of a body whose V(K) and V(K*) are known."""
-    return SupportFn(_solve_curvature((v_body / v_star) * h.samples ** -3))
-
-
-def _identity_residual(polar: np.ndarray, v_star, gamma: np.ndarray) -> float:
+def _identity_residual(polar: np.ndarray, v_star, gamma: np.ndarray):
     """Sup-norm residual of the identity relating the centroid body to the
     projection of the curvature image of the polar body,
 
@@ -164,9 +155,9 @@ def _identity_residual(polar: np.ndarray, v_star, gamma: np.ndarray) -> float:
     alone: Lambda K* has surface density (V(K*) / V(K**)) h_{K*}^-3 with
     V(K**) = (1/2) integral of h_{K*}^-2, and Pi of a body is half the |cos|
     transform of its surface density."""
-    v_bipolar = _polar_area(polar)
-    pi_lam = 0.5 * (v_star / v_bipolar) * _abs_cos_transform(polar ** -3)
-    return float(np.max(np.abs(gamma - (2.0 / (3.0 * v_star)) * pi_lam)))
+    v_star = np.asarray(v_star)[..., None]
+    pi_lam = 0.5 * (v_star / _polar_area(polar)[..., None]) * _abs_cos_transform(polar ** -3)
+    return np.max(np.abs(gamma - (2.0 / (3.0 * v_star)) * pi_lam), axis=-1)
 
 
 def _ratio_derivative(rho3: np.ndarray, v_star, v_body):

@@ -6,7 +6,8 @@ Strict convexity is equivalent to positivity of the curvature function
 S = h'' + h (the reciprocal curvature of the boundary as a function of the
 outer normal angle), evaluated spectrally and kept on the body.  Bodies are
 immutable and origin-symmetric, h(theta + pi) = h(theta); every operation
-returns a new body.
+returns a new body.  A body may be a stack (R, n), a row a body, on which
+the functionals and maps here and in ``ops`` act row by row, bit for bit.
 
 Powers of the radial function rho, the polar side of the representation,
 come from a change of variables to the normal angle (``radial_powers``):
@@ -43,16 +44,18 @@ __all__ = [
 CONVEXITY_FLOOR = 1e-10
 SYMMETRY_TOL = 1e-12
 MAX_GRID = 65536  # largest grid size n
+BLOCK_SAMPLES = 3072  # support samples (rows x n) a stacked pass computes together
 
 
 @dataclass(frozen=True)
 class SupportFn:
-    """Validated support-function samples on the uniform angular grid.
+    """Validated samples on the uniform angular grid of a body (n,) or a stack (R, n).
 
-    Construction enforces the body invariants: positive samples (origin
-    interior), positive spectral curvature h'' + h (strict convexity, with
-    a roundoff floor of ``CONVEXITY_FLOOR * max h``) and origin symmetry
-    (antipodal samples agree to ``SYMMETRY_TOL * max h``, else AsymmetricData).
+    Construction enforces the body invariants on every row: positive samples
+    (origin interior), positive spectral curvature h'' + h (strict
+    convexity, with a roundoff floor of ``CONVEXITY_FLOOR * max h``) and
+    origin symmetry (antipodal samples agree to ``SYMMETRY_TOL * max h``,
+    else AsymmetricData).  An error names a stack's failing row.
     """
 
     samples: np.ndarray
@@ -60,9 +63,9 @@ class SupportFn:
 
     def __post_init__(self):
         x = np.array(self.samples, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("support samples must be a 1-D sequence")
-        check_grid_size(x.size)
+        if x.ndim not in (1, 2) or not len(x):
+            raise ValueError("support samples must be a 1-D body (n,) or a stack (R >= 1, n)")
+        check_grid_size(x.shape[-1])
         if not np.all(np.isfinite(x)):
             raise ValueError("support samples must be finite")
         curv = _checked_curvature(x)
@@ -73,7 +76,13 @@ class SupportFn:
 
     @property
     def n(self) -> int:
-        return self.samples.size
+        return self.samples.shape[-1]
+
+
+def _one_body(h: SupportFn) -> None:
+    """Raise ValueError if ``h`` is a stack, for the functions of one body."""
+    if h.samples.ndim != 1:
+        raise ValueError(f"expected one body (n,), got a stack of shape {h.samples.shape}")
 
 
 def check_grid_size(n) -> None:
@@ -120,20 +129,21 @@ def area_quadrature(h: np.ndarray, s: np.ndarray):
     """(1/2) * integral of h * s d theta on the uniform grid: the area when s
     is the curvature h + h'' of the same samples, the mixed volume V(K, L)
     when h is the support of L and s the curvature of K.  Stacked samples
-    (R, n) give an array of R values, each from its own row's dot product."""
-    if h.ndim > 1:
-        return np.array([area_quadrature(a, b) for a, b in zip(h, s)])
+    (R, n), or one row against a stack, give an array of R values, each from
+    its own row's dot product."""
+    if h.ndim > 1 or s.ndim > 1:
+        return np.array([area_quadrature(a, b) for a, b in zip(*np.broadcast_arrays(h, s))])
     return float(0.5 * (2.0 * np.pi / h.size) * np.dot(h, s))
 
 
-def area(h: SupportFn) -> float:
-    """Enclosed area, (1/2) * integral of h * (h'' + h) d theta."""
+def area(h: SupportFn):
+    """Enclosed area, (1/2) * integral of h * (h'' + h) d theta, a value a row."""
     return area_quadrature(h.samples, h.curvature)
 
 
-def perimeter(h: SupportFn) -> float:
-    """Boundary length, integral of h d theta."""
-    return float((2.0 * np.pi / h.n) * np.sum(h.samples))
+def perimeter(h: SupportFn):
+    """Boundary length, integral of h d theta, a value a row."""
+    return (2.0 * np.pi / h.n) * np.sum(h.samples, axis=-1)
 
 
 def scaled(h: SupportFn, factor: float) -> SupportFn:

@@ -6,9 +6,10 @@ and spline interpolation of the boundary parametrization.  The lab's
 inequality functionals and the spectral tables at the end are the
 exception: they pin bytes, not values.  So is the SL(2) search's
 full-period synthesis, the construction the folded one replaced, which
-pins values to the roundoff of its own derivatives, and so is the stability
-campaign one sample and one body at a time, which the lockstep campaign
-must reproduce bit for bit.
+pins values to the roundoff of its own derivatives, and so are the
+stability campaign one sample and one body at a time, which the lockstep
+campaign must reproduce bit for bit, and the fuzz campaign one body at a
+time, which its row blocks must reproduce.
 """
 
 import math
@@ -19,7 +20,8 @@ from scipy.interpolate import CubicSpline
 from scipy.special import ellipe
 
 from centroflow.lab import (BP_CONSTANT, DEFICIT_RTOL, EPS_HIGH, EPS_LOW, MIN_CURVATURE,
-                            BodySpec, StabilitySample, _square_perturbation)
+                            BodySpec, FuzzReport, StabilitySample, _fuzz_spec,
+                            _mixed_volume_gaps, _square_perturbation, deficit_report)
 from centroflow.normalize import (_LAYOUT, CUTS_PER_SIDE, SEARCH_OVERSAMPLE, _at,
                                   pinching_to_bm_bound, sl2_searches)
 from centroflow.ops import _abs_cos_transform, centroid_body, polar_area
@@ -560,3 +562,28 @@ def stability_samples(count, seed, n):
             seed=base_seed, eps=eps, d_bm_minus_1=d1, pinch_bound=pinching_to_bm_bound(body),
             gamma_witness=d1 / eps ** 0.25 if eps > 0 else float("nan")))
     return samples, evaluations
+
+
+# --- the fuzz campaign one body at a time --------------------------------------
+# The per-body loop that the campaign's stacked row blocks replaced.
+
+def fuzz_campaign(count, seed, n):
+    """The ``fuzz_campaign`` report, each body drawn and audited alone and
+    paired with the body before it."""
+    report = FuzzReport(count=count, seed=seed)
+    lutwak = report.checks["lutwak_residual_rel"] = {"max": -np.inf, "argmax_seed": -1}
+    prev = None
+    for i in range(count):
+        spec = _fuzz_spec(seed, i, n)
+        body = random_body(spec)
+        gaps, residual = deficit_report(body)
+        if prev is not None:
+            gaps["minkowski_vs_prev"], gaps["groemer_vs_prev"] = _mixed_volume_gaps(body, prev)
+        for name, gap in gaps.items():
+            worst = report.checks.setdefault(name, {"min_gap": gap, "argmin_seed": spec.seed})
+            if gap < worst["min_gap"]:
+                worst.update(min_gap=gap, argmin_seed=spec.seed)
+        if residual > lutwak["max"]:
+            lutwak.update(max=residual, argmax_seed=spec.seed)
+        prev = body
+    return report

@@ -14,6 +14,7 @@ from centroflow import (
     disk,
     ellipse,
     fuzz_campaign,
+    perimeter,
     random_body,
     scaled,
     sl2_normalize,
@@ -149,13 +150,13 @@ class TestDeficits:
             prev = body
 
     def test_unit_disk_is_built_once_a_grid_size(self, monkeypatch):
+        # a stacked report builds its unit disk once, not once a row
         built = []
         monkeypatch.setattr(lab, "disk", lambda r, n: (built.append(n), disk(r, n))[1])
-        lab._unit_disk.cache_clear()
-        for n in (64, 128, 64, 128, 64):
-            deficit_report(random_body(BodySpec(seed=n, n=n)))
+        for n in (64, 128):
+            deficit_report(SupportFn([random_body(BodySpec(seed=s, n=n)).samples
+                                      for s in range(3)]))
         assert built == [64, 128]
-        assert not lab._unit_disk(64).samples.flags.writeable
 
     def test_ratio_rhs_signs(self, wobble):
         assert ratio_rhs(disk(1.0, 128)) == pytest.approx(0.0, abs=1e-12)
@@ -244,13 +245,21 @@ class TestFuzz:
             "minkowski_vs_disk", "minkowski_vs_prev", "lambda_area_drop",
             "affine_bracket_low", "affine_bracket_high", "lutwak_residual_rel"}
 
+    @pytest.mark.parametrize("count, seed, n", [(1, 0, 64), (2, 5, 64), (49, 7, 64),
+                                                (25, 1, 256), (30, 2, 128)])
+    def test_row_blocks_give_the_per_body_loop(self, count, seed, n):
+        # blocks of 48, 12 and 24 rows at n = 64, 256 and 128: the last three
+        # campaigns pair bodies across block edges
+        assert fuzz_campaign(count, seed, n).as_dict() == \
+            oracles.fuzz_campaign(count, seed, n).as_dict()
+
     def test_campaign_deterministic(self):
         a = fuzz_campaign(10, seed=9)
         b = fuzz_campaign(10, seed=9)
         assert a.as_dict() == b.as_dict()
 
     def test_campaigns_refuse_bad_inputs_before_any_body(self, monkeypatch):
-        monkeypatch.setattr(lab, "random_body", lambda spec: pytest.fail("a body was made"))
+        monkeypatch.setattr(lab, "_random_rows", lambda specs: pytest.fail("a body was made"))
         with pytest.raises(ValueError, match="got -1"):
             fuzz_campaign(2, seed=-1, n=64)
         with pytest.raises(ValueError, match="got -3"):
@@ -262,15 +271,15 @@ class TestFuzz:
 
 @pytest.fixture()
 def deficit_calls(monkeypatch):
-    """A list whose length counts the rows ``lab._bp_deficits`` evaluates from here on."""
+    """A list whose length counts the rows ``lab.bp_deficit`` evaluates from here on."""
     calls = []
-    original = lab._bp_deficits
+    original = lab.bp_deficit
 
-    def counted(rows):
-        calls.extend([None] * len(rows))
-        return original(rows)
+    def counted(h):
+        calls.extend([None] * (h.samples.size // h.n))
+        return original(h)
 
-    monkeypatch.setattr(lab, "_bp_deficits", counted)
+    monkeypatch.setattr(lab, "bp_deficit", counted)
     return calls
 
 
@@ -307,11 +316,11 @@ class TestDeficitTarget:
 
         lams = []
 
-        def deficit(rows):  # lam read back from the body (1 - lam) disk + lam base
-            lams.append((rows[0, 0] - 1.0) / 0.2)
+        def deficit(h):  # lam read back from the body (1 - lam) disk + lam base
+            lams.append((h.samples[0, 0] - 1.0) / 0.2)
             return np.array([deficit_of(lams[-1])])
 
-        monkeypatch.setattr(lab, "_bp_deficits", deficit)
+        monkeypatch.setattr(lab, "bp_deficit", deficit)
         base = SupportFn(1.0 + 0.2 * np.cos(2.0 * angles(64)))
         target = 0.01
         _, eps, evaluations = targeted(base, target)
@@ -353,7 +362,7 @@ class TestLockstep:
         sums = support._radial_sums
         monkeypatch.setattr(support, "_radial_sums",
                             lambda f, half, m, p: (grids.append(m // half), sums(f, half, m, p))[1])
-        got = lab._bp_deficits(np.array([b.samples for b in bodies]))
+        got = bp_deficit(SupportFn([b.samples for b in bodies]))
         assert sorted(set(grids)) == [2, 4, 8, 16]
         for i, body in enumerate(bodies):
             assert got[i] == bp_deficit(body) == oracles.bp_deficit(body), i
@@ -362,7 +371,7 @@ class TestLockstep:
         rows = np.array([_stability_base(s, 64).samples for s in range(3)])
         rows[2] = 1.0 + 0.5 * np.cos(2.0 * angles(64))
         with pytest.raises(NonConvex, match="^row 2: min curvature"):
-            lab._bp_deficits(rows)
+            bp_deficit(SupportFn(rows))
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_every_lane_gives_the_scalar_root_finder(self, n):
@@ -384,6 +393,51 @@ class TestLockstep:
                                       [astuple(s) for s in samples])
         # a wave's rounds are its busiest lane's deficits: fewer than all of them
         assert res.bases >= 20 and res.deficit_rounds < res.deficit_evaluations
+
+
+def _row(value, i=None):
+    """Row i of a row-wise result as bytes, or the whole of a one-body result."""
+    if isinstance(value, tuple):
+        return tuple(_row(v, i) for v in value)
+    if isinstance(value, dict):
+        return {name: _row(v, i) for name, v in value.items()}
+    samples = np.asarray(value.samples if isinstance(value, SupportFn) else value, dtype=float)
+    return (samples if i is None else samples[i]).tobytes()
+
+
+ROW_WISE = {
+    "area": area,
+    "perimeter": perimeter,
+    "scaled": lambda h: scaled(h, 1.7),
+    "apply_linear_map": lambda h: apply_linear_map(h, [[1.3, 0.4], [-0.2, 0.9]]),
+    "polar_area": ops.polar_area,
+    "centroid_body": ops.centroid_body,
+    "projection_body": ops.projection_body,
+    "curvature_image": ops.curvature_image,
+    "mixed_volume": lambda h: ops.mixed_volume(h, disk(1.0, h.n)),
+    "bp_deficit": bp_deficit,
+    "deficit_report": deficit_report,
+}
+
+
+class TestRowByRow:
+    """A function of a body gives each row of a stack what it gives that row alone."""
+
+    @pytest.mark.parametrize("name", ROW_WISE)
+    def test_each_row_gives_what_it_gives_alone(self, name, fuzz_bodies):
+        fn = ROW_WISE[name]
+        got = fn(SupportFn([body.samples for body in fuzz_bodies[:3]]))
+        for i, body in enumerate(fuzz_bodies[:3]):
+            assert _row(got, i) == _row(fn(body)), (name, i)
+
+    def test_one_body_against_a_stack_of_as_many_rows_as_nodes(self):
+        # R = n = 16: contracting the wrong axis would pass the shape checks
+        rows = lab._random_rows([BodySpec(seed=s, n=16, mode_count=1) for s in range(16)])[0]
+        unit = disk(1.0, 16)
+        for fn in (lambda h: ops.mixed_volume(h, unit), lambda h: ops.mixed_volume(unit, h)):
+            got = fn(SupportFn(rows))
+            assert got.shape == (16,)
+            assert got.tolist() == [fn(SupportFn(row)) for row in rows]
 
 
 class TestStability:

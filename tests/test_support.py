@@ -14,13 +14,17 @@ from centroflow import (
     SupportFn,
     apply_linear_map,
     area,
+    banach_mazur_to_disk,
     disk,
     ellipse,
+    flow_run,
     perimeter,
+    pinching_to_bm_bound,
     scaled,
+    sl2_normalize,
 )
 from centroflow.normalize import family_map
-from centroflow import support
+from centroflow import bodyio, ops, support
 from centroflow.spectral import angles, fourier_coeffs, resample
 from centroflow.support import (RADIAL_OVERSAMPLE, SYMMETRY_TOL, check_grid_size,
                                 check_same_grid, curvature_samples, radial_powers)
@@ -87,7 +91,19 @@ class TestConstructor:
         with pytest.raises(ValueError):
             SupportFn(np.ones(65538))
         with pytest.raises(ValueError, match="1-D"):
-            SupportFn(np.ones((2, 64)))
+            SupportFn(np.ones((2, 2, 64)))
+        with pytest.raises(ValueError, match="1-D"):
+            SupportFn(np.ones((0, 64)))
+
+    @pytest.mark.parametrize("fn", [
+        ops.polar_body, sl2_normalize, banach_mazur_to_disk, pinching_to_bm_bound, flow_run,
+        bodyio.body_to_dict, lambda h: bodyio.save_body(h, "never-written.json")])
+    def test_one_body_functions_refuse_a_stack(self, fn, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        stack = SupportFn([disk(1.0, 64).samples, ellipse(2.0, 1.0, 0.3, 64).samples])
+        with pytest.raises(ValueError, match=r"one body \(n,\), got a stack of shape \(2, 64\)"):
+            fn(stack)
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_grid_size_rule(self):
         for n in (16, 18, 65536, np.int64(64)):
